@@ -71,6 +71,7 @@ from .sampler import (
     gibbs_sweep,
     init_state,
     load_fit_result,
+    reference_sweep,
     save_fit_result,
 )
 

@@ -311,9 +311,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
-    except (ValueError, KeyError, OSError, RuntimeError) as exc:
+    except Exception as exc:  # every failure, whatever its type, gets the one-line error
         print(_error_json(type(exc).__name__, str(exc)), file=sys.stderr)
         return 1
 

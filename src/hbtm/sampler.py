@@ -13,13 +13,20 @@ Sweeps visit tokens in trace order, then token order; this sequential scan is
 part of the contract and makes runs with equal seeds bit-identical. One chain
 owns its ModelState; concurrent chains need distinct states and seeds.
 
-Count tables are plain nested lists: the per-token update loop dominates the
-cost of a fit, and scalar list indexing beats array indexing at that grain.
+Assignments, token encodings and count tables are flat C-contiguous int64
+numpy arrays. The per-token update loop dominates the cost of a fit, so
+``gibbs_sweep`` runs it in a small C kernel (``_sweep.c``), compiled with the
+system C compiler on first use and cached under ``$XDG_CACHE_HOME/hbtm``
+(default ``~/.cache/hbtm``). ``reference_sweep`` is the same loop in plain
+Python: it is the oracle the kernel must match bit for bit, and the fallback
+when no compiler or cache directory is usable.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -29,6 +36,9 @@ import numpy as np
 from scipy.special import gammaln
 
 from .core import Corpus, Hyperparams, Posterior, estimate_posterior, validate_corpus
+
+
+_TABLES = ("n_mk", "n_ke", "n_ket", "n_kei", "n_m", "n_k")
 
 
 class CountConsistencyError(RuntimeError):
@@ -78,14 +88,25 @@ class FitConfig:
         }
 
 
+class _Assignments(np.ndarray):
+    """The flat int64 assignment array.
+
+    Iterating it yields Python ints, as the list it replaced did, so values
+    taken from it stay JSON-serializable and hash like plain ints.
+    """
+
+    def __iter__(self):
+        return iter(self.tolist())
+
+
 class ModelState:
     """Assignments plus the count tables that summarize them.
 
     Tables: n_mk (trace x trait), n_ke (trait x event), n_ket
     (trait x event x time bin), n_kei (trait x event x interaction level),
-    with totals n_m per trace and n_k per trait. The flat assignment list z
-    follows token order within trace order. Exactly one writer may mutate a
-    state at a time.
+    with totals n_m per trace and n_k per trait, all C-contiguous int64
+    arrays. The flat assignment array z follows token order within trace
+    order. Exactly one writer may mutate a state at a time.
     """
 
     def __init__(self, corpus: Corpus, num_traits: int, z_flat, rng: np.random.Generator):
@@ -100,66 +121,53 @@ class ModelState:
         self.rng = rng
         self.sweep = 0
 
-        m_idx: list[int] = []
-        e_idx: list[int] = []
-        t_idx: list[int] = []
-        i_idx: list[int] = []
-        offsets = [0]
-        for m, trace in enumerate(corpus.traces):
-            for tok in trace.tokens:
-                m_idx.append(m)
-                e_idx.append(tok.event)
-                t_idx.append(tok.time_bin)
-                i_idx.append(tok.interaction_level)
-            offsets.append(len(m_idx))
-        self._m_idx = m_idx
-        self._e_idx = e_idx
-        self._t_idx = t_idx
-        self._i_idx = i_idx
-        self._offsets = offsets
+        codes = [
+            (m, tok.event, tok.time_bin, tok.interaction_level)
+            for m, trace in enumerate(corpus.traces)
+            for tok in trace.tokens
+        ]
+        enc = np.array(codes, dtype=np.int64).reshape(-1, 4).T.copy()
+        self._m_idx, self._e_idx, self._t_idx, self._i_idx = enc
+        self._offsets = np.cumsum([0] + [len(t.tokens) for t in corpus.traces], dtype=np.int64)
 
-        z = [int(v) for v in z_flat]
-        if len(z) != len(m_idx):
+        z = np.array(z_flat, dtype=np.int64)
+        if z.shape != (len(codes),):
             raise ValueError("assignment vector length must equal the corpus token count")
-        if any(v < 0 or v >= num_traits for v in z):
+        if np.any((z < 0) | (z >= num_traits)):
             raise ValueError("trait assignment outside [0, num_traits)")
-        self.z = z
+        self.z = z.view(_Assignments)
         self._tally()
+        self._bound = None
 
     def _tally(self) -> None:
         k_n, e_n = self.num_traits, self.num_events
         t_n, i_n = self.num_time_bins, self.num_interaction_levels
-        m_n = len(self._offsets) - 1
-        self.n_mk = [[0] * k_n for _ in range(m_n)]
-        self.n_ke = [[0] * e_n for _ in range(k_n)]
-        self.n_ket = [[[0] * t_n for _ in range(e_n)] for _ in range(k_n)]
-        self.n_kei = [[[0] * i_n for _ in range(e_n)] for _ in range(k_n)]
-        self.n_m = [0] * m_n
-        self.n_k = [0] * k_n
-        for j, k in enumerate(self.z):
-            m, e = self._m_idx[j], self._e_idx[j]
-            t, i = self._t_idx[j], self._i_idx[j]
-            self.n_mk[m][k] += 1
-            self.n_ke[k][e] += 1
-            self.n_ket[k][e][t] += 1
-            self.n_kei[k][e][i] += 1
-            self.n_m[m] += 1
-            self.n_k[k] += 1
+        m_n = self.num_traces
+        z = self.z.view(np.ndarray)
+        ke = z * e_n + self._e_idx
+        self.n_mk = np.bincount(self._m_idx * k_n + z, minlength=m_n * k_n).reshape(m_n, k_n)
+        self.n_ke = np.bincount(ke, minlength=k_n * e_n).reshape(k_n, e_n)
+        self.n_ket = np.bincount(ke * t_n + self._t_idx, minlength=k_n * e_n * t_n).reshape(
+            k_n, e_n, t_n
+        )
+        self.n_kei = np.bincount(ke * i_n + self._i_idx, minlength=k_n * e_n * i_n).reshape(
+            k_n, e_n, i_n
+        )
+        self.n_m = np.bincount(self._m_idx, minlength=m_n)
+        self.n_k = np.bincount(z, minlength=k_n)
 
     @classmethod
     def random_init(cls, corpus: Corpus, num_traits: int, seed: int) -> "ModelState":
         rng = np.random.default_rng(seed)
         z = rng.integers(0, num_traits, size=corpus.num_tokens)
-        return cls(corpus, num_traits, z.tolist(), rng)
+        return cls(corpus, num_traits, z, rng)
 
     @classmethod
     def from_assignments(
         cls, corpus: Corpus, num_traits: int, assignments, seed: int = 0
     ) -> "ModelState":
         """Build a state with known per-trace assignments (warm starts, oracles)."""
-        flat: list[int] = []
-        for row in assignments:
-            flat.extend(int(v) for v in row)
+        flat = [int(v) for row in assignments for v in row]
         return cls(corpus, num_traits, flat, np.random.default_rng(seed))
 
     @property
@@ -171,24 +179,23 @@ class ModelState:
         return len(self._offsets) - 1
 
     def flat_index(self, m: int, n: int) -> int:
-        lo, hi = self._offsets[m], self._offsets[m + 1]
+        lo, hi = int(self._offsets[m]), int(self._offsets[m + 1])
         if not 0 <= n < hi - lo:
             raise IndexError(f"trace {m} has {hi - lo} tokens, asked for token {n}")
         return lo + n
 
     def assignments(self) -> list[list[int]]:
-        return [
-            self.z[self._offsets[m] : self._offsets[m + 1]] for m in range(self.num_traces)
-        ]
+        bounds = self._offsets.tolist()
+        return [self.z[lo:hi].tolist() for lo, hi in zip(bounds, bounds[1:])]
 
     def decrement(self, m: int, n: int) -> int:
         """Remove token (m, n)'s current trait from every table; z keeps the value."""
         j = self.flat_index(m, n)
-        k, e = self.z[j], self._e_idx[j]
-        self.n_mk[m][k] -= 1
-        self.n_ke[k][e] -= 1
-        self.n_ket[k][e][self._t_idx[j]] -= 1
-        self.n_kei[k][e][self._i_idx[j]] -= 1
+        k, e = int(self.z[j]), self._e_idx[j]
+        self.n_mk[m, k] -= 1
+        self.n_ke[k, e] -= 1
+        self.n_ket[k, e, self._t_idx[j]] -= 1
+        self.n_kei[k, e, self._i_idx[j]] -= 1
         self.n_m[m] -= 1
         self.n_k[k] -= 1
         return k
@@ -198,10 +205,10 @@ class ModelState:
         j = self.flat_index(m, n)
         e = self._e_idx[j]
         self.z[j] = k
-        self.n_mk[m][k] += 1
-        self.n_ke[k][e] += 1
-        self.n_ket[k][e][self._t_idx[j]] += 1
-        self.n_kei[k][e][self._i_idx[j]] += 1
+        self.n_mk[m, k] += 1
+        self.n_ke[k, e] += 1
+        self.n_ket[k, e, self._t_idx[j]] += 1
+        self.n_kei[k, e, self._i_idx[j]] += 1
         self.n_m[m] += 1
         self.n_k[k] += 1
 
@@ -224,13 +231,10 @@ class ModelState:
         dup._t_idx = self._t_idx
         dup._i_idx = self._i_idx
         dup._offsets = self._offsets
-        dup.z = list(self.z)
-        dup.n_mk = [row[:] for row in self.n_mk]
-        dup.n_ke = [row[:] for row in self.n_ke]
-        dup.n_ket = [[row[:] for row in plane] for plane in self.n_ket]
-        dup.n_kei = [[row[:] for row in plane] for plane in self.n_kei]
-        dup.n_m = list(self.n_m)
-        dup.n_k = list(self.n_k)
+        dup._bound = None
+        dup.z = self.z.copy()
+        for name in _TABLES:
+            setattr(dup, name, getattr(self, name).copy())
         return dup
 
     def count_violations(self) -> list[str]:
@@ -249,23 +253,28 @@ class ModelState:
         fresh._tally()
 
         problems = []
-        for name in ("n_mk", "n_ke", "n_ket", "n_kei", "n_m", "n_k"):
-            if getattr(self, name) != getattr(fresh, name):
+        for name in _TABLES:
+            if not np.array_equal(getattr(self, name), getattr(fresh, name)):
                 problems.append(f"{name} differs from a from-scratch recount")
-        for m, row in enumerate(self.n_mk):
-            if any(v < 0 for v in row):
+        negative = (self.n_mk < 0).any(axis=1)
+        bad_m = self.n_mk.sum(axis=1) != self.n_m
+        for m in np.flatnonzero(negative | bad_m):
+            if negative[m]:
                 problems.append(f"negative count in n_mk row {m}")
-            if sum(row) != self.n_m[m]:
+            if bad_m[m]:
                 problems.append(f"sum_k n_mk[{m}] != n_m[{m}]")
-        for k, row in enumerate(self.n_ke):
-            if sum(row) != self.n_k[k]:
+        bad_k = self.n_ke.sum(axis=1) != self.n_k
+        bad_t = self.n_ket.sum(axis=2) != self.n_ke
+        bad_i = self.n_kei.sum(axis=2) != self.n_ke
+        for k in range(self.num_traits):
+            if bad_k[k]:
                 problems.append(f"sum_e n_ke[{k}] != n_k[{k}]")
-            for e in range(self.num_events):
-                if sum(self.n_ket[k][e]) != row[e]:
+            for e in np.flatnonzero(bad_t[k] | bad_i[k]):
+                if bad_t[k, e]:
                     problems.append(f"sum_t n_ket[{k}][{e}] != n_ke[{k}][{e}]")
-                if sum(self.n_kei[k][e]) != row[e]:
+                if bad_i[k, e]:
                     problems.append(f"sum_i n_kei[{k}][{e}] != n_ke[{k}][{e}]")
-        if sum(self.n_k) != self.token_count:
+        if self.n_k.sum() != self.token_count:
             problems.append("grand total != corpus token count")
         return problems
 
@@ -321,6 +330,15 @@ def init_state(corpus: Corpus, config: FitConfig) -> ModelState:
     return ModelState.random_init(corpus, config.num_traits, config.seed)
 
 
+def _weight_constants(state: ModelState, hyper: Hyperparams) -> tuple[float, ...]:
+    """alpha, beta, E*beta, gamma, T*gamma, delta, I*delta, in the sweeps' order."""
+    return (
+        hyper.alpha, hyper.beta, state.num_events * hyper.beta,
+        hyper.gamma, state.num_time_bins * hyper.gamma,
+        hyper.delta, state.num_interaction_levels * hyper.delta,
+    )
+
+
 def _raw_weights(n_mk_m, n_ke, n_ket, n_kei, n_k, e, t, i,
                  num_k, alpha, beta, ebeta, gamma, tgamma, delta, idelta):
     weights = []
@@ -335,45 +353,32 @@ def _raw_weights(n_mk_m, n_ke, n_ket, n_kei, n_k, e, t, i,
     return weights
 
 
-def conditional_weights(state: ModelState, m: int, n: int, hyper: Hyperparams) -> list[float]:
-    """Unnormalized full-conditional trait weights for token (m, n).
-
-    The token must already be decremented from every table; the weights use
-    the remaining counts only. Calling this on a non-decremented state is a
-    contract violation that ``count_violations`` can detect.
-    """
-    j = state.flat_index(m, n)
-    return _raw_weights(
-        state.n_mk[m], state.n_ke, state.n_ket, state.n_kei, state.n_k,
-        state._e_idx[j], state._t_idx[j], state._i_idx[j],
-        state.num_traits, hyper.alpha, hyper.beta, state.num_events * hyper.beta,
-        hyper.gamma, state.num_time_bins * hyper.gamma,
-        hyper.delta, state.num_interaction_levels * hyper.delta,
+def _degenerate_weights(j: int) -> ValueError:
+    return ValueError(
+        f"conditional weights of flat token {j} underflow or overflow: "
+        "the hyperparameters are too small (or too large) for this corpus"
     )
 
 
-def gibbs_sweep(state: ModelState, corpus: Corpus, hyper: Hyperparams) -> ModelState:
-    """One full scan: every token is decremented, resampled and re-added.
+def reference_sweep(state: ModelState, hyper: Hyperparams) -> ModelState:
+    """One full scan in plain Python: the oracle the compiled sweep must match.
 
     Tokens are visited in flat (trace, position) order. The sweep draws one
     block of uniforms up front, one per token, from the state's generator;
     trait k is selected as the first index whose cumulative weight exceeds
-    u * total.
+    u * total. Raises ValueError naming the flat token whose weights are
+    degenerate (a zero denominator, or a total outside (0, inf)); that token
+    keeps its trait and the tables stay consistent.
     """
-    if corpus.num_tokens != state.token_count or corpus.num_traces != state.num_traces:
-        raise ValueError("corpus does not match the state's encoded tokens")
-    z = state.z
-    m_idx, e_idx = state._m_idx, state._e_idx
-    t_idx, i_idx = state._t_idx, state._i_idx
-    n_mk, n_ke, n_ket, n_kei = state.n_mk, state.n_ke, state.n_ket, state.n_kei
-    n_m, n_k = state.n_m, state.n_k
+    z = state.z.tolist()
+    m_idx, e_idx = state._m_idx.tolist(), state._e_idx.tolist()
+    t_idx, i_idx = state._t_idx.tolist(), state._i_idx.tolist()
+    n_mk, n_ke, n_ket, n_kei, n_m, n_k = (getattr(state, name).tolist() for name in _TABLES)
     num_k = state.num_traits
-    alpha, beta = hyper.alpha, hyper.beta
-    gamma, delta = hyper.gamma, hyper.delta
-    ebeta = state.num_events * beta
-    tgamma = state.num_time_bins * gamma
-    idelta = state.num_interaction_levels * delta
+    alpha, beta, ebeta, gamma, tgamma, delta, idelta = _weight_constants(state, hyper)
     top = num_k - 1
+    inf = math.inf
+    failed = None
 
     uniforms = state.rng.random(len(z)).tolist()
     for j in range(len(z)):
@@ -390,14 +395,19 @@ def gibbs_sweep(state: ModelState, corpus: Corpus, hyper: Hyperparams) -> ModelS
         n_m[m] -= 1
         n_k[k] -= 1
 
-        weights = _raw_weights(
-            row_m, n_ke, n_ket, n_kei, n_k, e, t, i,
-            num_k, alpha, beta, ebeta, gamma, tgamma, delta, idelta,
-        )
-        cum = list(accumulate(weights))
-        k = bisect_right(cum, uniforms[j] * cum[-1])
-        if k > top:
-            k = top
+        try:
+            cum = list(accumulate(_raw_weights(
+                row_m, n_ke, n_ket, n_kei, n_k, e, t, i,
+                num_k, alpha, beta, ebeta, gamma, tgamma, delta, idelta,
+            )))
+        except ZeroDivisionError:
+            cum = [0.0]
+        if 0.0 < cum[-1] < inf:
+            k = bisect_right(cum, uniforms[j] * cum[-1])
+            if k > top:
+                k = top
+        else:
+            failed = j  # k is still the old trait: put the token back, then stop
 
         z[j] = k
         row_m[k] += 1
@@ -406,6 +416,137 @@ def gibbs_sweep(state: ModelState, corpus: Corpus, hyper: Hyperparams) -> ModelS
         n_kei[k][e][i] += 1
         n_m[m] += 1
         n_k[k] += 1
+        if failed is not None:
+            break
+
+    state.z[:] = z
+    for name, table in zip(_TABLES, (n_mk, n_ke, n_ket, n_kei, n_m, n_k)):
+        getattr(state, name)[...] = table
+    if failed is not None:
+        raise _degenerate_weights(failed)
+    state.sweep += 1
+    return state
+
+
+def conditional_weights(state: ModelState, m: int, n: int, hyper: Hyperparams) -> list[float]:
+    """Unnormalized full-conditional trait weights for token (m, n).
+
+    The token must already be decremented from every table; the weights use
+    the remaining counts only. Calling this on a non-decremented state is a
+    contract violation that ``count_violations`` can detect.
+    """
+    j = state.flat_index(m, n)
+    return _raw_weights(
+        state.n_mk[m], state.n_ke, state.n_ket, state.n_kei, state.n_k,
+        state._e_idx[j], state._t_idx[j], state._i_idx[j],
+        state.num_traits, *_weight_constants(state, hyper),
+    )
+
+
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_UNLOADED = object()
+_kernel = _UNLOADED  # the compiled sweep once loaded; None when it cannot be built
+
+
+def _build_kernel(source: Path, library: Path) -> None:
+    """Compile the kernel, then publish it under its final name in one rename."""
+    import subprocess
+    import tempfile
+
+    library.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=".build-", suffix=".so", dir=library.parent)
+    os.close(fd)
+    try:
+        done = subprocess.run(
+            ["cc", *_CFLAGS, "-o", tmp, str(source)], capture_output=True, text=True
+        )
+        if done.returncode:
+            raise OSError(f"cc exited with status {done.returncode}: {done.stderr.strip()}")
+        os.replace(tmp, library)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _load_kernel():
+    """The compiled sweep from the cache, built there on a miss; None if unusable."""
+    import ctypes
+    import hashlib
+
+    source = Path(__file__).with_name("_sweep.c")
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "hbtm"
+    try:
+        key = hashlib.sha256(source.read_bytes() + " ".join(_CFLAGS).encode()).hexdigest()
+        library = cache / f"_sweep-{key[:16]}.so"
+        if not library.exists():
+            _build_kernel(source, library)
+        kernel = ctypes.CDLL(str(library)).hbtm_sweep
+    except OSError:
+        return None
+    kernel.restype = ctypes.c_int64
+    kernel.argtypes = [ctypes.c_int64] * 5 + [ctypes.c_double] * 7 + [ctypes.c_void_p] * 13
+    return kernel
+
+
+def _sweep_kernel():
+    global _kernel
+    if _kernel is _UNLOADED:
+        _kernel = _load_kernel()
+    return _kernel
+
+
+_KERNEL_ARRAYS = ("_m_idx", "_e_idx", "_t_idx", "_i_idx", "z") + _TABLES
+
+
+def _bind(state: ModelState) -> tuple:
+    """The state's arrays, the kernel's scratch buffers and their raw pointers.
+
+    Shapes, dtypes and contiguity are checked, and the pointers taken, once
+    per set of arrays; replacing any of the state's arrays re-binds.
+    """
+    arrays = tuple(getattr(state, name) for name in _KERNEL_ARRAYS)
+    bound = state._bound
+    if bound is not None and all(a is b for a, b in zip(arrays, bound[0])):
+        return bound
+    n, k_n, ke = state.token_count, state.num_traits, (state.num_traits, state.num_events)
+    shapes = (
+        (n,), (n,), (n,), (n,), (n,),
+        (state.num_traces, k_n), ke, ke + (state.num_time_bins,),
+        ke + (state.num_interaction_levels,), (state.num_traces,), (k_n,),
+    )
+    for name, array, shape in zip(_KERNEL_ARRAYS, arrays, shapes):
+        if not (isinstance(array, np.ndarray) and array.dtype == np.int64
+                and array.shape == shape and array.flags.c_contiguous):
+            raise ValueError(f"state.{name} must be a C-contiguous int64 array of shape {shape}")
+    scratch = (np.empty(n), np.empty(k_n))  # the uniforms and cum; kept alive with the pointers
+    state._bound = (arrays, scratch, [a.ctypes.data for a in arrays + scratch])
+    return state._bound
+
+
+def gibbs_sweep(state: ModelState, corpus: Corpus, hyper: Hyperparams) -> ModelState:
+    """One full scan: every token is decremented, resampled and re-added.
+
+    Runs the compiled kernel, which gives results bit-identical to
+    ``reference_sweep`` (same visiting order, uniforms, weights and trait
+    selection, same ValueError on degenerate weights); falls back to
+    ``reference_sweep`` when the kernel cannot be built.
+    """
+    if corpus.num_tokens != state.token_count or corpus.num_traces != state.num_traces:
+        raise ValueError("corpus does not match the state's encoded tokens")
+    kernel = _sweep_kernel()
+    if kernel is None:
+        return reference_sweep(state, hyper)
+    _arrays, (uniforms, _cum), pointers = _bind(state)
+    state.rng.random(out=uniforms)
+    failed = kernel(
+        state.token_count, state.num_traits, state.num_events,
+        state.num_time_bins, state.num_interaction_levels,
+        *_weight_constants(state, hyper), *pointers,
+    )
+    if failed > 0:
+        raise _degenerate_weights(failed - 1)
+    if failed < 0:
+        raise ValueError(f"trait assignment of flat token {-failed - 1} outside [0, num_traits)")
     state.sweep += 1
     return state
 

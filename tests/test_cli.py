@@ -258,3 +258,34 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     code = run(["generate", "--config", cfg])
     assert code == 1
     assert "bogus_key" in json.loads(capsys.readouterr().err.strip())["detail"]
+
+
+def test_config_value_of_wrong_type_is_json_error(tmp_path, generated, capsys):
+    cfg = tmp_path / "fit.json"
+    cfg.write_text(json.dumps({
+        "corpus": str(generated.with_suffix(".jsonl")),
+        "schema": str(generated) + ".schema.json",
+        "traits": [1], "out": str(tmp_path / "m.json"),
+    }))
+    assert run(["fit", "--config", cfg]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "TypeError"
+
+
+def test_fit_with_underflowing_hyperparameters_is_json_error(tmp_path, capsys):
+    prefix = tmp_path / "tiny"
+    assert run(["generate", "--traits", 3, "--traces", 4, "--tokens-per-trace", 5,
+                "--out-prefix", prefix]) == 0
+    code = run([
+        "fit", "--corpus", prefix.with_suffix(".jsonl"), "--schema", str(prefix) + ".schema.json",
+        "--traits", 6, "--alpha", 1e-120, "--beta", 1e-120, "--gamma", 1e-120,
+        "--delta", 1e-120, "--out", tmp_path / "m.json",
+    ])
+    assert code == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ValueError"
+    assert "hyperparameters are too small" in err["detail"]
+    assert not (tmp_path / "m.json").exists()

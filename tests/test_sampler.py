@@ -1,10 +1,13 @@
 import itertools
 import math
+import shutil
 from bisect import bisect_right
 from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from hbtm import (
@@ -24,12 +27,14 @@ from hbtm import (
     greedy_match_traits,
     init_state,
     load_fit_result,
+    reference_sweep,
     sample_params,
     save_fit_result,
     synthetic_schema,
     total_variation,
 )
-from hbtm.sampler import _dm_log_marginal
+from hbtm import sampler
+from hbtm.sampler import _TABLES, _dm_log_marginal
 
 from conftest import random_corpus
 
@@ -83,8 +88,8 @@ def test_init_state_deterministic(rng):
     cfg = FitConfig(num_traits=3, sweeps=2, burn_in=1, sample_stride=1, seed=42)
     a = init_state(corpus, cfg)
     b = init_state(corpus, cfg)
-    assert a.z == b.z
-    assert a.n_mk == b.n_mk and a.n_ket == b.n_ket
+    assert np.array_equal(a.z, b.z)
+    assert np.array_equal(a.n_mk, b.n_mk) and np.array_equal(a.n_ket, b.n_ket)
 
 
 def test_init_state_rejects_invalid_corpus():
@@ -174,11 +179,11 @@ def test_conditional_weights_match_enumerated_conditionals(rng):
 def test_sweep_single_trait_only_advances_counter(rng):
     corpus = random_corpus(rng)
     state = ModelState.random_init(corpus, 1, seed=0)
-    before = [list(state.z), [r[:] for r in state.n_mk]]
+    before = [state.z.tolist(), state.n_mk.tolist()]
     gibbs_sweep(state, corpus, HYPER1)
     assert state.sweep == 1
-    assert state.z == before[0]
-    assert state.n_mk == before[1]
+    assert state.z.tolist() == before[0]
+    assert state.n_mk.tolist() == before[1]
 
 
 def test_sweep_deterministic_from_cloned_state(rng):
@@ -188,8 +193,8 @@ def test_sweep_deterministic_from_cloned_state(rng):
     for _ in range(3):
         gibbs_sweep(state, corpus, HYPER1)
         gibbs_sweep(twin, corpus, HYPER1)
-    assert state.z == twin.z
-    assert state.n_ket == twin.n_ket
+    assert np.array_equal(state.z, twin.z)
+    assert np.array_equal(state.n_ket, twin.n_ket)
     assert state.sweep == twin.sweep
 
 
@@ -222,7 +227,110 @@ def test_sweep_equals_manual_replay(rng):
             k = min(k, replay.num_traits - 1)
             replay.increment(m, n, k)
             j += 1
-    assert replay.z == state.z
+    assert np.array_equal(replay.z, state.z)
+
+
+def _sweep_outcome(sweep, state, hyper, sweeps=3):
+    """Run sweeps; the ValueError message that stopped them, or None."""
+    try:
+        for _ in range(sweeps):
+            sweep(state, hyper)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def sweep_cases(draw):
+    num_events = draw(st.integers(1, 4))
+    num_time_bins = draw(st.integers(1, 3))
+    num_levels = draw(st.integers(1, 3))
+    traces = tuple(
+        Trace(f"t{m}", tuple(
+            Token(draw(st.integers(0, num_events - 1)), draw(st.integers(0, num_time_bins - 1)),
+                  draw(st.integers(0, num_levels - 1)))
+            for _ in range(draw(st.integers(1, 6)))
+        ))
+        for m in range(draw(st.integers(1, 5)))
+    )
+    corpus = Corpus(synthetic_schema(num_events, num_time_bins, num_levels), traces)
+    concentration = st.one_of(st.floats(1e-3, 10.0), st.just(1e-120))
+    hyper = Hyperparams(*(draw(concentration) for _ in range(4)))
+    return corpus, draw(st.integers(1, 6)), hyper, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(sweep_cases())
+def test_compiled_sweep_matches_reference_sweep(case):
+    corpus, num_traits, hyper, seed = case
+    state = ModelState.random_init(corpus, num_traits, seed)
+    twin = state.clone()
+    compiled = _sweep_outcome(lambda s, h: gibbs_sweep(s, corpus, h), state, hyper)
+    reference = _sweep_outcome(reference_sweep, twin, hyper)
+    assert compiled == reference
+    assert state.sweep == twin.sweep
+    assert np.array_equal(state.z, twin.z)
+    for name in _TABLES:
+        assert np.array_equal(getattr(state, name), getattr(twin, name)), name
+    assert state.rng.bit_generator.state == twin.rng.bit_generator.state
+    assert state.count_violations() == []
+
+
+def test_underflowing_weights_raise_the_same_error_on_both_paths(rng):
+    corpus = random_corpus(rng)
+    tiny = Hyperparams(1e-120, 1e-120, 1e-120, 1e-120)
+    # more traits than tokens: an empty trait's denominator underflows to 0
+    state = ModelState.random_init(corpus, corpus.num_tokens + 1, seed=0)
+    twin = state.clone()
+    with pytest.raises(ValueError, match="flat token 0 .* hyperparameters are too small") as fast:
+        gibbs_sweep(state, corpus, tiny)
+    with pytest.raises(ValueError) as slow:
+        reference_sweep(twin, tiny)
+    assert str(fast.value) == str(slow.value)
+    assert np.array_equal(state.z, twin.z)
+    assert state.count_violations() == [] and twin.count_violations() == []
+    assert state.sweep == twin.sweep == 0
+
+
+def test_sweep_rejects_corrupted_state_before_the_kernel_writes(rng):
+    corpus = random_corpus(rng)
+    state = ModelState.random_init(corpus, 3, seed=0)
+    state.z[2] = 3
+    with pytest.raises(ValueError, match="flat token 2 outside"):
+        gibbs_sweep(state, corpus, HYPER1)
+    state = ModelState.random_init(corpus, 3, seed=0)
+    state.n_k = state.n_k.tolist()
+    with pytest.raises(ValueError, match="n_k must be a C-contiguous int64 array"):
+        gibbs_sweep(state, corpus, HYPER1)
+
+
+def test_fit_without_kernel_matches_kernel_fit_byte_for_byte(tmp_path, rng, monkeypatch):
+    corpus = random_corpus(rng, num_traces=6)
+    cfg = FitConfig(num_traits=3, sweeps=30, burn_in=10, sample_stride=5, seed=3, audit_every=1)
+    save_fit_result(fit(corpus, cfg), tmp_path / "kernel.json")
+    monkeypatch.setattr(sampler, "_kernel", None)
+    save_fit_result(fit(corpus, cfg), tmp_path / "python.json")
+    assert (tmp_path / "kernel.json").read_bytes() == (tmp_path / "python.json").read_bytes()
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_kernel_built_once_into_a_fresh_cache_then_reused(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert sampler._load_kernel() is not None
+    built = sorted((tmp_path / "hbtm").iterdir())
+    assert len(built) == 1 and built[0].suffix == ".so"
+    stamp = built[0].stat().st_mtime_ns
+    monkeypatch.setattr(sampler, "_build_kernel", lambda *_: pytest.fail("cached kernel rebuilt"))
+    assert sampler._load_kernel() is not None
+    assert sorted((tmp_path / "hbtm").iterdir()) == built
+    assert built[0].stat().st_mtime_ns == stamp
+
+
+def test_compiled_kernel_loads_when_a_compiler_exists():
+    # a silent fallback to the Python sweep would hide a large slowdown
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    assert sampler._sweep_kernel() is not None
 
 
 def test_sweep_rejects_mismatched_corpus(rng):
@@ -321,10 +429,10 @@ def test_fit_bookkeeping_matches_recount(rng):
     result = fit(corpus, cfg)
     state = result.final_state
     rebuilt = ModelState.from_assignments(corpus, 3, state.assignments())
-    assert rebuilt.n_mk == state.n_mk
-    assert rebuilt.n_ke == state.n_ke
-    assert rebuilt.n_ket == state.n_ket
-    assert rebuilt.n_kei == state.n_kei
+    assert np.array_equal(rebuilt.n_mk, state.n_mk)
+    assert np.array_equal(rebuilt.n_ke, state.n_ke)
+    assert np.array_equal(rebuilt.n_ket, state.n_ket)
+    assert np.array_equal(rebuilt.n_kei, state.n_kei)
     assert collapsed_log_joint(rebuilt, cfg.hyper) == result.log_joint_trace[-1]
 
 
