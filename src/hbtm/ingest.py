@@ -9,8 +9,11 @@ pure over its inputs; re-running on the same files is byte-identical.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
+import math
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -26,6 +29,11 @@ _TIMESTAMP_FORMATS = (
     "%Y-%m-%d %H:%M:%S.%f",
     "%Y-%m-%d %H:%M:%S",
 )
+# _fast_timestamp reads the canonical 19-character form of these day-first
+# patterns; each maps to its date separator
+_DAY_FIRST = {"%d.%m.%Y %H:%M:%S": ".", "%d/%m/%Y %H:%M:%S": "/"}
+_DAY_FIRST_STAMP = re.compile(
+    r"\d\d([./])\d\d\1\d{4} ([01]\d|2[0-3]):([0-5]\d):([0-5]\d)", re.ASCII)
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,8 +203,40 @@ def _epoch(dt: datetime) -> float:
     return dt.timestamp()
 
 
+@functools.lru_cache(maxsize=1024)
+def _day_epoch(date: str) -> float | None:
+    """UTC epoch of midnight of a ``dd?mm?yyyy`` date, or None if it is not a valid date."""
+    try:
+        midnight = datetime(int(date[6:]), int(date[3:5]), int(date[:2]))
+    except ValueError:
+        return None
+    return _epoch(midnight)
+
+
+def _fast_timestamp(raw: str, separators: str) -> float | None:
+    """Epoch of a canonical ``dd.mm.yyyy HH:MM:SS`` or ``dd/mm/yyyy HH:MM:SS`` stamp.
+
+    Only the exact 19-character forms in ASCII digits, with a date separator
+    from ``separators``, a valid date and a clock below 24:00:00, get an
+    answer; anything else returns None and goes through the full parser.
+    The answer equals strptime's: every term is an integer below 2**53, so
+    the float sum is exact.
+    """
+    match = _DAY_FIRST_STAMP.fullmatch(raw)
+    if match is None or match[1] not in separators:
+        return None
+    day = _day_epoch(raw[:10])
+    if day is None:
+        return None
+    return day + (int(match[2]) * 3600 + int(match[3]) * 60 + int(match[4]))
+
+
 def _parse_timestamp(raw: str, fmt: str | None) -> float:
     raw = raw.strip()
+    # an explicit format takes the fast path only with its own date separator
+    value = _fast_timestamp(raw, _DAY_FIRST.get(fmt, "") if fmt else "./")
+    if value is not None:
+        return value
     if fmt:
         return _epoch(datetime.strptime(raw, fmt))
     try:
@@ -208,7 +248,10 @@ def _parse_timestamp(raw: str, fmt: str | None) -> float:
             return _epoch(datetime.strptime(raw, candidate))
         except ValueError:
             continue
-    return float(raw)  # plain epoch seconds; raises ValueError if not numeric
+    value = float(raw)  # plain epoch seconds; raises ValueError if not numeric
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite timestamp {raw!r}")
+    return value
 
 
 def _count_columns(spec) -> list[str]:
@@ -241,28 +284,41 @@ def parse_raw_log(csv_source, column_map: dict) -> tuple[list[RawEvent], list[Re
         fh = csv_source
         close = False
     try:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             return [], []
+        mouse_cols = _count_columns(column_map["mouse_clicks"])
+        key_cols = _count_columns(column_map["keystrokes"])
         mapped_cols = (
             [column_map[f] for f in ("session", "student_id", "activity",
                                      "start_time", "end_time")]
-            + _count_columns(column_map["mouse_clicks"])
-            + _count_columns(column_map["keystrokes"])
+            + mouse_cols
+            + key_cols
         )
-        absent = [c for c in mapped_cols if c not in reader.fieldnames]
+        absent = [c for c in mapped_cols if c not in header]
         if absent:
             raise ValueError(f"mapped columns not in CSV header: {', '.join(absent)}")
+        # a repeated header name resolves to its last column, as in csv.DictReader
+        index = {name: i for i, name in enumerate(header)}
+        i_session, i_student, i_activity, i_start, i_end = (index[c] for c in mapped_cols[:5])
+        i_mouse = [index[c] for c in mouse_cols]
+        i_keys = [index[c] for c in key_cols]
+        need = max(index[c] for c in mapped_cols) + 1
 
         events: list[RawEvent] = []
         rejects: list[RejectedRow] = []
-        for row_number, row in enumerate(reader, start=1):
-            if any(row.get(c) is None for c in mapped_cols):
+        row_number = 0
+        for row in reader:
+            if not row:
+                continue  # blank lines are skipped and not numbered, as in csv.DictReader
+            row_number += 1
+            if len(row) < need:
                 rejects.append(RejectedRow(row_number, "short row"))
                 continue
             try:
-                start = _parse_timestamp(row[column_map["start_time"]], ts_format)
-                end = _parse_timestamp(row[column_map["end_time"]], ts_format)
+                start = _parse_timestamp(row[i_start], ts_format)
+                end = _parse_timestamp(row[i_end], ts_format)
             except (ValueError, TypeError):
                 rejects.append(RejectedRow(row_number, "bad timestamp"))
                 continue
@@ -270,9 +326,13 @@ def parse_raw_log(csv_source, column_map: dict) -> tuple[list[RawEvent], list[Re
                 rejects.append(RejectedRow(row_number, "negative duration"))
                 continue
             try:
-                mouse = sum(int(float(row[c])) for c in _count_columns(column_map["mouse_clicks"]))
-                keys = sum(int(float(row[c])) for c in _count_columns(column_map["keystrokes"]))
-            except (ValueError, TypeError):
+                mouse = 0
+                for i in i_mouse:
+                    mouse += int(float(row[i]))
+                keys = 0
+                for i in i_keys:
+                    keys += int(float(row[i]))
+            except (ValueError, OverflowError):
                 rejects.append(RejectedRow(row_number, "bad interaction count"))
                 continue
             if mouse < 0 or keys < 0:
@@ -280,9 +340,9 @@ def parse_raw_log(csv_source, column_map: dict) -> tuple[list[RawEvent], list[Re
                 continue
             events.append(
                 RawEvent(
-                    session=row[column_map["session"]].strip(),
-                    student_id=row[column_map["student_id"]].strip(),
-                    activity=row[column_map["activity"]].strip(),
+                    session=row[i_session].strip(),
+                    student_id=row[i_student].strip(),
+                    activity=row[i_activity].strip(),
                     start_time=start,
                     end_time=end,
                     mouse_clicks=mouse,
@@ -350,6 +410,7 @@ def build_corpora(
     event_counts = [0] * schema.num_events
     time_counts = [0] * schema.num_time_bins
     level_counts = [0] * schema.num_interaction_levels
+    event_of: dict[str, int] = {}  # map_activity per distinct label
 
     for ev in raw:
         traces = per_session.setdefault(ev.session, {})
@@ -363,7 +424,9 @@ def build_corpora(
         if t_bin is None:
             filtered += 1
             continue
-        e_idx = map_activity(ev.activity, mapping)
+        e_idx = event_of.get(ev.activity)
+        if e_idx is None:
+            e_idx = event_of[ev.activity] = map_activity(ev.activity, mapping)
         i_lvl = discretize_interaction(ev.interaction_total, schema)
         bucket.append(Token(e_idx, t_bin, i_lvl))
         event_counts[e_idx] += 1

@@ -140,6 +140,27 @@ def test_ingest_end_to_end(tmp_path):
     assert len(schema["event_labels"]) == 15
 
 
+def test_ingest_rejects_non_finite_timestamps_and_overflowing_counts(tmp_path):
+    raw = tmp_path / "raw.csv"
+    write_raw_csv(raw, [
+        "1,s1,Deeds,nan,nan,1,1,5",
+        "1,s1,Deeds,0,inf,1,1,5",
+        "1,s1,Deeds,0,30,1e400,1,5",
+        "1,s1,Deeds,0,30,1,1,inf",
+        "1,s1,Aulaweb,0,12,2,0,0",
+    ])
+    cmap = tmp_path / "cols.json"
+    write_column_map(cmap)
+    out_dir = tmp_path / "out"
+    assert run(["ingest", "--raw", raw, "--column-map", cmap, "--out-dir", out_dir]) == 0
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert (summary["rejected_rows"], summary["raw_events"], summary["filtered"]) == (4, 1, 0)
+    assert (out_dir / "rejects.csv").read_text().splitlines() == [
+        "row_number,reason", "1,bad timestamp", "2,bad timestamp",
+        "3,bad interaction count", "4,bad interaction count",
+    ]
+
+
 def test_ingest_missing_column_names_it(tmp_path, capsys):
     raw = tmp_path / "raw.csv"
     write_raw_csv(raw, ["1,s1,Deeds,0,30,1,1,5"])

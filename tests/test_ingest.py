@@ -1,7 +1,11 @@
 import io
+import math
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hbtm import (
     ActivityMapping,
@@ -14,6 +18,7 @@ from hbtm import (
     map_activity,
     parse_raw_log,
 )
+from hbtm.ingest import _TIMESTAMP_FORMATS, _epoch, _fast_timestamp, _parse_timestamp
 
 COLUMN_MAP = {
     "session": "session",
@@ -30,6 +35,10 @@ HEADER = "session,student,activity,start,end,wheel,left_click,right_click,keys\n
 
 def csv_of(rows):
     return io.StringIO(HEADER + "".join(r + "\n" for r in rows))
+
+
+def _rows(rejects):
+    return [(r.row_number, r.reason) for r in rejects]
 
 
 def raw(session="1", student="s1", activity="Deeds", start=0.0, dur=10.0, mouse=1, keys=1):
@@ -150,6 +159,42 @@ def test_discretize_interaction_rejects_negative():
         discretize_interaction(-1, Schema.default())
 
 
+edge_lists = st.lists(st.integers(0, 20000), min_size=2, max_size=7, unique=True).map(sorted)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_lists, st.data())
+def test_duration_bins_are_left_open_right_closed(edges, data):
+    schema = Schema(("e",), edges, (0, 1))
+    filt = FilterConfig(min_duration_s=1e-3, max_duration_s=30000.0)
+    near_edge = st.sampled_from(edges).flatmap(lambda e: st.sampled_from(
+        [e, math.nextafter(e, -math.inf), math.nextafter(e, math.inf)]))
+    seconds = data.draw(st.floats(filt.min_duration_s, filt.max_duration_s) | near_edge)
+    if not seconds > 0:
+        return
+    got = discretize_duration(seconds, schema, filt)
+    if not filt.min_duration_s <= seconds <= filt.max_duration_s:
+        assert got is None
+    elif not edges[0] < seconds <= edges[-1]:
+        assert got is None
+    else:
+        assert edges[got] < seconds <= edges[got + 1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_lists, st.integers(0, 10**6) | st.sampled_from([0, 1, 4778, 4779, 10**30]))
+def test_interaction_levels_clamp_at_top(edges, count):
+    schema = Schema(("e",), (0, 1), edges)
+    top = schema.num_interaction_levels - 1
+    got = discretize_interaction(count, schema)
+    if count >= edges[top]:
+        assert got == top  # the top level also takes every count above the last edge
+    elif count < edges[1]:
+        assert got == 0
+    else:
+        assert edges[got] <= count < edges[got + 1]
+
+
 # --- CSV parsing -----------------------------------------------------------
 
 
@@ -209,6 +254,189 @@ def test_parse_missing_map_entry_is_config_error():
     del broken["activity"]
     with pytest.raises(ValueError, match="activity"):
         parse_raw_log(csv_of([]), broken)
+
+
+@pytest.mark.parametrize("start,end", [
+    ("nan", "nan"), ("0", "inf"), ("-inf", "5"), ("5", "Infinity"), ("NaN", "10"),
+])
+def test_parse_rejects_non_finite_timestamps(start, end):
+    events, rejects = parse_raw_log(csv_of([f"1,s1,Deeds,{start},{end},0,0,0,0"]), COLUMN_MAP)
+    assert events == []
+    assert _rows(rejects) == [(1, "bad timestamp")]
+
+
+@pytest.mark.parametrize("count", ["1e400", "inf", "-inf", "-1e400"])
+def test_parse_rejects_overflowing_counts(count):
+    rows = [f"1,s1,Deeds,0,10,{count},0,0,0", f"1,s1,Deeds,0,10,0,0,0,{count}"]
+    events, rejects = parse_raw_log(csv_of(rows), COLUMN_MAP)
+    assert events == []
+    assert _rows(rejects) == [(1, "bad interaction count"), (2, "bad interaction count")]
+
+
+# --- timestamp fast path ---------------------------------------------------
+
+
+def _full_chain(raw, fmt):
+    """Reference: the full parser chain, without the fast path or the finite check."""
+    raw = raw.strip()
+    if fmt:
+        return _epoch(datetime.strptime(raw, fmt))
+    try:
+        return _epoch(datetime.fromisoformat(raw))
+    except ValueError:
+        pass
+    for candidate in _TIMESTAMP_FORMATS:
+        try:
+            return _epoch(datetime.strptime(raw, candidate))
+        except ValueError:
+            continue
+    return float(raw)
+
+
+def _outcome(parse, raw, fmt):
+    try:
+        return repr(parse(raw, fmt))
+    except (ValueError, TypeError):
+        return "error"
+
+
+# Values that each part of a canonical day-first stamp may be swapped for.
+# Arabic-Indic digits pass strptime's \d but not the ASCII-only fast path.
+_ODD_PARTS = {
+    "day": ["00", "29", "30", "31", "32", "7", " 7", "\u0660\u0667"],
+    "month": ["00", "02", "04", "13", "2", "\u0660\u0662"],
+    "year": ["0000", "1900", "2000", "2019", "2020", "19", "\u0662\u0660\u0661\u0669"],
+    "hour": ["24", "25", "7", "\u0660\u0667"],
+    "minute": ["60", "5"],
+    "second": ["60", "61", "5", "\u0660\u0665"],
+    "sep": [".", "/", "-"],
+    "sep2": [".", "/", "-"],
+    "middle": ["  ", "T", "\t"],
+    "left": [" ", "\t", "\n"],
+    "right": [" ", "\t", "\n"],
+}
+
+
+@st.composite
+def day_first_stamps(draw):
+    """A canonical ``dd?mm?yyyy HH:MM:SS`` stamp with up to three parts swapped for odd ones."""
+    dt = draw(st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59)))
+    sep = draw(st.sampled_from("./"))
+    p = dict(day=f"{dt.day:02d}", month=f"{dt.month:02d}", year=f"{dt.year:04d}",
+             hour=f"{dt.hour:02d}", minute=f"{dt.minute:02d}", second=f"{dt.second:02d}",
+             sep=sep, sep2=sep, middle=" ", left="", right="")
+    for part in draw(st.sets(st.sampled_from(sorted(_ODD_PARTS)), max_size=3)):
+        p[part] = draw(st.sampled_from(_ODD_PARTS[part]))
+    return (f"{p['left']}{p['day']}{p['sep']}{p['month']}{p['sep2']}{p['year']}{p['middle']}"
+            f"{p['hour']}:{p['minute']}:{p['second']}{p['right']}")
+
+
+timestamp_strings = day_first_stamps() | st.text(max_size=24) | st.sampled_from([
+    "nan", "-inf", "inf", "1e400", "0", "1570006817.5", "2019-10-02 09:00:17",
+    "2019-10-02 09:00:17.250000", "2019-10-02T09:00:17+02:00", "",
+])
+timestamp_formats = st.sampled_from([None, "", "%d.%m.%Y %H:%M:%S", "%d/%m/%Y %H:%M:%S",
+                                     "%Y-%m-%d %H:%M:%S"])
+
+
+@settings(max_examples=1500, deadline=None)
+@given(timestamp_strings, timestamp_formats)
+@example("31.02.2019 09:00:00", None)
+@example("29.02.2019 09:00:00", None)
+@example("29.02.2020 09:00:00", "%d.%m.%Y %H:%M:%S")
+@example("00.10.2019 09:00:00", None)
+@example("02/10/2019 24:00:00", None)
+@example("02.10.2019 09:00:60", None)
+@example("2.10.2019 9:00:17", None)
+@example(" 02.10.2019 09:00:17\t", None)
+@example("\u0660\u0662.10.2019 09:00:17", None)
+@example("02.10.2019 09:00:17", "%d/%m/%Y %H:%M:%S")
+def test_timestamp_fast_path_matches_full_chain(raw, fmt):
+    want = _outcome(_full_chain, raw, fmt)
+    if want != "error" and not math.isfinite(float(want)):
+        want = "error"  # non-finite epochs are rejected, not returned
+    assert _outcome(_parse_timestamp, raw, fmt) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59)),
+       st.sampled_from("./"))
+def test_fast_path_answers_every_canonical_stamp(dt, sep):
+    raw = (f"{dt.day:02d}{sep}{dt.month:02d}{sep}{dt.year:04d} "
+           f"{dt.hour:02d}:{dt.minute:02d}:{dt.second:02d}")
+    want = _full_chain(raw, None)
+    assert repr(_fast_timestamp(raw, "./")) == repr(want)
+    assert repr(_parse_timestamp(raw, f"%d{sep}%m{sep}%Y %H:%M:%S")) == repr(want)
+
+
+def test_fast_path_values():
+    assert _fast_timestamp("02.10.2019 09:00:17", "./") == 1570006817.0
+    assert _fast_timestamp("02/10/2019 09:00:17", "/") == 1570006817.0
+    assert _fast_timestamp("29.02.2020 23:59:59", ".") == 1583020799.0
+
+
+@pytest.mark.parametrize("raw,separators", [
+    ("31.02.2019 09:00:00", "./"),  # invalid date
+    ("29.02.2019 09:00:00", "./"),  # not a leap year
+    ("00.10.2019 09:00:00", "./"),
+    ("02.10.2019 24:00:00", "./"),
+    ("02.10.2019 09:00:60", "./"),
+    ("2.10.2019 09:00:17", "./"),  # single-digit field
+    ("02.10.2019 9:00:17", "./"),
+    (" 02.10.2019 09:00:17", "./"),  # not stripped here
+    ("02.10/2019 09:00:17", "./"),  # mixed separators
+    ("02.10.2019 09:00:17", "/"),  # separator of another format
+    ("\u0660\u0662.10.2019 09:00:17", "./"),  # Arabic-Indic digits
+    ("02.10.2019T09:00:17", "./"),
+])
+def test_fast_path_declines_when_unsure(raw, separators):
+    assert _fast_timestamp(raw, separators) is None
+
+
+# --- csv.DictReader parity ---------------------------------------------------
+
+
+def test_parse_empty_file():
+    assert parse_raw_log(io.StringIO(""), COLUMN_MAP) == ([], [])
+
+
+def test_parse_blank_lines_are_skipped_and_not_numbered():
+    text = HEADER + "\n".join([
+        "1,s1,Deeds,0,10,0,0,0,0",
+        "",
+        "1,s1,Deeds,x,10,0,0,0,0",
+        "",
+        "",
+        "1,s1,Deeds,0",
+        " ",  # whitespace is a one-field row, not a blank line
+        "1,s1,Deeds,0,10,0,0,0,0",
+    ]) + "\n\n"
+    events, rejects = parse_raw_log(io.StringIO(text), COLUMN_MAP)
+    assert len(events) == 2
+    assert _rows(rejects) == [(2, "bad timestamp"), (3, "short row"), (4, "short row")]
+
+
+def test_parse_duplicate_header_name_resolves_to_last_column():
+    text = HEADER.rstrip("\n") + ",keys,activity\n" + "\n".join([
+        "1,s1,Deeds,0,10,0,0,0,4,7,Aulaweb",
+        "1,s1,Deeds,0,10,0,0,0,4,7",  # lacks the last activity column
+    ]) + "\n"
+    events, rejects = parse_raw_log(io.StringIO(text), COLUMN_MAP)
+    assert [(e.keystrokes, e.activity) for e in events] == [(7, "Aulaweb")]
+    assert _rows(rejects) == [(2, "short row")]
+
+
+def test_parse_ignores_extra_fields():
+    events, rejects = parse_raw_log(csv_of(["1,s1,Deeds,0,10,1,2,3,4,extra,,more"]), COLUMN_MAP)
+    assert rejects == []
+    assert (events[0].mouse_clicks, events[0].keystrokes) == (6, 4)
+
+
+def test_parse_short_rows_keep_their_numbers():
+    rows = ["1,s1,Deeds,0,10,0,0,0", "1", "1,s1,Deeds,0,10,0,0,0,0", ","]
+    events, rejects = parse_raw_log(csv_of(rows), COLUMN_MAP)
+    assert len(events) == 1
+    assert _rows(rejects) == [(1, "short row"), (2, "short row"), (4, "short row")]
 
 
 # --- corpus building -------------------------------------------------------
@@ -285,6 +513,50 @@ def test_conservation_and_determinism(rng):
     assert events2 == events and rejects2 == rejects
     assert result2.corpora == result.corpora
     assert result2.summary_dict() == result.summary_dict()
+
+
+# row kind -> (row template over start s and end e, expected fate)
+_ROW_KINDS = {
+    "token": ("1,{st},Deeds_Es_1_1,{s},{e},1,0,0,2", "token"),
+    "transient": ("2,{st},TextEditor,{s},{s},0,0,0,0", "filtered"),
+    "frozen": ("1,{st},Blank,{s},{frozen},0,0,0,1", "filtered"),
+    "nan": ("2,{st},Other,nan,{e},0,0,0,0", "bad timestamp"),
+    "bogus": ("1,{st},Other,{s},bogus,0,0,0,0", "bad timestamp"),
+    "short": ("1,{st},Deeds,{s}", "short row"),
+    "backwards": ("1,{st},Deeds,{e},{s},0,0,0,0", "negative duration"),
+    "overflow": ("1,{st},Deeds,{s},{e},1e400,0,0,0", "bad interaction count"),
+    "negative": ("2,{st},Deeds,{s},{e},0,-3,0,0", "negative interaction count"),
+    "blank": ("", None),
+}
+_STAMPS = (
+    lambda t: str(t),
+    lambda t: datetime.fromtimestamp(t, timezone.utc).strftime("%d.%m.%Y %H:%M:%S"),
+    lambda t: datetime.fromtimestamp(t, timezone.utc).strftime("%d/%m/%Y %H:%M:%S"),
+    lambda t: datetime.fromtimestamp(t, timezone.utc).strftime("%Y-%m-%d %H:%M:%S"),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(sorted(_ROW_KINDS)), st.integers(0, 3),
+                          st.integers(1_500_000_000, 1_600_000_000), st.integers(1, 14000),
+                          st.sampled_from(range(len(_STAMPS)))), max_size=40))
+def test_ingest_conservation_on_random_logs(rows):
+    lines, fates = [], []
+    for kind, student, start, duration, style in rows:
+        template, fate = _ROW_KINDS[kind]
+        stamp = _STAMPS[style]
+        lines.append(template.format(st=f"s{student}", s=stamp(start), e=stamp(start + duration),
+                                     frozen=stamp(start + 14000 + duration)))
+        if fate is not None:
+            fates.append(fate)
+    events, rejects = parse_raw_log(csv_of(lines), COLUMN_MAP)
+    result = build_corpora(events, ActivityMapping.default(), Schema.default(), FilterConfig())
+    assert len(events) + len(rejects) == len(fates)  # parsed = raw + rejected
+    assert result.tokenized + result.filtered == len(events)  # raw = tokenized + filtered
+    assert result.tokenized == fates.count("token")
+    assert result.filtered == fates.count("filtered")
+    assert _rows(rejects) == [(i, fate) for i, fate in enumerate(fates, start=1)
+                              if fate not in ("token", "filtered")]
 
 
 def test_mapping_outside_schema_rejected():
