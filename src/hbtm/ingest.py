@@ -29,9 +29,7 @@ _TIMESTAMP_FORMATS = (
     "%Y-%m-%d %H:%M:%S.%f",
     "%Y-%m-%d %H:%M:%S",
 )
-# _fast_timestamp reads the canonical 19-character form of these day-first
-# patterns; each maps to its date separator
-_DAY_FIRST = {"%d.%m.%Y %H:%M:%S": ".", "%d/%m/%Y %H:%M:%S": "/"}
+# the canonical 19-character form of the two day-first patterns above
 _DAY_FIRST_STAMP = re.compile(
     r"\d\d([./])\d\d\1\d{4} ([01]\d|2[0-3]):([0-5]\d):([0-5]\d)", re.ASCII)
 
@@ -213,17 +211,17 @@ def _day_epoch(date: str) -> float | None:
     return _epoch(midnight)
 
 
-def _fast_timestamp(raw: str, separators: str) -> float | None:
+def _fast_timestamp(raw: str) -> float | None:
     """Epoch of a canonical ``dd.mm.yyyy HH:MM:SS`` or ``dd/mm/yyyy HH:MM:SS`` stamp.
 
-    Only the exact 19-character forms in ASCII digits, with a date separator
-    from ``separators``, a valid date and a clock below 24:00:00, get an
-    answer; anything else returns None and goes through the full parser.
-    The answer equals strptime's: every term is an integer below 2**53, so
-    the float sum is exact.
+    Only the exact 19-character forms in ASCII digits, with one date
+    separator, a valid date and a clock below 24:00:00, get an answer;
+    anything else returns None and goes through the full parser. The answer
+    equals strptime's: every term is an integer below 2**53, so the float
+    sum is exact.
     """
     match = _DAY_FIRST_STAMP.fullmatch(raw)
-    if match is None or match[1] not in separators:
+    if match is None:
         return None
     day = _day_epoch(raw[:10])
     if day is None:
@@ -233,12 +231,11 @@ def _fast_timestamp(raw: str, separators: str) -> float | None:
 
 def _parse_timestamp(raw: str, fmt: str | None) -> float:
     raw = raw.strip()
-    # an explicit format takes the fast path only with its own date separator
-    value = _fast_timestamp(raw, _DAY_FIRST.get(fmt, "") if fmt else "./")
-    if value is not None:
-        return value
     if fmt:
         return _epoch(datetime.strptime(raw, fmt))
+    value = _fast_timestamp(raw)
+    if value is not None:
+        return value
     try:
         return _epoch(datetime.fromisoformat(raw))
     except ValueError:
@@ -326,12 +323,8 @@ def parse_raw_log(csv_source, column_map: dict) -> tuple[list[RawEvent], list[Re
                 rejects.append(RejectedRow(row_number, "negative duration"))
                 continue
             try:
-                mouse = 0
-                for i in i_mouse:
-                    mouse += int(float(row[i]))
-                keys = 0
-                for i in i_keys:
-                    keys += int(float(row[i]))
+                mouse = sum(int(float(row[i])) for i in i_mouse)
+                keys = sum(int(float(row[i])) for i in i_keys)
             except (ValueError, OverflowError):
                 rejects.append(RejectedRow(row_number, "bad interaction count"))
                 continue
