@@ -41,7 +41,6 @@ from .core import (
 )
 from .generator import (
     LabeledCorpus,
-    TrueParams,
     generate,
     joint_log_likelihood,
     sample_params,

@@ -26,25 +26,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _dump_json(payload: dict, path: Path) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _resolve(args: argparse.Namespace, options) -> dict:
+    """Merge the option table's defaults, the optional --config file, then explicit flags.
 
-
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge defaults, the optional --config file, then explicit flags."""
-    resolved = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
+    Values are kept as given (a config file's ``1`` stays ``1``); each command
+    converts them where it uses them.
+    """
+    resolved = {key: default for key, _type, default, _help in options}
+    if args.config:
         try:
-            file_values = json.loads(Path(config_path).read_text())
+            file_values = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
-            raise ValueError(f"cannot read config file {config_path}: {exc}") from exc
-        unknown = set(file_values) - set(defaults)
+            raise ValueError(f"cannot read config file {args.config}: {exc}") from exc
+        unknown = set(file_values) - set(resolved)
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
         resolved.update(file_values)
-    for key in defaults:
-        value = getattr(args, key, None)
+    for key in resolved:
+        value = getattr(args, key)
         if value is not None:
             resolved[key] = value
     missing = [k for k, v in resolved.items() if v is None]
@@ -62,19 +61,21 @@ def _hyper(resolved: dict) -> core.Hyperparams:
     )
 
 
-_INGEST_DEFAULTS = {
-    "raw": None,
-    "column_map": None,
-    "activity_map": "",
-    "schema": "",
-    "min_duration": 1.0,
-    "max_duration": 14000.0,
-    "out_dir": None,
-}
+# One table per subcommand declares every option once: (key, type, default,
+# help). The key is the config-file key and, with dashes for underscores, the
+# flag; a None default makes the option required.
+_INGEST_OPTIONS = (
+    ("raw", str, None, "raw event-log CSV"),
+    ("column_map", str, None, "JSON mapping of CSV columns"),
+    ("activity_map", str, "", "activity mapping JSON"),
+    ("schema", str, "", "schema JSON (default: built-in)"),
+    ("min_duration", float, 1.0, None),
+    ("max_duration", float, 14000.0, None),
+    ("out_dir", str, None, "output directory"),
+)
 
 
-def _cmd_ingest(args) -> int:
-    resolved = _resolve(args, _INGEST_DEFAULTS)
+def _cmd_ingest(resolved: dict) -> int:
     column_map = json.loads(Path(resolved["column_map"]).read_text())
     mapping = (
         ingest.ActivityMapping.load(resolved["activity_map"])
@@ -107,29 +108,32 @@ def _cmd_ingest(args) -> int:
         "rejected_rows": len(rejects),
         **result.summary_dict(),
     }
-    _dump_json(summary, out_dir / "summary.json")
+    core.save_json(summary, out_dir / "summary.json")
     return 0
 
 
-_FIT_DEFAULTS = {
-    "corpus": None,
-    "schema": "",
-    "traits": None,
-    "sweeps": 2000,
-    "burn_in": 1000,
-    "stride": 10,
-    "seed": 0,
-    "alpha": 1.0,
-    "beta": 0.1,
-    "gamma": 0.1,
-    "delta": 0.1,
-    "audit_every": 0,
-    "out": None,
-}
+_HYPER_OPTIONS = (
+    ("alpha", float, 1.0, None),
+    ("beta", float, 0.1, None),
+    ("gamma", float, 0.1, None),
+    ("delta", float, 0.1, None),
+)
+
+_FIT_OPTIONS = (
+    ("corpus", str, None, "corpus JSONL"),
+    ("schema", str, "", "schema JSON (default: sibling schema.json)"),
+    ("traits", int, None, "number of hidden traits"),
+    ("sweeps", int, 2000, None),
+    ("burn_in", int, 1000, None),
+    ("stride", int, 10, None),
+    ("seed", int, 0, None),
+    *_HYPER_OPTIONS,
+    ("audit_every", int, 0, None),
+    ("out", str, None, "fit result JSON"),
+)
 
 
-def _cmd_fit(args) -> int:
-    resolved = _resolve(args, _FIT_DEFAULTS)
+def _cmd_fit(resolved: dict) -> int:
     corpus_path = Path(resolved["corpus"])
     schema_path = Path(resolved["schema"]) if resolved["schema"] else corpus_path.parent / "schema.json"
     schema = core.load_schema(schema_path)
@@ -146,28 +150,24 @@ def _cmd_fit(args) -> int:
     result = sampler.fit(corpus, config)
     payload = result.to_json_dict()
     payload["config"] = dict(resolved)
-    _dump_json(payload, Path(resolved["out"]))
+    core.save_json(payload, resolved["out"])
     return 0
 
 
-_GENERATE_DEFAULTS = {
-    "traits": None,
-    "events": 15,
-    "time_bins": 7,
-    "interaction_levels": 5,
-    "traces": None,
-    "tokens_per_trace": None,
-    "seed": 0,
-    "alpha": 1.0,
-    "beta": 0.1,
-    "gamma": 0.1,
-    "delta": 0.1,
-    "out_prefix": None,
-}
+_GENERATE_OPTIONS = (
+    ("traits", int, None, None),
+    ("events", int, 15, None),
+    ("time_bins", int, 7, None),
+    ("interaction_levels", int, 5, None),
+    ("traces", int, None, None),
+    ("tokens_per_trace", int, None, None),
+    ("seed", int, 0, None),
+    *_HYPER_OPTIONS,
+    ("out_prefix", str, None, None),
+)
 
 
-def _cmd_generate(args) -> int:
-    resolved = _resolve(args, _GENERATE_DEFAULTS)
+def _cmd_generate(resolved: dict) -> int:
     schema = generator.synthetic_schema(
         int(resolved["events"]), int(resolved["time_bins"]), int(resolved["interaction_levels"])
     )
@@ -189,41 +189,39 @@ def _cmd_generate(args) -> int:
         "params": params.to_dict(),
         "assignments": [list(row) for row in labeled.assignments],
     }
-    _dump_json(truth, Path(str(prefix) + ".truth.json"))
+    core.save_json(truth, Path(str(prefix) + ".truth.json"))
     return 0
 
 
-_ANALYZE_DEFAULTS = {
-    "model": None,
-    "grades": None,
-    "threshold": 0.05,
-    "seed": 0,
-    "out": None,
-}
+_ANALYZE_OPTIONS = (
+    ("model", str, None, "fit result JSON"),
+    ("grades", str, None, "grades CSV (trace_id,SA,SFE,FE)"),
+    ("threshold", float, 0.05, None),
+    ("seed", int, 0, None),
+    ("out", str, None, "report JSON"),
+)
 
 
-def _cmd_analyze(args) -> int:
-    resolved = _resolve(args, _ANALYZE_DEFAULTS)
+def _cmd_analyze(resolved: dict) -> int:
     fit_result = sampler.load_fit_result(resolved["model"])
     grades = analysis.GradeTable.from_csv(resolved["grades"])
     report = analysis.run_analysis(
         fit_result, grades, threshold=float(resolved["threshold"]), seed=int(resolved["seed"])
     )
     payload = {"config": resolved, **report.to_json_dict()}
-    _dump_json(payload, Path(resolved["out"]))
+    core.save_json(payload, resolved["out"])
     return 0
 
 
-_EXPORT_DEFAULTS = {
-    "model": None,
-    "trait": None,
-    "event_labels": "",
-    "out": None,
-}
+_EXPORT_OPTIONS = (
+    ("model", str, None, "fit result JSON"),
+    ("trait", int, None, "1-based trait number"),
+    ("event_labels", str, "", "schema JSON supplying event labels"),
+    ("out", str, None, "profile CSV"),
+)
 
 
-def _cmd_export_trait(args) -> int:
-    resolved = _resolve(args, _EXPORT_DEFAULTS)
+def _cmd_export_trait(resolved: dict) -> int:
     fit_result = sampler.load_fit_result(resolved["model"])
     labels = None
     if resolved["event_labels"]:
@@ -234,75 +232,33 @@ def _cmd_export_trait(args) -> int:
     text = analysis.trait_profile_to_csv(
         profile, header_comment="config: " + json.dumps(resolved, sort_keys=True)
     )
-    Path(resolved["out"]).write_text(text)
+    core.write_atomic(resolved["out"], text)
     return 0
+
+
+# name: (handler, help, --config help, option table)
+_COMMANDS = {
+    "ingest": (_cmd_ingest, "raw CSV -> per-session corpora", "JSON file with option defaults",
+               _INGEST_OPTIONS),
+    "fit": (_cmd_fit, "collapsed Gibbs fit of one corpus", None, _FIT_OPTIONS),
+    "generate": (_cmd_generate, "synthesize a labeled corpus with known truth", None,
+                 _GENERATE_OPTIONS),
+    "analyze": (_cmd_analyze, "clusters, t-tests and correlations vs grades", None,
+                _ANALYZE_OPTIONS),
+    "export-trait": (_cmd_export_trait, "per-trait distribution profile CSV", None,
+                     _EXPORT_OPTIONS),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="hbtm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", parents=[], help="raw CSV -> per-session corpora")
-    p.add_argument("--config", help="JSON file with option defaults")
-    p.add_argument("--raw", help="raw event-log CSV")
-    p.add_argument("--column-map", dest="column_map", help="JSON mapping of CSV columns")
-    p.add_argument("--activity-map", dest="activity_map", help="activity mapping JSON")
-    p.add_argument("--schema", help="schema JSON (default: built-in)")
-    p.add_argument("--min-duration", dest="min_duration", type=float)
-    p.add_argument("--max-duration", dest="max_duration", type=float)
-    p.add_argument("--out-dir", dest="out_dir", help="output directory")
-    p.set_defaults(func=_cmd_ingest)
-
-    p = sub.add_parser("fit", help="collapsed Gibbs fit of one corpus")
-    p.add_argument("--config")
-    p.add_argument("--corpus", help="corpus JSONL")
-    p.add_argument("--schema", help="schema JSON (default: sibling schema.json)")
-    p.add_argument("--traits", type=int, help="number of hidden traits")
-    p.add_argument("--sweeps", type=int)
-    p.add_argument("--burn-in", dest="burn_in", type=int)
-    p.add_argument("--stride", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--audit-every", dest="audit_every", type=int)
-    p.add_argument("--out", help="fit result JSON")
-    p.set_defaults(func=_cmd_fit)
-
-    p = sub.add_parser("generate", help="synthesize a labeled corpus with known truth")
-    p.add_argument("--config")
-    p.add_argument("--traits", type=int)
-    p.add_argument("--events", type=int)
-    p.add_argument("--time-bins", dest="time_bins", type=int)
-    p.add_argument("--interaction-levels", dest="interaction_levels", type=int)
-    p.add_argument("--traces", type=int)
-    p.add_argument("--tokens-per-trace", dest="tokens_per_trace", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--out-prefix", dest="out_prefix")
-    p.set_defaults(func=_cmd_generate)
-
-    p = sub.add_parser("analyze", help="clusters, t-tests and correlations vs grades")
-    p.add_argument("--config")
-    p.add_argument("--model", help="fit result JSON")
-    p.add_argument("--grades", help="grades CSV (trace_id,SA,SFE,FE)")
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="report JSON")
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("export-trait", help="per-trait distribution profile CSV")
-    p.add_argument("--config")
-    p.add_argument("--model", help="fit result JSON")
-    p.add_argument("--trait", type=int, help="1-based trait number")
-    p.add_argument("--event-labels", dest="event_labels",
-                   help="schema JSON supplying event labels")
-    p.add_argument("--out", help="profile CSV")
-    p.set_defaults(func=_cmd_export_trait)
+    for name, (handler, help_text, config_help, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help=config_help)
+        for key, kind, _default, option_help in options:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, help=option_help)
+        p.set_defaults(func=handler, options=options)
     return parser
 
 
@@ -310,7 +266,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_resolve(args, args.options))
     except Exception as exc:  # every failure, whatever its type, gets the one-line error
         print(_error_json(type(exc).__name__, str(exc)), file=sys.stderr)
         return 1

@@ -9,6 +9,7 @@ posterior means over the sampler's count tables.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -200,7 +201,7 @@ def _check_stochastic(name: str, arr: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class Posterior:
-    """Point estimates of the four parameter families.
+    """The four parameter families: a fit's point estimates or a generator's truth.
 
     theta is traces x traits, phi is traits x events, psi is traits x events x
     time bins and tau is traits x events x interaction levels; each is
@@ -362,12 +363,38 @@ def greedy_match_traits(phi_fit: np.ndarray, phi_true: np.ndarray) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Corpus files: one JSON object per trace, schema in a sidecar header file.
+# Output files, and corpus files: one JSON object per trace, schema in a
+# sidecar header file.
 # ---------------------------------------------------------------------------
 
 
+def write_atomic(path, text: str) -> None:
+    """Replace ``path`` with ``text`` so readers see the old file or all of the new one.
+
+    The text goes to a fresh temp file in the target's directory, which then
+    takes the target's name in one ``os.replace``; on any failure the temp
+    file is removed and the old file keeps its bytes. There is no fsync: the
+    rename protects against a failing or interrupted writer, not a host crash.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    fh = open(tmp, "x")  # "x": a fresh name, created with the umask's usual mode
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def save_json(payload, path) -> None:
+    """Write ``payload`` atomically as sorted, indented JSON with a final newline."""
+    write_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
 def save_schema(schema: Schema, path) -> None:
-    Path(path).write_text(json.dumps(schema.to_dict(), sort_keys=True, indent=2) + "\n")
+    save_json(schema.to_dict(), path)
 
 
 def load_schema(path) -> Schema:
@@ -376,13 +403,16 @@ def load_schema(path) -> Schema:
 
 def save_corpus(corpus: Corpus, path) -> None:
     """Write one trace per line: {"trace_id": ..., "tokens": [[e, t, i], ...]}."""
-    with open(path, "w") as fh:
-        for trace in corpus.traces:
-            rec = {
+    write_atomic(path, "".join(
+        json.dumps(
+            {
                 "trace_id": trace.trace_id,
                 "tokens": [[t.event, t.time_bin, t.interaction_level] for t in trace.tokens],
-            }
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+            },
+            sort_keys=True, separators=(",", ":"),
+        ) + "\n"
+        for trace in corpus.traces
+    ))
 
 
 def load_corpus(path, schema: Schema) -> Corpus:

@@ -18,54 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Corpus, Hyperparams, Schema, Token, Trace, _check_stochastic
+from .core import Corpus, Hyperparams, Posterior, Schema, Token, Trace
 
 _PARAMS_DOMAIN = 0
 _TOKEN_DOMAIN = 1
 
 _NEG_INF = float("-inf")
-
-
-@dataclass(frozen=True)
-class TrueParams:
-    """Ground-truth parameter families used to synthesize a corpus."""
-
-    theta: np.ndarray  # traces x traits
-    phi: np.ndarray  # traits x events
-    psi: np.ndarray  # traits x events x time bins
-    tau: np.ndarray  # traits x events x interaction levels
-
-    def __post_init__(self):
-        for name in ("theta", "phi", "psi", "tau"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False  # shared across readers
-            object.__setattr__(self, name, arr)
-        k = self.phi.shape[0]
-        if self.theta.ndim != 2 or self.theta.shape[1] != k:
-            raise ValueError("theta must be traces x traits")
-        e = self.phi.shape[1]
-        if self.psi.shape[:2] != (k, e) or self.tau.shape[:2] != (k, e):
-            raise ValueError("psi/tau must be traits x events x bins")
-        _check_stochastic("theta", self.theta)
-        _check_stochastic("phi", self.phi)
-        _check_stochastic("psi", self.psi)
-        _check_stochastic("tau", self.tau)
-
-    @property
-    def num_traits(self) -> int:
-        return self.phi.shape[0]
-
-    def to_dict(self) -> dict:
-        return {
-            "theta": self.theta.tolist(),
-            "phi": self.phi.tolist(),
-            "psi": self.psi.tolist(),
-            "tau": self.tau.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrueParams":
-        return cls(d["theta"], d["phi"], d["psi"], d["tau"])
 
 
 @dataclass(frozen=True)
@@ -108,7 +66,7 @@ def _family_rng(seed: int, which: int) -> np.random.Generator:
 
 def sample_params(
     num_traits: int, num_traces: int, schema: Schema, hyper: Hyperparams, seed: int
-) -> TrueParams:
+) -> Posterior:
     """Draw every parameter row from its symmetric Dirichlet prior.
 
     Deterministic given the seed; each of the four families consumes its own
@@ -124,7 +82,7 @@ def sample_params(
     phi = _family_rng(seed, 1).dirichlet(np.full(e, hyper.beta), size=k)
     psi = _family_rng(seed, 2).dirichlet(np.full(t, hyper.gamma), size=(k, e))
     tau = _family_rng(seed, 3).dirichlet(np.full(i, hyper.delta), size=(k, e))
-    return TrueParams(theta, phi, psi, tau)
+    return Posterior(theta, phi, psi, tau)
 
 
 def _pick(cum_row: np.ndarray, u: float) -> int:
@@ -134,7 +92,7 @@ def _pick(cum_row: np.ndarray, u: float) -> int:
 
 
 def generate(
-    params: TrueParams,
+    params: Posterior,
     tokens_per_trace: list[int],
     seed: int,
     schema: Schema | None = None,
@@ -207,7 +165,7 @@ def _symmetric_dirichlet_logpdf(row, concentration: float) -> float:
     return norm + (concentration - 1.0) * math.fsum(math.log(x) for x in row)
 
 
-def joint_log_likelihood(params: TrueParams, labeled: LabeledCorpus, hyper: Hyperparams) -> float:
+def joint_log_likelihood(params: Posterior, labeled: LabeledCorpus, hyper: Hyperparams) -> float:
     """Joint log density of parameters, assignments and observations.
 
     Sums the log Dirichlet densities of every parameter row with the

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .core import Corpus, Schema, Token, Trace
+from .core import Corpus, Schema, Token, Trace, save_json, write_atomic
 
 OTHER_EVENT_INDEX = 14
 
@@ -127,7 +127,7 @@ class ActivityMapping:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
+        save_json(self.to_dict(), path)
 
 
 @dataclass(frozen=True)
@@ -257,6 +257,14 @@ def _count_columns(spec) -> list[str]:
     return list(spec)
 
 
+def _unbalanced_quote(row_number: int, cause: Exception | None = None) -> ValueError:
+    detail = f" ({cause})" if cause else ""
+    return ValueError(
+        f"data row {row_number}: a quoted field runs past the end of its line{detail}; "
+        "check the row for an unbalanced double quote"
+    )
+
+
 def parse_raw_log(csv_source, column_map: dict) -> tuple[list[RawEvent], list[RejectedRow]]:
     """Read raw events from a CSV with a header row.
 
@@ -265,7 +273,10 @@ def parse_raw_log(csv_source, column_map: dict) -> tuple[list[RawEvent], list[Re
     which are summed. An optional ``timestamp_format`` entry supplies a
     strptime pattern. Malformed rows land in the rejects list with a reason
     instead of being dropped; a missing mapped column is a configuration
-    error and raises ValueError.
+    error and raises ValueError. Raw logs have no fields that span lines, so
+    a row whose quoted field runs past its line (an unbalanced double quote)
+    raises ValueError naming that data row, instead of swallowing the rows
+    after it.
     """
     required = ("session", "student_id", "activity", "start_time", "end_time",
                 "mouse_clicks", "keystrokes")
@@ -306,42 +317,47 @@ def parse_raw_log(csv_source, column_map: dict) -> tuple[list[RawEvent], list[Re
         events: list[RawEvent] = []
         rejects: list[RejectedRow] = []
         row_number = 0
-        for row in reader:
-            if not row:
-                continue  # blank lines are skipped and not numbered, as in csv.DictReader
-            row_number += 1
-            if len(row) < need:
-                rejects.append(RejectedRow(row_number, "short row"))
-                continue
-            try:
-                start = _parse_timestamp(row[i_start], ts_format)
-                end = _parse_timestamp(row[i_end], ts_format)
-            except (ValueError, TypeError):
-                rejects.append(RejectedRow(row_number, "bad timestamp"))
-                continue
-            if end < start:
-                rejects.append(RejectedRow(row_number, "negative duration"))
-                continue
-            try:
-                mouse = sum(int(float(row[i])) for i in i_mouse)
-                keys = sum(int(float(row[i])) for i in i_keys)
-            except (ValueError, OverflowError):
-                rejects.append(RejectedRow(row_number, "bad interaction count"))
-                continue
-            if mouse < 0 or keys < 0:
-                rejects.append(RejectedRow(row_number, "negative interaction count"))
-                continue
-            events.append(
-                RawEvent(
-                    session=row[i_session].strip(),
-                    student_id=row[i_student].strip(),
-                    activity=row[i_activity].strip(),
-                    start_time=start,
-                    end_time=end,
-                    mouse_clicks=mouse,
-                    keystrokes=keys,
+        try:
+            for line, row in enumerate(reader, start=reader.line_num + 1):
+                if reader.line_num != line:
+                    raise _unbalanced_quote(row_number + 1)
+                if not row:
+                    continue  # blank lines are skipped and not numbered, as in csv.DictReader
+                row_number += 1
+                if len(row) < need:
+                    rejects.append(RejectedRow(row_number, "short row"))
+                    continue
+                try:
+                    start = _parse_timestamp(row[i_start], ts_format)
+                    end = _parse_timestamp(row[i_end], ts_format)
+                except (ValueError, TypeError):
+                    rejects.append(RejectedRow(row_number, "bad timestamp"))
+                    continue
+                if end < start:
+                    rejects.append(RejectedRow(row_number, "negative duration"))
+                    continue
+                try:
+                    mouse = sum(int(float(row[i])) for i in i_mouse)
+                    keys = sum(int(float(row[i])) for i in i_keys)
+                except (ValueError, OverflowError):
+                    rejects.append(RejectedRow(row_number, "bad interaction count"))
+                    continue
+                if mouse < 0 or keys < 0:
+                    rejects.append(RejectedRow(row_number, "negative interaction count"))
+                    continue
+                events.append(
+                    RawEvent(
+                        session=row[i_session].strip(),
+                        student_id=row[i_student].strip(),
+                        activity=row[i_activity].strip(),
+                        start_time=start,
+                        end_time=end,
+                        mouse_clicks=mouse,
+                        keystrokes=keys,
+                    )
                 )
-            )
+        except csv.Error as exc:  # e.g. a runaway quoted field passing the field-size limit
+            raise _unbalanced_quote(row_number + 1, exc) from exc
         return events, rejects
     finally:
         if close:
@@ -456,4 +472,4 @@ def write_rejects_csv(rejects: list[RejectedRow], path) -> None:
     writer.writerow(["row_number", "reason"])
     for rej in rejects:
         writer.writerow([rej.row_number, rej.reason])
-    Path(path).write_text(buf.getvalue())
+    write_atomic(path, buf.getvalue())

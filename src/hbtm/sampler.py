@@ -24,18 +24,21 @@ when no compiler or cache directory is usable.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 from scipy.special import gammaln
 
-from .core import Corpus, Hyperparams, Posterior, estimate_posterior, validate_corpus
+from .core import (
+    Corpus, Hyperparams, Posterior, estimate_posterior, save_json, validate_corpus,
+)
 
 
 _TABLES = ("n_mk", "n_ke", "n_ket", "n_kei", "n_m", "n_k")
@@ -72,20 +75,28 @@ class FitConfig:
             raise ValueError("audit_every must be nonnegative")
 
     def to_dict(self) -> dict:
-        return {
-            "num_traits": self.num_traits,
-            "sweeps": self.sweeps,
-            "burn_in": self.burn_in,
-            "sample_stride": self.sample_stride,
-            "seed": self.seed,
-            "hyper": {
-                "alpha": self.hyper.alpha,
-                "beta": self.hyper.beta,
-                "gamma": self.hyper.gamma,
-                "delta": self.hyper.delta,
-            },
-            "audit_every": self.audit_every,
-        }
+        return asdict(self)
+
+
+def _tally(z, encodings, dims) -> tuple[np.ndarray, ...]:
+    """The six count tables, in ``_TABLES`` order, of flat assignments ``z``.
+
+    ``encodings`` are the flat trace, event, time-bin and interaction-level
+    index arrays; ``dims`` the trace, trait, event, time-bin and
+    interaction-level counts.
+    """
+    m_idx, e_idx, t_idx, i_idx = encodings
+    m_n, k_n, e_n, t_n, i_n = dims
+    z = np.asarray(z)
+    ke = z * e_n + e_idx
+    return (
+        np.bincount(m_idx * k_n + z, minlength=m_n * k_n).reshape(m_n, k_n),
+        np.bincount(ke, minlength=k_n * e_n).reshape(k_n, e_n),
+        np.bincount(ke * t_n + t_idx, minlength=k_n * e_n * t_n).reshape(k_n, e_n, t_n),
+        np.bincount(ke * i_n + i_idx, minlength=k_n * e_n * i_n).reshape(k_n, e_n, i_n),
+        np.bincount(m_idx, minlength=m_n),
+        np.bincount(z, minlength=k_n),
+    )
 
 
 class _Assignments(np.ndarray):
@@ -136,25 +147,15 @@ class ModelState:
         if np.any((z < 0) | (z >= num_traits)):
             raise ValueError("trait assignment outside [0, num_traits)")
         self.z = z.view(_Assignments)
-        self._tally()
+        self.n_mk, self.n_ke, self.n_ket, self.n_kei, self.n_m, self.n_k = self._recount()
         self._bound = None
 
-    def _tally(self) -> None:
-        k_n, e_n = self.num_traits, self.num_events
-        t_n, i_n = self.num_time_bins, self.num_interaction_levels
-        m_n = self.num_traces
-        z = self.z.view(np.ndarray)
-        ke = z * e_n + self._e_idx
-        self.n_mk = np.bincount(self._m_idx * k_n + z, minlength=m_n * k_n).reshape(m_n, k_n)
-        self.n_ke = np.bincount(ke, minlength=k_n * e_n).reshape(k_n, e_n)
-        self.n_ket = np.bincount(ke * t_n + self._t_idx, minlength=k_n * e_n * t_n).reshape(
-            k_n, e_n, t_n
+    def _recount(self) -> tuple[np.ndarray, ...]:
+        return _tally(
+            self.z, (self._m_idx, self._e_idx, self._t_idx, self._i_idx),
+            (self.num_traces, self.num_traits, self.num_events,
+             self.num_time_bins, self.num_interaction_levels),
         )
-        self.n_kei = np.bincount(ke * i_n + self._i_idx, minlength=k_n * e_n * i_n).reshape(
-            k_n, e_n, i_n
-        )
-        self.n_m = np.bincount(self._m_idx, minlength=m_n)
-        self.n_k = np.bincount(z, minlength=k_n)
 
     @classmethod
     def random_init(cls, corpus: Corpus, num_traits: int, seed: int) -> "ModelState":
@@ -213,48 +214,24 @@ class ModelState:
         self.n_k[k] += 1
 
     def clone(self) -> "ModelState":
-        """Independent copy of assignments, counts and rng state.
+        """Independent copy of assignments, counts, rng state and trace ids.
 
         The read-only token encodings are shared with the source state.
         """
-        dup = object.__new__(ModelState)
-        dup.num_traits = self.num_traits
-        dup.num_events = self.num_events
-        dup.num_time_bins = self.num_time_bins
-        dup.num_interaction_levels = self.num_interaction_levels
-        dup.trace_ids = list(self.trace_ids)
-        dup.sweep = self.sweep
-        dup.rng = np.random.default_rng()
-        dup.rng.bit_generator.state = self.rng.bit_generator.state
-        dup._m_idx = self._m_idx
-        dup._e_idx = self._e_idx
-        dup._t_idx = self._t_idx
-        dup._i_idx = self._i_idx
-        dup._offsets = self._offsets
-        dup._bound = None
+        dup = copy.copy(self)
         dup.z = self.z.copy()
         for name in _TABLES:
             setattr(dup, name, getattr(self, name).copy())
+        dup.rng = copy.deepcopy(self.rng)
+        dup.trace_ids = list(self.trace_ids)
+        dup._bound = None  # the kernel's pointers and scratch buffers belong to the source
         return dup
 
     def count_violations(self) -> list[str]:
         """Audit: recount the tables from z and check every sum identity."""
-        fresh = object.__new__(ModelState)
-        fresh.num_traits = self.num_traits
-        fresh.num_events = self.num_events
-        fresh.num_time_bins = self.num_time_bins
-        fresh.num_interaction_levels = self.num_interaction_levels
-        fresh._m_idx = self._m_idx
-        fresh._e_idx = self._e_idx
-        fresh._t_idx = self._t_idx
-        fresh._i_idx = self._i_idx
-        fresh._offsets = self._offsets
-        fresh.z = self.z
-        fresh._tally()
-
         problems = []
-        for name in _TABLES:
-            if not np.array_equal(getattr(self, name), getattr(fresh, name)):
+        for name, fresh in zip(_TABLES, self._recount()):
+            if not np.array_equal(getattr(self, name), fresh):
                 problems.append(f"{name} differs from a from-scratch recount")
         negative = (self.n_mk < 0).any(axis=1)
         bad_m = self.n_mk.sum(axis=1) != self.n_m
@@ -305,9 +282,7 @@ class FitResult:
 
 def save_fit_result(result: FitResult, path) -> None:
     """Write the result as JSON; reruns with equal inputs give equal bytes."""
-    Path(path).write_text(
-        json.dumps(result.to_json_dict(), sort_keys=True, indent=2) + "\n"
-    )
+    save_json(result.to_json_dict(), path)
 
 
 def load_fit_result(path) -> FitResult:
@@ -523,7 +498,7 @@ def _bind(state: ModelState) -> tuple:
     return state._bound
 
 
-def gibbs_sweep(state: ModelState, corpus: Corpus, hyper: Hyperparams) -> ModelState:
+def gibbs_sweep(state: ModelState, hyper: Hyperparams) -> ModelState:
     """One full scan: every token is decremented, resampled and re-added.
 
     Runs the compiled kernel, which gives results bit-identical to
@@ -531,8 +506,6 @@ def gibbs_sweep(state: ModelState, corpus: Corpus, hyper: Hyperparams) -> ModelS
     selection, same ValueError on degenerate weights); falls back to
     ``reference_sweep`` when the kernel cannot be built.
     """
-    if corpus.num_tokens != state.token_count or corpus.num_traces != state.num_traces:
-        raise ValueError("corpus does not match the state's encoded tokens")
     kernel = _sweep_kernel()
     if kernel is None:
         return reference_sweep(state, hyper)
@@ -596,7 +569,7 @@ def fit(corpus: Corpus, config: FitConfig) -> FitResult:
     retained = 0
     audits = 0
     for sweep_no in range(1, config.sweeps + 1):
-        gibbs_sweep(state, corpus, hyper)
+        gibbs_sweep(state, hyper)
         log_joint_trace.append(collapsed_log_joint(state, hyper))
         if config.audit_every and sweep_no % config.audit_every == 0:
             state.audit()

@@ -19,9 +19,9 @@ from hbtm import (
     Hyperparams,
     LabeledCorpus,
     ModelState,
+    Posterior,
     Token,
     Trace,
-    TrueParams,
     collapsed_log_joint,
     fit,
     generate,
@@ -83,11 +83,11 @@ def test_criterion_1_enumeration_oracle():
         corpus, FitConfig(num_traits=num_traits, sweeps=2, burn_in=1, sample_stride=1, seed=11)
     )
     for _ in range(2_000):
-        gibbs_sweep(state, corpus, HYPER1)
+        gibbs_sweep(state, HYPER1)
     hits = np.zeros((ntok, num_traits))
     post_burn_in = 200_000
     for _ in range(post_burn_in):
-        gibbs_sweep(state, corpus, HYPER1)
+        gibbs_sweep(state, HYPER1)
         for j, k in enumerate(state.z):
             hits[j, k] += 1
     empirical = hits / post_burn_in
@@ -156,7 +156,7 @@ def test_criterion_3_state_integrity():
     state = init_state(corpus, config)
     tracked = []
     for _ in range(sweeps):
-        gibbs_sweep(state, corpus, hyper)
+        gibbs_sweep(state, hyper)
         assert state.count_violations() == []
         tracked.append(collapsed_log_joint(state, hyper))
         rebuilt = ModelState.from_assignments(corpus, 4, state.assignments())
@@ -221,7 +221,7 @@ def test_criterion_4_generative_equation_fidelity():
         assert abs(mine - oracle) <= 1e-9
 
         perm = rng.permutation(num_traits)
-        permuted = TrueParams(
+        permuted = Posterior(
             params.theta[:, perm], params.phi[perm], params.psi[perm], params.tau[perm]
         )
         inverse = np.argsort(perm)

@@ -1,4 +1,6 @@
+import csv
 import json
+import os
 
 import pytest
 
@@ -161,6 +163,27 @@ def test_ingest_rejects_non_finite_timestamps_and_overflowing_counts(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("num_rows", [3, 3000])
+def test_ingest_unbalanced_quote_is_json_error(tmp_path, capsys, num_rows):
+    raw = tmp_path / "raw.csv"
+    write_raw_csv(raw, ['1,s1,"Deeds,0,30,1,1,5'] + [
+        f"1,student_{i:04d},TextEditor_Es_{i:04d},0,30,1,1,5" for i in range(2, num_rows + 1)
+    ])
+    if num_rows > 3:  # the runaway field then passes csv's field-size limit
+        assert raw.stat().st_size > csv.field_size_limit()
+    cmap = tmp_path / "cols.json"
+    write_column_map(cmap)
+    code = run(["ingest", "--raw", raw, "--column-map", cmap, "--out-dir", tmp_path / "o"])
+    assert code == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ValueError"
+    assert err["detail"].startswith("data row 1: ")
+    assert "unbalanced double quote" in err["detail"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_ingest_missing_column_names_it(tmp_path, capsys):
     raw = tmp_path / "raw.csv"
     write_raw_csv(raw, ["1,s1,Deeds,0,30,1,1,5"])
@@ -310,3 +333,106 @@ def test_fit_with_underflowing_hyperparameters_is_json_error(tmp_path, capsys):
     assert err["error"] == "ValueError"
     assert "hyperparameters are too small" in err["detail"]
     assert not (tmp_path / "m.json").exists()
+
+
+def _typed(config):
+    return {key: (type(value).__name__, value) for key, value in config.items()}
+
+
+def test_every_subcommand_embeds_its_full_config_with_the_defaults(tmp_path):
+    prefix = tmp_path / "syn"
+    assert run(["generate", "--traits", 2, "--traces", 6, "--tokens-per-trace", 4,
+                "--out-prefix", prefix]) == 0
+    truth = json.loads((tmp_path / "syn.truth.json").read_text())
+    assert _typed(truth["config"]) == _typed({
+        "traits": 2, "events": 15, "time_bins": 7, "interaction_levels": 5, "traces": 6,
+        "tokens_per_trace": 4, "seed": 0, "alpha": 1.0, "beta": 0.1, "gamma": 0.1,
+        "delta": 0.1, "out_prefix": str(prefix),
+    })
+
+    corpus, model = str(prefix) + ".jsonl", tmp_path / "m.json"
+    schema = str(prefix) + ".schema.json"
+    assert run(["fit", "--corpus", corpus, "--schema", schema, "--traits", 2,
+                "--out", model]) == 0
+    assert _typed(json.loads(model.read_text())["config"]) == _typed({
+        "corpus": corpus, "schema": schema, "traits": 2, "sweeps": 2000, "burn_in": 1000,
+        "stride": 10, "seed": 0, "alpha": 1.0, "beta": 0.1, "gamma": 0.1, "delta": 0.1,
+        "audit_every": 0, "out": str(model),
+    })
+
+    grades, report = tmp_path / "grades.csv", tmp_path / "report.json"
+    grades.write_text("trace_id,SA,SFE,FE\n"
+                      + "".join(f"trace_{m:04d},{m % 5},{m / 2},{50 + m}\n" for m in range(6)))
+    assert run(["analyze", "--model", model, "--grades", grades, "--out", report]) == 0
+    assert _typed(json.loads(report.read_text())["config"]) == _typed({
+        "model": str(model), "grades": str(grades), "threshold": 0.05, "seed": 0,
+        "out": str(report),
+    })
+
+    profile = tmp_path / "trait.csv"
+    assert run(["export-trait", "--model", model, "--trait", 1, "--out", profile]) == 0
+    header = profile.read_text().splitlines()[0]
+    assert header.startswith("# config: ")
+    assert _typed(json.loads(header[len("# config: "):])) == _typed({
+        "model": str(model), "trait": 1, "event_labels": "", "out": str(profile),
+    })
+
+    raw, cmap, out_dir = tmp_path / "raw.csv", tmp_path / "cols.json", tmp_path / "ingested"
+    write_raw_csv(raw, ["1,s1,Deeds,0,30,1,1,5"])
+    write_column_map(cmap)
+    assert run(["ingest", "--raw", raw, "--column-map", cmap, "--out-dir", out_dir]) == 0
+    assert _typed(json.loads((out_dir / "summary.json").read_text())["config"]) == _typed({
+        "raw": str(raw), "column_map": str(cmap), "activity_map": "", "schema": "",
+        "min_duration": 1.0, "max_duration": 14000.0, "out_dir": str(out_dir),
+    })
+
+
+def test_config_file_values_are_embedded_as_written(tmp_path, generated):
+    out = tmp_path / "m.json"
+    cfg = tmp_path / "fit.json"
+    cfg.write_text(json.dumps({
+        "corpus": str(generated.with_suffix(".jsonl")),
+        "schema": str(generated) + ".schema.json",
+        "traits": 2, "sweeps": 4, "burn_in": 2, "stride": 1, "alpha": 1, "out": str(out),
+    }))
+    assert run(["fit", "--config", cfg]) == 0
+    model = json.loads(out.read_text())
+    assert _typed(model["config"])["alpha"] == ("int", 1)
+    assert _typed(model["diagnostics"]["config"]["hyper"])["alpha"] == ("float", 1.0)
+
+
+def test_a_failed_rename_leaves_every_output_as_it_was(tmp_path, generated, monkeypatch, capsys):
+    grades = tmp_path / "grades.csv"
+    grades.write_text("trace_id,SA,SFE,FE\n"
+                      + "".join(f"trace_{m:04d},{m % 5},{m / 2},{50 + m}\n" for m in range(6)))
+    raw, cmap = tmp_path / "raw.csv", tmp_path / "cols.json"
+    write_raw_csv(raw, ["1,s1,Deeds,0,30,1,1,5"])
+    write_column_map(cmap)
+    model = tmp_path / "model.json"
+    runs = [  # (first run, flags a rerun adds to write new bytes over its outputs)
+        (["generate", "--traits", 2, "--traces", 6, "--tokens-per-trace", 8,
+          "--out-prefix", generated], ["--seed", 6]),
+        (["fit", "--corpus", generated.with_suffix(".jsonl"),
+          "--schema", str(generated) + ".schema.json", "--traits", 2, "--sweeps", 12,
+          "--burn-in", 6, "--stride", 2, "--out", model], ["--seed", 4]),
+        (["analyze", "--model", model, "--grades", grades, "--out", tmp_path / "report.json"],
+         ["--seed", 1]),
+        (["export-trait", "--model", model, "--trait", 1, "--out", tmp_path / "trait.csv"],
+         ["--trait", 2]),
+        (["ingest", "--raw", raw, "--column-map", cmap, "--out-dir", tmp_path / "ingested"],
+         ["--min-duration", 2]),
+    ]
+    for argv, _ in runs:
+        assert run(argv) == 0
+    capsys.readouterr()
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    for argv, change in runs:
+        assert run(argv + change) == 1
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "error": "OSError", "detail": "rename failed"}
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before

@@ -1,28 +1,37 @@
 import json
+import os
+import stat
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from hbtm import (
+    ActivityMapping,
     Corpus,
+    FitConfig,
     Hyperparams,
     ModelState,
     Posterior,
+    RejectedRow,
     Schema,
     Token,
     Trace,
     estimate_posterior,
+    fit,
     from_one_based,
     greedy_match_traits,
     load_corpus,
     load_schema,
     save_corpus,
+    save_fit_result,
     save_schema,
     to_one_based,
     total_variation,
     validate_corpus,
 )
+from hbtm.core import save_json, write_atomic
+from hbtm.ingest import write_rejects_csv
 
 from conftest import random_corpus
 
@@ -238,3 +247,55 @@ def test_load_corpus_rejects_malformed(tmp_path):
     path.write_text('{"trace_id": "a"}\n')
     with pytest.raises(ValueError, match="malformed"):
         load_corpus(path, Schema.default())
+
+
+# --- atomic output files -----------------------------------------------------
+
+
+def _fit_result_writer():
+    corpus = Corpus(Schema.default(), (Trace("a", (Token(0, 0, 0), Token(1, 2, 3))),))
+    result = fit(corpus, FitConfig(num_traits=2, sweeps=2, burn_in=0, sample_stride=1))
+    return lambda path: save_fit_result(result, path)
+
+
+# each entry builds its payload, then returns the call that writes it to a path
+OUTPUT_WRITERS = {
+    "write_atomic": lambda: lambda path: write_atomic(path, "new text\n"),
+    "save_json": lambda: lambda path: save_json({"new": [1, 2]}, path),
+    "save_schema": lambda: lambda path: save_schema(Schema.default(), path),
+    "save_corpus": lambda: lambda path: save_corpus(
+        Corpus(Schema.default(), (Trace("a", (Token(0, 0, 0),)),)), path),
+    "save_fit_result": _fit_result_writer,
+    "ActivityMapping.save": lambda: ActivityMapping.default().save,
+    "write_rejects_csv": lambda: lambda path: write_rejects_csv(
+        [RejectedRow(3, "short row")], path),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_WRITERS))
+def test_output_writer_keeps_the_old_file_when_the_rename_fails(tmp_path, monkeypatch, name):
+    write = OUTPUT_WRITERS[name]()
+    target = tmp_path / "out"
+    target.write_bytes(b"old bytes\n")
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        write(target)
+    assert target.read_bytes() == b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]  # no temp file left behind
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_WRITERS))
+def test_output_writer_replaces_the_file_with_the_usual_mode(tmp_path, name):
+    write = OUTPUT_WRITERS[name]()
+    plain = tmp_path / "plain"
+    plain.write_text("made by write_text\n")
+    target = tmp_path / "out"
+    target.write_bytes(b"old bytes\n")
+    write(target)
+    assert target.read_bytes() != b"old bytes\n"
+    assert stat.S_IMODE(target.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "plain"]

@@ -7,9 +7,9 @@ from hbtm import (
     Corpus,
     Hyperparams,
     LabeledCorpus,
+    Posterior,
     Token,
     Trace,
-    TrueParams,
     generate,
     joint_log_likelihood,
     sample_params,
@@ -20,7 +20,7 @@ HYPER1 = Hyperparams(1.0, 1.0, 1.0, 1.0)
 
 
 def uniform_params(num_traits, num_traces, num_events, num_time_bins, num_levels):
-    return TrueParams(
+    return Posterior(
         np.full((num_traces, num_traits), 1.0 / num_traits),
         np.full((num_traits, num_events), 1.0 / num_events),
         np.full((num_traits, num_events, num_time_bins), 1.0 / num_time_bins),
@@ -85,7 +85,7 @@ def test_generate_point_mass_event():
     params = uniform_params(2, 3, 9, 2, 2)
     phi = np.zeros((2, 9))
     phi[:, 8] = 1.0
-    params = TrueParams(params.theta, phi, params.psi, params.tau)
+    params = Posterior(params.theta, phi, params.psi, params.tau)
     labeled = generate(params, [10, 10, 10], seed=0)
     assert all(tok.event == 8 for tr in labeled.corpus.traces for tok in tr.tokens)
 
@@ -94,7 +94,7 @@ def test_generate_point_mass_trait():
     params = uniform_params(3, 2, 4, 2, 2)
     theta = np.zeros((2, 3))
     theta[:, 0] = 1.0
-    params = TrueParams(theta, params.phi, params.psi, params.tau)
+    params = Posterior(theta, params.phi, params.psi, params.tau)
     labeled = generate(params, [20, 20], seed=1)
     assert all(z == 0 for row in labeled.assignments for z in row)
 
@@ -134,7 +134,7 @@ def test_joint_log_likelihood_uniform_closed_form():
 
 def test_joint_log_likelihood_zero_probability_token():
     base = uniform_params(1, 1, 3, 2, 2)
-    params = TrueParams(base.theta, np.array([[0.0, 0.5, 0.5]]), base.psi, base.tau)
+    params = Posterior(base.theta, np.array([[0.0, 0.5, 0.5]]), base.psi, base.tau)
     corpus = Corpus(synthetic_schema(3, 2, 2), (Trace("x", (Token(0, 0, 0),)),))
     labeled = LabeledCorpus(corpus, ((0,),))
     assert joint_log_likelihood(params, labeled, HYPER1) == float("-inf")
@@ -147,7 +147,7 @@ def test_joint_log_likelihood_trait_relabeling_exact():
         params = sample_params(4, 6, schema, hyper, seed=seed)
         labeled = generate(params, [5, 8, 3, 6, 4, 7], seed=seed + 100)
         perm = np.random.default_rng(seed).permutation(4)
-        permuted = TrueParams(
+        permuted = Posterior(
             params.theta[:, perm], params.phi[perm], params.psi[perm], params.tau[perm]
         )
         inverse = np.argsort(perm)

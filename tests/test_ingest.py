@@ -429,6 +429,16 @@ def test_parse_short_rows_keep_their_numbers():
     assert _rows(rejects) == [(1, "short row"), (2, "short row"), (4, "short row")]
 
 
+def test_parse_unbalanced_quote_names_the_row_where_it_opened():
+    closed = '1,s1,"Deeds, quoted",0,10,0,0,0,0'
+    events, rejects = parse_raw_log(csv_of([closed]), COLUMN_MAP)
+    assert rejects == [] and events[0].activity == "Deeds, quoted"
+    # blank lines are not numbered, so the runaway quote opens in data row 2
+    rows = [closed, "", '1,s1,"Deeds,0,10,0,0,0,0', "1,s1,Deeds,0,10,0,0,0,0"]
+    with pytest.raises(ValueError, match="data row 2: .* unbalanced double quote"):
+        parse_raw_log(csv_of(rows), COLUMN_MAP)
+
+
 # --- corpus building -------------------------------------------------------
 
 

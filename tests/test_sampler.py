@@ -180,7 +180,7 @@ def test_sweep_single_trait_only_advances_counter(rng):
     corpus = random_corpus(rng)
     state = ModelState.random_init(corpus, 1, seed=0)
     before = [state.z.tolist(), state.n_mk.tolist()]
-    gibbs_sweep(state, corpus, HYPER1)
+    gibbs_sweep(state, HYPER1)
     assert state.sweep == 1
     assert state.z.tolist() == before[0]
     assert state.n_mk.tolist() == before[1]
@@ -191,8 +191,8 @@ def test_sweep_deterministic_from_cloned_state(rng):
     state = ModelState.random_init(corpus, 3, seed=9)
     twin = state.clone()
     for _ in range(3):
-        gibbs_sweep(state, corpus, HYPER1)
-        gibbs_sweep(twin, corpus, HYPER1)
+        gibbs_sweep(state, HYPER1)
+        gibbs_sweep(twin, HYPER1)
     assert np.array_equal(state.z, twin.z)
     assert np.array_equal(state.n_ket, twin.n_ket)
     assert state.sweep == twin.sweep
@@ -202,7 +202,7 @@ def test_sweep_preserves_count_invariants(rng):
     corpus = random_corpus(rng, num_traces=6, tokens_range=(2, 12))
     state = ModelState.random_init(corpus, 4, seed=1)
     for _ in range(5):
-        gibbs_sweep(state, corpus, Hyperparams())
+        gibbs_sweep(state, Hyperparams())
         assert state.count_violations() == []
 
 
@@ -214,7 +214,7 @@ def test_sweep_equals_manual_replay(rng):
     state = ModelState.random_init(corpus, 3, seed=31)
     replay = state.clone()
 
-    gibbs_sweep(state, corpus, hyper)
+    gibbs_sweep(state, hyper)
 
     uniforms = replay.rng.random(replay.token_count).tolist()
     j = 0
@@ -265,7 +265,7 @@ def test_compiled_sweep_matches_reference_sweep(case):
     corpus, num_traits, hyper, seed = case
     state = ModelState.random_init(corpus, num_traits, seed)
     twin = state.clone()
-    compiled = _sweep_outcome(lambda s, h: gibbs_sweep(s, corpus, h), state, hyper)
+    compiled = _sweep_outcome(gibbs_sweep, state, hyper)
     reference = _sweep_outcome(reference_sweep, twin, hyper)
     assert compiled == reference
     assert state.sweep == twin.sweep
@@ -283,7 +283,7 @@ def test_underflowing_weights_raise_the_same_error_on_both_paths(rng):
     state = ModelState.random_init(corpus, corpus.num_tokens + 1, seed=0)
     twin = state.clone()
     with pytest.raises(ValueError, match="flat token 0 .* hyperparameters are too small") as fast:
-        gibbs_sweep(state, corpus, tiny)
+        gibbs_sweep(state, tiny)
     with pytest.raises(ValueError) as slow:
         reference_sweep(twin, tiny)
     assert str(fast.value) == str(slow.value)
@@ -297,11 +297,11 @@ def test_sweep_rejects_corrupted_state_before_the_kernel_writes(rng):
     state = ModelState.random_init(corpus, 3, seed=0)
     state.z[2] = 3
     with pytest.raises(ValueError, match="flat token 2 outside"):
-        gibbs_sweep(state, corpus, HYPER1)
+        gibbs_sweep(state, HYPER1)
     state = ModelState.random_init(corpus, 3, seed=0)
     state.n_k = state.n_k.tolist()
     with pytest.raises(ValueError, match="n_k must be a C-contiguous int64 array"):
-        gibbs_sweep(state, corpus, HYPER1)
+        gibbs_sweep(state, HYPER1)
 
 
 def test_fit_without_kernel_matches_kernel_fit_byte_for_byte(tmp_path, rng, monkeypatch):
@@ -331,14 +331,6 @@ def test_compiled_kernel_loads_when_a_compiler_exists():
     if shutil.which("cc") is None:
         pytest.skip("no C compiler")
     assert sampler._sweep_kernel() is not None
-
-
-def test_sweep_rejects_mismatched_corpus(rng):
-    corpus = random_corpus(rng)
-    other = random_corpus(rng, num_traces=2, tokens_range=(1, 2))
-    state = ModelState.random_init(corpus, 2, seed=0)
-    with pytest.raises(ValueError):
-        gibbs_sweep(state, other, HYPER1)
 
 
 # --- collapsed log joint ---------------------------------------------------
@@ -466,11 +458,11 @@ def test_small_chain_matches_enumerated_configuration_distribution():
 
     state = init_state(corpus, FitConfig(num_traits=2, sweeps=2, burn_in=1, sample_stride=1, seed=7))
     for _ in range(500):
-        gibbs_sweep(state, corpus, hyper)
+        gibbs_sweep(state, hyper)
     hits = np.zeros(len(configs))
     sweeps = 60_000
     for _ in range(sweeps):
-        gibbs_sweep(state, corpus, hyper)
+        gibbs_sweep(state, hyper)
         hits[index[tuple(state.z)]] += 1
     np.testing.assert_allclose(hits / sweeps, exact, atol=0.01)
 
