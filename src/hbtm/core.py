@@ -11,7 +11,9 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,9 +123,12 @@ class Schema:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    """One preprocessed log event: (event, time_bin, interaction_level) indices."""
+class Token(NamedTuple):
+    """One preprocessed log event: (event, time_bin, interaction_level) indices.
+
+    A plain tuple underneath, so it compares equal to ``(event, time_bin,
+    interaction_level)`` and is written to corpus files as a JSON list.
+    """
 
     event: int
     time_bin: int
@@ -247,14 +252,23 @@ class Posterior:
 
 
 def validate_corpus(corpus: Corpus) -> list[str]:
-    """Report every out-of-range token index and every empty trace.
+    """Report every duplicate trace id, empty trace and out-of-range token index.
 
+    Messages follow trace order; within a trace the duplicate id comes first,
+    then the empty trace or each offending token's components in token order.
     Returns an empty list iff the corpus is admissible for fitting.
     """
     schema = corpus.schema
-    e_max = schema.num_events
-    t_max = schema.num_time_bins
-    i_max = schema.num_interaction_levels
+    limits = (
+        ("event", schema.num_events),
+        ("time_bin", schema.num_time_bins),
+        ("interaction_level", schema.num_interaction_levels),
+    )
+    # a corpus repeats few distinct tokens, so each distinct one is checked once
+    bad = {
+        tok for tok in set(chain.from_iterable(t.tokens for t in corpus.traces))
+        if not all(0 <= value < limit for value, (_, limit) in zip(tok, limits))
+    }
     violations = []
     seen: set[str] = set()
     for trace in corpus.traces:
@@ -263,23 +277,12 @@ def validate_corpus(corpus: Corpus) -> list[str]:
         seen.add(trace.trace_id)
         if len(trace.tokens) == 0:
             violations.append(f"trace '{trace.trace_id}': empty trace")
-            continue
-        for pos, tok in enumerate(trace.tokens):
-            if not 0 <= tok.event < e_max:
-                violations.append(
-                    f"trace '{trace.trace_id}' token {pos}: "
-                    f"event {tok.event} outside [0, {e_max})"
-                )
-            if not 0 <= tok.time_bin < t_max:
-                violations.append(
-                    f"trace '{trace.trace_id}' token {pos}: "
-                    f"time_bin {tok.time_bin} outside [0, {t_max})"
-                )
-            if not 0 <= tok.interaction_level < i_max:
-                violations.append(
-                    f"trace '{trace.trace_id}' token {pos}: "
-                    f"interaction_level {tok.interaction_level} outside [0, {i_max})"
-                )
+        elif bad and not bad.isdisjoint(trace.tokens):
+            violations.extend(
+                f"trace '{trace.trace_id}' token {pos}: {name} {value} outside [0, {limit})"
+                for pos, tok in enumerate(trace.tokens) if tok in bad
+                for (name, limit), value in zip(limits, tok) if not 0 <= value < limit
+            )
     return violations
 
 
@@ -405,10 +408,7 @@ def save_corpus(corpus: Corpus, path) -> None:
     """Write one trace per line: {"trace_id": ..., "tokens": [[e, t, i], ...]}."""
     write_atomic(path, "".join(
         json.dumps(
-            {
-                "trace_id": trace.trace_id,
-                "tokens": [[t.event, t.time_bin, t.interaction_level] for t in trace.tokens],
-            },
+            {"trace_id": trace.trace_id, "tokens": trace.tokens},
             sort_keys=True, separators=(",", ":"),
         ) + "\n"
         for trace in corpus.traces
@@ -416,6 +416,7 @@ def save_corpus(corpus: Corpus, path) -> None:
 
 
 def load_corpus(path, schema: Schema) -> Corpus:
+    """Read a corpus file; every token component must be a plain JSON integer."""
     traces = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -424,10 +425,13 @@ def load_corpus(path, schema: Schema) -> Corpus:
                 continue
             try:
                 rec = json.loads(line)
-                trace = Trace(
-                    rec["trace_id"],
-                    tuple(Token(int(e), int(t), int(i)) for e, t, i in rec["tokens"]),
-                )
+                trace_id = rec["trace_id"]
+                tokens = tuple(map(Token._make, rec["tokens"]))
+                kinds = set(map(type, chain.from_iterable(tokens))) - {int}
+                if kinds:  # bool, float and str are not coerced
+                    names = ", ".join(sorted(k.__name__ for k in kinds))
+                    raise TypeError(f"token components must be integers, got {names}")
+                trace = Trace(trace_id, tokens)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{line_no}: malformed trace record: {exc}") from exc
             traces.append(trace)

@@ -18,6 +18,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 from .core import Corpus, Schema, Token, Trace, save_json, write_atomic
 
@@ -34,8 +35,7 @@ _DAY_FIRST_STAMP = re.compile(
     r"\d\d([./])\d\d\1\d{4} ([01]\d|2[0-3]):([0-5]\d):([0-5]\d)", re.ASCII)
 
 
-@dataclass(frozen=True, slots=True)
-class RawEvent:
+class RawEvent(NamedTuple):
     """One parsed log row; timestamps are epoch seconds."""
 
     session: str
@@ -345,17 +345,10 @@ def parse_raw_log(csv_source, column_map: dict) -> tuple[list[RawEvent], list[Re
                 if mouse < 0 or keys < 0:
                     rejects.append(RejectedRow(row_number, "negative interaction count"))
                     continue
-                events.append(
-                    RawEvent(
-                        session=row[i_session].strip(),
-                        student_id=row[i_student].strip(),
-                        activity=row[i_activity].strip(),
-                        start_time=start,
-                        end_time=end,
-                        mouse_clicks=mouse,
-                        keystrokes=keys,
-                    )
-                )
+                events.append(RawEvent(
+                    row[i_session].strip(), row[i_student].strip(), row[i_activity].strip(),
+                    start, end, mouse, keys,
+                ))
         except csv.Error as exc:  # e.g. a runaway quoted field passing the field-size limit
             raise _unbalanced_quote(row_number + 1, exc) from exc
         return events, rejects
@@ -420,12 +413,12 @@ def build_corpora(
     time_counts = [0] * schema.num_time_bins
     level_counts = [0] * schema.num_interaction_levels
     event_of: dict[str, int] = {}  # map_activity per distinct label
+    token_of: dict[tuple[int, int, int], Token] = {}  # one shared Token per distinct triple
 
-    for ev in raw:
-        traces = per_session.setdefault(ev.session, {})
-        trace_id = f"{ev.student_id}_{ev.session}"
-        bucket = traces.setdefault(trace_id, [])
-        duration = ev.duration_s
+    for session, student_id, activity, start, end, mouse, keys in raw:
+        traces = per_session.setdefault(session, {})
+        bucket = traces.setdefault(f"{student_id}_{session}", [])
+        duration = end - start
         if duration < filt.min_duration_s or duration > filt.max_duration_s:
             filtered += 1
             continue
@@ -433,11 +426,15 @@ def build_corpora(
         if t_bin is None:
             filtered += 1
             continue
-        e_idx = event_of.get(ev.activity)
+        e_idx = event_of.get(activity)
         if e_idx is None:
-            e_idx = event_of[ev.activity] = map_activity(ev.activity, mapping)
-        i_lvl = discretize_interaction(ev.interaction_total, schema)
-        bucket.append(Token(e_idx, t_bin, i_lvl))
+            e_idx = event_of[activity] = map_activity(activity, mapping)
+        i_lvl = discretize_interaction(mouse + keys, schema)
+        key = (e_idx, t_bin, i_lvl)
+        token = token_of.get(key)
+        if token is None:
+            token = token_of[key] = Token._make(key)
+        bucket.append(token)
         event_counts[e_idx] += 1
         time_counts[t_bin] += 1
         level_counts[i_lvl] += 1

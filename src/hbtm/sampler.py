@@ -30,7 +30,7 @@ import math
 import os
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
@@ -132,17 +132,15 @@ class ModelState:
         self.rng = rng
         self.sweep = 0
 
-        codes = [
-            (m, tok.event, tok.time_bin, tok.interaction_level)
-            for m, trace in enumerate(corpus.traces)
-            for tok in trace.tokens
-        ]
-        enc = np.array(codes, dtype=np.int64).reshape(-1, 4).T.copy()
-        self._m_idx, self._e_idx, self._t_idx, self._i_idx = enc
-        self._offsets = np.cumsum([0] + [len(t.tokens) for t in corpus.traces], dtype=np.int64)
+        lengths = [len(t.tokens) for t in corpus.traces]
+        components = chain.from_iterable(chain.from_iterable(t.tokens for t in corpus.traces))
+        codes = np.fromiter(components, np.int64, count=3 * sum(lengths)).reshape(-1, 3)
+        self._e_idx, self._t_idx, self._i_idx = codes.T.copy()
+        self._m_idx = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+        self._offsets = np.cumsum([0] + lengths, dtype=np.int64)
 
         z = np.array(z_flat, dtype=np.int64)
-        if z.shape != (len(codes),):
+        if z.shape != self._m_idx.shape:
             raise ValueError("assignment vector length must equal the corpus token count")
         if np.any((z < 0) | (z >= num_traits)):
             raise ValueError("trait assignment outside [0, num_traits)")

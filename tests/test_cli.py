@@ -109,6 +109,22 @@ def test_fit_rejects_burn_in_past_sweeps(tmp_path, generated, capsys):
     assert err["error"] == "ValueError"
 
 
+def test_fit_rejects_non_integer_token_components(tmp_path, generated, capsys):
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text('{"trace_id":"a","tokens":[[1.7,true,"3"]]}\n')
+    code = run([
+        "fit", "--corpus", corpus, "--schema", str(generated) + ".schema.json",
+        "--traits", 2, "--out", tmp_path / "m.json",
+    ])
+    assert code == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ValueError"
+    assert f"{corpus}:1: malformed trace record" in err["detail"]
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_ingest_end_to_end(tmp_path):
     raw = tmp_path / "raw.csv"
     write_raw_csv(raw, [

@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbtm import (
     ActivityMapping,
@@ -26,6 +28,7 @@ from hbtm import (
     save_corpus,
     save_fit_result,
     save_schema,
+    synthetic_schema,
     to_one_based,
     total_variation,
     validate_corpus,
@@ -247,6 +250,117 @@ def test_load_corpus_rejects_malformed(tmp_path):
     path.write_text('{"trace_id": "a"}\n')
     with pytest.raises(ValueError, match="malformed"):
         load_corpus(path, Schema.default())
+
+
+def test_token_is_an_immutable_triple():
+    tok = Token(event=1, time_bin=2, interaction_level=3)
+    assert tok == Token(1, 2, 3) == (1, 2, 3)
+    assert (tok.event, tok.time_bin, tok.interaction_level) == (1, 2, 3)
+    with pytest.raises(AttributeError):
+        tok.event = 0
+    with pytest.raises(AttributeError):
+        tok.weight = 1.0
+
+
+@pytest.mark.parametrize("tokens", [
+    '[[1.7, true, "3"]]', "[[1.0, 0, 0]]", "[[true, 0, 0]]", "[[0, false, 0]]",
+    '[[0, 0, "1"]]', "[[0, 0, null]]", "[[0, 0]]", "[[0, 0, 0, 0]]", '["abc"]', "[0]",
+])
+def test_load_corpus_accepts_only_plain_integer_components(tmp_path, tokens):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"trace_id": "ok", "tokens": [[0, 0, 0]]}\n'
+                    f'{{"trace_id": "a", "tokens": {tokens}}}\n')
+    with pytest.raises(ValueError, match=r"bad\.jsonl:2: malformed trace record"):
+        load_corpus(path, Schema.default())
+
+
+def test_load_corpus_keeps_out_of_range_integers_for_validation(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text(f'{{"trace_id": "a", "tokens": [[-1, 0, {2**70}]]}}\n')
+    corpus = load_corpus(path, Schema.default())
+    assert corpus.traces[0].tokens == (Token(-1, 0, 2**70),)
+    assert validate_corpus(corpus) == [
+        "trace 'a' token 0: event -1 outside [0, 15)",
+        f"trace 'a' token 0: interaction_level {2**70} outside [0, 5)",
+    ]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.text(max_size=4))
+def test_corpus_file_round_trip_is_byte_identical(tmp_path_factory, seed, id_prefix):
+    base = random_corpus(np.random.default_rng(seed), num_traces=3)
+    corpus = Corpus(base.schema, tuple(Trace(id_prefix + t.trace_id, t.tokens) for t in base.traces))
+    first, second = tmp_path_factory.mktemp("rt") / "a.jsonl", tmp_path_factory.mktemp("rt") / "b.jsonl"
+    save_corpus(corpus, first)
+    back = load_corpus(first, corpus.schema)
+    save_corpus(back, second)
+    assert back == corpus
+    assert second.read_bytes() == first.read_bytes()
+    # the lines the writer produced when tokens were written field by field
+    assert first.read_text() == "".join(
+        json.dumps({"trace_id": t.trace_id,
+                    "tokens": [[k.event, k.time_bin, k.interaction_level] for k in t.tokens]},
+                   sort_keys=True, separators=(",", ":")) + "\n"
+        for t in corpus.traces
+    )
+
+
+def _validate_by_token(corpus):
+    """The per-token validation loop, kept as the reference for ``validate_corpus``."""
+    schema = corpus.schema
+    e_max = schema.num_events
+    t_max = schema.num_time_bins
+    i_max = schema.num_interaction_levels
+    violations = []
+    seen = set()
+    for trace in corpus.traces:
+        if trace.trace_id in seen:
+            violations.append(f"trace '{trace.trace_id}': duplicate trace_id")
+        seen.add(trace.trace_id)
+        if len(trace.tokens) == 0:
+            violations.append(f"trace '{trace.trace_id}': empty trace")
+            continue
+        for pos, tok in enumerate(trace.tokens):
+            if not 0 <= tok.event < e_max:
+                violations.append(
+                    f"trace '{trace.trace_id}' token {pos}: "
+                    f"event {tok.event} outside [0, {e_max})"
+                )
+            if not 0 <= tok.time_bin < t_max:
+                violations.append(
+                    f"trace '{trace.trace_id}' token {pos}: "
+                    f"time_bin {tok.time_bin} outside [0, {t_max})"
+                )
+            if not 0 <= tok.interaction_level < i_max:
+                violations.append(
+                    f"trace '{trace.trace_id}' token {pos}: "
+                    f"interaction_level {tok.interaction_level} outside [0, {i_max})"
+                )
+    return violations
+
+
+_components = st.integers(-2, 5) | st.booleans() | st.sampled_from(
+    [-(2**63) - 1, -(2**63), 2**63 - 1, 2**63, 2**64 + 5])
+
+
+@st.composite
+def loose_corpora(draw):
+    """Corpora with empty traces, repeated ids and components of any size or sign."""
+    schema = synthetic_schema(*(draw(st.integers(1, 4)) for _ in range(3)))
+    traces = tuple(
+        Trace(draw(st.sampled_from("abc")), tuple(
+            Token(draw(_components), draw(_components), draw(_components))
+            for _ in range(draw(st.integers(0, 4)))
+        ))
+        for _ in range(draw(st.integers(1, 5)))
+    )
+    return Corpus(schema, traces)
+
+
+@settings(max_examples=300, deadline=None)
+@given(loose_corpora())
+def test_validate_corpus_matches_the_per_token_loop(corpus):
+    assert validate_corpus(corpus) == _validate_by_token(corpus)
 
 
 # --- atomic output files -----------------------------------------------------

@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 from hbtm import (
     ActivityMapping,
+    Corpus,
     FilterConfig,
     RawEvent,
     Schema,
+    Token,
+    Trace,
     build_corpora,
     discretize_duration,
     discretize_interaction,
@@ -43,6 +46,18 @@ def _rows(rejects):
 
 def raw(session="1", student="s1", activity="Deeds", start=0.0, dur=10.0, mouse=1, keys=1):
     return RawEvent(session, student, activity, start, start + dur, mouse, keys)
+
+
+def test_raw_event_is_an_immutable_record():
+    ev = RawEvent(session="1", student_id="s1", activity="Deeds", start_time=5.0,
+                  end_time=12.5, mouse_clicks=2, keystrokes=3)
+    assert ev == raw(start=5.0, dur=7.5, mouse=2, keys=3)
+    assert ev.duration_s == 7.5
+    assert ev.interaction_total == 5
+    with pytest.raises(AttributeError):
+        ev.session = "2"
+    with pytest.raises(AttributeError):
+        ev.note = ""
 
 
 # --- activity mapping ------------------------------------------------------
@@ -557,6 +572,47 @@ def test_ingest_conservation_on_random_logs(rows):
     assert result.filtered == fates.count("filtered")
     assert _rows(rejects) == [(i, fate) for i, fate in enumerate(fates, start=1)
                               if fate not in ("token", "filtered")]
+
+
+def _corpora_with_fresh_tokens(events, mapping, schema, filt):
+    """Per-session corpora built with a new Token for every kept event."""
+    per_session = {}
+    for ev in events:
+        tokens = per_session.setdefault(ev.session, {}).setdefault(
+            f"{ev.student_id}_{ev.session}", [])
+        if not filt.min_duration_s <= ev.duration_s <= filt.max_duration_s:
+            continue
+        t_bin = discretize_duration(ev.duration_s, schema, filt)
+        if t_bin is not None:
+            tokens.append(Token(map_activity(ev.activity, mapping), t_bin,
+                                discretize_interaction(ev.interaction_total, schema)))
+    corpora = {}
+    for session, traces in per_session.items():
+        kept = tuple(Trace(tid, tuple(tokens)) for tid, tokens in traces.items() if tokens)
+        if kept:
+            corpora[session] = Corpus(schema, kept)
+    return corpora
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.builds(
+    raw,
+    session=st.sampled_from("12"),
+    student=st.sampled_from(["s1", "s2", "s3"]),
+    activity=st.sampled_from(["Deeds", "Deeds_Es_1_1", "Aulaweb", "Blank", "unmapped"]),
+    start=st.floats(0, 1e6),
+    dur=st.sampled_from([0.5, 1.0, 9.0, 14000.0, 20000.0]) | st.floats(0.01, 20000),
+    mouse=st.integers(0, 40),
+    keys=st.integers(0, 6000),
+), max_size=60))
+def test_build_corpora_shares_one_token_per_distinct_triple(events):
+    schema, mapping, filt = Schema.default(), ActivityMapping.default(), FilterConfig()
+    result = build_corpora(events, mapping, schema, filt)
+    assert result.corpora == _corpora_with_fresh_tokens(events, mapping, schema, filt)
+    tokens = [tok for c in result.corpora.values() for t in c.traces for tok in t.tokens]
+    assert len({id(tok) for tok in tokens}) == len(set(tokens))
+    assert len(set(tokens)) <= (
+        schema.num_events * schema.num_time_bins * schema.num_interaction_levels)
 
 
 def test_mapping_outside_schema_rejected():

@@ -276,6 +276,32 @@ def test_compiled_sweep_matches_reference_sweep(case):
     assert state.count_violations() == []
 
 
+def _encodings_by_token(corpus):
+    """The per-token encoding build, kept as the reference for ``ModelState``."""
+    codes = [
+        (m, tok.event, tok.time_bin, tok.interaction_level)
+        for m, trace in enumerate(corpus.traces)
+        for tok in trace.tokens
+    ]
+    m_idx, e_idx, t_idx, i_idx = np.array(codes, dtype=np.int64).reshape(-1, 4).T.copy()
+    offsets = np.cumsum([0] + [len(t.tokens) for t in corpus.traces], dtype=np.int64)
+    return m_idx, e_idx, t_idx, i_idx, offsets
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_state_encodings_match_the_per_token_build(num_traces, seed):
+    rng = np.random.default_rng(seed)
+    corpus = random_corpus(rng, num_traces=num_traces, tokens_range=(0, 6))  # empty traces too
+    state = ModelState.random_init(corpus, 3, seed)
+    expected = _encodings_by_token(corpus)
+    for name, want in zip(("_m_idx", "_e_idx", "_t_idx", "_i_idx", "_offsets"), expected):
+        got = getattr(state, name)
+        assert got.dtype == np.int64 and got.flags.c_contiguous, name
+        assert np.array_equal(got, want), name
+    assert state.count_violations() == []
+
+
 def test_underflowing_weights_raise_the_same_error_on_both_paths(rng):
     corpus = random_corpus(rng)
     tiny = Hyperparams(1e-120, 1e-120, 1e-120, 1e-120)
