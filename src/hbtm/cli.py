@@ -250,10 +250,17 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> _Parser:
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser for every subcommand, or for ``command`` alone when it names one.
+
+    A subcommand's parser reads its arguments the same with or without the
+    others beside it; the full tree is needed only for top-level help and errors.
+    """
     parser = _Parser(prog="hbtm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, help_text, config_help, options) in _COMMANDS.items():
+        if command in _COMMANDS and name != command:
+            continue
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help=config_help)
         for key, kind, _default, option_help in options:
@@ -263,8 +270,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(_resolve(args, args.options))
     except Exception as exc:  # every failure, whatever its type, gets the one-line error

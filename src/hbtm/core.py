@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -415,11 +416,53 @@ def save_corpus(corpus: Corpus, path) -> None:
     ))
 
 
+# The exact line ``save_corpus`` writes, with an id that needs no JSON escape
+# (so the id is its own decoded value) and a token list made of digits, commas
+# and brackets. Each distinct token text is then checked once against the
+# canonical triple; a line that fails either check is decoded as JSON.
+_CANONICAL_LINE = re.compile(
+    r'\{"tokens":\[\[([0-9,\[\]]+)\]\],"trace_id":"([^"\\\x00-\x1f]*)"\}\n?'
+)
+_COMPONENT = "(?:0|[1-9][0-9]{0,17})"  # a JSON integer that an int64 holds
+_CANONICAL_TOKEN = re.compile(f"{_COMPONENT},{_COMPONENT},{_COMPONENT}")
+
+
+class _TokenTable(dict):
+    """Maps each canonical ``e,t,i`` text to one shared Token; KeyError on any other text."""
+
+    def __missing__(self, text: str) -> Token:
+        if not _CANONICAL_TOKEN.fullmatch(text):
+            raise KeyError(text)
+        token = self[text] = Token._make(map(int, text.split(",")))
+        return token
+
+
+def _canonical_trace(line: str, tokens_of) -> Trace | None:
+    """The trace on a line in ``save_corpus``'s exact form; None for any other line."""
+    match = _CANONICAL_LINE.fullmatch(line)
+    if match is None:
+        return None
+    body, trace_id = match.groups()
+    try:
+        return Trace(trace_id, tuple(map(tokens_of, body.split("],["))))
+    except KeyError:
+        return None
+
+
 def load_corpus(path, schema: Schema) -> Corpus:
-    """Read a corpus file; every token component must be a plain JSON integer."""
+    """Read a corpus file; every token component must be a plain JSON integer.
+
+    Lines in ``save_corpus``'s own form are read without ``json``, their equal
+    tokens sharing one Token object; every other line is decoded as JSON.
+    """
     traces = []
+    tokens_of = _TokenTable().__getitem__
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
+            trace = _canonical_trace(line, tokens_of)
+            if trace is not None:
+                traces.append(trace)
+                continue
             line = line.strip()
             if not line:
                 continue

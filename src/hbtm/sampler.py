@@ -442,7 +442,11 @@ def _build_kernel(source: Path, library: Path) -> None:
 
 
 def _load_kernel():
-    """The compiled sweep from the cache, built there on a miss; None if unusable."""
+    """The compiled sweep from the cache, built there on a miss; None if unusable.
+
+    A cached library that does not load (truncated or corrupt) is rebuilt
+    once, so one bad file does not slow every later process.
+    """
     import ctypes
     import hashlib
 
@@ -453,7 +457,12 @@ def _load_kernel():
         library = cache / f"_sweep-{key[:16]}.so"
         if not library.exists():
             _build_kernel(source, library)
-        kernel = ctypes.CDLL(str(library)).hbtm_sweep
+        try:
+            loaded = ctypes.CDLL(str(library))
+        except OSError:
+            _build_kernel(source, library)
+            loaded = ctypes.CDLL(str(library))
+        kernel = loaded.hbtm_sweep
     except OSError:
         return None
     kernel.restype = ctypes.c_int64

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from hbtm.cli import main
+from hbtm.cli import _COMMANDS, build_parser, main
 
 RAW_HEADER = "session,student,activity,start,end,wheel,click,keys\n"
 
@@ -294,6 +294,24 @@ def test_unknown_flag_is_error(capsys):
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "argument error"
 
+
+
+def _parse_outcome(parse, argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return excinfo.value.code, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["--bogus"], ["fitt"], ["fitt", "--help"],
+    *([name, flag] for name in _COMMANDS for flag in ("--help", "--bogus")),
+])
+def test_help_and_argument_errors_match_the_full_parser(argv, capsys):
+    # main builds only the invoked subcommand's parser; what it prints must not change
+    full = _parse_outcome(build_parser().parse_args, argv, capsys)
+    assert _parse_outcome(main, argv, capsys) == full
+    assert full[1] or full[2]
 
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "gen.json"

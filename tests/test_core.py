@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import stat
@@ -5,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hbtm import (
@@ -303,6 +304,127 @@ def test_corpus_file_round_trip_is_byte_identical(tmp_path_factory, seed, id_pre
                    sort_keys=True, separators=(",", ":")) + "\n"
         for t in corpus.traces
     )
+
+
+def _load_corpus_by_json(path, schema):
+    """The json-only corpus reader, kept as the reference for ``load_corpus``."""
+    traces = []
+    with open(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+                trace_id = rec["trace_id"]
+                tokens = tuple(map(Token._make, rec["tokens"]))
+                kinds = set(map(type, itertools.chain.from_iterable(tokens))) - {int}
+                if kinds:
+                    names = ", ".join(sorted(k.__name__ for k in kinds))
+                    raise TypeError(f"token components must be integers, got {names}")
+                trace = Trace(trace_id, tokens)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{line_no}: malformed trace record: {exc}") from exc
+            traces.append(trace)
+    if not traces:
+        raise ValueError(f"{path}: corpus has no traces")
+    return Corpus(schema, tuple(traces))
+
+
+def _load_outcome(load, path):
+    """A loader's traces with each component's type, or its error message."""
+    try:
+        corpus = load(path, Schema.default())
+    except ValueError as exc:
+        return "error", str(exc)
+    return "ok", [(t.trace_id, [tuple(map(type, tok)) for tok in t.tokens], t.tokens)
+                  for t in corpus.traces]
+
+
+# JSON texts for one token component: every kind of integer or non-integer
+# the reader must judge as ``json.loads`` does
+_COMPONENT_TEXT = st.one_of(
+    st.integers(0, 10**18 - 1).map(str),
+    st.sampled_from([
+        "-1", "-0", "00", "007", str(10**18), str(2**70), "1e2",
+        "true", "false", "null", "1.0", '"3"', "١",
+    ]),
+)
+_TOKEN_TEXT = st.one_of(
+    st.lists(_COMPONENT_TEXT, min_size=3, max_size=3),
+    st.lists(st.integers(0, 4).map(str), min_size=0, max_size=4),
+).map(lambda parts: "[" + ",".join(parts) + "]")
+_TRACE_ID = st.text(max_size=6) | st.sampled_from(["", "a\"b", "a\\b", "\x1f", "\x7f", "é", " "])
+
+
+@st.composite
+def _saved_line(draw):
+    """A line as save_corpus writes it."""
+    tokens = draw(st.lists(st.tuples(*[st.integers(0, 12)] * 3), min_size=1, max_size=4))
+    trace_id = draw(st.text(alphabet="abc-_ é\"\\", max_size=4))
+    return json.dumps({"trace_id": trace_id, "tokens": tokens}, sort_keys=True, separators=(",", ":"))
+
+
+@st.composite
+def _rewritten_line(draw):
+    """A line save_corpus would not write, which JSON may or may not read."""
+    tokens = draw(st.lists(_TOKEN_TEXT, max_size=4))
+    trace_id = draw(_TRACE_ID)
+    id_text = draw(st.sampled_from([
+        json.dumps(trace_id),
+        json.dumps(trace_id, ensure_ascii=False),
+        '"' + "".join(f"\\u{ord(c):04x}" for c in trace_id) + '"',
+        '"' + trace_id + '"',
+    ]))
+    style = draw(st.sampled_from(["compact", "spaces", "swapped", "padded", "no_id"]))
+    if style == "spaces":
+        return '{"tokens": [' + ", ".join(tokens) + '], "trace_id": ' + id_text + "}"
+    token_list = "[" + ",".join(tokens) + "]"
+    if style == "swapped":
+        return '{"trace_id":' + id_text + ',"tokens":' + token_list + "}"
+    if style == "no_id":
+        return '{"tokens":' + token_list + "}"
+    line = '{"tokens":' + token_list + ',"trace_id":' + id_text + "}"
+    return " " + line + "\t" if style == "padded" else line
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.one_of(_saved_line(), _rewritten_line(), st.sampled_from(["", "  "])),
+             min_size=1, max_size=5),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+    st.booleans(),
+)
+@example(['{"tokens":[[1,2,3],[01,2,3]],"trace_id":"a"}'], "\n", True)
+@example(['{"tokens":[[1,2,3]],"trace_id":"a\x01"}'], "\n", True)
+@example(['{"tokens":[],"trace_id":"a"}'], "\r\n", True)
+@example(['{"tokens":[[1,2,3]],"trace_id":"a"}', "", '{"tokens":[[4,5,6]]}'], "\n", False)
+def test_load_corpus_equals_the_json_reader(tmp_path_factory, lines, newline, final_newline):
+    path = tmp_path_factory.mktemp("lc") / "c.jsonl"
+    path.write_bytes((newline.join(lines) + (newline if final_newline else "")).encode())
+    assert _load_outcome(load_corpus, path) == _load_outcome(_load_corpus_by_json, path)
+
+
+def test_load_corpus_shares_one_token_object_per_distinct_triple(tmp_path, rng):
+    corpus = random_corpus(rng, num_traces=20)
+    path = tmp_path / "c.jsonl"
+    save_corpus(corpus, path)
+    tokens = [tok for trace in load_corpus(path, corpus.schema).traces for tok in trace.tokens]
+    assert len({id(tok) for tok in tokens}) == len(set(tokens)) < len(tokens)
+
+
+@pytest.mark.parametrize("first, second, kind", [
+    ("[0,0,0]", "[0,false,0]", "bool"),
+    ("[1,0,0]", "[1.0,0,0]", "float"),
+])
+def test_load_corpus_keeps_equal_non_integers_apart_from_interned_tokens(
+        tmp_path, first, second, kind):
+    # False == 0 and 1.0 == 1: a token table keyed on decoded values would let these pass
+    path = tmp_path / "c.jsonl"
+    path.write_text(f'{{"tokens":[{first}],"trace_id":"a"}}\n'
+                    f'{{"tokens":[{second}],"trace_id":"b"}}\n')
+    with pytest.raises(ValueError, match=rf"c\.jsonl:2: malformed .* got {kind}$"):
+        load_corpus(path, Schema.default())
 
 
 def _validate_by_token(corpus):

@@ -352,6 +352,21 @@ def test_kernel_built_once_into_a_fresh_cache_then_reused(tmp_path, monkeypatch)
     assert built[0].stat().st_mtime_ns == stamp
 
 
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_a_truncated_cached_kernel_is_rebuilt(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "good"))
+    assert sampler._load_kernel() is not None
+    (good,) = (tmp_path / "good" / "hbtm").iterdir()
+    # a fresh cache holding a truncated copy; the loaded library itself stays intact
+    library = tmp_path / "bad" / "hbtm" / good.name
+    library.parent.mkdir(parents=True)
+    library.write_bytes(good.read_bytes()[:100])
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "bad"))
+    assert sampler._load_kernel() is not None
+    assert list(library.parent.iterdir()) == [library]
+    assert library.stat().st_size > 100
+
 def test_compiled_kernel_loads_when_a_compiler_exists():
     # a silent fallback to the Python sweep would hide a large slowdown
     if shutil.which("cc") is None:
