@@ -15,7 +15,6 @@ from .analysis import (
     TraitProfile,
     export_trait,
     kmeans,
-    parse_trait_profile,
     pearson,
     run_analysis,
     trait_profile_to_csv,
@@ -65,13 +64,11 @@ from .sampler import (
     FitResult,
     ModelState,
     collapsed_log_joint,
-    conditional_weights,
     fit,
     gibbs_sweep,
     init_state,
     load_fit_result,
     reference_sweep,
-    save_fit_result,
 )
 
 __version__ = "0.1.0"

@@ -239,9 +239,6 @@ class AnalysisReport:
     ttests: dict[str, dict]
     correlations: list[dict]
 
-    def significant_correlations(self) -> list[dict]:
-        return [c for c in self.correlations if c.get("significant")]
-
     def to_json_dict(self) -> dict:
         return {
             "threshold": self.threshold,
@@ -405,36 +402,3 @@ def trait_profile_to_csv(profile: TraitProfile, header_comment: str | None = Non
             )
     return buf.getvalue()
 
-
-def parse_trait_profile(text: str, trait: int = 0) -> TraitProfile:
-    """Rebuild a TraitProfile from its CSV text; comment lines are skipped."""
-    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    reader = csv.reader(lines)
-    header = next(reader)
-    if header != ["kind", "event_label", "bin_index", "probability"]:
-        raise ValueError(f"unexpected profile header: {header}")
-    events: list[tuple[str, float]] = []
-    time_vals: list[float] = []
-    inter_vals: list[float] = []
-    for kind, label, _idx, prob in reader:
-        if kind == "event":
-            events.append((label, float(prob)))
-        elif kind == "time":
-            time_vals.append(float(prob))
-        elif kind == "interaction":
-            inter_vals.append(float(prob))
-        else:
-            raise ValueError(f"unknown profile row kind {kind!r}")
-    num_events = len(events)
-    if num_events == 0 or len(time_vals) % num_events or len(inter_vals) % num_events:
-        raise ValueError("profile rows do not tile into per-event tables")
-    labels = tuple(lbl for lbl, _ in events)
-    t = len(time_vals) // num_events
-    i = len(inter_vals) // num_events
-    return TraitProfile(
-        trait=trait,
-        event_labels=labels,
-        event_probs=np.array([p for _, p in events]),
-        time_probs=np.array(time_vals).reshape(num_events, t),
-        interaction_probs=np.array(inter_vals).reshape(num_events, i),
-    )

@@ -30,7 +30,8 @@ def _resolve(args: argparse.Namespace, options) -> dict:
     """Merge the option table's defaults, the optional --config file, then explicit flags.
 
     Values are kept as given (a config file's ``1`` stays ``1``); each command
-    converts them where it uses them.
+    converts them where it uses them. A file value must have its option's type,
+    where an int also serves a float option and a bool serves neither.
     """
     resolved = {key: default for key, _type, default, _help in options}
     if args.config:
@@ -38,9 +39,16 @@ def _resolve(args: argparse.Namespace, options) -> dict:
             file_values = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ValueError(f"cannot read config file {args.config}: {exc}") from exc
+        if not isinstance(file_values, dict):
+            raise TypeError(f"config file {args.config} must hold a JSON object")
         unknown = set(file_values) - set(resolved)
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        for key, kind, _default, _help in options:
+            value = file_values.get(key)
+            accepted = (int, float) if kind is float else kind
+            if key in file_values and (isinstance(value, bool) or not isinstance(value, accepted)):
+                raise TypeError(f"config key {key} must be {kind.__name__}, got {value!r}")
         resolved.update(file_values)
     for key in resolved:
         value = getattr(args, key)
@@ -109,6 +117,10 @@ def _cmd_ingest(resolved: dict) -> int:
         **result.summary_dict(),
     }
     core.save_json(summary, out_dir / "summary.json")
+    written = {f"session_{session}.jsonl" for session in result.corpora}
+    for stale in out_dir.glob("session_*.jsonl"):  # left by an earlier ingest
+        if stale.name not in written:
+            stale.unlink()
     return 0
 
 

@@ -24,7 +24,6 @@ when no compiler or cache directory is usable.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import os
@@ -37,7 +36,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .core import (
-    Corpus, Hyperparams, Posterior, estimate_posterior, save_json, validate_corpus,
+    Corpus, Hyperparams, Posterior, estimate_posterior, validate_corpus,
 )
 
 
@@ -161,14 +160,6 @@ class ModelState:
         z = rng.integers(0, num_traits, size=corpus.num_tokens)
         return cls(corpus, num_traits, z, rng)
 
-    @classmethod
-    def from_assignments(
-        cls, corpus: Corpus, num_traits: int, assignments, seed: int = 0
-    ) -> "ModelState":
-        """Build a state with known per-trace assignments (warm starts, oracles)."""
-        flat = [int(v) for row in assignments for v in row]
-        return cls(corpus, num_traits, flat, np.random.default_rng(seed))
-
     @property
     def token_count(self) -> int:
         return len(self.z)
@@ -176,54 +167,6 @@ class ModelState:
     @property
     def num_traces(self) -> int:
         return len(self._offsets) - 1
-
-    def flat_index(self, m: int, n: int) -> int:
-        lo, hi = int(self._offsets[m]), int(self._offsets[m + 1])
-        if not 0 <= n < hi - lo:
-            raise IndexError(f"trace {m} has {hi - lo} tokens, asked for token {n}")
-        return lo + n
-
-    def assignments(self) -> list[list[int]]:
-        bounds = self._offsets.tolist()
-        return [self.z[lo:hi].tolist() for lo, hi in zip(bounds, bounds[1:])]
-
-    def decrement(self, m: int, n: int) -> int:
-        """Remove token (m, n)'s current trait from every table; z keeps the value."""
-        j = self.flat_index(m, n)
-        k, e = int(self.z[j]), self._e_idx[j]
-        self.n_mk[m, k] -= 1
-        self.n_ke[k, e] -= 1
-        self.n_ket[k, e, self._t_idx[j]] -= 1
-        self.n_kei[k, e, self._i_idx[j]] -= 1
-        self.n_m[m] -= 1
-        self.n_k[k] -= 1
-        return k
-
-    def increment(self, m: int, n: int, k: int) -> None:
-        """Assign trait k to token (m, n) and add it back to every table."""
-        j = self.flat_index(m, n)
-        e = self._e_idx[j]
-        self.z[j] = k
-        self.n_mk[m, k] += 1
-        self.n_ke[k, e] += 1
-        self.n_ket[k, e, self._t_idx[j]] += 1
-        self.n_kei[k, e, self._i_idx[j]] += 1
-        self.n_m[m] += 1
-        self.n_k[k] += 1
-
-    def clone(self) -> "ModelState":
-        """Independent copy of assignments, counts, rng state and trace ids.
-
-        The read-only token encodings are shared with the source state.
-        """
-        dup = copy.copy(self)
-        dup.z = self.z.copy()
-        for name in _TABLES:
-            setattr(dup, name, getattr(self, name).copy())
-        dup.rng = copy.deepcopy(self.rng)
-        dup.trace_ids = list(self.trace_ids)
-        dup._bound = None  # the kernel's pointers and scratch buffers belong to the source
-        return dup
 
     def count_violations(self) -> list[str]:
         """Audit: recount the tables from z and check every sum identity."""
@@ -276,11 +219,6 @@ class FitResult:
             "posterior": self.posterior.to_dict(),
             "trace_ids": list(self.trace_ids),
         }
-
-
-def save_fit_result(result: FitResult, path) -> None:
-    """Write the result as JSON; reruns with equal inputs give equal bytes."""
-    save_json(result.to_json_dict(), path)
 
 
 def load_fit_result(path) -> FitResult:
@@ -399,21 +337,6 @@ def reference_sweep(state: ModelState, hyper: Hyperparams) -> ModelState:
         raise _degenerate_weights(failed)
     state.sweep += 1
     return state
-
-
-def conditional_weights(state: ModelState, m: int, n: int, hyper: Hyperparams) -> list[float]:
-    """Unnormalized full-conditional trait weights for token (m, n).
-
-    The token must already be decremented from every table; the weights use
-    the remaining counts only. Calling this on a non-decremented state is a
-    contract violation that ``count_violations`` can detect.
-    """
-    j = state.flat_index(m, n)
-    return _raw_weights(
-        state.n_mk[m], state.n_ke, state.n_ket, state.n_kei, state.n_k,
-        state._e_idx[j], state._t_idx[j], state._i_idx[j],
-        state.num_traits, *_weight_constants(state, hyper),
-    )
 
 
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")

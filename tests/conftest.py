@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hbtm import Corpus, Token, Trace, synthetic_schema
+from hbtm.sampler import _tally
 
 
 def random_corpus(rng, num_traces=4, tokens_range=(3, 9), num_events=5,
@@ -21,6 +22,26 @@ def random_corpus(rng, num_traces=4, tokens_range=(3, 9), num_events=5,
         )
         traces.append(Trace(f"t{m}", tokens))
     return Corpus(schema, tuple(traces))
+
+
+def leave_one_out_weights(state, j, hyper):
+    """Unnormalized full-conditional trait weights of flat token j.
+
+    The counts come from a fresh tally of every other token; the arithmetic
+    follows the sweeps' operation order, one trait per array element.
+    """
+    keep = np.arange(state.token_count) != j
+    encodings = (state._m_idx, state._e_idx, state._t_idx, state._i_idx)
+    dims = (state.num_traces, state.num_traits, state.num_events,
+            state.num_time_bins, state.num_interaction_levels)
+    n_mk, n_ke, n_ket, n_kei, _n_m, n_k = _tally(
+        np.asarray(state.z)[keep], [a[keep] for a in encodings], dims)
+    m, e, t, i = (int(a[j]) for a in encodings)
+    a, b, g, d = hyper.alpha, hyper.beta, hyper.gamma, hyper.delta
+    ne = n_ke[:, e]
+    return ((n_mk[m] + a) * (ne + b) * (n_ket[:, e, t] + g) * (n_kei[:, e, i] + d)
+            / ((n_k + state.num_events * b) * (ne + state.num_time_bins * g)
+               * (ne + state.num_interaction_levels * d)))
 
 
 @pytest.fixture

@@ -68,7 +68,7 @@ def test_criterion_1_enumeration_oracle():
     log_weights = []
     configs = list(itertools.product(range(num_traits), repeat=ntok))
     for flat in configs:
-        state = ModelState.from_assignments(corpus, num_traits, [flat[:3], flat[3:]])
+        state = ModelState(corpus, num_traits, flat, np.random.default_rng(0))
         log_weights.append(collapsed_log_joint(state, HYPER1))
     lw = np.array(log_weights)
     weights = np.exp(lw - lw.max())
@@ -159,7 +159,7 @@ def test_criterion_3_state_integrity():
         gibbs_sweep(state, hyper)
         assert state.count_violations() == []
         tracked.append(collapsed_log_joint(state, hyper))
-        rebuilt = ModelState.from_assignments(corpus, 4, state.assignments())
+        rebuilt = ModelState(corpus, 4, state.z, np.random.default_rng(0))
         assert abs(collapsed_log_joint(rebuilt, hyper) - tracked[-1]) <= 1e-6
 
     # the fit path records exactly the same trace (same seed, same scan)

@@ -1,3 +1,4 @@
+import csv
 import math
 from types import SimpleNamespace
 
@@ -10,7 +11,6 @@ from hbtm import (
     Posterior,
     export_trait,
     kmeans,
-    parse_trait_profile,
     pearson,
     run_analysis,
     trait_profile_to_csv,
@@ -254,7 +254,7 @@ def test_run_analysis_identical_grades_never_significant(rng):
     fit = fake_fit(theta)
     grades = grade_table(fit.trace_ids, SA=[3.0] * 12, SFE=[1.0] * 12, FE=[70.0] * 12)
     report = run_analysis(fit, grades)
-    assert report.significant_correlations() == []
+    assert [c for c in report.correlations if c.get("significant")] == []
     for entry in report.ttests.values():
         assert entry.get("significant") is not True
     for entry in report.correlations:
@@ -367,11 +367,16 @@ def test_trait_profile_csv_round_trip(rng):
     )
     profile = export_trait(posterior, 0, event_labels=("a", "b, with comma", "c", "d"))
     text = trait_profile_to_csv(profile, header_comment="config: {}")
-    back = parse_trait_profile(text)
-    assert back.event_labels == profile.event_labels
-    np.testing.assert_array_equal(back.event_probs, profile.event_probs)
-    np.testing.assert_array_equal(back.time_probs, profile.time_probs)
-    np.testing.assert_array_equal(back.interaction_probs, profile.interaction_probs)
+    assert text.startswith("# config: {}\n")
+    rows = list(csv.reader(text.splitlines()[1:]))
+    assert rows[0] == ["kind", "event_label", "bin_index", "probability"]
+    by_kind = {kind: [row for row in rows[1:] if row[0] == kind]
+               for kind in ("event", "time", "interaction")}
+    assert len(rows) == 1 + sum(map(len, by_kind.values()))
+    assert tuple(row[1] for row in by_kind["event"]) == profile.event_labels
+    for kind, table in (("event", profile.event_probs), ("time", profile.time_probs),
+                        ("interaction", profile.interaction_probs)):
+        assert [float(row[3]) for row in by_kind[kind]] == table.ravel().tolist()
 
 
 def test_trait_profile_csv_is_one_based():

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 
 import pytest
 
@@ -225,6 +226,21 @@ def test_ingest_rerun_byte_identical(tmp_path):
     assert [(out_dir / n).read_bytes() for n in names] == first
 
 
+def test_a_reingest_removes_the_session_files_of_the_earlier_ingest(tmp_path):
+    raw, cmap, out_dir = tmp_path / "raw.csv", tmp_path / "cols.json", tmp_path / "out"
+    write_column_map(cmap)
+    argv = ["ingest", "--raw", raw, "--column-map", cmap, "--out-dir", out_dir]
+    write_raw_csv(raw, ["1,s1,Deeds,0,30,1,1,5", "2,s1,Deeds,0,30,1,1,5"])
+    assert run(argv) == 0
+    assert (out_dir / "session_2.jsonl").exists()
+    (out_dir / "notes.txt").write_text("not an ingest output\n")
+    write_raw_csv(raw, ["1,s1,Deeds,0,30,1,1,5"])
+    assert run(argv) == 0
+    assert json.loads((out_dir / "summary.json").read_text())["sessions"] == {"1": 1}
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "notes.txt", "rejects.csv", "schema.json", "session_1.jsonl", "summary.json"]
+
+
 def fit_small_model(tmp_path, generated, out_name="model.json"):
     out = tmp_path / out_name
     assert run([
@@ -338,6 +354,15 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert "bogus_key" in json.loads(capsys.readouterr().err.strip())["detail"]
 
 
+@pytest.mark.parametrize("text", ["[]", '["traits"]', "3"])
+def test_config_file_that_is_not_an_object_is_json_error(tmp_path, capsys, text):
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(text)
+    assert run(["generate", "--config", cfg]) == 1
+    assert json.loads(capsys.readouterr().err.strip()) == {
+        "error": "TypeError", "detail": f"config file {cfg} must hold a JSON object"}
+
+
 def test_config_value_of_wrong_type_is_json_error(tmp_path, generated, capsys):
     cfg = tmp_path / "fit.json"
     cfg.write_text(json.dumps({
@@ -349,6 +374,51 @@ def test_config_value_of_wrong_type_is_json_error(tmp_path, generated, capsys):
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "TypeError"
+
+
+@pytest.mark.parametrize("command, bad, key", [
+    ("generate", {"tokens_per_trace": 4.0}, "tokens_per_trace"),
+    ("fit", {"traits": 2.7, "seed": True, "sweeps": 4.9}, "traits"),
+    ("analyze", {"threshold": True}, "threshold"),
+    ("export-trait", {"trait": "1"}, "trait"),
+    ("ingest", {"raw": 7}, "raw"),
+])
+def test_config_file_value_of_the_wrong_type_is_refused(tmp_path, generated, capsys,
+                                                        command, bad, key):
+    model = fit_small_model(tmp_path, generated)
+    grades, raw, cmap = tmp_path / "grades.csv", tmp_path / "raw.csv", tmp_path / "cols.json"
+    grades.write_text("trace_id,SA,SFE,FE\n"
+                      + "".join(f"trace_{m:04d},{m % 5},{m / 2},{50 + m}\n" for m in range(6)))
+    write_raw_csv(raw, ["1,s1,Deeds,0,30,1,1,5"])
+    write_column_map(cmap)
+    out = tmp_path / "out"
+    valid = {
+        "generate": {"traits": 2, "traces": 3, "tokens_per_trace": 4,
+                     "out_prefix": str(out / "syn")},
+        "fit": {"corpus": str(generated.with_suffix(".jsonl")),
+                "schema": str(generated) + ".schema.json", "traits": 2, "sweeps": 4,
+                "burn_in": 2, "stride": 1, "alpha": 1, "out": str(out / "m.json")},
+        "analyze": {"model": str(model), "grades": str(grades), "threshold": 0.1,
+                    "out": str(out / "report.json")},
+        "export-trait": {"model": str(model), "trait": 1, "out": str(out / "trait.csv")},
+        "ingest": {"raw": str(raw), "column_map": str(cmap), "min_duration": 1,
+                   "out_dir": str(out)},
+    }[command]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(valid))
+    out.mkdir()
+    assert run([command, "--config", cfg]) == 0
+    shutil.rmtree(out)
+    capsys.readouterr()
+
+    cfg.write_text(json.dumps({**valid, **bad}))
+    assert run([command, "--config", cfg]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "TypeError"
+    assert err["detail"].startswith(f"config key {key} must be ")
+    assert not out.exists()
 
 
 def test_fit_with_underflowing_hyperparameters_is_json_error(tmp_path, capsys):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from hbtm import (
     ActivityMapping,
     Corpus,
-    FitConfig,
     Hyperparams,
     ModelState,
     Posterior,
@@ -21,13 +20,11 @@ from hbtm import (
     Token,
     Trace,
     estimate_posterior,
-    fit,
     from_one_based,
     greedy_match_traits,
     load_corpus,
     load_schema,
     save_corpus,
-    save_fit_result,
     save_schema,
     synthetic_schema,
     to_one_based,
@@ -180,7 +177,7 @@ def test_posterior_rows_sum_to_one(rng):
 def test_posterior_is_pure_function_of_counts(rng):
     corpus = random_corpus(rng)
     a = ModelState.random_init(corpus, 3, seed=5)
-    b = a.clone()
+    b = ModelState.random_init(corpus, 3, seed=5)
     b.rng = np.random.default_rng(999)  # rng state must not matter
     pa = estimate_posterior(a, Hyperparams())
     pb = estimate_posterior(b, Hyperparams())
@@ -488,12 +485,6 @@ def test_validate_corpus_matches_the_per_token_loop(corpus):
 # --- atomic output files -----------------------------------------------------
 
 
-def _fit_result_writer():
-    corpus = Corpus(Schema.default(), (Trace("a", (Token(0, 0, 0), Token(1, 2, 3))),))
-    result = fit(corpus, FitConfig(num_traits=2, sweeps=2, burn_in=0, sample_stride=1))
-    return lambda path: save_fit_result(result, path)
-
-
 # each entry builds its payload, then returns the call that writes it to a path
 OUTPUT_WRITERS = {
     "write_atomic": lambda: lambda path: write_atomic(path, "new text\n"),
@@ -501,7 +492,6 @@ OUTPUT_WRITERS = {
     "save_schema": lambda: lambda path: save_schema(Schema.default(), path),
     "save_corpus": lambda: lambda path: save_corpus(
         Corpus(Schema.default(), (Trace("a", (Token(0, 0, 0),)),)), path),
-    "save_fit_result": _fit_result_writer,
     "ActivityMapping.save": lambda: ActivityMapping.default().save,
     "write_rejects_csv": lambda: lambda path: write_rejects_csv(
         [RejectedRow(3, "short row")], path),

@@ -19,7 +19,6 @@ from hbtm import (
     Token,
     Trace,
     collapsed_log_joint,
-    conditional_weights,
     estimate_posterior,
     fit,
     generate,
@@ -29,31 +28,31 @@ from hbtm import (
     load_fit_result,
     reference_sweep,
     sample_params,
-    save_fit_result,
+    save_corpus,
+    save_schema,
     synthetic_schema,
     total_variation,
 )
 from hbtm import sampler
+from hbtm.cli import main
+from hbtm.core import save_json
 from hbtm.sampler import _TABLES, _dm_log_marginal
 
-from conftest import random_corpus
+from conftest import leave_one_out_weights, random_corpus
 
 HYPER1 = Hyperparams(1.0, 1.0, 1.0, 1.0)
 
 
+def state_of(corpus, num_traits, flat_z):
+    """A state with known assignments, in trace order, then token order."""
+    return ModelState(corpus, num_traits, flat_z, np.random.default_rng(0))
+
+
 def enumerate_exact_posterior(corpus, num_traits, hyper):
     """Brute-force assignment posterior over all num_traits**N configurations."""
-    lengths = [len(t) for t in corpus.traces]
-    total = sum(lengths)
-    configs = list(itertools.product(range(num_traits), repeat=total))
-    log_weights = []
-    for flat in configs:
-        rows, at = [], 0
-        for n in lengths:
-            rows.append(flat[at : at + n])
-            at += n
-        state = ModelState.from_assignments(corpus, num_traits, rows)
-        log_weights.append(collapsed_log_joint(state, hyper))
+    configs = list(itertools.product(range(num_traits), repeat=corpus.num_tokens))
+    log_weights = [collapsed_log_joint(state_of(corpus, num_traits, flat), hyper)
+                   for flat in configs]
     lw = np.array(log_weights)
     w = np.exp(lw - lw.max())
     return configs, w / w.sum()
@@ -121,9 +120,7 @@ def test_conditional_weights_hand_example():
             Trace("t1", (Token(1, 0, 0),)),
         ),
     )
-    state = ModelState.from_assignments(corpus, 2, [[0, 0], [0]])
-    state.decrement(0, 1)
-    weights = conditional_weights(state, 0, 1, HYPER1)
+    weights = leave_one_out_weights(state_of(corpus, 2, [0, 0, 0]), 1, HYPER1).tolist()
     assert weights == [1.0, 0.5]
     total = sum(weights)
     assert [w / total for w in weights] == pytest.approx([2 / 3, 1 / 3], abs=1e-15)
@@ -131,17 +128,14 @@ def test_conditional_weights_hand_example():
 
 def test_conditional_weights_uniform_on_empty_tables():
     corpus = Corpus(synthetic_schema(3, 2, 2), (Trace("a", (Token(1, 0, 1),)),))
-    state = ModelState.from_assignments(corpus, 4, [[2]])
-    state.decrement(0, 0)
-    weights = conditional_weights(state, 0, 0, Hyperparams(0.7, 0.3, 0.9, 0.4))
+    weights = leave_one_out_weights(state_of(corpus, 4, [2]), 0, Hyperparams(0.7, 0.3, 0.9, 0.4))
     assert max(weights) == pytest.approx(min(weights), rel=1e-15)
 
 
 def test_conditional_weights_single_trait(rng):
     corpus = random_corpus(rng)
     state = ModelState.random_init(corpus, 1, seed=0)
-    state.decrement(0, 0)
-    assert len(conditional_weights(state, 0, 0, HYPER1)) == 1
+    assert len(leave_one_out_weights(state, 0, HYPER1)) == 1
 
 
 def test_conditional_weights_match_enumerated_conditionals(rng):
@@ -150,25 +144,19 @@ def test_conditional_weights_match_enumerated_conditionals(rng):
     corpus = random_corpus(rng, num_traces=2, tokens_range=(2, 4))
     num_traits = 3
     hyper = Hyperparams(0.8, 0.25, 0.5, 1.3)
-    lengths = [len(t) for t in corpus.traces]
     for trial in range(10):
         z = [int(v) for v in rng.integers(0, num_traits, corpus.num_tokens)]
         j = int(rng.integers(corpus.num_tokens))
-        m = 0 if j < lengths[0] else 1
-        n = j if m == 0 else j - lengths[0]
 
         log_joint = []
         for k in range(num_traits):
             zz = list(z)
             zz[j] = k
-            rows = [zz[: lengths[0]], zz[lengths[0] :]]
-            log_joint.append(collapsed_log_joint(ModelState.from_assignments(corpus, num_traits, rows), hyper))
+            log_joint.append(collapsed_log_joint(state_of(corpus, num_traits, zz), hyper))
         ref = np.exp(np.array(log_joint) - max(log_joint))
         ref /= ref.sum()
 
-        state = ModelState.from_assignments(corpus, num_traits, [z[: lengths[0]], z[lengths[0] :]])
-        state.decrement(m, n)
-        weights = np.array(conditional_weights(state, m, n, hyper))
+        weights = leave_one_out_weights(state_of(corpus, num_traits, z), j, hyper)
         weights /= weights.sum()
         np.testing.assert_allclose(weights, ref, atol=1e-12)
 
@@ -189,7 +177,7 @@ def test_sweep_single_trait_only_advances_counter(rng):
 def test_sweep_deterministic_from_cloned_state(rng):
     corpus = random_corpus(rng)
     state = ModelState.random_init(corpus, 3, seed=9)
-    twin = state.clone()
+    twin = ModelState.random_init(corpus, 3, seed=9)
     for _ in range(3):
         gibbs_sweep(state, HYPER1)
         gibbs_sweep(twin, HYPER1)
@@ -207,26 +195,20 @@ def test_sweep_preserves_count_invariants(rng):
 
 
 def test_sweep_equals_manual_replay(rng):
-    # the sweep must be exactly decrement / conditional_weights / cumulative
-    # pick / increment per token, consuming one uniform per token
+    # the sweep must be exactly: per token in flat order, the full conditional
+    # from the other tokens' counts, then a cumulative pick with one uniform
     corpus = random_corpus(rng)
     hyper = Hyperparams(0.9, 0.2, 0.4, 0.7)
     state = ModelState.random_init(corpus, 3, seed=31)
-    replay = state.clone()
+    replay = ModelState.random_init(corpus, 3, seed=31)
 
     gibbs_sweep(state, hyper)
 
     uniforms = replay.rng.random(replay.token_count).tolist()
-    j = 0
-    for m, trace in enumerate(corpus.traces):
-        for n in range(len(trace.tokens)):
-            replay.decrement(m, n)
-            weights = conditional_weights(replay, m, n, hyper)
-            cum = list(accumulate(weights))
-            k = bisect_right(cum, uniforms[j] * cum[-1])
-            k = min(k, replay.num_traits - 1)
-            replay.increment(m, n, k)
-            j += 1
+    for j in range(replay.token_count):
+        cum = list(accumulate(leave_one_out_weights(replay, j, hyper).tolist()))
+        k = bisect_right(cum, uniforms[j] * cum[-1])
+        replay.z[j] = min(k, replay.num_traits - 1)
     assert np.array_equal(replay.z, state.z)
 
 
@@ -264,7 +246,7 @@ def sweep_cases(draw):
 def test_compiled_sweep_matches_reference_sweep(case):
     corpus, num_traits, hyper, seed = case
     state = ModelState.random_init(corpus, num_traits, seed)
-    twin = state.clone()
+    twin = ModelState.random_init(corpus, num_traits, seed)
     compiled = _sweep_outcome(gibbs_sweep, state, hyper)
     reference = _sweep_outcome(reference_sweep, twin, hyper)
     assert compiled == reference
@@ -307,7 +289,7 @@ def test_underflowing_weights_raise_the_same_error_on_both_paths(rng):
     tiny = Hyperparams(1e-120, 1e-120, 1e-120, 1e-120)
     # more traits than tokens: an empty trait's denominator underflows to 0
     state = ModelState.random_init(corpus, corpus.num_tokens + 1, seed=0)
-    twin = state.clone()
+    twin = ModelState.random_init(corpus, corpus.num_tokens + 1, seed=0)
     with pytest.raises(ValueError, match="flat token 0 .* hyperparameters are too small") as fast:
         gibbs_sweep(state, tiny)
     with pytest.raises(ValueError) as slow:
@@ -332,11 +314,18 @@ def test_sweep_rejects_corrupted_state_before_the_kernel_writes(rng):
 
 def test_fit_without_kernel_matches_kernel_fit_byte_for_byte(tmp_path, rng, monkeypatch):
     corpus = random_corpus(rng, num_traces=6)
-    cfg = FitConfig(num_traits=3, sweeps=30, burn_in=10, sample_stride=5, seed=3, audit_every=1)
-    save_fit_result(fit(corpus, cfg), tmp_path / "kernel.json")
+    save_schema(corpus.schema, tmp_path / "schema.json")
+    save_corpus(corpus, tmp_path / "corpus.jsonl")
+    model = tmp_path / "model.json"
+    argv = ["fit", "--corpus", str(tmp_path / "corpus.jsonl"), "--traits", "3",
+            "--sweeps", "30", "--burn-in", "10", "--stride", "5", "--seed", "3",
+            "--audit-every", "1", "--out", str(model)]
+    assert main(argv) == 0
+    with_kernel = model.read_bytes()
     monkeypatch.setattr(sampler, "_kernel", None)
-    save_fit_result(fit(corpus, cfg), tmp_path / "python.json")
-    assert (tmp_path / "kernel.json").read_bytes() == (tmp_path / "python.json").read_bytes()
+    model.unlink()
+    assert main(argv) == 0
+    assert model.read_bytes() == with_kernel
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
@@ -379,7 +368,7 @@ def test_compiled_kernel_loads_when_a_compiler_exists():
 
 def test_collapsed_log_joint_single_token():
     corpus = Corpus(synthetic_schema(15, 7, 5), (Trace("a", (Token(0, 0, 0),)),))
-    state = ModelState.from_assignments(corpus, 1, [[0]])
+    state = state_of(corpus, 1, [0])
     assert collapsed_log_joint(state, HYPER1) == pytest.approx(-math.log(525), abs=1e-12)
 
 
@@ -406,21 +395,10 @@ def test_collapsed_log_joint_invariant_under_relabeling(rng):
     num_traits = 3
     hyper = Hyperparams(1.2, 0.4, 0.6, 0.9)
     z = [int(v) for v in rng.integers(0, num_traits, corpus.num_tokens)]
-    lengths = [len(t) for t in corpus.traces]
-
-    def rows_of(flat):
-        out, at = [], 0
-        for n in lengths:
-            out.append(flat[at : at + n])
-            at += n
-        return out
-
-    base = collapsed_log_joint(ModelState.from_assignments(corpus, num_traits, rows_of(z)), hyper)
+    base = collapsed_log_joint(state_of(corpus, num_traits, z), hyper)
     perm = [2, 0, 1]
     relabeled = [perm[v] for v in z]
-    swapped = collapsed_log_joint(
-        ModelState.from_assignments(corpus, num_traits, rows_of(relabeled)), hyper
-    )
+    swapped = collapsed_log_joint(state_of(corpus, num_traits, relabeled), hyper)
     assert swapped == pytest.approx(base, abs=1e-9)
 
 
@@ -461,7 +439,7 @@ def test_fit_bookkeeping_matches_recount(rng):
     cfg = FitConfig(num_traits=3, sweeps=40, burn_in=20, sample_stride=4, seed=2)
     result = fit(corpus, cfg)
     state = result.final_state
-    rebuilt = ModelState.from_assignments(corpus, 3, state.assignments())
+    rebuilt = state_of(corpus, 3, state.z)
     assert np.array_equal(rebuilt.n_mk, state.n_mk)
     assert np.array_equal(rebuilt.n_ke, state.n_ke)
     assert np.array_equal(rebuilt.n_ket, state.n_ket)
@@ -474,7 +452,7 @@ def test_fit_result_round_trip(tmp_path, rng):
     cfg = FitConfig(num_traits=2, sweeps=10, burn_in=5, sample_stride=1, seed=0)
     result = fit(corpus, cfg)
     path = tmp_path / "fit.json"
-    save_fit_result(result, path)
+    save_json(result.to_json_dict(), path)
     back = load_fit_result(path)
     assert back.trace_ids == result.trace_ids
     assert back.log_joint_trace == result.log_joint_trace
