@@ -275,17 +275,22 @@ def run_analysis(fit, grades: GradeTable, threshold: float = 0.05, seed: int = 0
     km = kmeans(theta, 2, seed=seed)
     order = _canonical_cluster_order(km.labels, km.centroids, 2)
     relabel = {old: new for new, old in enumerate(order)}
-    labels = [relabel[int(v)] for v in km.labels]
+    labels = [relabel[v] for v in km.labels.tolist()]
     cluster_labels = dict(zip(trace_ids, labels))
     cluster_sizes = [labels.count(0), labels.count(1)]
+
+    # each grade's scored traces in trace order, as (position, score) pairs
+    scored = {
+        grade_type: [(m, value) for m, tid in enumerate(trace_ids)
+                     if (value := grades.get(tid, grade_type)) is not None]
+        for grade_type in GRADE_TYPES
+    }
 
     ttests: dict[str, dict] = {}
     for grade_type in GRADE_TYPES:
         groups: tuple[list[float], list[float]] = ([], [])
-        for tid, lab in zip(trace_ids, labels):
-            value = grades.get(tid, grade_type)
-            if value is not None:
-                groups[lab].append(value)
+        for m, value in scored[grade_type]:
+            groups[labels[m]].append(value)
         sizes = [len(groups[0]), len(groups[1])]
         if min(sizes) < 2:
             ttests[grade_type] = {
@@ -309,16 +314,16 @@ def run_analysis(fit, grades: GradeTable, threshold: float = 0.05, seed: int = 0
         }
 
     correlations: list[dict] = []
-    num_traits = theta.shape[1]
-    index_of = {tid: m for m, tid in enumerate(trace_ids)}
-    for k in range(num_traits):
+    index_of = {tid: m for m, tid in enumerate(trace_ids)}  # a repeated id reads its last row
+    rows = {grade_type: np.array([index_of[trace_ids[m]] for m, _ in pairs], dtype=np.intp)
+            for grade_type, pairs in scored.items()}
+    scores = {grade_type: [value for _, value in pairs] for grade_type, pairs in scored.items()}
+    for k in range(theta.shape[1]):
         for grade_type in GRADE_TYPES:
-            xs, ys = [], []
-            for tid in trace_ids:
-                value = grades.get(tid, grade_type)
-                if value is not None:
-                    xs.append(float(theta[index_of[tid], k]))
-                    ys.append(value)
+            # one scored column at a time: all of theta as Python floats would
+            # add about 3 MB to the peak memory of a 4000-trace analysis
+            xs = theta[rows[grade_type], k].tolist()
+            ys = scores[grade_type]
             entry = {"trait": to_one_based(k), "grade": grade_type, "n": len(xs)}
             if len(xs) < 3:
                 entry["skipped"] = "fewer than 3 scored traces"

@@ -136,7 +136,7 @@ class Token(NamedTuple):
     interaction_level: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trace:
     """One student's token sequence within one session."""
 
@@ -144,7 +144,8 @@ class Trace:
     tokens: tuple[Token, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
+        if type(self.tokens) is not tuple:
+            object.__setattr__(self, "tokens", tuple(self.tokens))
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -372,29 +373,110 @@ def greedy_match_traits(phi_fit: np.ndarray, phi_true: np.ndarray) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def write_atomic(path, text: str) -> None:
+def write_atomic(path, text: str | list[str]) -> None:
     """Replace ``path`` with ``text`` so readers see the old file or all of the new one.
 
-    The text goes to a fresh temp file in the target's directory, which then
-    takes the target's name in one ``os.replace``; on any failure the temp
-    file is removed and the old file keeps its bytes. There is no fsync: the
-    rename protects against a failing or interrupted writer, not a host crash.
+    ``text`` is a str, or a list of str pieces written in turn. It goes to a
+    fresh temp file in the target's directory, which then takes the target's
+    name in one ``os.replace``; on any failure the temp file is removed and
+    the old file keeps its bytes. There is no fsync: the rename protects
+    against a failing or interrupted writer, not a host crash.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     fh = open(tmp, "x")  # "x": a fresh name, created with the umask's usual mode
     try:
         with fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
+_INDENT = "  "
+_MAX_DEPTH = 64  # deeper or self-containing values are left to json.dumps, which reports them
+
+
+def _number_lists_chunks(value: list, level: int) -> list[str] | None:
+    """``value`` as ``json.dumps(indent=2)`` lays it out ``level`` deep, in pieces; or None.
+
+    Handles lists whose leaves are all finite ints and floats at one depth,
+    with no empty inner list. Each innermost list is written from its C-level
+    ``repr``, which spells every number as json does (``int.__repr__``,
+    ``float.__repr__``), so only its ``, `` separators need line breaks. The
+    types are checked one nesting level at a time, at C speed.
+    """
+    if not value:
+        return ["[]"]
+    items, depth = value, 1
+    while (kinds := set(map(type, items))) == {list} and depth < _MAX_DEPTH:
+        if not all(items):  # an empty inner list
+            return None
+        items, depth = list(chain.from_iterable(items)), depth + 1
+    if not kinds or not kinds <= {float, int}:
+        return None
+    chunks: list[str] = []
+    _lay_out(value, level, depth, chunks)
+    # json writes nan and inf as NaN and Infinity
+    return None if any("n" in chunk for chunk in chunks) else chunks
+
+
+def _lay_out(value: list, level: int, depth: int, chunks: list[str]) -> None:
+    """Append the pieces of a checked number list nested ``depth`` lists deep."""
+    inner = "\n" + _INDENT * (level + 1)
+    close = "\n" + _INDENT * level + "]"
+    if depth == 1:
+        chunks.append("[" + inner + repr(value)[1:-1].replace(", ", "," + inner) + close)
+        return
+    for n, item in enumerate(value):
+        chunks.append(("," if n else "[") + inner)
+        _lay_out(item, level + 1, depth - 1, chunks)
+    chunks.append(close)
+
+
+def _json_text(value, level: int) -> str:
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + _INDENT * level)
+
+
+def _fast_json_chunks(value, level: int) -> list[str] | None:
+    """``value`` as ``json.dumps(sort_keys=True, indent=2)`` writes it ``level`` deep.
+
+    Number lists take ``_number_lists_chunks``; a dict with str keys is laid
+    out here when one of its values takes that path, its other values by
+    ``json.dumps``. None for every other value: json.dumps then writes all of
+    it in one call.
+    """
+    if type(value) is list:
+        return _number_lists_chunks(value, level)
+    if type(value) is not dict or level >= _MAX_DEPTH or any(type(k) is not str for k in value):
+        return None
+    fast = {key: chunks for key, item in value.items()
+            if type(item) in (list, dict) and (chunks := _fast_json_chunks(item, level + 1)) is not None}
+    if not fast:
+        return None
+    inner = "\n" + _INDENT * (level + 1)
+    out: list[str] = []
+    for key, item in sorted(value.items()):
+        out.append(("," if out else "{") + inner + json.dumps(key) + ": ")
+        out.extend(fast[key] if key in fast else [_json_text(item, level + 1)])
+    out.append("\n" + _INDENT * level + "}")
+    return out
+
+
 def save_json(payload, path) -> None:
-    """Write ``payload`` atomically as sorted, indented JSON with a final newline."""
-    write_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """Write ``payload`` atomically as sorted, indented JSON with a final newline.
+
+    The bytes are always ``json.dumps(payload, sort_keys=True, indent=2)``
+    plus a newline. json's pure-Python indenting encoder costs about twice
+    what the numbers' ``repr`` does, so lists of finite numbers (a model's
+    posterior, its log-joint trace) are laid out from their ``repr`` instead,
+    and the pieces are written in turn rather than joined into one string.
+    """
+    chunks = _fast_json_chunks(payload, 0)
+    if chunks is None:
+        chunks = [json.dumps(payload, sort_keys=True, indent=2)]
+    write_atomic(path, chunks + ["\n"])
 
 
 def save_schema(schema: Schema, path) -> None:

@@ -454,6 +454,20 @@ def gibbs_sweep(state: ModelState, hyper: Hyperparams) -> ModelState:
     return state
 
 
+def _gammaln_shifted(counts: np.ndarray, shift: float) -> np.ndarray:
+    """``gammaln(counts + shift)`` element by element, in the shape of ``counts``.
+
+    Integer counts index a table ``gammaln(arange(max + 1) + shift)`` when it
+    is smaller than the array: its entries are the same floats, so the result
+    is equal element for element.
+    """
+    if counts.dtype.kind in "iu" and counts.size > 1:
+        top = int(counts.max())
+        if top + 1 < counts.size and counts.min() >= 0:
+            return gammaln(np.arange(top + 1) + shift)[counts]
+    return gammaln(counts + shift)
+
+
 def _dm_log_marginal(counts, concentration: float) -> float:
     """Sum over rows of the log Dirichlet-multinomial marginal.
 
@@ -461,13 +475,15 @@ def _dm_log_marginal(counts, concentration: float) -> float:
     for the symmetric prior, written in log-gamma form. Zero-count rows
     contribute exactly 0.
     """
-    arr = np.asarray(counts, dtype=float)
+    arr = np.asarray(counts)
+    if arr.dtype.kind not in "iu":
+        arr = arr.astype(float)
     rows = arr.reshape(-1, arr.shape[-1])
     dim = rows.shape[1]
     row_totals = rows.sum(axis=1)
     value = rows.shape[0] * (gammaln(dim * concentration) - dim * gammaln(concentration))
-    value += gammaln(rows + concentration).sum()
-    value -= gammaln(row_totals + dim * concentration).sum()
+    value += _gammaln_shifted(rows, concentration).sum()
+    value -= _gammaln_shifted(row_totals, dim * concentration).sum()
     return float(value)
 
 

@@ -316,6 +316,29 @@ def test_run_analysis_missing_grade_type_skipped(rng):
     assert all("skipped" in c for c in sa_corrs)
 
 
+def test_run_analysis_tests_each_grade_over_its_scored_traces(rng):
+    theta = rng.dirichlet([1.0, 1.0, 1.0], size=30)
+    fit = fake_fit(theta)
+    sa = [None if m % 4 == 0 else float(v) for m, v in enumerate(rng.uniform(0, 5, 30))]
+    fe = [None if m % 3 == 1 else float(v) for m, v in enumerate(rng.uniform(0, 100, 30))]
+    grades = grade_table(fit.trace_ids[:-2], SA=sa[:-2], FE=fe[:-2])  # two traces ungraded
+    report = run_analysis(fit, grades)
+    columns = {"SA": sa[:-2], "SFE": [None] * 28, "FE": fe[:-2]}
+    for entry in report.correlations:
+        column = columns[entry["grade"]]
+        pairs = [(float(theta[m, entry["trait"] - 1]), v) for m, v in enumerate(column) if v is not None]
+        assert entry["n"] == len(pairs)
+        if "r" in entry:
+            assert (entry["r"], entry["p"]) == tuple(pearson(*zip(*pairs)))[:2]
+    for grade_type in ("SA", "FE"):
+        groups = ([], [])
+        for tid, v in zip(fit.trace_ids, columns[grade_type]):
+            if v is not None:
+                groups[report.cluster_labels[tid]].append(v)
+        assert report.ttests[grade_type]["group_sizes"] == [len(groups[0]), len(groups[1])]
+        assert report.ttests[grade_type]["t"] == welch_t_test(*groups).t
+
+
 # --- trait profiles --------------------------------------------------------
 
 

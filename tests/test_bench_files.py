@@ -1,0 +1,47 @@
+"""Every BENCH_*.json at the repository root records a perf claim the same way.
+
+A BENCH file holds the alternating parent/change pairs of ``perfbench/run.py``
+behind one change: the claim with its win count, the quartiles of both sides
+for every end-to-end metric that ``BENCHMARK.json`` declares on every
+workload, the machine, and the projected paper-grid time.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+END_TO_END = [m["name"] for m in BENCHMARK["end_to_end"]]
+BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
+
+
+def test_the_repository_keeps_bench_files():
+    assert BENCH_FILES
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_bench_file_carries_claim_quartiles_machine_and_grid(path):
+    bench = json.loads(path.read_text())
+
+    claim = bench["claim"]
+    assert claim["workload"] in WORKLOADS
+    assert claim["metric"] in END_TO_END
+    assert isinstance(claim["pairs"], int) and claim["pairs"] >= 1
+    assert isinstance(claim["change_wins"], int) and 0 <= claim["change_wins"] <= claim["pairs"]
+    assert isinstance(claim["met"], bool)
+
+    for workload in WORKLOADS:
+        metrics = bench["workloads"][workload]["metrics"]
+        for metric in END_TO_END:
+            for side in ("parent", "change"):
+                stats = metrics[metric][side]
+                q1, median, q3 = (stats[key] for key in ("q1", "median", "q3"))
+                assert all(isinstance(v, (int, float)) and math.isfinite(v) for v in (q1, median, q3))
+                assert q1 <= median <= q3, (workload, metric, side)
+
+    assert isinstance(bench["machine"], dict) and bench["machine"]
+    assert isinstance(bench["projected_paper_grid"], dict) and bench["projected_paper_grid"]

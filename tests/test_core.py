@@ -31,7 +31,7 @@ from hbtm import (
     total_variation,
     validate_corpus,
 )
-from hbtm.core import save_json, write_atomic
+from hbtm.core import _number_lists_chunks, save_json, write_atomic
 from hbtm.ingest import write_rejects_csv
 
 from conftest import random_corpus
@@ -480,6 +480,104 @@ def loose_corpora(draw):
 @given(loose_corpora())
 def test_validate_corpus_matches_the_per_token_loop(corpus):
     assert validate_corpus(corpus) == _validate_by_token(corpus)
+
+
+def test_trace_is_frozen_and_stores_its_tokens_as_a_tuple():
+    listed = Trace("a", [Token(0, 1, 2), Token(3, 4, 0)])
+    assert type(listed.tokens) is tuple
+    assert listed.tokens == (Token(0, 1, 2), Token(3, 4, 0))
+    tokens = (Token(0, 0, 0),)
+    assert Trace("b", tokens).tokens is tokens  # a tuple is kept as it is
+    with pytest.raises(AttributeError):
+        listed.tokens = ()
+    with pytest.raises(AttributeError):
+        listed.trace_id = "b"
+
+
+# --- JSON output ---------------------------------------------------------------
+
+
+_ODD_FLOATS = [-0.0, 0.0, 5e-324, 1e-300, 1e-05, 0.1, 1e16, 1e22, 2.0, -3.0]
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_ODD_FLOATS)
+json_floats = finite_floats | st.sampled_from([float("nan"), float("inf"), float("-inf")])
+odd_leaves = st.one_of(
+    st.integers(-(10**20), 10**20), st.booleans(), st.none(),
+    json_floats.map(np.float64), st.text(max_size=3),
+)
+
+
+@st.composite
+def float_lists(draw):
+    """Ragged nested lists of depth 1-5: finite floats, or now and then any leaf or an empty list."""
+    depth = draw(st.integers(1, 5))
+    leaves = draw(st.sampled_from([finite_floats, finite_floats | st.integers(),
+                                   json_floats | odd_leaves]))
+    min_size = draw(st.sampled_from([1, 1, 0]))
+    lists = st.lists(leaves, min_size=min_size, max_size=5)
+    for _ in range(depth - 1):
+        lists = st.lists(lists, min_size=min_size, max_size=3)
+    return draw(lists)
+
+
+mixed_lists = st.recursive(json_floats | odd_leaves, lambda inner: st.lists(inner, max_size=3),
+                           max_leaves=10)
+json_keys = st.text(max_size=4) | st.sampled_from(["", "\"", "\\", "\n", "\u00e9t\u00e9", "\U0001f600", "\x00"])
+json_payloads = st.recursive(
+    st.one_of(float_lists(), float_lists(), float_lists(), mixed_lists, odd_leaves),
+    lambda inner: st.dictionaries(json_keys, inner, max_size=4)
+    | st.dictionaries(st.integers(-3, 3) | st.floats(allow_nan=False) | st.booleans(), inner,
+                      max_size=2)
+    | st.lists(inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(float_lists() | json_payloads)
+@example({"posterior": {"theta": [[0.25, 0.75], [1.0, 0.0]], "psi": [[[0.5, 0.5]], [[1.0, 0.0]]]},
+          "trace_ids": ["a", "b"], "log_joint_trace": [-12.5, -11.0], "config": {"seed": 1}})
+@example([[], [1.0], [[2.0]]])
+@example({"\u00e9": [-0.0, 5e-324, 1e-05, 1e16, 3.0, float("nan"), float("inf")], "x": [[[]]]})
+@example({"a": [1.0, 2, True, np.float64(0.5)], "b": [[1.0], []], 3: [1.0]})
+def test_save_json_writes_what_json_dumps_writes(tmp_path_factory, payload):
+    path = tmp_path_factory.mktemp("json") / "out.json"
+    try:
+        expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    except (TypeError, ValueError) as exc:  # mixed key types cannot be sorted
+        with pytest.raises(type(exc)):
+            save_json(payload, path)
+        return
+    save_json(payload, path)
+    assert path.read_text() == expected
+
+
+@pytest.mark.parametrize("value", [
+    [0.5, -0.0, 5e-324, 1e16, 3],
+    [[0.25, 0.75], [1e-05]],
+    [[[1.0, 0.0], [0.5, 0.5]], [[1.0]]],
+    [],
+])
+def test_number_lists_are_laid_out_from_their_repr(value):
+    text = "".join(_number_lists_chunks(value, 1))
+    assert text == json.dumps(value, indent=2).replace("\n", "\n  ")
+
+
+@pytest.mark.parametrize("value", [
+    [1.0, float("nan")], [float("inf")], [1.0, True], [np.float64(1.0)], [1.0, None],
+    [[1.0], []], [[]], [1.0, [2.0]], [(1.0, 2.0)], ["1.0"],
+])
+def test_other_lists_are_left_to_json_dumps(value):
+    assert _number_lists_chunks(value, 0) is None
+
+
+def test_a_self_containing_payload_is_reported_as_json_dumps_does(tmp_path):
+    loop = [1.0]
+    loop.append(loop)
+    cycle = {"a": [0.5]}
+    cycle["b"] = cycle
+    for payload in (loop, cycle, [[loop]]):
+        with pytest.raises(ValueError, match="Circular reference"):
+            save_json(payload, tmp_path / "out.json")
 
 
 # --- atomic output files -----------------------------------------------------

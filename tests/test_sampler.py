@@ -390,6 +390,71 @@ def test_dm_marginal_matches_log_beta_identity(rng):
     assert _dm_log_marginal(counts, conc) == pytest.approx(float(expected), rel=1e-12)
 
 
+def direct_dm_log_marginal(counts, concentration):
+    """Oracle: the Dirichlet-multinomial term with every log-gamma evaluated directly."""
+    rows = np.asarray(counts, dtype=float)
+    rows = rows.reshape(-1, rows.shape[-1])
+    dim = rows.shape[1]
+    value = rows.shape[0] * (gammaln(dim * concentration) - dim * gammaln(concentration))
+    value += gammaln(rows + concentration).sum()
+    value -= gammaln(rows.sum(axis=1) + dim * concentration).sum()
+    return float(value)
+
+
+concentrations = st.floats(1e-3, 1e3) | st.sampled_from([1e-3, 0.1, 1.0, 1e3])
+
+
+@st.composite
+def log_joint_cases(draw):
+    """A state with K = 1-5, empty traces, and one token that may fill a trace
+    (so a count can reach the token count), with four concentrations."""
+    dims = [draw(st.integers(1, 4)) for _ in range(3)]
+    token = st.builds(Token, *(st.integers(0, d - 1) for d in dims))
+    repeated = draw(token)
+    traces = tuple(
+        Trace(f"t{m}", tuple(draw(st.lists(token | st.just(repeated), max_size=12))))
+        for m in range(draw(st.integers(1, 6)))
+    )
+    corpus = Corpus(synthetic_schema(*dims), traces)
+    num_traits = draw(st.integers(1, 5))
+    n = corpus.num_tokens
+    z = draw(st.lists(st.integers(0, num_traits - 1), min_size=n, max_size=n) | st.just([0] * n))
+    return state_of(corpus, num_traits, z), Hyperparams(*(draw(concentrations) for _ in range(4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_joint_cases())
+def test_log_joint_equals_the_direct_log_gamma_oracle(case):
+    state, hyper = case
+    terms = [(state.n_mk, hyper.alpha), (state.n_ke, hyper.beta),
+             (state.n_ket, hyper.gamma), (state.n_kei, hyper.delta)]
+    for counts, concentration in terms:
+        assert _dm_log_marginal(counts, concentration) == direct_dm_log_marginal(counts, concentration)
+        # 600 copies of the rows are large enough for the log-gamma table
+        tiled = np.tile(counts.reshape(-1, counts.shape[-1]), (600, 1))
+        assert _dm_log_marginal(tiled, concentration) == direct_dm_log_marginal(tiled, concentration)
+    expected = sum(direct_dm_log_marginal(c, conc) for c, conc in terms)
+    assert collapsed_log_joint(state, hyper) == expected
+
+
+@pytest.mark.parametrize("concentration", [1e-3, 0.05, 1.0, 7.5, 1e3])
+@pytest.mark.parametrize("shape, top", [((4000, 20), 10), ((40, 15, 7), 2000), ((300, 5), 40000)])
+def test_dm_marginal_of_large_tables_equals_the_oracle(rng, concentration, shape, top):
+    # the first two arrays are larger than their count range and take the table
+    # path, the last one is not; one count is the maximum
+    counts = rng.integers(0, 4, size=shape)
+    counts.flat[rng.integers(counts.size)] = top
+    counts[0] = 0  # a zero row
+    assert _dm_log_marginal(counts, concentration) == direct_dm_log_marginal(counts, concentration)
+
+
+def test_dm_marginal_reads_negative_counts_directly(rng):
+    # a negative count (never a sampler state's) must not index the table from its end
+    counts = rng.integers(0, 4, size=(200, 6))
+    counts[3, 2] = -1
+    assert _dm_log_marginal(counts, 0.4) == direct_dm_log_marginal(counts, 0.4)
+
+
 def test_collapsed_log_joint_invariant_under_relabeling(rng):
     corpus = random_corpus(rng)
     num_traits = 3
@@ -460,6 +525,21 @@ def test_fit_result_round_trip(tmp_path, rng):
     assert back.diagnostics["config"] == cfg.to_dict()
 
 
+def assert_chain_matches_enumeration(corpus, hyper, seed, sweeps=60_000):
+    """A K=2 chain's frequency of each assignment configuration, after 500
+    burn-in sweeps, is within 0.01 of the exact collapsed posterior."""
+    configs, exact = enumerate_exact_posterior(corpus, 2, hyper)
+    index = {cfg: i for i, cfg in enumerate(configs)}
+    state = init_state(corpus, FitConfig(num_traits=2, sweeps=2, burn_in=1, sample_stride=1, seed=seed))
+    for _ in range(500):
+        gibbs_sweep(state, hyper)
+    hits = np.zeros(len(configs))
+    for _ in range(sweeps):
+        gibbs_sweep(state, hyper)
+        hits[index[tuple(state.z)]] += 1
+    np.testing.assert_allclose(hits / sweeps, exact, atol=0.01)
+
+
 def test_small_chain_matches_enumerated_configuration_distribution():
     # 4 tokens, K=2: empirical frequency of each of the 16 assignment
     # configurations matches the exact collapsed posterior
@@ -471,19 +551,7 @@ def test_small_chain_matches_enumerated_configuration_distribution():
             Trace("b", (Token(0, 1, 1), Token(1, 0, 1))),
         ),
     )
-    hyper = HYPER1
-    configs, exact = enumerate_exact_posterior(corpus, 2, hyper)
-    index = {cfg: i for i, cfg in enumerate(configs)}
-
-    state = init_state(corpus, FitConfig(num_traits=2, sweeps=2, burn_in=1, sample_stride=1, seed=7))
-    for _ in range(500):
-        gibbs_sweep(state, hyper)
-    hits = np.zeros(len(configs))
-    sweeps = 60_000
-    for _ in range(sweeps):
-        gibbs_sweep(state, hyper)
-        hits[index[tuple(state.z)]] += 1
-    np.testing.assert_allclose(hits / sweeps, exact, atol=0.01)
+    assert_chain_matches_enumeration(corpus, HYPER1, seed=7)
 
 
 def test_recovery_on_small_synthetic():
@@ -498,3 +566,18 @@ def test_recovery_on_small_synthetic():
         [total_variation(result.posterior.phi[perm[j]], params.phi[j]) for j in range(2)]
     )
     assert tv < 0.1
+
+
+def test_small_chain_matches_enumeration_at_distinct_hyperparameters():
+    # four distinct concentrations, T != I and time bins that do not follow the
+    # interaction levels: a weight formula that swaps two hyperparameters (say
+    # gamma and delta) samples a distribution about 0.18 away from this one
+    schema = synthetic_schema(2, 3, 2)
+    corpus = Corpus(
+        schema,
+        (
+            Trace("a", (Token(0, 0, 0), Token(0, 0, 1))),
+            Trace("b", (Token(0, 1, 0), Token(1, 2, 1))),
+        ),
+    )
+    assert_chain_matches_enumeration(corpus, Hyperparams(0.7, 0.3, 2.5, 0.15), seed=11)
