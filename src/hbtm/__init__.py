@@ -27,7 +27,6 @@ from .core import (
     Schema,
     Token,
     Trace,
-    estimate_posterior,
     from_one_based,
     greedy_match_traits,
     load_corpus,
@@ -64,6 +63,7 @@ from .sampler import (
     FitResult,
     ModelState,
     collapsed_log_joint,
+    estimate_posterior,
     fit,
     gibbs_sweep,
     init_state,

@@ -1,8 +1,8 @@
 /* One collapsed-Gibbs sweep over flat int64 count tables.
  *
  * Reproduces sampler.reference_sweep bit for bit: each weight is computed in
- * _raw_weights' operation order (numerator left to right, then divided by
- * the three-factor denominator), cum is a sequential running sum, and the
+ * reference_sweep's operation order (numerator left to right, then divided
+ * by the three-factor denominator), cum is a sequential running sum, and the
  * trait is picked with bisect_right's own binary search, clamped to K-1.
  * Build with -ffp-contract=off so no multiply-add is fused.
  *
@@ -18,7 +18,7 @@
 #define MOVE(k, d) do { \
         n_mk[m * nk + (k)] += (d); n_ke[(k) * ne + e] += (d); \
         n_ket[((k) * ne + e) * nt + t] += (d); n_kei[((k) * ne + e) * ni + i] += (d); \
-        n_m[m] += (d); n_k[(k)] += (d); \
+        n_k[(k)] += (d); \
     } while (0)
 
 int64_t hbtm_sweep(int64_t n, int64_t nk, int64_t ne, int64_t nt, int64_t ni,
@@ -26,7 +26,7 @@ int64_t hbtm_sweep(int64_t n, int64_t nk, int64_t ne, int64_t nt, int64_t ni,
                    double delta, double idelta,
                    const int64_t *m_idx, const int64_t *e_idx, const int64_t *t_idx,
                    const int64_t *i_idx, int64_t *z, int64_t *n_mk, int64_t *n_ke,
-                   int64_t *n_ket, int64_t *n_kei, int64_t *n_m, int64_t *n_k,
+                   int64_t *n_ket, int64_t *n_kei, int64_t *n_k,
                    const double *u, double *cum)
 {
     for (int64_t j = 0; j < n; j++) {

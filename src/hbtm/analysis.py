@@ -199,6 +199,10 @@ class GradeTable:
                 value = row.get(grade_type)
                 if value is None:
                     continue
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"{grade_type} for '{trace_id}' is {value}, not a finite number"
+                    )
                 bounds = GRADE_RANGES.get(grade_type)
                 if bounds and not bounds[0] <= value <= bounds[1]:
                     raise ValueError(

@@ -2,8 +2,8 @@
 
 A corpus holds one trace per student-session; each trace is an ordered list of
 tokens, where a token is the triple (event type, time-span bin,
-interaction-intensity level). Posterior point estimates are Dirichlet
-posterior means over the sampler's count tables.
+interaction-intensity level). A Posterior holds the four parameter families;
+the sampler estimates them as Dirichlet posterior means of its count tables.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -182,7 +183,8 @@ class Hyperparams:
 
     alpha smooths per-trace trait mixtures, beta the per-trait event
     distributions, gamma the per-(trait, event) time-bin distributions and
-    delta the per-(trait, event) interaction-level distributions.
+    delta the per-(trait, event) interaction-level distributions. Each must
+    be a normal float: log-gamma is infinite below the smallest one.
     """
 
     alpha: float = 1.0
@@ -193,8 +195,11 @@ class Hyperparams:
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma", "delta"):
             v = getattr(self, name)
-            if not v > 0:
-                raise ValueError(f"{name} must be strictly positive, got {v}")
+            if not v >= sys.float_info.min:
+                raise ValueError(
+                    f"{name} must be at least {sys.float_info.min!r}, the smallest normal float;"
+                    f" got {v}"
+                )
 
 
 def _check_stochastic(name: str, arr: np.ndarray) -> None:
@@ -286,48 +291,6 @@ def validate_corpus(corpus: Corpus) -> list[str]:
                 for (name, limit), value in zip(limits, tok) if not 0 <= value < limit
             )
     return violations
-
-
-def estimate_posterior(state, hyper: Hyperparams) -> Posterior:
-    """Smoothed point estimates from a sampler state's count tables.
-
-    Every estimate is the Dirichlet posterior mean of the corresponding
-    counts:
-
-        theta[m, k] = (N_mk + alpha) / (N_m + K * alpha)
-        phi[k, e]   = (N_ke + beta)  / (N_k + E * beta)
-        psi[k, e, t] = (N_ket + gamma) / (N_ke + T * gamma)
-        tau[k, e, i] = (N_kei + delta) / (N_ke + I * delta)
-
-    A pure function of the counts: states with equal tables give identical
-    results. Raises ValueError if the tables are mutually inconsistent.
-    """
-    n_mk = np.asarray(state.n_mk, dtype=float)
-    n_ke = np.asarray(state.n_ke, dtype=float)
-    n_ket = np.asarray(state.n_ket, dtype=float)
-    n_kei = np.asarray(state.n_kei, dtype=float)
-    n_m = np.asarray(state.n_m, dtype=float)
-    n_k = np.asarray(state.n_k, dtype=float)
-
-    if np.any(n_mk < 0) or np.any(n_ket < 0) or np.any(n_kei < 0):
-        raise ValueError("negative counts in sampler state")
-    if not np.array_equal(n_mk.sum(axis=1), n_m):
-        raise ValueError("trace totals inconsistent with per-trait counts")
-    if not np.array_equal(n_ke.sum(axis=1), n_k):
-        raise ValueError("trait totals inconsistent with per-event counts")
-    if not np.array_equal(n_ket.sum(axis=2), n_ke) or not np.array_equal(n_kei.sum(axis=2), n_ke):
-        raise ValueError("time/interaction tables inconsistent with event counts")
-
-    num_k = n_mk.shape[1]
-    num_e = n_ke.shape[1]
-    num_t = n_ket.shape[2]
-    num_i = n_kei.shape[2]
-
-    theta = (n_mk + hyper.alpha) / (n_m + num_k * hyper.alpha)[:, None]
-    phi = (n_ke + hyper.beta) / (n_k + num_e * hyper.beta)[:, None]
-    psi = (n_ket + hyper.gamma) / (n_ke + num_t * hyper.gamma)[..., None]
-    tau = (n_kei + hyper.delta) / (n_ke + num_i * hyper.delta)[..., None]
-    return Posterior(theta, phi, psi, tau)
 
 
 def total_variation(p, q) -> float:

@@ -29,18 +29,16 @@ import math
 import os
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
-from itertools import accumulate, chain
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 from scipy.special import gammaln
 
-from .core import (
-    Corpus, Hyperparams, Posterior, estimate_posterior, validate_corpus,
-)
+from .core import Corpus, Hyperparams, Posterior, validate_corpus
 
 
-_TABLES = ("n_mk", "n_ke", "n_ket", "n_kei", "n_m", "n_k")
+_TABLES = ("n_mk", "n_ke", "n_ket", "n_kei", "n_k")
 
 
 class CountConsistencyError(RuntimeError):
@@ -78,7 +76,7 @@ class FitConfig:
 
 
 def _tally(z, encodings, dims) -> tuple[np.ndarray, ...]:
-    """The six count tables, in ``_TABLES`` order, of flat assignments ``z``.
+    """The five count tables, in ``_TABLES`` order, of flat assignments ``z``.
 
     ``encodings`` are the flat trace, event, time-bin and interaction-level
     index arrays; ``dims`` the trace, trait, event, time-bin and
@@ -93,16 +91,47 @@ def _tally(z, encodings, dims) -> tuple[np.ndarray, ...]:
         np.bincount(ke, minlength=k_n * e_n).reshape(k_n, e_n),
         np.bincount(ke * t_n + t_idx, minlength=k_n * e_n * t_n).reshape(k_n, e_n, t_n),
         np.bincount(ke * i_n + i_idx, minlength=k_n * e_n * i_n).reshape(k_n, e_n, i_n),
-        np.bincount(m_idx, minlength=m_n),
         np.bincount(z, minlength=k_n),
     )
+
+
+def estimate_posterior(state, hyper: Hyperparams) -> Posterior:
+    """Smoothed point estimates from a sampler state's count tables.
+
+    Every estimate is the Dirichlet posterior mean of the corresponding
+    counts, where N_m = sum_k N_mk is the length of trace m:
+
+        theta[m, k] = (N_mk + alpha) / (N_m + K * alpha)
+        phi[k, e]   = (N_ke + beta)  / (N_k + E * beta)
+        psi[k, e, t] = (N_ket + gamma) / (N_ke + T * gamma)
+        tau[k, e, i] = (N_kei + delta) / (N_ke + I * delta)
+
+    A pure function of the counts: states with equal tables give identical
+    results. Raises ValueError if the tables are mutually inconsistent.
+    """
+    n_mk, n_ke, n_ket, n_kei, n_k = (
+        np.asarray(getattr(state, name), dtype=float) for name in _TABLES
+    )
+    if np.any(n_mk < 0) or np.any(n_ket < 0) or np.any(n_kei < 0):
+        raise ValueError("negative counts in sampler state")
+    if not np.array_equal(n_ke.sum(axis=1), n_k):
+        raise ValueError("trait totals inconsistent with per-event counts")
+    if not np.array_equal(n_ket.sum(axis=2), n_ke) or not np.array_equal(n_kei.sum(axis=2), n_ke):
+        raise ValueError("time/interaction tables inconsistent with event counts")
+
+    theta = (n_mk + hyper.alpha) / (n_mk.sum(axis=1) + n_mk.shape[1] * hyper.alpha)[:, None]
+    phi = (n_ke + hyper.beta) / (n_k + n_ke.shape[1] * hyper.beta)[:, None]
+    psi = (n_ket + hyper.gamma) / (n_ke + n_ket.shape[2] * hyper.gamma)[..., None]
+    tau = (n_kei + hyper.delta) / (n_ke + n_kei.shape[2] * hyper.delta)[..., None]
+    return Posterior(theta, phi, psi, tau)
 
 
 class _Assignments(np.ndarray):
     """The flat int64 assignment array.
 
-    Iterating it yields Python ints, as the list it replaced did, so values
-    taken from it stay JSON-serializable and hash like plain ints.
+    Iterating it yields Python ints: perfbench's sweep probe counts changed
+    assignments by comparing values taken from ``z`` and JSON-dumps the
+    count, which numpy scalars would break.
     """
 
     def __iter__(self):
@@ -113,10 +142,10 @@ class ModelState:
     """Assignments plus the count tables that summarize them.
 
     Tables: n_mk (trace x trait), n_ke (trait x event), n_ket
-    (trait x event x time bin), n_kei (trait x event x interaction level),
-    with totals n_m per trace and n_k per trait, all C-contiguous int64
-    arrays. The flat assignment array z follows token order within trace
-    order. Exactly one writer may mutate a state at a time.
+    (trait x event x time bin), n_kei (trait x event x interaction level)
+    and n_k (trait totals), all C-contiguous int64 arrays. The flat
+    assignment array z follows token order within trace order. Exactly one
+    writer may mutate a state at a time.
     """
 
     def __init__(self, corpus: Corpus, num_traits: int, z_flat, rng: np.random.Generator):
@@ -136,7 +165,6 @@ class ModelState:
         codes = np.fromiter(components, np.int64, count=3 * sum(lengths)).reshape(-1, 3)
         self._e_idx, self._t_idx, self._i_idx = codes.T.copy()
         self._m_idx = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
-        self._offsets = np.cumsum([0] + lengths, dtype=np.int64)
 
         z = np.array(z_flat, dtype=np.int64)
         if z.shape != self._m_idx.shape:
@@ -144,7 +172,7 @@ class ModelState:
         if np.any((z < 0) | (z >= num_traits)):
             raise ValueError("trait assignment outside [0, num_traits)")
         self.z = z.view(_Assignments)
-        self.n_mk, self.n_ke, self.n_ket, self.n_kei, self.n_m, self.n_k = self._recount()
+        self.n_mk, self.n_ke, self.n_ket, self.n_kei, self.n_k = self._recount()
         self._bound = None
 
     def _recount(self) -> tuple[np.ndarray, ...]:
@@ -166,35 +194,19 @@ class ModelState:
 
     @property
     def num_traces(self) -> int:
-        return len(self._offsets) - 1
+        return len(self.trace_ids)
 
     def count_violations(self) -> list[str]:
-        """Audit: recount the tables from z and check every sum identity."""
-        problems = []
-        for name, fresh in zip(_TABLES, self._recount()):
-            if not np.array_equal(getattr(self, name), fresh):
-                problems.append(f"{name} differs from a from-scratch recount")
-        negative = (self.n_mk < 0).any(axis=1)
-        bad_m = self.n_mk.sum(axis=1) != self.n_m
-        for m in np.flatnonzero(negative | bad_m):
-            if negative[m]:
-                problems.append(f"negative count in n_mk row {m}")
-            if bad_m[m]:
-                problems.append(f"sum_k n_mk[{m}] != n_m[{m}]")
-        bad_k = self.n_ke.sum(axis=1) != self.n_k
-        bad_t = self.n_ket.sum(axis=2) != self.n_ke
-        bad_i = self.n_kei.sum(axis=2) != self.n_ke
-        for k in range(self.num_traits):
-            if bad_k[k]:
-                problems.append(f"sum_e n_ke[{k}] != n_k[{k}]")
-            for e in np.flatnonzero(bad_t[k] | bad_i[k]):
-                if bad_t[k, e]:
-                    problems.append(f"sum_t n_ket[{k}][{e}] != n_ke[{k}][{e}]")
-                if bad_i[k, e]:
-                    problems.append(f"sum_i n_kei[{k}][{e}] != n_ke[{k}][{e}]")
-        if self.n_k.sum() != self.token_count:
-            problems.append("grand total != corpus token count")
-        return problems
+        """Audit: the tables that differ from a from-scratch recount of z.
+
+        A recount holds no negative count and meets every sum identity, so
+        a table that breaks one also differs from its recount.
+        """
+        return [
+            f"{name} differs from a from-scratch recount"
+            for name, fresh in zip(_TABLES, self._recount())
+            if not np.array_equal(getattr(self, name), fresh)
+        ]
 
     def audit(self) -> None:
         problems = self.count_violations()
@@ -250,20 +262,6 @@ def _weight_constants(state: ModelState, hyper: Hyperparams) -> tuple[float, ...
     )
 
 
-def _raw_weights(n_mk_m, n_ke, n_ket, n_kei, n_k, e, t, i,
-                 num_k, alpha, beta, ebeta, gamma, tgamma, delta, idelta):
-    weights = []
-    append = weights.append
-    for k in range(num_k):
-        ne = n_ke[k][e]
-        append(
-            (n_mk_m[k] + alpha) * (ne + beta)
-            * (n_ket[k][e][t] + gamma) * (n_kei[k][e][i] + delta)
-            / ((n_k[k] + ebeta) * (ne + tgamma) * (ne + idelta))
-        )
-    return weights
-
-
 def _degenerate_weights(j: int) -> ValueError:
     return ValueError(
         f"conditional weights of flat token {j} underflow or overflow: "
@@ -277,18 +275,20 @@ def reference_sweep(state: ModelState, hyper: Hyperparams) -> ModelState:
     Tokens are visited in flat (trace, position) order. The sweep draws one
     block of uniforms up front, one per token, from the state's generator;
     trait k is selected as the first index whose cumulative weight exceeds
-    u * total. Raises ValueError naming the flat token whose weights are
-    degenerate (a zero denominator, or a total outside (0, inf)); that token
-    keeps its trait and the tables stay consistent.
+    u * total. Each weight and the running total are computed in
+    ``_sweep.c``'s operation order. Raises ValueError naming the flat token
+    whose weights are degenerate (a zero denominator, or a total outside
+    (0, inf)); that token keeps its trait and the tables stay consistent.
     """
     z = state.z.tolist()
     m_idx, e_idx = state._m_idx.tolist(), state._e_idx.tolist()
     t_idx, i_idx = state._t_idx.tolist(), state._i_idx.tolist()
-    n_mk, n_ke, n_ket, n_kei, n_m, n_k = (getattr(state, name).tolist() for name in _TABLES)
+    n_mk, n_ke, n_ket, n_kei, n_k = (getattr(state, name).tolist() for name in _TABLES)
     num_k = state.num_traits
     alpha, beta, ebeta, gamma, tgamma, delta, idelta = _weight_constants(state, hyper)
     top = num_k - 1
     inf = math.inf
+    cum = [0.0] * num_k
     failed = None
 
     uniforms = state.rng.random(len(z)).tolist()
@@ -303,18 +303,20 @@ def reference_sweep(state: ModelState, hyper: Hyperparams) -> ModelState:
         n_ke[k][e] -= 1
         n_ket[k][e][t] -= 1
         n_kei[k][e][i] -= 1
-        n_m[m] -= 1
         n_k[k] -= 1
 
-        try:
-            cum = list(accumulate(_raw_weights(
-                row_m, n_ke, n_ket, n_kei, n_k, e, t, i,
-                num_k, alpha, beta, ebeta, gamma, tgamma, delta, idelta,
-            )))
-        except ZeroDivisionError:
-            cum = [0.0]
-        if 0.0 < cum[-1] < inf:
-            k = bisect_right(cum, uniforms[j] * cum[-1])
+        total = 0.0
+        for c in range(num_k):
+            cnt = n_ke[c][e]
+            den = (n_k[c] + ebeta) * (cnt + tgamma) * (cnt + idelta)
+            if den == 0.0:
+                total = 0.0
+                break
+            total += ((row_m[c] + alpha) * (cnt + beta)
+                      * (n_ket[c][e][t] + gamma) * (n_kei[c][e][i] + delta) / den)
+            cum[c] = total
+        if 0.0 < total < inf:
+            k = bisect_right(cum, uniforms[j] * total)
             if k > top:
                 k = top
         else:
@@ -325,13 +327,12 @@ def reference_sweep(state: ModelState, hyper: Hyperparams) -> ModelState:
         n_ke[k][e] += 1
         n_ket[k][e][t] += 1
         n_kei[k][e][i] += 1
-        n_m[m] += 1
         n_k[k] += 1
         if failed is not None:
             break
 
     state.z[:] = z
-    for name, table in zip(_TABLES, (n_mk, n_ke, n_ket, n_kei, n_m, n_k)):
+    for name, table in zip(_TABLES, (n_mk, n_ke, n_ket, n_kei, n_k)):
         getattr(state, name)[...] = table
     if failed is not None:
         raise _degenerate_weights(failed)
@@ -389,7 +390,7 @@ def _load_kernel():
     except OSError:
         return None
     kernel.restype = ctypes.c_int64
-    kernel.argtypes = [ctypes.c_int64] * 5 + [ctypes.c_double] * 7 + [ctypes.c_void_p] * 13
+    kernel.argtypes = [ctypes.c_int64] * 5 + [ctypes.c_double] * 7 + [ctypes.c_void_p] * 12
     return kernel
 
 
@@ -417,7 +418,7 @@ def _bind(state: ModelState) -> tuple:
     shapes = (
         (n,), (n,), (n,), (n,), (n,),
         (state.num_traces, k_n), ke, ke + (state.num_time_bins,),
-        ke + (state.num_interaction_levels,), (state.num_traces,), (k_n,),
+        ke + (state.num_interaction_levels,), (k_n,),
     )
     for name, array, shape in zip(_KERNEL_ARRAYS, arrays, shapes):
         if not (isinstance(array, np.ndarray) and array.dtype == np.int64
@@ -522,17 +523,10 @@ def fit(corpus: Corpus, config: FitConfig) -> FitResult:
             audits += 1
         if sweep_no > config.burn_in and (sweep_no - config.burn_in) % config.sample_stride == 0:
             snap = estimate_posterior(state, hyper)
-            if sums is None:
-                sums = [snap.theta, snap.phi, snap.psi, snap.tau]
-            else:
-                sums[0] = sums[0] + snap.theta
-                sums[1] = sums[1] + snap.phi
-                sums[2] = sums[2] + snap.psi
-                sums[3] = sums[3] + snap.tau
+            parts = (snap.theta, snap.phi, snap.psi, snap.tau)
+            sums = parts if sums is None else [a + b for a, b in zip(sums, parts)]
             retained += 1
-    posterior = Posterior(
-        sums[0] / retained, sums[1] / retained, sums[2] / retained, sums[3] / retained
-    )
+    posterior = Posterior(*(a / retained for a in sums))
     diagnostics = {
         "retained_samples": retained,
         "audits_passed": audits,

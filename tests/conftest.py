@@ -34,7 +34,7 @@ def leave_one_out_weights(state, j, hyper):
     encodings = (state._m_idx, state._e_idx, state._t_idx, state._i_idx)
     dims = (state.num_traces, state.num_traits, state.num_events,
             state.num_time_bins, state.num_interaction_levels)
-    n_mk, n_ke, n_ket, n_kei, _n_m, n_k = _tally(
+    n_mk, n_ke, n_ket, n_kei, n_k = _tally(
         np.asarray(state.z)[keep], [a[keep] for a in encodings], dims)
     m, e, t, i = (int(a[j]) for a in encodings)
     a, b, g, d = hyper.alpha, hyper.beta, hyper.gamma, hyper.delta

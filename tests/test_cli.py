@@ -1,10 +1,20 @@
+import contextlib
 import csv
+import io
 import json
+import math
 import os
 import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
+import hbtm
 from hbtm.cli import _COMMANDS, build_parser, main
 
 RAW_HEADER = "session,student,activity,start,end,wheel,click,keys\n"
@@ -540,3 +550,109 @@ def test_a_failed_rename_leaves_every_output_as_it_was(tmp_path, generated, monk
         assert json.loads(capsys.readouterr().err.strip()) == {
             "error": "OSError", "detail": "rename failed"}
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+def test_a_subnormal_hyperparameter_is_a_json_error_in_a_fresh_process(tmp_path, generated):
+    # a fresh process, as a user runs it: in-process, pytest would turn the
+    # log-gamma RuntimeWarning of a subnormal concentration into an error
+    cfg, out = tmp_path / "cfg.json", tmp_path / "m.json"
+    cfg.write_text(json.dumps({"alpha": 1e-320}))
+    src = str(Path(hbtm.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    done = subprocess.run(
+        [sys.executable, "-m", "hbtm.cli", "fit", "--config", str(cfg),
+         "--corpus", str(generated.with_suffix(".jsonl")),
+         "--schema", str(generated) + ".schema.json", "--traits", "2", "--sweeps", "3",
+         "--burn-in", "0", "--stride", "1", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 1
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ValueError"
+    assert err["detail"].startswith("alpha must be at least ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grade, cell", [
+    ("SFE", "nan"), ("SFE", "1e400"), ("SFE", "-inf"), ("SA", "nan"), ("FE", "inf"),
+])
+def test_a_non_finite_grade_is_a_json_error_and_writes_no_report(tmp_path, generated, capsys,
+                                                                 grade, cell):
+    model = fit_small_model(tmp_path, generated)
+    grades = tmp_path / "grades.csv"
+    rows = []
+    for m in range(6):
+        row = {"SA": str(m % 5), "SFE": str(m / 2), "FE": str(50 + m)}
+        if m == 3:
+            row[grade] = cell
+        rows.append(f"trace_{m:04d},{row['SA']},{row['SFE']},{row['FE']}\n")
+    grades.write_text("trace_id,SA,SFE,FE\n" + "".join(rows))
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    assert run(["analyze", "--model", model, "--grades", grades, "--out", out]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ValueError"
+    assert grade in err["detail"] and "trace_0003" in err["detail"]
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def four_token_corpus(tmp_path_factory):
+    prefix = tmp_path_factory.mktemp("surface") / "syn"
+    assert run(["generate", "--traits", 2, "--events", 3, "--time-bins", 2,
+                "--interaction-levels", 2, "--traces", 2, "--tokens-per-trace", 2,
+                "--seed", 8, "--out-prefix", prefix]) == 0
+    return prefix
+
+
+EDGE_FLOATS = (0.0, -1.0, 5e-324, sys.float_info.min, 1e308, math.nan, math.inf, -math.inf)
+CONFIG_VALUES = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.sampled_from((0.1, 1.0, 3)),  # ordinary values, so that fits succeed too
+    st.text(max_size=3), st.booleans(), st.none(),
+    st.lists(st.floats(allow_nan=False), max_size=2),
+)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@settings(max_examples=300, deadline=None)
+@given(traits=st.integers(-1, 6), sweeps=st.integers(-1, 4), burn_in=st.integers(0, 3),
+       stride=st.integers(1, 2),
+       hyper=st.dictionaries(st.sampled_from(("alpha", "beta", "gamma", "delta")), CONFIG_VALUES,
+                             max_size=2))
+@example(traits=2, sweeps=3, burn_in=0, stride=1, hyper={"alpha": 5e-324})
+@example(traits=6, sweeps=3, burn_in=0, stride=1, hyper={"gamma": sys.float_info.min})
+@example(traits=3, sweeps=2, burn_in=1, stride=1, hyper={"beta": 1e308, "delta": math.inf})
+def test_every_fit_config_fits_or_is_one_json_error(four_token_corpus, traits, sweeps, burn_in,
+                                                    stride, hyper):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "model.json"
+        out.write_bytes(b"an earlier model\n")
+        cfg.write_text(json.dumps({
+            "corpus": str(four_token_corpus.with_suffix(".jsonl")),
+            "schema": str(four_token_corpus) + ".schema.json",
+            "traits": traits, "sweeps": sweeps, "burn_in": burn_in, "stride": stride,
+            "out": str(out), **hyper,
+        }))
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["fit", "--config", str(cfg)])
+        lines = stderr.getvalue().splitlines()
+        event("fit" if code == 0 else "error")
+        if code == 0:
+            assert lines == []
+            model = json.loads(out.read_text(), parse_constant=_refuse_constant)
+            assert len(model["log_joint_trace"]) == sweeps
+            assert all(math.isfinite(x) for x in model["log_joint_trace"])
+        else:
+            assert code == 1 and len(lines) == 1
+            assert not json.loads(lines[0])["error"].endswith("Warning")
+            assert out.read_bytes() == b"an earlier model\n"

@@ -45,7 +45,6 @@ def make_counts(n_mk, n_ke, n_ket, n_kei):
         n_ke=n_ke,
         n_ket=np.asarray(n_ket),
         n_kei=np.asarray(n_kei),
-        n_m=n_mk.sum(axis=1),
         n_k=n_ke.sum(axis=1),
     )
 
@@ -194,7 +193,7 @@ def test_posterior_rejects_inconsistent_counts():
         [[[2], [2]], [[1], [0]]],
         [[[2], [2]], [[1], [0]]],
     )
-    state.n_m = np.array([99])
+    state.n_k = np.array([4, 99])
     with pytest.raises(ValueError):
         estimate_posterior(state, Hyperparams())
 

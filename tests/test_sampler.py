@@ -106,12 +106,31 @@ def test_audit_detects_corruption(rng):
         state.audit()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(0, 3),
+       st.sampled_from(_TABLES), st.integers(0, 2**20),
+       st.integers(-40, 40).filter(bool))
+def test_audit_flags_one_corrupted_cell_of_any_table(seed, num_traits, sweeps, name, cell, shift):
+    rng = np.random.default_rng(seed)
+    state = ModelState.random_init(random_corpus(rng), num_traits, seed)
+    for _ in range(sweeps):
+        gibbs_sweep(state, Hyperparams())
+    assert state.count_violations() == []
+    state.audit()
+    flat = getattr(state, name).reshape(-1)  # a view: writes reach the table
+    cell %= flat.size
+    flat[cell] += shift  # negative whenever shift is below minus the count
+    assert state.count_violations() != []
+    with pytest.raises(CountConsistencyError):
+        state.audit()
+
+
 # --- conditional weights ---------------------------------------------------
 
 
 def test_conditional_weights_hand_example():
     # K=2, E=2, T=1, I=1 so the time/interaction factors collapse to 1;
-    # decremented counts: n_m=(1,0), n_0e=1, n_0=2, n_1e=0, n_1=0
+    # decremented counts: n_mk=(1,0), n_0e=1, n_0=2, n_1e=0, n_1=0
     schema = synthetic_schema(2, 1, 1)
     corpus = Corpus(
         schema,
@@ -265,9 +284,7 @@ def _encodings_by_token(corpus):
         for m, trace in enumerate(corpus.traces)
         for tok in trace.tokens
     ]
-    m_idx, e_idx, t_idx, i_idx = np.array(codes, dtype=np.int64).reshape(-1, 4).T.copy()
-    offsets = np.cumsum([0] + [len(t.tokens) for t in corpus.traces], dtype=np.int64)
-    return m_idx, e_idx, t_idx, i_idx, offsets
+    return np.array(codes, dtype=np.int64).reshape(-1, 4).T.copy()
 
 
 @settings(max_examples=100, deadline=None)
@@ -277,10 +294,11 @@ def test_state_encodings_match_the_per_token_build(num_traces, seed):
     corpus = random_corpus(rng, num_traces=num_traces, tokens_range=(0, 6))  # empty traces too
     state = ModelState.random_init(corpus, 3, seed)
     expected = _encodings_by_token(corpus)
-    for name, want in zip(("_m_idx", "_e_idx", "_t_idx", "_i_idx", "_offsets"), expected):
+    for name, want in zip(("_m_idx", "_e_idx", "_t_idx", "_i_idx"), expected):
         got = getattr(state, name)
         assert got.dtype == np.int64 and got.flags.c_contiguous, name
         assert np.array_equal(got, want), name
+    assert state.num_traces == num_traces
     assert state.count_violations() == []
 
 
