@@ -137,10 +137,26 @@ class Token(NamedTuple):
     interaction_level: int
 
 
-@dataclass(frozen=True, slots=True)
-class Trace:
+class FrozenSlots:
+    """Base of the frozen dataclasses that name their fields in ``__slots__``.
+
+    ``slots=True`` would re-create the class, and under CPython 3.11 the
+    re-created class raises TypeError instead of FrozenInstanceError when a
+    name that is not a field is assigned. Declared slots keep the class; this
+    base gives back the pickling and copying that ``slots=True`` provides.
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+@dataclass(frozen=True)
+class Trace(FrozenSlots):
     """One student's token sequence within one session."""
 
+    __slots__ = ("trace_id", "tokens")
     trace_id: str
     tokens: tuple[Token, ...]
 
@@ -184,7 +200,8 @@ class Hyperparams:
     alpha smooths per-trace trait mixtures, beta the per-trait event
     distributions, gamma the per-(trait, event) time-bin distributions and
     delta the per-(trait, event) interaction-level distributions. Each must
-    be a normal float: log-gamma is infinite below the smallest one.
+    be a finite normal float: log-gamma is infinite below the smallest one,
+    and an infinite concentration gives NaN probabilities.
     """
 
     alpha: float = 1.0
@@ -195,16 +212,16 @@ class Hyperparams:
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma", "delta"):
             v = getattr(self, name)
-            if not v >= sys.float_info.min:
+            if not sys.float_info.min <= v <= sys.float_info.max:
                 raise ValueError(
-                    f"{name} must be at least {sys.float_info.min!r}, the smallest normal float;"
-                    f" got {v}"
+                    f"{name} must be at least {sys.float_info.min!r}, the smallest normal float,"
+                    f" and finite; got {v}"
                 )
 
 
 def _check_stochastic(name: str, arr: np.ndarray) -> None:
-    if np.any(arr < 0) or np.any(arr > 1):
-        raise ValueError(f"{name} has entries outside [0, 1]")
+    if not np.all((arr >= 0) & (arr <= 1)):  # NaN fails both comparisons
+        raise ValueError(f"{name} has entries that are NaN or outside [0, 1]")
     sums = arr.sum(axis=-1)
     if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
         worst = float(np.max(np.abs(sums - 1.0)))

@@ -9,7 +9,6 @@ pure over its inputs; re-running on the same files is byte-identical.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
@@ -17,10 +16,11 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from .core import Corpus, Schema, Token, Trace, save_json, write_atomic
+from .core import Corpus, FrozenSlots, Schema, Token, Trace, save_json, write_atomic
 
 OTHER_EVENT_INDEX = 14
 
@@ -30,9 +30,11 @@ _TIMESTAMP_FORMATS = (
     "%Y-%m-%d %H:%M:%S.%f",
     "%Y-%m-%d %H:%M:%S",
 )
-# the canonical 19-character form of the two day-first patterns above
-_DAY_FIRST_STAMP = re.compile(
-    r"\d\d([./])\d\d\1\d{4} ([01]\d|2[0-3]):([0-5]\d):([0-5]\d)", re.ASCII)
+# the parts of the canonical 19-character form of the two day-first patterns above
+_DATE = re.compile(r"\d\d([./])\d\d\1\d{4}", re.ASCII)
+_HOUR_MINUTE = re.compile(r"([01]\d|2[0-3]):([0-5]\d)", re.ASCII)
+_SECOND = re.compile(r"[0-5]\d", re.ASCII)
+_TABLE_LIMIT = 4096  # entries per conversion table; the day-first domains fit with room
 
 
 class RawEvent(NamedTuple):
@@ -55,14 +57,16 @@ class RawEvent(NamedTuple):
         return self.mouse_clicks + self.keystrokes
 
 
-@dataclass(frozen=True, slots=True)
-class RejectedRow:
+@dataclass(frozen=True)
+class RejectedRow(FrozenSlots):
+    __slots__ = ("row_number", "reason")
     row_number: int  # 1-based data-row number, header excluded
     reason: str
 
 
-@dataclass(frozen=True, slots=True)
-class MappingRule:
+@dataclass(frozen=True)
+class MappingRule(FrozenSlots):
+    __slots__ = ("kind", "pattern", "event_index")
     kind: str  # "exact" or "prefix"
     pattern: str
     event_index: int
@@ -201,41 +205,51 @@ def _epoch(dt: datetime) -> float:
     return dt.timestamp()
 
 
-@functools.lru_cache(maxsize=1024)
-def _day_epoch(date: str) -> float | None:
-    """UTC epoch of midnight of a ``dd?mm?yyyy`` date, or None if it is not a valid date."""
+class _Table(dict):
+    """Converts each distinct key once with ``convert``; one table serves one call.
+
+    A key whose conversion raises is not stored, so it raises again on every
+    lookup. Past ``_TABLE_LIMIT`` entries new keys are converted but not
+    stored, so a column of all-distinct texts costs no memory.
+    """
+
+    def __init__(self, convert):
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, key):
+        value = self.convert(key)
+        if len(self) < _TABLE_LIMIT:
+            self[key] = value
+        return value
+
+
+def _midnight(date: str) -> float | None:
+    """UTC epoch of midnight of a ``dd.mm.yyyy`` or ``dd/mm/yyyy`` date; None for any other text."""
+    if _DATE.fullmatch(date) is None:
+        return None
     try:
-        midnight = datetime(int(date[6:]), int(date[3:5]), int(date[:2]))
+        return _epoch(datetime(int(date[6:]), int(date[3:5]), int(date[:2])))
     except ValueError:
         return None
-    return _epoch(midnight)
 
 
-def _fast_timestamp(raw: str) -> float | None:
-    """Epoch of a canonical ``dd.mm.yyyy HH:MM:SS`` or ``dd/mm/yyyy HH:MM:SS`` stamp.
-
-    Only the exact 19-character forms in ASCII digits, with one date
-    separator, a valid date and a clock below 24:00:00, get an answer;
-    anything else returns None and goes through the full parser. The answer
-    equals strptime's: every term is an integer below 2**53, so the float
-    sum is exact.
-    """
-    match = _DAY_FIRST_STAMP.fullmatch(raw)
-    if match is None:
-        return None
-    day = _day_epoch(raw[:10])
-    if day is None:
-        return None
-    return day + (int(match[2]) * 3600 + int(match[3]) * 60 + int(match[4]))
+def _clock(text: str) -> int | None:
+    """Seconds since midnight of an ``HH:MM`` clock below 24:00; None for any other text."""
+    match = _HOUR_MINUTE.fullmatch(text)
+    return None if match is None else int(match[1]) * 3600 + int(match[2]) * 60
 
 
-def _parse_timestamp(raw: str, fmt: str | None) -> float:
-    raw = raw.strip()
-    if fmt:
-        return _epoch(datetime.strptime(raw, fmt))
-    value = _fast_timestamp(raw)
-    if value is not None:
-        return value
+def _seconds(text: str) -> int | None:
+    return int(text) if _SECOND.fullmatch(text) else None
+
+
+def _count(text: str) -> int:
+    return int(float(text))
+
+
+def _parse_timestamp(raw: str) -> float:
+    """Epoch seconds of a stripped stamp in any accepted form; ValueError if none fits."""
     try:
         return _epoch(datetime.fromisoformat(raw))
     except ValueError:
@@ -249,6 +263,33 @@ def _parse_timestamp(raw: str, fmt: str | None) -> float:
     if not math.isfinite(value):
         raise ValueError(f"non-finite timestamp {raw!r}")
     return value
+
+
+def _timestamp_reader(fmt: str | None):
+    """A stamp parser for one parse call: raw field text to epoch seconds.
+
+    With a strptime pattern every stamp goes through it. Without one, a
+    stripped 19-character stamp with a space at index 10 and a colon at
+    index 16 is read from three tables of this call, keyed by its date,
+    ``HH:MM`` and seconds parts. Each answers only the ASCII-digit forms of
+    a valid ``dd.mm.yyyy`` or ``dd/mm/yyyy`` date, a clock below 24:00 and
+    seconds 00-59; any other part sends the stamp through the full chain.
+    The answer equals strptime's: every term is an integer below 2**53, so
+    the float sum is exact.
+    """
+    if fmt:
+        return lambda raw: _epoch(datetime.strptime(raw.strip(), fmt))
+    days, clocks, seconds = _Table(_midnight), _Table(_clock), _Table(_seconds)
+
+    def read(raw: str) -> float:
+        raw = raw.strip()
+        if len(raw) == 19 and raw[10] == " " and raw[16] == ":":
+            day, hm, s = days[raw[:10]], clocks[raw[11:16]], seconds[raw[17:]]
+            if day is not None and hm is not None and s is not None:
+                return day + (hm + s)
+        return _parse_timestamp(raw)
+
+    return read
 
 
 def _count_columns(spec) -> list[str]:
@@ -283,7 +324,6 @@ def parse_raw_log(csv_source, column_map: dict) -> tuple[list[RawEvent], list[Re
     missing = [f for f in required if f not in column_map]
     if missing:
         raise ValueError(f"column_map missing entries for: {', '.join(missing)}")
-    ts_format = column_map.get("timestamp_format")
 
     if isinstance(csv_source, (str, Path)):
         fh = open(csv_source, newline="")
@@ -310,9 +350,14 @@ def parse_raw_log(csv_source, column_map: dict) -> tuple[list[RawEvent], list[Re
         # a repeated header name resolves to its last column, as in csv.DictReader
         index = {name: i for i, name in enumerate(header)}
         i_session, i_student, i_activity, i_start, i_end = (index[c] for c in mapped_cols[:5])
-        i_mouse = [index[c] for c in mouse_cols]
-        i_keys = [index[c] for c in key_cols]
+        count_cols = [index[c] for c in mouse_cols + key_cols]
+        # itemgetter of one index returns the bare field, not a 1-tuple
+        count_texts = (itemgetter(*count_cols) if len(count_cols) > 1
+                       else lambda row: [row[i] for i in count_cols])
+        n_mouse = len(mouse_cols)
         need = max(index[c] for c in mapped_cols) + 1
+        read_stamp = _timestamp_reader(column_map.get("timestamp_format"))
+        count_of = _Table(_count).__getitem__
 
         events: list[RawEvent] = []
         rejects: list[RejectedRow] = []
@@ -328,8 +373,8 @@ def parse_raw_log(csv_source, column_map: dict) -> tuple[list[RawEvent], list[Re
                     rejects.append(RejectedRow(row_number, "short row"))
                     continue
                 try:
-                    start = _parse_timestamp(row[i_start], ts_format)
-                    end = _parse_timestamp(row[i_end], ts_format)
+                    start = read_stamp(row[i_start])
+                    end = read_stamp(row[i_end])
                 except (ValueError, TypeError):
                     rejects.append(RejectedRow(row_number, "bad timestamp"))
                     continue
@@ -337,11 +382,12 @@ def parse_raw_log(csv_source, column_map: dict) -> tuple[list[RawEvent], list[Re
                     rejects.append(RejectedRow(row_number, "negative duration"))
                     continue
                 try:
-                    mouse = sum(int(float(row[i])) for i in i_mouse)
-                    keys = sum(int(float(row[i])) for i in i_keys)
+                    counts = list(map(count_of, count_texts(row)))
                 except (ValueError, OverflowError):
                     rejects.append(RejectedRow(row_number, "bad interaction count"))
                     continue
+                mouse = sum(counts[:n_mouse])
+                keys = sum(counts[n_mouse:])
                 if mouse < 0 or keys < 0:
                     rejects.append(RejectedRow(row_number, "negative interaction count"))
                     continue
@@ -412,8 +458,10 @@ def build_corpora(
     event_counts = [0] * schema.num_events
     time_counts = [0] * schema.num_time_bins
     level_counts = [0] * schema.num_interaction_levels
-    event_of: dict[str, int] = {}  # map_activity per distinct label
-    token_of: dict[tuple[int, int, int], Token] = {}  # one shared Token per distinct triple
+    event_of = _Table(lambda label: map_activity(label, mapping))
+    bin_of = _Table(lambda seconds: discretize_duration(seconds, schema, filt))
+    level_of = _Table(lambda total: discretize_interaction(total, schema))
+    token_of = _Table(Token._make)  # one shared Token per distinct triple
 
     for session, student_id, activity, start, end, mouse, keys in raw:
         traces = per_session.setdefault(session, {})
@@ -422,19 +470,13 @@ def build_corpora(
         if duration < filt.min_duration_s or duration > filt.max_duration_s:
             filtered += 1
             continue
-        t_bin = discretize_duration(duration, schema, filt)
+        t_bin = bin_of[duration]
         if t_bin is None:
             filtered += 1
             continue
-        e_idx = event_of.get(activity)
-        if e_idx is None:
-            e_idx = event_of[activity] = map_activity(activity, mapping)
-        i_lvl = discretize_interaction(mouse + keys, schema)
-        key = (e_idx, t_bin, i_lvl)
-        token = token_of.get(key)
-        if token is None:
-            token = token_of[key] = Token._make(key)
-        bucket.append(token)
+        e_idx = event_of[activity]
+        i_lvl = level_of[mouse + keys]
+        bucket.append(token_of[e_idx, t_bin, i_lvl])
         event_counts[e_idx] += 1
         time_counts[t_bin] += 1
         level_counts[i_lvl] += 1

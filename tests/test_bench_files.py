@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 END_TO_END = [m["name"] for m in BENCHMARK["end_to_end"]]
+BETTER = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
 BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
 
 
@@ -45,3 +46,21 @@ def test_bench_file_carries_claim_quartiles_machine_and_grid(path):
 
     assert isinstance(bench["machine"], dict) and bench["machine"]
     assert isinstance(bench["projected_paper_grid"], dict) and bench["projected_paper_grid"]
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_bench_claim_follows_from_the_recorded_quartiles(path):
+    """``met``: the change wins 9 pairs in 10 and its median gap exceeds the parent's IQR."""
+    bench = json.loads(path.read_text())
+    claim = bench["claim"]
+    metrics = bench["workloads"][claim["workload"]]["metrics"][claim["metric"]]
+    parent, change = metrics["parent"], metrics["change"]
+    sign = 1 if BETTER[claim["metric"]] == "higher" else -1
+    assert metrics["better"] == BETTER[claim["metric"]]
+
+    assert claim["median_gap"] == pytest.approx(sign * (change["median"] - parent["median"]))
+    assert claim["parent_iqr"] == pytest.approx(parent["q3"] - parent["q1"])
+    assert claim["change_wins"] == metrics["change_wins"]
+    met = (claim["change_wins"] >= 0.9 * claim["pairs"]
+           and claim["median_gap"] > claim["parent_iqr"])
+    assert claim["met"] is met

@@ -89,6 +89,19 @@ def test_generate_zero_traces_fails(tmp_path, capsys):
     assert "error" in err
 
 
+def test_generate_with_an_infinite_concentration_is_a_json_error_and_writes_no_file(
+        tmp_path, capsys):
+    code = run(["generate", "--traits", 2, "--traces", 2, "--tokens-per-trace", 3,
+                "--alpha", "inf", "--out-prefix", tmp_path / "o" / "g"])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ValueError"
+    assert err["detail"].startswith("alpha must be at least ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fit_and_rerun_byte_identical(tmp_path, generated):
     out = tmp_path / "m.json"
     argv = [

@@ -1,7 +1,10 @@
+import copy
 import itertools
 import json
 import os
+import pickle
 import stat
+from dataclasses import FrozenInstanceError, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,7 +35,7 @@ from hbtm import (
     validate_corpus,
 )
 from hbtm.core import _number_lists_chunks, save_json, write_atomic
-from hbtm.ingest import write_rejects_csv
+from hbtm.ingest import MappingRule, write_rejects_csv
 
 from conftest import random_corpus
 
@@ -83,6 +86,13 @@ def test_hyperparams_positive():
         Hyperparams(alpha=0.0)
     with pytest.raises(ValueError):
         Hyperparams(delta=-1.0)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_hyperparams_refuse_non_finite_values(value):
+    for name in ("alpha", "beta", "gamma", "delta"):
+        with pytest.raises(ValueError, match=f"^{name} must be at least .* and finite"):
+            Hyperparams(**{name: value})
 
 
 def test_validate_corpus_accepts_valid(rng):
@@ -203,6 +213,13 @@ def test_posterior_type_rejects_broken_rows():
     bad = np.array([[0.6, 0.6], [0.5, 0.5]])
     with pytest.raises(ValueError):
         Posterior(bad, good, np.full((2, 2, 2), 0.5), np.full((2, 2, 2), 0.5))
+
+
+def test_posterior_type_rejects_nan_entries():
+    good = np.full((2, 2), 0.5)
+    for bad in (np.array([[np.nan, 0.5], [0.5, 0.5]]), np.full((2, 2), np.nan)):
+        with pytest.raises(ValueError, match="NaN"):
+            Posterior(bad, good, np.full((2, 2, 2), 0.5), np.full((2, 2, 2), 0.5))
 
 
 def test_total_variation():
@@ -491,6 +508,18 @@ def test_trace_is_frozen_and_stores_its_tokens_as_a_tuple():
         listed.tokens = ()
     with pytest.raises(AttributeError):
         listed.trace_id = "b"
+
+
+@pytest.mark.parametrize("record", [
+    Trace("a", (Token(0, 1, 2),)), RejectedRow(3, "short row"), MappingRule("exact", "Blank", 13),
+], ids=lambda r: type(r).__name__)
+def test_frozen_records_refuse_every_assignment_and_survive_copies(record):
+    for name in (fields(record)[0].name, "weight"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, 1)
+    assert not hasattr(record, "__dict__")
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert copy.copy(record) == record == copy.deepcopy(record)
 
 
 # --- JSON output ---------------------------------------------------------------

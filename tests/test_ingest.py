@@ -21,7 +21,16 @@ from hbtm import (
     map_activity,
     parse_raw_log,
 )
-from hbtm.ingest import _TIMESTAMP_FORMATS, _epoch, _fast_timestamp, _parse_timestamp
+from hbtm.ingest import (
+    _TIMESTAMP_FORMATS,
+    _clock,
+    _count,
+    _epoch,
+    _midnight,
+    _seconds,
+    _Table,
+    _timestamp_reader,
+)
 
 COLUMN_MAP = {
     "session": "session",
@@ -229,6 +238,15 @@ def test_parse_sums_interaction_columns():
     assert events[0].duration_s == 10.0
 
 
+def test_parse_reads_a_lone_count_column():
+    column_map = {**COLUMN_MAP, "mouse_clicks": []}
+    rows = ["1,s1,Deeds,100,110,2,3,4,5", "1,s1,Deeds,100,110,2,3,4,x",
+            "1,s1,Deeds,100,110,2,3,4,-5"]
+    events, rejects = parse_raw_log(csv_of(rows), column_map)
+    assert [(e.mouse_clicks, e.keystrokes) for e in events] == [(0, 5)]
+    assert _rows(rejects) == [(2, "bad interaction count"), (3, "negative interaction count")]
+
+
 def test_parse_rejects_negative_duration():
     events, rejects = parse_raw_log(
         csv_of(["1,s1,Deeds,200,100,0,0,0,0"]), COLUMN_MAP
@@ -308,11 +326,18 @@ def _full_chain(raw, fmt):
     return float(raw)
 
 
-def _outcome(parse, raw, fmt):
+def _outcome(parse, *args):
     try:
-        return repr(parse(raw, fmt))
-    except (ValueError, TypeError):
+        return repr(parse(*args))
+    except (ValueError, TypeError, OverflowError):
         return "error"
+
+
+def _finite(outcome):
+    """Non-finite epochs are rejected, not returned."""
+    if outcome != "error" and not math.isfinite(float(outcome)):
+        return "error"
+    return outcome
 
 
 # Values that each part of a canonical day-first stamp may be swapped for.
@@ -367,10 +392,27 @@ timestamp_formats = st.sampled_from([None, "", "%d.%m.%Y %H:%M:%S", "%d/%m/%Y %H
 @example("\u0660\u0662.10.2019 09:00:17", None)
 @example("02.10.2019 09:00:17", "%d/%m/%Y %H:%M:%S")
 def test_timestamp_fast_path_matches_full_chain(raw, fmt):
-    want = _outcome(_full_chain, raw, fmt)
-    if want != "error" and not math.isfinite(float(want)):
-        want = "error"  # non-finite epochs are rejected, not returned
-    assert _outcome(_parse_timestamp, raw, fmt) == want
+    want = _finite(_outcome(_full_chain, raw, fmt))
+    assert _outcome(_timestamp_reader(fmt), raw) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(day_first_stamps(), max_size=40), st.randoms(use_true_random=False))
+def test_shared_timestamp_tables_match_full_chain_stamp_by_stamp(stamps, rng):
+    # repeats make later stamps hit table entries that earlier ones stored, odd ones included
+    stamps = stamps + rng.sample(stamps, len(stamps))
+    read = _timestamp_reader(None)
+    got = [_outcome(read, raw) for raw in stamps]
+    assert got == [_finite(_outcome(_full_chain, raw, None)) for raw in stamps]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(["7", " 7", "7.9", "1e400", "nan", "-3", "inf", "n/a", "",
+                                 "-0", "12 "]), max_size=30))
+def test_shared_count_table_matches_int_of_float_text_by_text(texts):
+    count_of = _Table(_count).__getitem__
+    got = [_outcome(count_of, text) for text in texts]
+    assert got == [_outcome(lambda t: int(float(t)), text) for text in texts]
 
 
 @settings(max_examples=300, deadline=None)
@@ -380,14 +422,23 @@ def test_fast_path_answers_every_canonical_stamp(dt, sep):
     raw = (f"{dt.day:02d}{sep}{dt.month:02d}{sep}{dt.year:04d} "
            f"{dt.hour:02d}:{dt.minute:02d}:{dt.second:02d}")
     want = _full_chain(raw, None)
-    assert repr(_fast_timestamp(raw)) == repr(want)
-    assert repr(_parse_timestamp(raw, f"%d{sep}%m{sep}%Y %H:%M:%S")) == repr(want)
+    day, hm, s = _stamp_parts(raw)
+    assert repr(day + (hm + s)) == repr(want)
+    assert repr(_timestamp_reader(None)(raw)) == repr(want)
+    assert repr(_timestamp_reader(f"%d{sep}%m{sep}%Y %H:%M:%S")(raw)) == repr(want)
+
+
+def _stamp_parts(raw):
+    """The date, clock and seconds values the fast path reads for one stamp."""
+    return _midnight(raw[:10]), _clock(raw[11:16]), _seconds(raw[17:])
 
 
 def test_fast_path_values():
-    assert _fast_timestamp("02.10.2019 09:00:17") == 1570006817.0
-    assert _fast_timestamp("02/10/2019 09:00:17") == 1570006817.0
-    assert _fast_timestamp("29.02.2020 23:59:59") == 1583020799.0
+    read = _timestamp_reader(None)
+    assert read("02.10.2019 09:00:17") == 1570006817.0
+    assert read("02/10/2019 09:00:17") == 1570006817.0
+    assert read("29.02.2020 23:59:59") == 1583020799.0
+    assert _stamp_parts("02.10.2019 09:00:17") == (1569974400.0, 32400, 17)
 
 
 @pytest.mark.parametrize("raw", [
@@ -395,7 +446,9 @@ def test_fast_path_values():
     "02.10.2019T09:00:17",
 ])
 def test_fast_path_declines_other_shapes(raw):
-    assert _fast_timestamp(raw) is None
+    # the full chain reads neither shape, so an answer could only come from the fast path
+    with pytest.raises(ValueError):
+        _timestamp_reader(None)(raw)
 
 
 # --- csv.DictReader parity ---------------------------------------------------
