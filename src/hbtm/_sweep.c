@@ -1,19 +1,24 @@
-/* One collapsed-Gibbs sweep over flat int64 count tables.
+/* The compiled helpers of hbtm.sampler: hbtm_sweep and hbtm_scan.
  *
- * Reproduces sampler.reference_sweep bit for bit: each weight is computed in
- * reference_sweep's operation order (numerator left to right, then divided
- * by the three-factor denominator), cum is a sequential running sum, and the
- * trait is picked with bisect_right's own binary search, clamped to K-1.
- * Build with -ffp-contract=off so no multiply-add is fused.
+ * hbtm_sweep runs one collapsed-Gibbs sweep over flat int64 count tables.
+ * It reproduces sampler.reference_sweep bit for bit: each weight is computed
+ * in reference_sweep's operation order (numerator left to right, then
+ * divided by the three-factor denominator), cum is a sequential running sum,
+ * and the trait is picked with bisect_right's own binary search, clamped to
+ * K-1. Build with -ffp-contract=off so no multiply-add is fused.
  *
  * u holds one uniform per token; cum is K doubles of scratch. Returns 0;
  * j + 1 when the weights of flat token j are degenerate (a zero denominator,
  * or a total outside (0, inf)), in which case token j is put back under its
  * old trait so the tables stay consistent; or -(j + 1) when z[j] is not a
  * trait index, before anything is written for token j.
+ *
+ * hbtm_scan reads a nested JSON array of numbers into doubles, with the same
+ * value for every number as Python's float(); see its own comment.
  */
 #include <float.h>
 #include <stdint.h>
+#include <stdlib.h>
 
 #define MOVE(k, d) do { \
         n_mk[m * nk + (k)] += (d); n_ke[(k) * ne + e] += (d); \
@@ -67,4 +72,150 @@ int64_t hbtm_sweep(int64_t n, int64_t nk, int64_t ne, int64_t nt, int64_t ni,
         MOVE(k, 1);
     }
     return 0;
+}
+
+#define SCAN_MAX_NDIM 32
+
+/* Every power of ten that a double holds exactly. */
+static const double POW10[23] = {
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+};
+
+static int is_space(char c)
+{
+    return c == ' ' || c == '\n' || c == '\r' || c == '\t';
+}
+
+/* Read a run of digits, folding them into *m while it has room; *fits drops to
+ * 0 once a digit no longer fits. *count is the number of digits read. */
+static const char *scan_digits(const char *p, const char *end, uint64_t *m, int *fits,
+                               int64_t *count)
+{
+    const char *from = p;
+    for (; p < end && *p >= '0' && *p <= '9'; p++) {
+        if (*m < UINT64_C(100000000000000000))  /* 1e17: m * 10 + 9 still fits */
+            *m = *m * 10 + (uint64_t)(*p - '0');
+        else
+            *fits = 0;
+    }
+    *count = p - from;
+    return p;
+}
+
+/* Read the JSON number at p, which must carry a fraction or an exponent, into
+ * *out. Returns the byte after it, or NULL to decline: bad grammar, a number
+ * that runs to the span's end, or a non-finite value.
+ *
+ * A mantissa m <= 2^53 with a decimal exponent within +-22 is one IEEE
+ * division or product of two exact doubles, so it is correctly rounded
+ * (Clinger, PLDI 1990). Other numbers go to strtod, whose end pointer must
+ * land on the number's end: in a locale whose decimal point is not '.', it
+ * stops short and the span is declined. strtod never reads past end, because
+ * the byte after the number is inside the span and cannot extend it. */
+static const char *scan_number(const char *p, const char *end, double *out)
+{
+    const char *const start = p;
+    const int negative = *p == '-';
+    uint64_t m = 0;
+    int fits = 1;
+    int64_t count, exp10 = 0;
+    if (negative)
+        p++;
+    const char *const lead = p;
+    p = scan_digits(p, end, &m, &fits, &count);
+    if (count == 0 || (*lead == '0' && count > 1))
+        return NULL;
+    const char *const integer_end = p;
+    if (p < end && *p == '.') {
+        p = scan_digits(p + 1, end, &m, &fits, &count);
+        if (count == 0)
+            return NULL;
+        exp10 = -count;
+    }
+    if (p < end && (*p == 'e' || *p == 'E')) {
+        const int down = ++p < end && *p == '-';
+        if (p < end && (*p == '-' || *p == '+'))
+            p++;
+        int64_t e = 0;
+        const char *const from = p;
+        for (; p < end && *p >= '0' && *p <= '9'; p++)
+            if (e < 100000)
+                e = e * 10 + (*p - '0');
+        if (p == from)
+            return NULL;
+        exp10 += down ? -e : e;
+    }
+    if (p == integer_end || p == end)
+        return NULL;
+    double v;
+    if (fits && m <= (UINT64_C(1) << 53) && exp10 >= -22 && exp10 <= 22) {
+        v = exp10 < 0 ? (double)m / POW10[-exp10] : (double)m * POW10[exp10];
+        if (negative)
+            v = -v;
+    } else {
+        char *stop;
+        v = strtod(start, &stop);
+        if (stop != p)
+            return NULL;
+    }
+    if (!(v >= -DBL_MAX && v <= DBL_MAX))
+        return NULL;
+    *out = v;
+    return p;
+}
+
+/* Read text[0, len), which need not end in a NUL, as one JSON array of
+ * numbers nested at most SCAN_MAX_NDIM deep. Returns its number of
+ * dimensions, with their lengths in shape (SCAN_MAX_NDIM entries) and the
+ * numbers in out in row-major order; or 0 to decline the whole span. Only
+ * JSON whitespace, brackets, commas and numbers with a '.' or an exponent
+ * are accepted, every list must be non-empty, and lists at the same depth
+ * must have the same length. At most capacity doubles are written: a
+ * rectangular array has one comma fewer than it has numbers. */
+int64_t hbtm_scan(const char *text, int64_t len, int64_t *shape, double *out, int64_t capacity)
+{
+    const char *p = text;
+    const char *const end = text + len;
+    int64_t items[SCAN_MAX_NDIM];
+    int64_t depth = 0, ndim = 0, n = 0;
+    int after_value = 0;
+    for (int64_t d = 0; d < SCAN_MAX_NDIM; d++)
+        shape[d] = 0;
+    for (;;) {
+        while (p < end && is_space(*p))
+            p++;
+        if (depth == 0 && after_value)
+            return p == end ? ndim : 0;
+        if (p == end)
+            return 0;
+        if (!after_value && *p == '[') {
+            if (depth == SCAN_MAX_NDIM || (ndim && depth == ndim))
+                return 0;
+            items[depth++] = 0;
+            p++;
+        } else if (!after_value) {
+            if (depth == 0 || (ndim && depth != ndim) || n == capacity)
+                return 0;
+            ndim = depth;
+            if (!(p = scan_number(p, end, out + n++)))
+                return 0;
+            items[depth - 1]++;
+            after_value = 1;
+        } else if (*p == ',') {
+            after_value = 0;
+            p++;
+        } else if (*p == ']') {
+            depth--;
+            if (shape[depth] == 0)
+                shape[depth] = items[depth];
+            else if (shape[depth] != items[depth])
+                return 0;
+            if (depth)
+                items[depth - 1]++;
+            p++;
+        } else {
+            return 0;
+        }
+    }
 }

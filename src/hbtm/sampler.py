@@ -20,13 +20,20 @@ system C compiler on first use and cached under ``$XDG_CACHE_HOME/hbtm``
 (default ``~/.cache/hbtm``). ``reference_sweep`` is the same loop in plain
 Python: it is the oracle the kernel must match bit for bit, and the fallback
 when no compiler or cache directory is usable.
+
+``load_fit_result`` reads the posterior of a model file in ``core.save_json``'s
+layout through the same library's number scanner, and every other file, or
+every file when the library is missing, through ``json``: both give the same
+floats and the same errors.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
+import re
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from itertools import chain
@@ -219,7 +226,6 @@ class FitResult:
     """Posterior averaged over retained sweeps, plus the chain's diagnostics."""
 
     posterior: Posterior
-    final_state: ModelState | None
     log_joint_trace: list[float]
     diagnostics: dict
     trace_ids: list[str]
@@ -233,12 +239,83 @@ class FitResult:
         }
 
 
+# core.save_json's layout of a fit's posterior: sorted keys, indent 2, after another key
+_POSTERIOR_LAYOUT = (
+    b',\n  "posterior": {\n    "phi": ', b',\n    "psi": ', b',\n    "tau": ',
+    b',\n    "theta": ', b'\n  }',
+)
+_SCAN_MAX_NDIM = 32  # SCAN_MAX_NDIM in _sweep.c
+_JSON_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"')
+
+
+def _scan_array(scan, raw: bytes, lo: int, hi: int) -> np.ndarray | None:
+    """``raw[lo:hi]``, one JSON array of numbers, as a float64 array; None if declined.
+
+    An array the scanner accepts has one number more than it has commas, so
+    the buffer holds exactly its numbers.
+    """
+    out = np.empty(raw.count(b",", lo, hi) + 1)
+    shape = np.empty(_SCAN_MAX_NDIM, np.int64)
+    address = np.frombuffer(raw, np.uint8).ctypes.data  # raw itself, not a copy
+    ndim = scan(address + lo, hi - lo, shape.ctypes.data, out.ctypes.data, out.size)
+    return out.reshape(shape[:ndim]) if ndim else None
+
+
+def _read_text(raw: bytes) -> str:
+    """``raw`` decoded as ``Path.read_text`` decodes a file: locale encoding, universal newlines."""
+    return io.TextIOWrapper(io.BytesIO(raw)).read()
+
+
+def _scan_fit(raw: bytes) -> dict | None:
+    """The model file ``raw`` as ``json.loads`` reads it, its posterior read by the scanner.
+
+    None when the library is missing, the posterior is not in
+    ``_POSTERIOR_LAYOUT``, the scanner declines one of its arrays, or the
+    rest of the file does not parse as the same object without it.
+    """
+    library = _library()
+    start = raw.find(_POSTERIOR_LAYOUT[0])
+    if library is None or start < 0:
+        return None
+    bounds, at = [], start
+    for mark in _POSTERIOR_LAYOUT:
+        at = raw.find(mark, at)
+        if at < 0:
+            return None
+        bounds.append((at, at + len(mark)))
+        at += len(mark)
+    arrays = {}
+    for key, (_, lo), (hi, _) in zip(("phi", "psi", "tau", "theta"), bounds, bounds[1:]):
+        arrays[key] = _scan_array(library.hbtm_scan, raw, lo, hi)
+        if arrays[key] is None:
+            return None
+    try:  # undecodable bytes and bad JSON are reported by the json path
+        head, tail = _read_text(raw[:start]), _read_text(raw[bounds[-1][1]:])
+        data = json.loads(head + tail)
+    except (ValueError, RecursionError):
+        return None
+    # the file and head + tail parse alike only if the cut lies outside every
+    # string, directly inside the top-level object, and after a member
+    outer = _JSON_STRING.sub("", head)
+    depth = outer.count("{") + outer.count("[") - outer.count("}") - outer.count("]")
+    if (type(data) is not dict or "posterior" in data  # a second posterior key
+            or depth != 1 or '"' in outer or outer.rstrip(" \t\n\r").endswith("{")):
+        return None
+    data["posterior"] = arrays
+    return data
+
+
 def load_fit_result(path) -> FitResult:
-    """Read a fit back; the in-memory chain state is not serialized."""
-    data = json.loads(Path(path).read_text())
+    """Read a fit back; the in-memory chain state is not serialized.
+
+    Equal to ``json.loads(Path(path).read_text())``, float for float and error
+    for error; see ``_scan_fit`` for the faster path taken when it applies.
+    """
+    data = _scan_fit(Path(path).read_bytes())
+    if data is None:
+        data = json.loads(Path(path).read_text())
     return FitResult(
         posterior=Posterior.from_dict(data["posterior"]),
-        final_state=None,
         log_joint_trace=list(data["log_joint_trace"]),
         diagnostics=data["diagnostics"],
         trace_ids=list(data["trace_ids"]),
@@ -342,7 +419,7 @@ def reference_sweep(state: ModelState, hyper: Hyperparams) -> ModelState:
 
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _UNLOADED = object()
-_kernel = _UNLOADED  # the compiled sweep once loaded; None when it cannot be built
+_kernel = _UNLOADED  # the compiled library once loaded; None when it cannot be built
 
 
 def _build_kernel(source: Path, library: Path) -> None:
@@ -366,7 +443,7 @@ def _build_kernel(source: Path, library: Path) -> None:
 
 
 def _load_kernel():
-    """The compiled sweep from the cache, built there on a miss; None if unusable.
+    """The compiled library from the cache, built there on a miss; None if unusable.
 
     A cached library that does not load (truncated or corrupt) is rebuilt
     once, so one bad file does not slow every later process.
@@ -386,15 +463,17 @@ def _load_kernel():
         except OSError:
             _build_kernel(source, library)
             loaded = ctypes.CDLL(str(library))
-        kernel = loaded.hbtm_sweep
+        sweep, scan = loaded.hbtm_sweep, loaded.hbtm_scan
     except OSError:
         return None
-    kernel.restype = ctypes.c_int64
-    kernel.argtypes = [ctypes.c_int64] * 5 + [ctypes.c_double] * 7 + [ctypes.c_void_p] * 12
-    return kernel
+    sweep.restype = scan.restype = ctypes.c_int64
+    sweep.argtypes = [ctypes.c_int64] * 5 + [ctypes.c_double] * 7 + [ctypes.c_void_p] * 12
+    scan.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
+                     ctypes.c_int64]
+    return loaded
 
 
-def _sweep_kernel():
+def _library():
     global _kernel
     if _kernel is _UNLOADED:
         _kernel = _load_kernel()
@@ -437,12 +516,12 @@ def gibbs_sweep(state: ModelState, hyper: Hyperparams) -> ModelState:
     selection, same ValueError on degenerate weights); falls back to
     ``reference_sweep`` when the kernel cannot be built.
     """
-    kernel = _sweep_kernel()
-    if kernel is None:
+    library = _library()
+    if library is None:
         return reference_sweep(state, hyper)
     _arrays, (uniforms, _cum), pointers = _bind(state)
     state.rng.random(out=uniforms)
-    failed = kernel(
+    failed = library.hbtm_sweep(
         state.token_count, state.num_traits, state.num_events,
         state.num_time_bins, state.num_interaction_levels,
         *_weight_constants(state, hyper), *pointers,
@@ -534,7 +613,6 @@ def fit(corpus: Corpus, config: FitConfig) -> FitResult:
     }
     return FitResult(
         posterior=posterior,
-        final_state=state,
         log_joint_trace=log_joint_trace,
         diagnostics=diagnostics,
         trace_ids=list(state.trace_ids),

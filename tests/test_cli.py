@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -669,3 +670,110 @@ def test_every_fit_config_fits_or_is_one_json_error(four_token_corpus, traits, s
             assert code == 1 and len(lines) == 1
             assert not json.loads(lines[0])["error"].endswith("Warning")
             assert out.read_bytes() == b"an earlier model\n"
+
+
+# --- model files: the number scanner against json ------------------------------
+
+
+def _first_number(text, key, new):
+    """``text`` with the first number after ``"key": `` replaced by ``new``."""
+    match = re.compile(r"-?[0-9][0-9.eE+-]*").search(text, text.index(f'"{key}": '))
+    return text[:match.start()] + new + text[match.end():]
+
+
+def _posterior_member(text):
+    """The bounds of ``,\\n  "posterior": {...}`` in a model file as save_json writes it."""
+    start = text.index(',\n  "posterior": {')
+    return start, text.index("\n  }", start) + len("\n  }")
+
+
+def _moved_posterior(text, into):
+    start, end = _posterior_member(text)
+    return into(text[:start] + text[end:], text[start:end])
+
+
+def _second_posterior(text, before):
+    # theta's first and last rows swapped, so using the wrong copy changes every output
+    start, end = _posterior_member(text)
+    member = text[start:end]
+    theta = member.index('"theta": ') + len('"theta": ')
+    rows = json.loads(member[theta:member.rindex("]") + 1])
+    rows[0], rows[-1] = rows[-1], rows[0]
+    other = member[:theta] + json.dumps(rows, indent=2).replace("\n", "\n    ") + "\n  }"
+    return text[:start] + (other + member if before else member + other) + text[end:]
+
+
+# (name, edit of the canonical model text, whether the scanner reads its posterior)
+MODEL_EDITS = [
+    ("canonical", lambda t: t, True),
+    ("nan", lambda t: _first_number(t, "theta", "NaN"), False),
+    ("infinity", lambda t: _first_number(t, "phi", "Infinity"), False),
+    ("1e400", lambda t: _first_number(t, "psi", "1e400"), False),
+    ("integer", lambda t: _first_number(t, "tau", "1"), False),
+    ("leading-zero", lambda t: _first_number(t, "theta", "01.5"), False),
+    ("bare-fraction", lambda t: _first_number(t, "theta", ".5"), False),
+    ("plus-sign", lambda t: _first_number(t, "theta", "+1.0"), False),
+    ("trailing-comma", lambda t: t.replace("\n      ]", ",\n      ]", 1), False),
+    ("ragged-theta", lambda t: re.sub(r'("theta": \[\n      \[\n        )[^,]*,\s*', r"\1", t),
+     False),
+    ("empty-theta", lambda t: re.sub(r'"theta": \[.*?\n    \]', '"theta": []', t, flags=re.S),
+     False),
+    ("duplicate-posterior-after", lambda t: _second_posterior(t, before=False), False),
+    ("duplicate-posterior-before", lambda t: _second_posterior(t, before=True), False),
+    ("extra-posterior-key", lambda t: t.replace('\n    "phi": ', '\n    "extra": [1.0],\n    "phi": '),
+     False),
+    ("compact", lambda t: json.dumps(json.loads(t)), False),
+    ("crlf", lambda t: t.replace("\n", "\r\n"), False),
+    ("crlf-in-config", lambda t: t.replace('\n    "', '\r\n    "', 3), True),
+    ("non-ascii-in-config", lambda t: t.replace('"corpus": "', '"corpus": "\u00e9\\u00e9', 1), True),
+    ("non-stochastic-row", lambda t: _first_number(t, "theta", "0.999"), True),
+    ("posterior-nested", lambda t: _moved_posterior(t, lambda rest, p: rest.replace(
+        "{", '{\n  "wrapper": {"a": 1.0' + p + "},", 1)), False),
+    ("posterior-in-a-string", lambda t: _moved_posterior(t, lambda rest, p: rest.replace(
+        "{", '{\n  "wrapper": "a' + p + '",', 1)), False),
+    ("posterior-first", lambda t: _moved_posterior(t, lambda rest, p: rest.replace(
+        "{", "{" + p + ",", 1)), False),
+    ("posterior-alone", lambda t: _moved_posterior(t, lambda rest, p: "{" + p + "\n}\n"), False),
+    ("posterior-in-an-array", lambda t: _moved_posterior(t, lambda rest, p: "[1.0" + p + ", 2.0]\n"),
+     False),
+    ("undecodable-byte-after-posterior", lambda t: t.replace('"trace_0005"', '"trace_0005\udcff"'),
+     False),
+] + [
+    (f"truncated-{fraction}", lambda t, f=fraction: t[:int(len(t) * f)], False)
+    for fraction in (0.05, 0.3, 0.6, 0.9, 0.99)
+] + [
+    ("truncated-in-theta-close", lambda t: t[:t.index("\n  }") + 1], False),
+    ("truncated-before-last-brace", lambda t: t.rstrip()[:-1], False),
+]
+
+
+@pytest.mark.parametrize("name, edit, scanned", MODEL_EDITS, ids=[e[0] for e in MODEL_EDITS])
+def test_model_files_read_alike_with_and_without_the_scanner(tmp_path, generated, monkeypatch,
+                                                            capsys, name, edit, scanned):
+    if hbtm.sampler._library() is None:
+        pytest.skip("no compiled library")
+    model = fit_small_model(tmp_path, generated)
+    model.write_bytes(edit(model.read_text()).encode(errors="surrogateescape"))
+    assert (hbtm.sampler._scan_fit(model.read_bytes()) is not None) == scanned
+    grades = tmp_path / "grades.csv"
+    grades.write_text("trace_id,SA,SFE,FE\n"
+                      + "".join(f"trace_{m:04d},{m % 5},{m / 2},{50 + m}\n" for m in range(6)))
+    report, profile = tmp_path / "report.json", tmp_path / "trait.csv"
+    commands = (["analyze", "--model", model, "--grades", grades, "--out", report],
+                ["export-trait", "--model", model, "--trait", 2, "--out", profile])
+
+    def outcomes():
+        seen = []
+        for argv, out in zip(commands, (report, profile)):
+            out.unlink(missing_ok=True)
+            code = run(argv)
+            seen.append((code, capsys.readouterr().err, out.read_bytes() if code == 0 else None))
+        return seen
+
+    with_scanner = outcomes()
+    with monkeypatch.context() as patch:
+        patch.setattr(hbtm.sampler, "_kernel", None)
+        assert hbtm.sampler._scan_fit(model.read_bytes()) is None
+        assert outcomes() == with_scanner
+    for code, err, _ in with_scanner:
+        assert code == 0 or len(err.splitlines()) == 1

@@ -1,8 +1,13 @@
 import itertools
+import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from bisect import bisect_right
 from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -340,10 +345,13 @@ def test_fit_without_kernel_matches_kernel_fit_byte_for_byte(tmp_path, rng, monk
             "--audit-every", "1", "--out", str(model)]
     assert main(argv) == 0
     with_kernel = model.read_bytes()
+    assert sampler._scan_fit(with_kernel) is not None
+    scanned = load_fit_result(model)
     monkeypatch.setattr(sampler, "_kernel", None)
     model.unlink()
     assert main(argv) == 0
     assert model.read_bytes() == with_kernel
+    assert_same_fit(load_fit_result(model), scanned)
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
@@ -378,7 +386,7 @@ def test_compiled_kernel_loads_when_a_compiler_exists():
     # a silent fallback to the Python sweep would hide a large slowdown
     if shutil.which("cc") is None:
         pytest.skip("no C compiler")
-    assert sampler._sweep_kernel() is not None
+    assert sampler._library() is not None
 
 
 # --- collapsed log joint ---------------------------------------------------
@@ -488,12 +496,20 @@ def test_collapsed_log_joint_invariant_under_relabeling(rng):
 # --- fit -------------------------------------------------------------------
 
 
+def replay_chain(corpus, cfg):
+    """The state a fit with ``cfg`` ends in: the same seed, the same sweeps."""
+    state = init_state(corpus, cfg)
+    for _ in range(cfg.sweeps):
+        gibbs_sweep(state, cfg.hyper)
+    return state
+
+
 def test_fit_single_retained_sample_equals_snapshot(rng):
     corpus = random_corpus(rng)
     cfg = FitConfig(num_traits=2, sweeps=10, burn_in=9, sample_stride=1, seed=4)
     result = fit(corpus, cfg)
     assert result.diagnostics["retained_samples"] == 1
-    snapshot = estimate_posterior(result.final_state, cfg.hyper)
+    snapshot = estimate_posterior(replay_chain(corpus, cfg), cfg.hyper)
     assert np.array_equal(result.posterior.theta, snapshot.theta)
     assert np.array_equal(result.posterior.phi, snapshot.phi)
     assert len(result.log_joint_trace) == 10
@@ -521,7 +537,8 @@ def test_fit_bookkeeping_matches_recount(rng):
     corpus = random_corpus(rng, num_traces=5)
     cfg = FitConfig(num_traits=3, sweeps=40, burn_in=20, sample_stride=4, seed=2)
     result = fit(corpus, cfg)
-    state = result.final_state
+    state = replay_chain(corpus, cfg)
+    assert collapsed_log_joint(state, cfg.hyper) == result.log_joint_trace[-1]
     rebuilt = state_of(corpus, 3, state.z)
     assert np.array_equal(rebuilt.n_mk, state.n_mk)
     assert np.array_equal(rebuilt.n_ke, state.n_ke)
@@ -599,3 +616,152 @@ def test_small_chain_matches_enumeration_at_distinct_hyperparameters():
         ),
     )
     assert_chain_matches_enumeration(corpus, Hyperparams(0.7, 0.3, 2.5, 0.15), seed=11)
+
+
+# --- model file reading ------------------------------------------------------
+
+
+def assert_same_fit(got, want):
+    """Equal FitResults: every posterior float bit for bit (sign of zero included)."""
+    for name in ("theta", "phi", "psi", "tau"):
+        a, b = getattr(got.posterior, name), getattr(want.posterior, name)
+        assert a.shape == b.shape, name
+        assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+    assert np.array_equal(np.array(got.log_joint_trace).view(np.int64),
+                          np.array(want.log_joint_trace).view(np.int64))
+    assert got.diagnostics == want.diagnostics
+    assert got.trace_ids == want.trace_ids
+
+
+def scan(text):
+    library = sampler._library()
+    if library is None:
+        pytest.skip("no compiled library")
+    raw = text.encode()
+    return sampler._scan_array(library.hbtm_scan, raw, 0, len(raw))
+
+
+def assert_scans_like_json(text):
+    got, want = scan(text), np.array(json.loads(text), dtype=float)
+    assert got is not None, text
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64)), text
+
+
+PINNED_FLOATS = [
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308, 1e-07,
+    0.1, 1e16, 1e22, 1e23, 1.7976931348623157e+308, -1.7976931348623157e+308,
+    0.11333333333333333, 0.12345678901234568, 1.2345678901234567e-05,
+    0.9007199254740991, 0.9007199254740992, 0.9007199254740993, 0.9007199254740994,
+    9007199254740991.0, 9007199254740993.0, 1234567890123456.7, 8.881784197001252e-16,
+]
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(PINNED_FLOATS))
+
+
+@pytest.fixture(scope="module")
+def json_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("scan")
+
+
+def assert_save_json_scans_like_json(values, directory):
+    path = directory / "values.json"
+    save_json(values, path)
+    text = path.read_text()
+    assert_scans_like_json(text)
+    assert np.array_equal(scan(text).view(np.int64), np.array(values, dtype=float).view(np.int64))
+
+
+def test_pinned_floats_scan_bit_for_bit(json_dir):
+    assert_save_json_scans_like_json(PINNED_FLOATS, json_dir)
+    for value in PINNED_FLOATS:
+        assert_save_json_scans_like_json([value], json_dir)
+
+
+@given(values=st.lists(FINITE, min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_saved_float_lists_scan_like_json(json_dir, values):
+    assert_save_json_scans_like_json(values, json_dir)
+
+
+@given(rows=st.integers(1, 6).flatmap(
+    lambda width: st.lists(st.lists(FINITE, min_size=width, max_size=width),
+                           min_size=1, max_size=6)))
+@settings(max_examples=200, deadline=None)
+def test_saved_float_matrices_scan_like_json(json_dir, rows):
+    assert_save_json_scans_like_json(rows, json_dir)
+
+
+@pytest.mark.parametrize("text", [
+    # mantissas on both sides of 2^53 = 9007199254740992, and past 64 bits
+    "[9007199254740991e-16, 9007199254740992e-16, 9007199254740993e-16]",
+    "[0.9007199254740993, 9.007199254740993, 90071992547409.93]",
+    "[0.10000000000000000555, 123456789012345678901234567890.0, 1e-400]",
+    "[1E5, 1e+5, 1.5E-5, -0e0, 0.0e-999]",
+    " [ [1.0 ,2.5e-3\t] ,\r\n[-0.0, 3.0]]\n",
+    "[" * 32 + "0.5" + "]" * 32,
+])
+def test_scanner_reads_any_json_number_layout_like_json(text):
+    assert_scans_like_json(text)
+
+
+@pytest.mark.parametrize("text", [
+    "[NaN]", "[Infinity]", "[-Infinity]", "[1e400]", "[-1e400]",
+    "[1]", "[0]", "[-3]", "[1.0, 2]", "[01.5]", "[-01.5]", "[00.5]", "[.5]", "[5.]",
+    "[+1.0]", "[--1.0]", "[1.0e]", "[1.0e+]", "[1.0e5e5]", "[0x1p3]", "[1_0.0]",
+    "[1.0,]", "[,1.0]", "[1.0 2.0]", '["1.0"]', "[1.0}", "{1.0}", "[1.0]]", "[[1.0]",
+    "[1.0] x", "1.0", "", " ", "[]", "[[]]", "[[1.0], []]",
+    "[[1.0], [2.0, 3.0]]", "[[1.0], 2.0]", "[1.0, [2.0]]", "[[[1.0]], [2.0]]",
+    "[1.0\v]", "[1.0 ]", "[1.0\x00]", "[" * 33 + "0.5" + "]" * 33,
+])
+def test_scanner_declines_what_it_does_not_read_exactly(text):
+    assert scan(text) is None
+
+
+LOCALE_SOURCE = """LC_NUMERIC
+decimal_point ","
+thousands_sep ""
+grouping -1
+END LC_NUMERIC
+"""
+
+COMMA_LOCALE_SCAN = """
+import json, locale, sys
+locale.setlocale(locale.LC_NUMERIC, "comma")
+assert locale.localeconv()["decimal_point"] == ","
+from hbtm import sampler
+library = sampler._library()
+def scan(text):
+    return sampler._scan_array(library.hbtm_scan, text.encode(), 0, len(text))
+# strtod stops at the '.' of a number the fast path leaves to it
+assert scan("[0.11333333333333333]") is None
+assert scan("[0.5, 1.5e-400]") is None
+# the fast path and numbers without a '.' do not depend on the locale
+assert scan("[0.5, 1e23, 1e-400]").tolist() == [0.5, 1e23, 0.0]
+fit = sampler.load_fit_result(sys.argv[1])
+print(json.dumps(fit.posterior.to_dict()))
+"""
+
+
+@pytest.mark.skipif(shutil.which("localedef") is None or shutil.which("cc") is None,
+                    reason="no localedef or no C compiler")
+def test_a_comma_decimal_locale_declines_every_number_strtod_reads(tmp_path, rng):
+    source = tmp_path / "comma.src"
+    source.write_text(LOCALE_SOURCE)
+    (tmp_path / "locales").mkdir()
+    subprocess.run(["localedef", "-c", "-i", str(source), "-f", "ANSI_X3.4-1968",
+                    str(tmp_path / "locales" / "comma")], capture_output=True)
+    if not (tmp_path / "locales" / "comma" / "LC_NUMERIC").exists():
+        pytest.skip("localedef could not build a locale")
+    result = fit(random_corpus(rng), FitConfig(num_traits=3, sweeps=6, burn_in=3,
+                                               sample_stride=1, seed=1))
+    model = tmp_path / "model.json"
+    save_json(result.to_json_dict(), model)
+    script = tmp_path / "scan.py"
+    script.write_text(COMMA_LOCALE_SCAN)
+    env = dict(os.environ, LOCPATH=str(tmp_path / "locales"),
+               PYTHONPATH=os.pathsep.join(filter(None, [str(Path(sampler.__file__).parents[1]),
+                                                       os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, str(script), str(model)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == result.posterior.to_dict()
