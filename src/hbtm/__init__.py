@@ -28,19 +28,16 @@ from .core import (
     Token,
     Trace,
     from_one_based,
-    greedy_match_traits,
     load_corpus,
     load_schema,
     save_corpus,
     save_schema,
     to_one_based,
-    total_variation,
     validate_corpus,
 )
 from .generator import (
     LabeledCorpus,
     generate,
-    joint_log_likelihood,
     sample_params,
     synthetic_schema,
 )

@@ -41,7 +41,6 @@ class KMeansResult:
     labels: np.ndarray
     centroids: np.ndarray
     wcss: float
-    iterations: int
 
 
 def student_t_two_sided_p(t: float, df: float) -> float:
@@ -161,9 +160,7 @@ def kmeans(points, k: int, seed: int = 0, max_iters: int = 100, restarts: int = 
     for _ in range(max(1, restarts)):
         centroids = _kmeans_pp_init(points, k, rng)
         labels = _assign(points, centroids)
-        iterations = 0
         for _ in range(max_iters):
-            iterations += 1
             new_centroids = centroids.copy()
             for j in range(k):
                 members = points[labels == j]
@@ -177,7 +174,7 @@ def kmeans(points, k: int, seed: int = 0, max_iters: int = 100, restarts: int = 
             centroids, labels = new_centroids, new_labels
             if converged:
                 break
-        candidate = KMeansResult(labels, centroids, _wcss(points, centroids, labels), iterations)
+        candidate = KMeansResult(labels, centroids, _wcss(points, centroids, labels))
         if best is None or candidate.wcss < best.wcss:
             best = candidate
     return best
@@ -266,8 +263,11 @@ def run_analysis(fit, grades: GradeTable, threshold: float = 0.05, seed: int = 0
     uses the traces that carry that grade. Cluster ids are reported largest
     first so output is stable under label swaps. Correlation entries carry
     1-based trait numbers and the sign of r; entries that cannot be computed
-    (too few scores, constant inputs) are kept with a skip reason.
+    (too few scores, constant inputs) are kept with a skip reason. The
+    significance threshold must lie in [0, 1].
     """
+    if not 0.0 <= threshold <= 1.0:  # NaN fails this too
+        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     theta = fit.posterior.theta
     trace_ids = list(fit.trace_ids)
     if len(trace_ids) != theta.shape[0]:
@@ -358,7 +358,6 @@ def run_analysis(fit, grades: GradeTable, threshold: float = 0.05, seed: int = 0
 class TraitProfile:
     """One trait's event distribution plus its per-event time and interaction rows."""
 
-    trait: int  # 0-based
     event_labels: tuple[str, ...]
     event_probs: np.ndarray  # (E,)
     time_probs: np.ndarray  # (E, T)
@@ -380,7 +379,6 @@ def export_trait(posterior: Posterior, k: int, event_labels=None) -> TraitProfil
     if len(event_labels) != num_events:
         raise ValueError("event_labels length must match the event count")
     return TraitProfile(
-        trait=k,
         event_labels=event_labels,
         event_probs=posterior.phi[k].copy(),
         time_probs=posterior.psi[k].copy(),

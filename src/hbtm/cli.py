@@ -248,17 +248,13 @@ def _cmd_export_trait(resolved: dict) -> int:
     return 0
 
 
-# name: (handler, help, --config help, option table)
+# name: (handler, help, option table)
 _COMMANDS = {
-    "ingest": (_cmd_ingest, "raw CSV -> per-session corpora", "JSON file with option defaults",
-               _INGEST_OPTIONS),
-    "fit": (_cmd_fit, "collapsed Gibbs fit of one corpus", None, _FIT_OPTIONS),
-    "generate": (_cmd_generate, "synthesize a labeled corpus with known truth", None,
-                 _GENERATE_OPTIONS),
-    "analyze": (_cmd_analyze, "clusters, t-tests and correlations vs grades", None,
-                _ANALYZE_OPTIONS),
-    "export-trait": (_cmd_export_trait, "per-trait distribution profile CSV", None,
-                     _EXPORT_OPTIONS),
+    "ingest": (_cmd_ingest, "raw CSV -> per-session corpora", _INGEST_OPTIONS),
+    "fit": (_cmd_fit, "collapsed Gibbs fit of one corpus", _FIT_OPTIONS),
+    "generate": (_cmd_generate, "synthesize a labeled corpus with known truth", _GENERATE_OPTIONS),
+    "analyze": (_cmd_analyze, "clusters, t-tests and correlations vs grades", _ANALYZE_OPTIONS),
+    "export-trait": (_cmd_export_trait, "per-trait distribution profile CSV", _EXPORT_OPTIONS),
 }
 
 
@@ -270,11 +266,11 @@ def build_parser(command: str | None = None) -> _Parser:
     """
     parser = _Parser(prog="hbtm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, help_text, config_help, options) in _COMMANDS.items():
+    for name, (handler, help_text, options) in _COMMANDS.items():
         if command in _COMMANDS and name != command:
             continue
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help=config_help)
+        p.add_argument("--config", help="JSON file with option defaults")
         for key, kind, _default, option_help in options:
             p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, help=option_help)
         p.set_defaults(func=handler, options=options)

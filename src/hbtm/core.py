@@ -188,10 +188,6 @@ class Corpus:
     def num_tokens(self) -> int:
         return sum(len(t) for t in self.traces)
 
-    @property
-    def trace_ids(self) -> list[str]:
-        return [t.trace_id for t in self.traces]
-
 
 @dataclass(frozen=True)
 class Hyperparams:
@@ -308,43 +304,6 @@ def validate_corpus(corpus: Corpus) -> list[str]:
                 for (name, limit), value in zip(limits, tok) if not 0 <= value < limit
             )
     return violations
-
-
-def total_variation(p, q) -> float:
-    """Total variation distance between two categorical distributions."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    return 0.5 * float(np.abs(p - q).sum())
-
-
-def greedy_match_traits(phi_fit: np.ndarray, phi_true: np.ndarray) -> list[int]:
-    """Greedily pair fitted trait rows with reference rows by TV distance.
-
-    Returns ``perm`` with ``perm[j] = fitted row matched to reference row j``;
-    repeatedly takes the globally closest unmatched pair. Used to undo label
-    switching before comparing fits.
-    """
-    phi_fit = np.asarray(phi_fit, dtype=float)
-    phi_true = np.asarray(phi_true, dtype=float)
-    if phi_fit.shape != phi_true.shape:
-        raise ValueError("trait matrices must have equal shapes")
-    k = phi_fit.shape[0]
-    dist = 0.5 * np.abs(phi_fit[None, :, :] - phi_true[:, None, :]).sum(axis=2)
-    perm = [-1] * k
-    free_fit = set(range(k))
-    free_true = set(range(k))
-    for _ in range(k):
-        best = None
-        for j in sorted(free_true):
-            for i in sorted(free_fit):
-                d = dist[j, i]
-                if best is None or d < best[0]:
-                    best = (d, j, i)
-        _, j, i = best
-        perm[j] = i
-        free_true.remove(j)
-        free_fit.remove(i)
-    return perm
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,7 @@
 
 The generative story per token: a trait z is drawn from the trace's mixture,
 an event e from the trait's event distribution, then a time bin t and an
-interaction level i are drawn conditionally independently given (z, e). The
-module also evaluates the explicit joint log likelihood of parameters plus a
-labeled corpus, entirely in log space.
+interaction level i are drawn conditionally independently given (z, e).
 
 Random streams are derived from numpy SeedSequences keyed by
 (seed, domain, m, n), so every token's draws are independent of generation
@@ -13,7 +11,6 @@ order and the whole procedure is reproducible across platforms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +19,6 @@ from .core import Corpus, Hyperparams, Posterior, Schema, Token, Trace
 
 _PARAMS_DOMAIN = 0
 _TOKEN_DOMAIN = 1
-
-_NEG_INF = float("-inf")
 
 
 @dataclass(frozen=True)
@@ -45,10 +40,6 @@ class LabeledCorpus:
             for z in row:
                 if z < 0:
                     raise ValueError("trait assignments must be nonnegative")
-
-    @property
-    def num_tokens(self) -> int:
-        return self.corpus.num_tokens
 
 
 def synthetic_schema(num_events: int, num_time_bins: int, num_interaction_levels: int) -> Schema:
@@ -145,68 +136,3 @@ def generate(
         assignments.append(tuple(zs))
     corpus = Corpus(schema, tuple(traces))
     return LabeledCorpus(corpus, tuple(assignments))
-
-
-def _symmetric_dirichlet_logpdf(row, concentration: float) -> float:
-    """Log density of a symmetric Dirichlet at a point on the simplex.
-
-    With concentration below 1 the density is unbounded at the boundary, so a
-    zero coordinate there is an error rather than a signed infinity.
-    """
-    d = len(row)
-    norm = math.lgamma(d * concentration) - d * math.lgamma(concentration)
-    if concentration == 1.0:
-        return norm
-    smallest = min(row)
-    if smallest <= 0.0:
-        if concentration < 1.0:
-            raise ValueError("Dirichlet density unbounded at a zero coordinate")
-        return _NEG_INF
-    return norm + (concentration - 1.0) * math.fsum(math.log(x) for x in row)
-
-
-def joint_log_likelihood(params: Posterior, labeled: LabeledCorpus, hyper: Hyperparams) -> float:
-    """Joint log density of parameters, assignments and observations.
-
-    Sums the log Dirichlet densities of every parameter row with the
-    per-token terms log theta[m, z] + log phi[z, e] + log psi[z, e, t] +
-    log tau[z, e, i]. Any zero-probability token yields -inf. Accumulated
-    with exact (order-independent) float summation, so a consistent trait
-    relabeling leaves the value bit-identical.
-    """
-    theta, phi, psi, tau = params.theta, params.phi, params.psi, params.tau
-    traces = labeled.corpus.traces
-    if len(labeled.assignments) != len(traces):
-        raise ValueError("assignments and corpus have different trace counts")
-    if theta.shape[0] != len(traces):
-        raise ValueError("theta row count does not match the corpus trace count")
-
-    terms: list[float] = []
-    for m, trace in enumerate(traces):
-        zs = labeled.assignments[m]
-        if len(zs) != len(trace.tokens):
-            raise ValueError(f"assignment row {m} does not match trace length")
-        theta_m = theta[m]
-        for tok, z in zip(trace.tokens, zs):
-            p_z = theta_m[z]
-            p_e = phi[z, tok.event]
-            p_t = psi[z, tok.event, tok.time_bin]
-            p_i = tau[z, tok.event, tok.interaction_level]
-            if p_z <= 0.0 or p_e <= 0.0 or p_t <= 0.0 or p_i <= 0.0:
-                return _NEG_INF
-            terms.append(math.log(p_z))
-            terms.append(math.log(p_e))
-            terms.append(math.log(p_t))
-            terms.append(math.log(p_i))
-
-    for m in range(theta.shape[0]):
-        terms.append(_symmetric_dirichlet_logpdf(theta[m], hyper.alpha))
-    for k in range(phi.shape[0]):
-        terms.append(_symmetric_dirichlet_logpdf(phi[k], hyper.beta))
-        for e in range(phi.shape[1]):
-            terms.append(_symmetric_dirichlet_logpdf(psi[k, e], hyper.gamma))
-            terms.append(_symmetric_dirichlet_logpdf(tau[k, e], hyper.delta))
-    for value in terms:
-        if value == _NEG_INF:
-            return _NEG_INF
-    return math.fsum(terms)

@@ -20,7 +20,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from .core import Corpus, FrozenSlots, Schema, Token, Trace, save_json, write_atomic
+from .core import Corpus, FrozenSlots, Schema, Token, Trace, write_atomic
 
 OTHER_EVENT_INDEX = 14
 
@@ -47,14 +47,6 @@ class RawEvent(NamedTuple):
     end_time: float
     mouse_clicks: int
     keystrokes: int
-
-    @property
-    def duration_s(self) -> float:
-        return self.end_time - self.start_time
-
-    @property
-    def interaction_total(self) -> int:
-        return self.mouse_clicks + self.keystrokes
 
 
 @dataclass(frozen=True)
@@ -129,9 +121,6 @@ class ActivityMapping:
     @classmethod
     def load(cls, path) -> "ActivityMapping":
         return cls.from_dict(json.loads(Path(path).read_text()))
-
-    def save(self, path) -> None:
-        save_json(self.to_dict(), path)
 
 
 @dataclass(frozen=True)

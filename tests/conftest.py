@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from hbtm import Corpus, Token, Trace, synthetic_schema
+from hbtm import Corpus, Hyperparams, LabeledCorpus, Posterior, Token, Trace, synthetic_schema
 from hbtm.sampler import _tally
+
+_NEG_INF = float("-inf")
 
 
 def random_corpus(rng, num_traces=4, tokens_range=(3, 9), num_events=5,
@@ -42,6 +46,110 @@ def leave_one_out_weights(state, j, hyper):
     return ((n_mk[m] + a) * (ne + b) * (n_ket[:, e, t] + g) * (n_kei[:, e, i] + d)
             / ((n_k + state.num_events * b) * (ne + state.num_time_bins * g)
                * (ne + state.num_interaction_levels * d)))
+
+
+# The recovery oracles of acceptance criterion 2 and of the sampler's recovery
+# test, and criterion 4's explicit joint likelihood.
+def total_variation(p, q) -> float:
+    """Total variation distance between two categorical distributions."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    return 0.5 * float(np.abs(p - q).sum())
+
+
+def greedy_match_traits(phi_fit: np.ndarray, phi_true: np.ndarray) -> list[int]:
+    """Greedily pair fitted trait rows with reference rows by TV distance.
+
+    Returns ``perm`` with ``perm[j] = fitted row matched to reference row j``;
+    repeatedly takes the globally closest unmatched pair. Used to undo label
+    switching before comparing fits.
+    """
+    phi_fit = np.asarray(phi_fit, dtype=float)
+    phi_true = np.asarray(phi_true, dtype=float)
+    if phi_fit.shape != phi_true.shape:
+        raise ValueError("trait matrices must have equal shapes")
+    k = phi_fit.shape[0]
+    dist = 0.5 * np.abs(phi_fit[None, :, :] - phi_true[:, None, :]).sum(axis=2)
+    perm = [-1] * k
+    free_fit = set(range(k))
+    free_true = set(range(k))
+    for _ in range(k):
+        best = None
+        for j in sorted(free_true):
+            for i in sorted(free_fit):
+                d = dist[j, i]
+                if best is None or d < best[0]:
+                    best = (d, j, i)
+        _, j, i = best
+        perm[j] = i
+        free_true.remove(j)
+        free_fit.remove(i)
+    return perm
+
+
+def _symmetric_dirichlet_logpdf(row, concentration: float) -> float:
+    """Log density of a symmetric Dirichlet at a point on the simplex.
+
+    With concentration below 1 the density is unbounded at the boundary, so a
+    zero coordinate there is an error rather than a signed infinity.
+    """
+    d = len(row)
+    norm = math.lgamma(d * concentration) - d * math.lgamma(concentration)
+    if concentration == 1.0:
+        return norm
+    smallest = min(row)
+    if smallest <= 0.0:
+        if concentration < 1.0:
+            raise ValueError("Dirichlet density unbounded at a zero coordinate")
+        return _NEG_INF
+    return norm + (concentration - 1.0) * math.fsum(math.log(x) for x in row)
+
+
+def joint_log_likelihood(params: Posterior, labeled: LabeledCorpus, hyper: Hyperparams) -> float:
+    """Joint log density of parameters, assignments and observations.
+
+    Sums the log Dirichlet densities of every parameter row with the
+    per-token terms log theta[m, z] + log phi[z, e] + log psi[z, e, t] +
+    log tau[z, e, i]. Any zero-probability token yields -inf. Accumulated
+    with exact (order-independent) float summation, so a consistent trait
+    relabeling leaves the value bit-identical.
+    """
+    theta, phi, psi, tau = params.theta, params.phi, params.psi, params.tau
+    traces = labeled.corpus.traces
+    if len(labeled.assignments) != len(traces):
+        raise ValueError("assignments and corpus have different trace counts")
+    if theta.shape[0] != len(traces):
+        raise ValueError("theta row count does not match the corpus trace count")
+
+    terms: list[float] = []
+    for m, trace in enumerate(traces):
+        zs = labeled.assignments[m]
+        if len(zs) != len(trace.tokens):
+            raise ValueError(f"assignment row {m} does not match trace length")
+        theta_m = theta[m]
+        for tok, z in zip(trace.tokens, zs):
+            p_z = theta_m[z]
+            p_e = phi[z, tok.event]
+            p_t = psi[z, tok.event, tok.time_bin]
+            p_i = tau[z, tok.event, tok.interaction_level]
+            if p_z <= 0.0 or p_e <= 0.0 or p_t <= 0.0 or p_i <= 0.0:
+                return _NEG_INF
+            terms.append(math.log(p_z))
+            terms.append(math.log(p_e))
+            terms.append(math.log(p_t))
+            terms.append(math.log(p_i))
+
+    for m in range(theta.shape[0]):
+        terms.append(_symmetric_dirichlet_logpdf(theta[m], hyper.alpha))
+    for k in range(phi.shape[0]):
+        terms.append(_symmetric_dirichlet_logpdf(phi[k], hyper.beta))
+        for e in range(phi.shape[1]):
+            terms.append(_symmetric_dirichlet_logpdf(psi[k, e], hyper.gamma))
+            terms.append(_symmetric_dirichlet_logpdf(tau[k, e], hyper.delta))
+    for value in terms:
+        if value == _NEG_INF:
+            return _NEG_INF
+    return math.fsum(terms)
 
 
 @pytest.fixture

@@ -26,17 +26,16 @@ from hbtm import (
     fit,
     generate,
     gibbs_sweep,
-    greedy_match_traits,
     init_state,
-    joint_log_likelihood,
     kmeans,
     pearson,
     sample_params,
     synthetic_schema,
-    total_variation,
     welch_t_test,
 )
 from hbtm.cli import main
+
+from conftest import greedy_match_traits, joint_log_likelihood, total_variation
 
 HYPER1 = Hyperparams(1.0, 1.0, 1.0, 1.0)
 
@@ -111,7 +110,7 @@ def test_criterion_2_parameter_recovery():
 
     params = sample_params(num_traits, num_traces, schema, hyper, seed=2024)
     labeled = generate(params, [per_trace] * num_traces, seed=2024)
-    assert labeled.num_tokens == num_traces * per_trace
+    assert labeled.corpus.num_tokens == num_traces * per_trace
 
     config = FitConfig(
         num_traits=num_traits, sweeps=500, burn_in=300, sample_stride=10, seed=11, hyper=hyper

@@ -615,6 +615,42 @@ def test_a_non_finite_grade_is_a_json_error_and_writes_no_report(tmp_path, gener
     assert not out.exists()
 
 
+def graded_model(tmp_path, generated):
+    model = fit_small_model(tmp_path, generated)
+    grades = tmp_path / "grades.csv"
+    grades.write_text(
+        "trace_id,SA,SFE,FE\n"
+        + "".join(f"trace_{m:04d},{m % 5},{m / 2},{50 + m}\n" for m in range(6))
+    )
+    return model, grades
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "-0.5", "1.5"])
+def test_a_threshold_outside_the_unit_interval_is_a_json_error_and_writes_no_report(
+        tmp_path, generated, capsys, threshold):
+    model, grades = graded_model(tmp_path, generated)
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    argv = ["analyze", "--model", model, "--grades", grades, f"--threshold={threshold}",
+            "--out", out]
+    assert run(argv) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ValueError" and "threshold" in err["detail"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, threshold", [([], 0.05), (["--threshold", "0"], 0.0),
+                                              (["--threshold", "1"], 1.0)])
+def test_a_threshold_in_the_unit_interval_writes_a_strict_json_report(tmp_path, generated,
+                                                                      flags, threshold):
+    model, grades = graded_model(tmp_path, generated)
+    out = tmp_path / "report.json"
+    assert run(["analyze", "--model", model, "--grades", grades, *flags, "--out", out]) == 0
+    assert json.loads(out.read_text(), parse_constant=_refuse_constant)["threshold"] == threshold
+
+
 @pytest.fixture(scope="module")
 def four_token_corpus(tmp_path_factory):
     prefix = tmp_path_factory.mktemp("surface") / "syn"

@@ -13,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hbtm import (
-    ActivityMapping,
     Corpus,
     Hyperparams,
     ModelState,
@@ -24,20 +23,18 @@ from hbtm import (
     Trace,
     estimate_posterior,
     from_one_based,
-    greedy_match_traits,
     load_corpus,
     load_schema,
     save_corpus,
     save_schema,
     synthetic_schema,
     to_one_based,
-    total_variation,
     validate_corpus,
 )
 from hbtm.core import _number_lists_chunks, save_json, write_atomic
 from hbtm.ingest import MappingRule, write_rejects_csv
 
-from conftest import random_corpus
+from conftest import greedy_match_traits, random_corpus, total_variation
 
 
 def make_counts(n_mk, n_ke, n_ket, n_kei):
@@ -618,7 +615,6 @@ OUTPUT_WRITERS = {
     "save_schema": lambda: lambda path: save_schema(Schema.default(), path),
     "save_corpus": lambda: lambda path: save_corpus(
         Corpus(Schema.default(), (Trace("a", (Token(0, 0, 0),)),)), path),
-    "ActivityMapping.save": lambda: ActivityMapping.default().save,
     "write_rejects_csv": lambda: lambda path: write_rejects_csv(
         [RejectedRow(3, "short row")], path),
 }

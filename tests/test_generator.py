@@ -11,10 +11,11 @@ from hbtm import (
     Token,
     Trace,
     generate,
-    joint_log_likelihood,
     sample_params,
     synthetic_schema,
 )
+
+from conftest import joint_log_likelihood
 
 HYPER1 = Hyperparams(1.0, 1.0, 1.0, 1.0)
 
@@ -179,7 +180,7 @@ def test_generating_params_beat_decoy():
                         + math.log(p.psi[z, tok.event, tok.time_bin])
                         + math.log(p.tau[z, tok.event, tok.interaction_level])
                     )
-            return total / labeled.num_tokens
+            return total / labeled.corpus.num_tokens
 
         if data_term(params) > data_term(decoy):
             wins += 1

@@ -28,7 +28,6 @@ from hbtm import (
     fit,
     generate,
     gibbs_sweep,
-    greedy_match_traits,
     init_state,
     load_fit_result,
     reference_sweep,
@@ -36,14 +35,13 @@ from hbtm import (
     save_corpus,
     save_schema,
     synthetic_schema,
-    total_variation,
 )
 from hbtm import sampler
 from hbtm.cli import main
 from hbtm.core import save_json
 from hbtm.sampler import _TABLES, _dm_log_marginal
 
-from conftest import leave_one_out_weights, random_corpus
+from conftest import greedy_match_traits, leave_one_out_weights, random_corpus, total_variation
 
 HYPER1 = Hyperparams(1.0, 1.0, 1.0, 1.0)
 

@@ -1,5 +1,6 @@
-"""The test run's own settings, and the compiled kernel's build and signature."""
+"""The test run's settings, the package's extent, and the compiled kernel's build and signature."""
 
+import ast
 import ctypes
 import os
 import re
@@ -14,7 +15,9 @@ from hbtm import Corpus, FitConfig, Token, Trace, fit, sampler, synthetic_schema
 from hbtm.core import save_json
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
-KERNEL_SOURCE = Path(sampler.__file__).with_name("_sweep.c")
+PACKAGE = Path(sampler.__file__).parent
+KERNEL_SOURCE = PACKAGE / "_sweep.c"
+PERFBENCH = PYPROJECT.with_name("perfbench")
 
 FAILING_PROPERTY = '''
 from hypothesis import given, strategies as st
@@ -39,6 +42,28 @@ def test_a_failing_property_test_is_reported_and_the_run_goes_on(tmp_path):
     )
     assert "INTERNALERROR" not in done.stdout + done.stderr
     assert "1 failed, 1 passed" in done.stdout
+
+
+def _names_read(path: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_the_package_ships_only_what_the_package_or_perfbench_reaches():
+    # an import is not a use: a name that only __init__ re-exports, or that
+    # only tests call, belongs in the tests
+    modules = sorted(PACKAGE.glob("*.py"))
+    read = set().union(*map(_names_read, modules + sorted(PERFBENCH.glob("*.py"))))
+    defined = {node.name for path in modules for node in ast.parse(path.read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    exported = {alias.name for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert sorted((defined | exported) - read) == []
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
