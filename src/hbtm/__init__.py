@@ -12,12 +12,10 @@ from .analysis import (
     KMeansResult,
     PearsonResult,
     TTestResult,
-    TraitProfile,
     export_trait,
     kmeans,
     pearson,
     run_analysis,
-    trait_profile_to_csv,
     welch_t_test,
 )
 from .core import (
@@ -32,7 +30,6 @@ from .core import (
     load_schema,
     save_corpus,
     save_schema,
-    to_one_based,
     validate_corpus,
 )
 from .generator import (

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import betainc
 
-from .core import Posterior, to_one_based
+from .core import Posterior
 
 GRADE_TYPES = ("SA", "SFE", "FE")
 GRADE_RANGES = {"SA": (0.0, 5.0), "FE": (0.0, 100.0)}
@@ -264,7 +264,8 @@ def run_analysis(fit, grades: GradeTable, threshold: float = 0.05, seed: int = 0
     first so output is stable under label swaps. Correlation entries carry
     1-based trait numbers and the sign of r; entries that cannot be computed
     (too few scores, constant inputs) are kept with a skip reason. The
-    significance threshold must lie in [0, 1].
+    significance threshold must lie in [0, 1], and a repeated trace id is
+    an error.
     """
     if not 0.0 <= threshold <= 1.0:  # NaN fails this too
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
@@ -272,6 +273,11 @@ def run_analysis(fit, grades: GradeTable, threshold: float = 0.05, seed: int = 0
     trace_ids = list(fit.trace_ids)
     if len(trace_ids) != theta.shape[0]:
         raise ValueError("fit trace_ids do not match theta rows")
+    seen: set[str] = set()
+    for tid in trace_ids:
+        if tid in seen:
+            raise ValueError(f"fit trace_id '{tid}' is repeated")
+        seen.add(tid)
     joined = [tid for tid in trace_ids if tid in grades.scores]
     if not joined:
         raise ValueError("empty join: no fitted trace_id appears in the grade table")
@@ -318,8 +324,7 @@ def run_analysis(fit, grades: GradeTable, threshold: float = 0.05, seed: int = 0
         }
 
     correlations: list[dict] = []
-    index_of = {tid: m for m, tid in enumerate(trace_ids)}  # a repeated id reads its last row
-    rows = {grade_type: np.array([index_of[trace_ids[m]] for m, _ in pairs], dtype=np.intp)
+    rows = {grade_type: np.array([m for m, _ in pairs], dtype=np.intp)
             for grade_type, pairs in scored.items()}
     scores = {grade_type: [value for _, value in pairs] for grade_type, pairs in scored.items()}
     for k in range(theta.shape[1]):
@@ -328,7 +333,7 @@ def run_analysis(fit, grades: GradeTable, threshold: float = 0.05, seed: int = 0
             # add about 3 MB to the peak memory of a 4000-trace analysis
             xs = theta[rows[grade_type], k].tolist()
             ys = scores[grade_type]
-            entry = {"trait": to_one_based(k), "grade": grade_type, "n": len(xs)}
+            entry = {"trait": k + 1, "grade": grade_type, "n": len(xs)}
             if len(xs) < 3:
                 entry["skipped"] = "fewer than 3 scored traces"
             else:
@@ -354,21 +359,15 @@ def run_analysis(fit, grades: GradeTable, threshold: float = 0.05, seed: int = 0
     )
 
 
-@dataclass(frozen=True)
-class TraitProfile:
-    """One trait's event distribution plus its per-event time and interaction rows."""
+def export_trait(posterior: Posterior, k: int, event_labels=None,
+                 header_comment: str | None = None) -> str:
+    """Plot-ready distributions for trait k (0-based) as CSV text.
 
-    event_labels: tuple[str, ...]
-    event_probs: np.ndarray  # (E,)
-    time_probs: np.ndarray  # (E, T)
-    interaction_probs: np.ndarray  # (E, I)
-
-
-def export_trait(posterior: Posterior, k: int, event_labels=None) -> TraitProfile:
-    """Plot-ready distributions for trait k (0-based).
-
-    Emits the trait's event distribution and, for every event, its time-bin
-    and interaction-level rows.
+    Rows are kind,event_label,bin_index,probability: the trait's event
+    distribution, then every event's time-bin rows, then every event's
+    interaction-level rows, after an optional ``# header_comment`` line.
+    Bin indices are 1-based. Probabilities are written with full float
+    precision so parsing the text recovers the source values exactly.
     """
     if not 0 <= k < posterior.num_traits:
         raise ValueError(f"trait index {k} outside [0, {posterior.num_traits})")
@@ -378,34 +377,15 @@ def export_trait(posterior: Posterior, k: int, event_labels=None) -> TraitProfil
     event_labels = tuple(event_labels)
     if len(event_labels) != num_events:
         raise ValueError("event_labels length must match the event count")
-    return TraitProfile(
-        event_labels=event_labels,
-        event_probs=posterior.phi[k].copy(),
-        time_probs=posterior.psi[k].copy(),
-        interaction_probs=posterior.tau[k].copy(),
-    )
-
-
-def trait_profile_to_csv(profile: TraitProfile, header_comment: str | None = None) -> str:
-    """Render a profile as kind,event_label,bin_index,probability rows.
-
-    Bin indices are 1-based. Probabilities are written with full float
-    precision so parsing the text recovers the source values exactly.
-    """
     buf = io.StringIO()
     if header_comment:
         buf.write(f"# {header_comment}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["kind", "event_label", "bin_index", "probability"])
-    for e, label in enumerate(profile.event_labels):
-        writer.writerow(["event", label, e + 1, repr(float(profile.event_probs[e]))])
-    for e, label in enumerate(profile.event_labels):
-        for t in range(profile.time_probs.shape[1]):
-            writer.writerow(["time", label, t + 1, repr(float(profile.time_probs[e, t]))])
-    for e, label in enumerate(profile.event_labels):
-        for i in range(profile.interaction_probs.shape[1]):
-            writer.writerow(
-                ["interaction", label, i + 1, repr(float(profile.interaction_probs[e, i]))]
-            )
+    writer.writerows(["event", label, e + 1, repr(p)]
+                     for e, (label, p) in enumerate(zip(event_labels, posterior.phi[k].tolist())))
+    for kind, table in (("time", posterior.psi[k]), ("interaction", posterior.tau[k])):
+        writer.writerows([kind, label, b + 1, repr(p)]
+                         for label, row in zip(event_labels, table.tolist())
+                         for b, p in enumerate(row))
     return buf.getvalue()
-

@@ -98,7 +98,8 @@ def _cmd_ingest(resolved: dict) -> int:
         max_duration_s=float(resolved["max_duration"]),
     )
 
-    events, rejects = ingest.parse_raw_log(resolved["raw"], column_map)
+    with open(resolved["raw"], newline="") as fh:
+        events, rejects = ingest.parse_raw_log(fh, column_map)
     result = ingest.build_corpora(events, mapping, schema, filt)
     if result.tokenized + result.filtered != len(events):
         raise RuntimeError("conservation violated: parsed != tokenized + filtered")
@@ -238,11 +239,9 @@ def _cmd_export_trait(resolved: dict) -> int:
     labels = None
     if resolved["event_labels"]:
         labels = tuple(core.load_schema(resolved["event_labels"]).event_labels)
-    profile = analysis.export_trait(
-        fit_result.posterior, core.from_one_based(int(resolved["trait"])), labels
-    )
-    text = analysis.trait_profile_to_csv(
-        profile, header_comment="config: " + json.dumps(resolved, sort_keys=True)
+    text = analysis.export_trait(
+        fit_result.posterior, core.from_one_based(int(resolved["trait"])), labels,
+        header_comment="config: " + json.dumps(resolved, sort_keys=True),
     )
     core.write_atomic(resolved["out"], text)
     return 0

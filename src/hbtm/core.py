@@ -46,13 +46,6 @@ DEFAULT_TIME_BIN_EDGES = (0.0, 9.0, 15.0, 30.0, 60.0, 600.0, 1200.0, 14000.0)
 DEFAULT_INTERACTION_BIN_EDGES = (0.0, 2.0, 3.0, 6.0, 16.0, 4779.0)
 
 
-def to_one_based(index: int) -> int:
-    """Convert an internal 0-based trait/event index to its display number."""
-    if index < 0:
-        raise ValueError(f"negative index {index}")
-    return index + 1
-
-
 def from_one_based(number: int) -> int:
     """Convert a display (1-based) trait/event number to the internal index."""
     if number < 1:

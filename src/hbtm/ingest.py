@@ -32,9 +32,9 @@ _TIMESTAMP_FORMATS = (
 )
 # the parts of the canonical 19-character form of the two day-first patterns above
 _DATE = re.compile(r"\d\d([./])\d\d\1\d{4}", re.ASCII)
-_HOUR_MINUTE = re.compile(r"([01]\d|2[0-3]):([0-5]\d)", re.ASCII)
-_SECOND = re.compile(r"[0-5]\d", re.ASCII)
-_TABLE_LIMIT = 4096  # entries per conversion table; the day-first domains fit with room
+_CLOCKS = {f"{h:02d}:{m:02d}": 3600 * h + 60 * m for h in range(24) for m in range(60)}
+_SECONDS = {f"{s:02d}": s for s in range(60)}
+_TABLE_LIMIT = 4096  # entries per conversion table; the day-first dates fit with room
 
 
 class RawEvent(NamedTuple):
@@ -223,18 +223,10 @@ def _midnight(date: str) -> float | None:
         return None
 
 
-def _clock(text: str) -> int | None:
-    """Seconds since midnight of an ``HH:MM`` clock below 24:00; None for any other text."""
-    match = _HOUR_MINUTE.fullmatch(text)
-    return None if match is None else int(match[1]) * 3600 + int(match[2]) * 60
-
-
-def _seconds(text: str) -> int | None:
-    return int(text) if _SECOND.fullmatch(text) else None
-
-
 def _count(text: str) -> int:
-    return int(float(text))
+    # floor is int's truncation for every non-negative float, so a negative
+    # text stays negative: int(float("-0.5")) would read as 0
+    return math.floor(float(text))
 
 
 def _parse_timestamp(raw: str) -> float:
@@ -259,21 +251,22 @@ def _timestamp_reader(fmt: str | None):
 
     With a strptime pattern every stamp goes through it. Without one, a
     stripped 19-character stamp with a space at index 10 and a colon at
-    index 16 is read from three tables of this call, keyed by its date,
-    ``HH:MM`` and seconds parts. Each answers only the ASCII-digit forms of
-    a valid ``dd.mm.yyyy`` or ``dd/mm/yyyy`` date, a clock below 24:00 and
-    seconds 00-59; any other part sends the stamp through the full chain.
-    The answer equals strptime's: every term is an integer below 2**53, so
-    the float sum is exact.
+    index 16 is read from its date, ``HH:MM`` and seconds parts: the date
+    from a table of this call, the other two from ``_CLOCKS`` and
+    ``_SECONDS``. They answer only the ASCII-digit forms of a valid
+    ``dd.mm.yyyy`` or ``dd/mm/yyyy`` date, a clock below 24:00 and seconds
+    00-59; any other part sends the stamp through the full chain. The
+    answer equals strptime's: every term is an integer below 2**53, so the
+    float sum is exact.
     """
     if fmt:
         return lambda raw: _epoch(datetime.strptime(raw.strip(), fmt))
-    days, clocks, seconds = _Table(_midnight), _Table(_clock), _Table(_seconds)
+    days, clock_of, second_of = _Table(_midnight), _CLOCKS.get, _SECONDS.get
 
     def read(raw: str) -> float:
         raw = raw.strip()
         if len(raw) == 19 and raw[10] == " " and raw[16] == ":":
-            day, hm, s = days[raw[:10]], clocks[raw[11:16]], seconds[raw[17:]]
+            day, hm, s = days[raw[:10]], clock_of(raw[11:16]), second_of(raw[17:])
             if day is not None and hm is not None and s is not None:
                 return day + (hm + s)
         return _parse_timestamp(raw)
@@ -295,18 +288,20 @@ def _unbalanced_quote(row_number: int, cause: Exception | None = None) -> ValueE
     )
 
 
-def parse_raw_log(csv_source, column_map: dict) -> tuple[list[RawEvent], list[RejectedRow]]:
-    """Read raw events from a CSV with a header row.
+def parse_raw_log(fh, column_map: dict) -> tuple[list[RawEvent], list[RejectedRow]]:
+    """Read raw events from an open text file of CSV with a header row.
 
+    Open the file with ``newline=""``, as ``csv.reader`` expects.
     ``column_map`` names the source column for each RawEvent field; the
     ``mouse_clicks`` and ``keystrokes`` entries may name several columns,
     which are summed. An optional ``timestamp_format`` entry supplies a
     strptime pattern. Malformed rows land in the rejects list with a reason
-    instead of being dropped; a missing mapped column is a configuration
-    error and raises ValueError. Raw logs have no fields that span lines, so
-    a row whose quoted field runs past its line (an unbalanced double quote)
-    raises ValueError naming that data row, instead of swallowing the rows
-    after it.
+    instead of being dropped; a row with any count column below zero is
+    rejected, even when its group sums to a non-negative total. A missing
+    mapped column is a configuration error and raises ValueError. Raw logs
+    have no fields that span lines, so a row whose quoted field runs past
+    its line (an unbalanced double quote) raises ValueError naming that data
+    row, instead of swallowing the rows after it.
     """
     required = ("session", "student_id", "activity", "start_time", "end_time",
                 "mouse_clicks", "keystrokes")
@@ -314,82 +309,70 @@ def parse_raw_log(csv_source, column_map: dict) -> tuple[list[RawEvent], list[Re
     if missing:
         raise ValueError(f"column_map missing entries for: {', '.join(missing)}")
 
-    if isinstance(csv_source, (str, Path)):
-        fh = open(csv_source, newline="")
-        close = True
-    else:
-        fh = csv_source
-        close = False
-    try:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            return [], []
-        mouse_cols = _count_columns(column_map["mouse_clicks"])
-        key_cols = _count_columns(column_map["keystrokes"])
-        mapped_cols = (
-            [column_map[f] for f in ("session", "student_id", "activity",
-                                     "start_time", "end_time")]
-            + mouse_cols
-            + key_cols
-        )
-        absent = [c for c in mapped_cols if c not in header]
-        if absent:
-            raise ValueError(f"mapped columns not in CSV header: {', '.join(absent)}")
-        # a repeated header name resolves to its last column, as in csv.DictReader
-        index = {name: i for i, name in enumerate(header)}
-        i_session, i_student, i_activity, i_start, i_end = (index[c] for c in mapped_cols[:5])
-        count_cols = [index[c] for c in mouse_cols + key_cols]
-        # itemgetter of one index returns the bare field, not a 1-tuple
-        count_texts = (itemgetter(*count_cols) if len(count_cols) > 1
-                       else lambda row: [row[i] for i in count_cols])
-        n_mouse = len(mouse_cols)
-        need = max(index[c] for c in mapped_cols) + 1
-        read_stamp = _timestamp_reader(column_map.get("timestamp_format"))
-        count_of = _Table(_count).__getitem__
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    if header is None:
+        return [], []
+    mouse_cols = _count_columns(column_map["mouse_clicks"])
+    key_cols = _count_columns(column_map["keystrokes"])
+    mapped_cols = (
+        [column_map[f] for f in ("session", "student_id", "activity",
+                                 "start_time", "end_time")]
+        + mouse_cols
+        + key_cols
+    )
+    absent = [c for c in mapped_cols if c not in header]
+    if absent:
+        raise ValueError(f"mapped columns not in CSV header: {', '.join(absent)}")
+    # a repeated header name resolves to its last column, as in csv.DictReader
+    index = {name: i for i, name in enumerate(header)}
+    i_session, i_student, i_activity, i_start, i_end = (index[c] for c in mapped_cols[:5])
+    count_cols = [index[c] for c in mouse_cols + key_cols]
+    # itemgetter of one index returns the bare field, not a 1-tuple
+    count_texts = (itemgetter(*count_cols) if len(count_cols) > 1
+                   else lambda row: [row[i] for i in count_cols])
+    n_mouse = len(mouse_cols)
+    need = max(index[c] for c in mapped_cols) + 1
+    read_stamp = _timestamp_reader(column_map.get("timestamp_format"))
+    count_of = _Table(_count).__getitem__
 
-        events: list[RawEvent] = []
-        rejects: list[RejectedRow] = []
-        row_number = 0
-        try:
-            for line, row in enumerate(reader, start=reader.line_num + 1):
-                if reader.line_num != line:
-                    raise _unbalanced_quote(row_number + 1)
-                if not row:
-                    continue  # blank lines are skipped and not numbered, as in csv.DictReader
-                row_number += 1
-                if len(row) < need:
-                    rejects.append(RejectedRow(row_number, "short row"))
-                    continue
-                try:
-                    start = read_stamp(row[i_start])
-                    end = read_stamp(row[i_end])
-                except (ValueError, TypeError):
-                    rejects.append(RejectedRow(row_number, "bad timestamp"))
-                    continue
-                if end < start:
-                    rejects.append(RejectedRow(row_number, "negative duration"))
-                    continue
-                try:
-                    counts = list(map(count_of, count_texts(row)))
-                except (ValueError, OverflowError):
-                    rejects.append(RejectedRow(row_number, "bad interaction count"))
-                    continue
-                mouse = sum(counts[:n_mouse])
-                keys = sum(counts[n_mouse:])
-                if mouse < 0 or keys < 0:
-                    rejects.append(RejectedRow(row_number, "negative interaction count"))
-                    continue
-                events.append(RawEvent(
-                    row[i_session].strip(), row[i_student].strip(), row[i_activity].strip(),
-                    start, end, mouse, keys,
-                ))
-        except csv.Error as exc:  # e.g. a runaway quoted field passing the field-size limit
-            raise _unbalanced_quote(row_number + 1, exc) from exc
-        return events, rejects
-    finally:
-        if close:
-            fh.close()
+    events: list[RawEvent] = []
+    rejects: list[RejectedRow] = []
+    row_number = 0
+    try:
+        for line, row in enumerate(reader, start=reader.line_num + 1):
+            if reader.line_num != line:
+                raise _unbalanced_quote(row_number + 1)
+            if not row:
+                continue  # blank lines are skipped and not numbered, as in csv.DictReader
+            row_number += 1
+            if len(row) < need:
+                rejects.append(RejectedRow(row_number, "short row"))
+                continue
+            try:
+                start = read_stamp(row[i_start])
+                end = read_stamp(row[i_end])
+            except (ValueError, TypeError):
+                rejects.append(RejectedRow(row_number, "bad timestamp"))
+                continue
+            if end < start:
+                rejects.append(RejectedRow(row_number, "negative duration"))
+                continue
+            try:
+                counts = list(map(count_of, count_texts(row)))
+            except (ValueError, OverflowError):
+                rejects.append(RejectedRow(row_number, "bad interaction count"))
+                continue
+            if min(counts, default=0) < 0:
+                rejects.append(RejectedRow(row_number, "negative interaction count"))
+                continue
+            events.append(RawEvent(
+                row[i_session].strip(), row[i_student].strip(), row[i_activity].strip(),
+                start, end, sum(counts[:n_mouse]), sum(counts[n_mouse:]),
+            ))
+    except csv.Error as exc:  # e.g. a runaway quoted field passing the field-size limit
+        raise _unbalanced_quote(row_number + 1, exc) from exc
+    return events, rejects
 
 
 @dataclass

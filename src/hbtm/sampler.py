@@ -29,6 +29,7 @@ floats and the same errors.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -165,7 +166,6 @@ class ModelState:
         self.num_interaction_levels = schema.num_interaction_levels
         self.trace_ids = [t.trace_id for t in corpus.traces]
         self.rng = rng
-        self.sweep = 0
 
         lengths = [len(t.tokens) for t in corpus.traces]
         components = chain.from_iterable(chain.from_iterable(t.tokens for t in corpus.traces))
@@ -346,6 +346,10 @@ def _degenerate_weights(j: int) -> ValueError:
     )
 
 
+def _outside_traits(j: int) -> ValueError:
+    return ValueError(f"trait assignment of flat token {j} outside [0, num_traits)")
+
+
 def reference_sweep(state: ModelState, hyper: Hyperparams) -> ModelState:
     """One full scan in plain Python: the oracle the compiled sweep must match.
 
@@ -356,6 +360,9 @@ def reference_sweep(state: ModelState, hyper: Hyperparams) -> ModelState:
     ``_sweep.c``'s operation order. Raises ValueError naming the flat token
     whose weights are degenerate (a zero denominator, or a total outside
     (0, inf)); that token keeps its trait and the tables stay consistent.
+    Raises ValueError naming the first flat token whose trait is outside
+    [0, num_traits), before anything is written for it. Either way the
+    tokens before it keep their new traits.
     """
     z = state.z.tolist()
     m_idx, e_idx = state._m_idx.tolist(), state._e_idx.tolist()
@@ -366,7 +373,7 @@ def reference_sweep(state: ModelState, hyper: Hyperparams) -> ModelState:
     top = num_k - 1
     inf = math.inf
     cum = [0.0] * num_k
-    failed = None
+    error = None
 
     uniforms = state.rng.random(len(z)).tolist()
     for j in range(len(z)):
@@ -375,6 +382,9 @@ def reference_sweep(state: ModelState, hyper: Hyperparams) -> ModelState:
         t = t_idx[j]
         i = i_idx[j]
         k = z[j]
+        if not 0 <= k < num_k:
+            error = _outside_traits(j)
+            break
         row_m = n_mk[m]
         row_m[k] -= 1
         n_ke[k][e] -= 1
@@ -397,7 +407,7 @@ def reference_sweep(state: ModelState, hyper: Hyperparams) -> ModelState:
             if k > top:
                 k = top
         else:
-            failed = j  # k is still the old trait: put the token back, then stop
+            error = _degenerate_weights(j)  # k is still the old trait: put it back, then stop
 
         z[j] = k
         row_m[k] += 1
@@ -405,21 +415,18 @@ def reference_sweep(state: ModelState, hyper: Hyperparams) -> ModelState:
         n_ket[k][e][t] += 1
         n_kei[k][e][i] += 1
         n_k[k] += 1
-        if failed is not None:
+        if error is not None:
             break
 
     state.z[:] = z
     for name, table in zip(_TABLES, (n_mk, n_ke, n_ket, n_kei, n_k)):
         getattr(state, name)[...] = table
-    if failed is not None:
-        raise _degenerate_weights(failed)
-    state.sweep += 1
+    if error is not None:
+        raise error
     return state
 
 
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-_UNLOADED = object()
-_kernel = _UNLOADED  # the compiled library once loaded; None when it cannot be built
 
 
 def _build_kernel(source: Path, library: Path) -> None:
@@ -473,11 +480,7 @@ def _load_kernel():
     return loaded
 
 
-def _library():
-    global _kernel
-    if _kernel is _UNLOADED:
-        _kernel = _load_kernel()
-    return _kernel
+_library = functools.cache(_load_kernel)  # the compiled library, loaded once per process
 
 
 _KERNEL_ARRAYS = ("_m_idx", "_e_idx", "_t_idx", "_i_idx", "z") + _TABLES
@@ -513,8 +516,9 @@ def gibbs_sweep(state: ModelState, hyper: Hyperparams) -> ModelState:
 
     Runs the compiled kernel, which gives results bit-identical to
     ``reference_sweep`` (same visiting order, uniforms, weights and trait
-    selection, same ValueError on degenerate weights); falls back to
-    ``reference_sweep`` when the kernel cannot be built.
+    selection, same ValueError on degenerate weights or an assignment
+    outside [0, num_traits)); falls back to ``reference_sweep`` when the
+    kernel cannot be built.
     """
     library = _library()
     if library is None:
@@ -529,8 +533,7 @@ def gibbs_sweep(state: ModelState, hyper: Hyperparams) -> ModelState:
     if failed > 0:
         raise _degenerate_weights(failed - 1)
     if failed < 0:
-        raise ValueError(f"trait assignment of flat token {-failed - 1} outside [0, num_traits)")
-    state.sweep += 1
+        raise _outside_traits(-failed - 1)
     return state
 
 

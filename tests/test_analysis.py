@@ -13,7 +13,6 @@ from hbtm import (
     kmeans,
     pearson,
     run_analysis,
-    trait_profile_to_csv,
     welch_t_test,
 )
 from hbtm.analysis import student_t_two_sided_p
@@ -342,6 +341,16 @@ def test_run_analysis_tests_each_grade_over_its_scored_traces(rng):
 # --- trait profiles --------------------------------------------------------
 
 
+def _profile_tables(text):
+    """Each kind's probabilities in ``export_trait``'s CSV, one row per event label."""
+    rows = list(csv.reader(line for line in text.splitlines() if not line.startswith("#")))
+    assert rows[0] == ["kind", "event_label", "bin_index", "probability"]
+    tables = {"event": {}, "time": {}, "interaction": {}}
+    for kind, label, _bin, p in rows[1:]:
+        tables[kind].setdefault(label, []).append(float(p))
+    return {kind: np.array(list(table.values())) for kind, table in tables.items()}
+
+
 def test_export_trait_uniform_rows():
     posterior = Posterior(
         np.full((2, 3), 1 / 3),
@@ -349,10 +358,10 @@ def test_export_trait_uniform_rows():
         np.full((3, 4, 2), 0.5),
         np.full((3, 4, 5), 0.2),
     )
-    profile = export_trait(posterior, 1)
-    np.testing.assert_array_equal(profile.event_probs, np.full(4, 0.25))
-    assert profile.time_probs.shape == (4, 2)
-    assert profile.interaction_probs.shape == (4, 5)
+    tables = _profile_tables(export_trait(posterior, 1))
+    np.testing.assert_array_equal(tables["event"].ravel(), np.full(4, 0.25))
+    assert tables["time"].shape == (4, 2)
+    assert tables["interaction"].shape == (4, 5)
 
 
 def test_export_trait_rows_sum_to_one(rng):
@@ -363,10 +372,10 @@ def test_export_trait_rows_sum_to_one(rng):
         rng.dirichlet(np.ones(t), size=(k, e)),
         rng.dirichlet(np.ones(i), size=(k, e)),
     )
-    profile = export_trait(posterior, 2)
-    assert profile.event_probs.sum() == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(profile.time_probs.sum(axis=1), 1.0, atol=1e-12)
-    np.testing.assert_allclose(profile.interaction_probs.sum(axis=1), 1.0, atol=1e-12)
+    tables = _profile_tables(export_trait(posterior, 2))
+    assert tables["event"].sum() == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(tables["time"].sum(axis=1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(tables["interaction"].sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_export_trait_out_of_range():
@@ -388,17 +397,17 @@ def test_trait_profile_csv_round_trip(rng):
         rng.dirichlet(np.ones(t), size=(k, e)),
         rng.dirichlet(np.ones(i), size=(k, e)),
     )
-    profile = export_trait(posterior, 0, event_labels=("a", "b, with comma", "c", "d"))
-    text = trait_profile_to_csv(profile, header_comment="config: {}")
+    labels = ("a", "b, with comma", "c", "d")
+    text = export_trait(posterior, 0, event_labels=labels, header_comment="config: {}")
     assert text.startswith("# config: {}\n")
     rows = list(csv.reader(text.splitlines()[1:]))
     assert rows[0] == ["kind", "event_label", "bin_index", "probability"]
     by_kind = {kind: [row for row in rows[1:] if row[0] == kind]
                for kind in ("event", "time", "interaction")}
     assert len(rows) == 1 + sum(map(len, by_kind.values()))
-    assert tuple(row[1] for row in by_kind["event"]) == profile.event_labels
-    for kind, table in (("event", profile.event_probs), ("time", profile.time_probs),
-                        ("interaction", profile.interaction_probs)):
+    assert tuple(row[1] for row in by_kind["event"]) == labels
+    for kind, table in (("event", posterior.phi[0]), ("time", posterior.psi[0]),
+                        ("interaction", posterior.tau[0])):
         assert [float(row[3]) for row in by_kind[kind]] == table.ravel().tolist()
 
 
@@ -409,7 +418,7 @@ def test_trait_profile_csv_is_one_based():
         np.full((1, 2, 3), 1 / 3),
         np.full((1, 2, 2), 0.5),
     )
-    text = trait_profile_to_csv(export_trait(posterior, 0))
+    text = export_trait(posterior, 0)
     lines = text.splitlines()
     assert lines[0] == "kind,event_label,bin_index,probability"
     assert lines[1].startswith("event,event 1,1,")

@@ -204,6 +204,26 @@ def test_ingest_rejects_non_finite_timestamps_and_overflowing_counts(tmp_path):
     ]
 
 
+def test_ingest_rejects_every_row_with_a_negative_count_column(tmp_path):
+    raw = tmp_path / "raw.csv"
+    write_raw_csv(raw, [
+        "1,s1,Deeds,0,30,-3,5,0",
+        "1,s1,Deeds,0,30,0,0,-0.5",
+        "1,s1,Deeds,0,30,1.9,0,2.5",
+        "1,s1,Deeds,0,30,0,0,-7",
+    ])
+    cmap = tmp_path / "cols.json"
+    write_column_map(cmap)
+    out_dir = tmp_path / "out"
+    assert run(["ingest", "--raw", raw, "--column-map", cmap, "--out-dir", out_dir]) == 0
+    assert (out_dir / "rejects.csv").read_text().splitlines() == [
+        "row_number,reason", "1,negative interaction count", "2,negative interaction count",
+        "4,negative interaction count",
+    ]
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert (summary["raw_events"], summary["interaction_counts"]) == (1, [0, 0, 1, 0, 0])
+
+
 @pytest.mark.parametrize("num_rows", [3, 3000])
 def test_ingest_unbalanced_quote_is_json_error(tmp_path, capsys, num_rows):
     raw = tmp_path / "raw.csv"
@@ -295,6 +315,22 @@ def test_analyze_end_to_end(tmp_path, generated):
     first = out.read_bytes()
     assert run(argv) == 0
     assert out.read_bytes() == first
+
+
+def test_analyze_rejects_a_model_whose_trace_ids_repeat(tmp_path, generated, capsys):
+    model = fit_small_model(tmp_path, generated)
+    payload = json.loads(model.read_text())
+    payload["trace_ids"][1] = payload["trace_ids"][0]
+    model.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    grades = tmp_path / "grades.csv"
+    grades.write_text("trace_id,SA,SFE,FE\n"
+                      + "".join(f"trace_{m:04d},{m % 5},{m / 2},{50 + m}\n" for m in range(6)))
+    out = tmp_path / "report.json"
+    assert run(["analyze", "--model", model, "--grades", grades, "--out", out]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": "ValueError",
+                                "detail": "fit trace_id 'trace_0000' is repeated"}
+    assert not out.exists()
 
 
 def test_analyze_disjoint_ids(tmp_path, generated, capsys):
@@ -808,7 +844,7 @@ def test_model_files_read_alike_with_and_without_the_scanner(tmp_path, generated
 
     with_scanner = outcomes()
     with monkeypatch.context() as patch:
-        patch.setattr(hbtm.sampler, "_kernel", None)
+        patch.setattr(hbtm.sampler, "_library", lambda: None)
         assert hbtm.sampler._scan_fit(model.read_bytes()) is None
         assert outcomes() == with_scanner
     for code, err, _ in with_scanner:

@@ -28,7 +28,6 @@ from hbtm import (
     save_corpus,
     save_schema,
     synthetic_schema,
-    to_one_based,
     validate_corpus,
 )
 from hbtm.core import _number_lists_chunks, save_json, write_atomic
@@ -70,12 +69,10 @@ def test_schema_rejects_bad_edges():
 
 def test_one_based_round_trip():
     for p in range(1, 16):
-        assert to_one_based(from_one_based(p)) == p
+        assert from_one_based(p) + 1 == p
     assert from_one_based(1) == 0
     with pytest.raises(ValueError):
         from_one_based(0)
-    with pytest.raises(ValueError):
-        to_one_based(-1)
 
 
 def test_hyperparams_positive():

@@ -23,12 +23,12 @@ from hbtm import (
 )
 from hbtm.core import save_json
 from hbtm.ingest import (
+    _CLOCKS,
+    _SECONDS,
     _TIMESTAMP_FORMATS,
-    _clock,
     _count,
     _epoch,
     _midnight,
-    _seconds,
     _Table,
     _timestamp_reader,
 )
@@ -248,6 +248,15 @@ def test_parse_reads_a_lone_count_column():
     assert _rows(rejects) == [(2, "bad interaction count"), (3, "negative interaction count")]
 
 
+def test_parse_rejects_any_negative_count_column_and_truncates_the_rest():
+    # a group sum of 2 would hide the -3; int(float("-0.5")) would read as 0
+    rows = ["1,s1,Deeds,100,110,-3,5,0,1", "1,s1,Deeds,100,110,0,0,0,-0.5",
+            "1,s1,Deeds,100,110,0.9,5,0,7.9", "1,s1,Deeds,100,110,-0,0,0,-0.0"]
+    events, rejects = parse_raw_log(csv_of(rows), COLUMN_MAP)
+    assert [(e.mouse_clicks, e.keystrokes) for e in events] == [(5, 7), (0, 0)]
+    assert _rows(rejects) == [(1, "negative interaction count"), (2, "negative interaction count")]
+
+
 def test_parse_rejects_negative_duration():
     events, rejects = parse_raw_log(
         csv_of(["1,s1,Deeds,200,100,0,0,0,0"]), COLUMN_MAP
@@ -431,7 +440,7 @@ def test_fast_path_answers_every_canonical_stamp(dt, sep):
 
 def _stamp_parts(raw):
     """The date, clock and seconds values the fast path reads for one stamp."""
-    return _midnight(raw[:10]), _clock(raw[11:16]), _seconds(raw[17:])
+    return _midnight(raw[:10]), _CLOCKS.get(raw[11:16]), _SECONDS.get(raw[17:])
 
 
 def test_fast_path_values():

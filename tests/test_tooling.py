@@ -54,16 +54,33 @@ def _names_read(path: Path) -> set[str]:
     return names
 
 
+def _attributes_loaded(path: Path) -> set[str]:
+    """Attribute names ``path`` loads, plus its string constants (``getattr(state, name)``)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
 def test_the_package_ships_only_what_the_package_or_perfbench_reaches():
     # an import is not a use: a name that only __init__ re-exports, or that
-    # only tests call, belongs in the tests
+    # only tests call, belongs in the tests; nor is a store a use: an
+    # instance attribute that only tests load belongs in the tests
     modules = sorted(PACKAGE.glob("*.py"))
-    read = set().union(*map(_names_read, modules + sorted(PERFBENCH.glob("*.py"))))
+    readers = modules + sorted(PERFBENCH.glob("*.py"))
+    read = set().union(*map(_names_read, readers))
     defined = {node.name for path in modules for node in ast.parse(path.read_text()).body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     exported = {alias.name for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert sorted((defined | exported) - read) == []
+    stored = {node.attr for path in modules for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Name) and node.value.id == "self"}
+    assert sorted(stored - set().union(*map(_attributes_loaded, readers))) == []
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
