@@ -25,7 +25,6 @@ from .core import (
     Schema,
     Token,
     Trace,
-    from_one_based,
     load_corpus,
     load_schema,
     save_corpus,

@@ -216,6 +216,8 @@ class GradeTable:
         scores: dict[str, dict[str, float | None]] = {}
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
+            if reader.fieldnames:  # a spreadsheet export may start with a byte-order mark
+                reader.fieldnames[0] = reader.fieldnames[0].removeprefix("\ufeff")
             needed = {"trace_id", *GRADE_TYPES}
             if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
                 raise ValueError(f"grades CSV must have columns {sorted(needed)}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -77,8 +78,8 @@ _INGEST_OPTIONS = (
     ("column_map", str, None, "JSON mapping of CSV columns"),
     ("activity_map", str, "", "activity mapping JSON"),
     ("schema", str, "", "schema JSON (default: built-in)"),
-    ("min_duration", float, 1.0, None),
-    ("max_duration", float, 14000.0, None),
+    ("min_duration", float, ingest.FilterConfig.min_duration_s, None),
+    ("max_duration", float, ingest.FilterConfig.max_duration_s, None),
     ("out_dir", str, None, "output directory"),
 )
 
@@ -104,6 +105,9 @@ def _cmd_ingest(resolved: dict) -> int:
     if result.tokenized + result.filtered != len(events):
         raise RuntimeError("conservation violated: parsed != tokenized + filtered")
 
+    bad = [s for s in result.corpora if any(c and c in s for c in ("/", os.sep, os.altsep, "\0"))]
+    if bad:  # each session id is part of a file name in out_dir
+        raise ValueError(f"session ids cannot name a file: {', '.join(map(repr, sorted(bad)))}")
     out_dir = Path(resolved["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     core.save_schema(schema, out_dir / "schema.json")
@@ -126,22 +130,22 @@ def _cmd_ingest(resolved: dict) -> int:
 
 
 _HYPER_OPTIONS = (
-    ("alpha", float, 1.0, None),
-    ("beta", float, 0.1, None),
-    ("gamma", float, 0.1, None),
-    ("delta", float, 0.1, None),
+    ("alpha", float, core.Hyperparams.alpha, None),
+    ("beta", float, core.Hyperparams.beta, None),
+    ("gamma", float, core.Hyperparams.gamma, None),
+    ("delta", float, core.Hyperparams.delta, None),
 )
 
 _FIT_OPTIONS = (
     ("corpus", str, None, "corpus JSONL"),
     ("schema", str, "", "schema JSON (default: sibling schema.json)"),
     ("traits", int, None, "number of hidden traits"),
-    ("sweeps", int, 2000, None),
-    ("burn_in", int, 1000, None),
-    ("stride", int, 10, None),
-    ("seed", int, 0, None),
+    ("sweeps", int, sampler.FitConfig.sweeps, None),
+    ("burn_in", int, sampler.FitConfig.burn_in, None),
+    ("stride", int, sampler.FitConfig.sample_stride, None),
+    ("seed", int, sampler.FitConfig.seed, None),
     *_HYPER_OPTIONS,
-    ("audit_every", int, 0, None),
+    ("audit_every", int, sampler.FitConfig.audit_every, None),
     ("out", str, None, "fit result JSON"),
 )
 
@@ -236,11 +240,14 @@ _EXPORT_OPTIONS = (
 
 def _cmd_export_trait(resolved: dict) -> int:
     fit_result = sampler.load_fit_result(resolved["model"])
+    trait, num_traits = int(resolved["trait"]), fit_result.posterior.num_traits
+    if not 1 <= trait <= num_traits:
+        raise ValueError(f"trait {trait} outside [1, {num_traits}]")
     labels = None
     if resolved["event_labels"]:
         labels = tuple(core.load_schema(resolved["event_labels"]).event_labels)
     text = analysis.export_trait(
-        fit_result.posterior, core.from_one_based(int(resolved["trait"])), labels,
+        fit_result.posterior, trait - 1, labels,
         header_comment="config: " + json.dumps(resolved, sort_keys=True),
     )
     core.write_atomic(resolved["out"], text)

@@ -46,13 +46,6 @@ DEFAULT_TIME_BIN_EDGES = (0.0, 9.0, 15.0, 30.0, 60.0, 600.0, 1200.0, 14000.0)
 DEFAULT_INTERACTION_BIN_EDGES = (0.0, 2.0, 3.0, 6.0, 16.0, 4779.0)
 
 
-def from_one_based(number: int) -> int:
-    """Convert a display (1-based) trait/event number to the internal index."""
-    if number < 1:
-        raise ValueError(f"display numbers start at 1, got {number}")
-    return number - 1
-
-
 def _check_edges(name: str, edges: tuple[float, ...]) -> None:
     if len(edges) < 2:
         raise ValueError(f"{name} needs at least 2 edges, got {len(edges)}")
@@ -328,6 +321,7 @@ def write_atomic(path, text: str | list[str]) -> None:
 
 _INDENT = "  "
 _MAX_DEPTH = 64  # deeper or self-containing values are left to json.dumps, which reports them
+NUMBER_LIST_STUB = "\0"  # stands in for a number list while json writes or reads the rest
 
 
 def _number_lists_chunks(value: list, level: int) -> list[str] | None:
@@ -367,33 +361,21 @@ def _lay_out(value: list, level: int, depth: int, chunks: list[str]) -> None:
     chunks.append(close)
 
 
-def _json_text(value, level: int) -> str:
-    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + _INDENT * level)
+def _stub_number_lists(value, level: int, lists: list[list[str]]):
+    """``value``, ``level`` deep in a payload, with each number list replaced by the stub.
 
-
-def _fast_json_chunks(value, level: int) -> list[str] | None:
-    """``value`` as ``json.dumps(sort_keys=True, indent=2)`` writes it ``level`` deep.
-
-    Number lists take ``_number_lists_chunks``; a dict with str keys is laid
-    out here when one of its values takes that path, its other values by
-    ``json.dumps``. None for every other value: json.dumps then writes all of
-    it in one call.
+    A list that ``_number_lists_chunks`` lays out becomes the stub and its
+    pieces go on ``lists``. A dict with str keys and a list or dict value is
+    rebuilt with its keys sorted, so the stubs come in the order
+    ``json.dumps(sort_keys=True)`` writes them; every other value is kept.
     """
-    if type(value) is list:
-        return _number_lists_chunks(value, level)
-    if type(value) is not dict or level >= _MAX_DEPTH or any(type(k) is not str for k in value):
-        return None
-    fast = {key: chunks for key, item in value.items()
-            if type(item) in (list, dict) and (chunks := _fast_json_chunks(item, level + 1)) is not None}
-    if not fast:
-        return None
-    inner = "\n" + _INDENT * (level + 1)
-    out: list[str] = []
-    for key, item in sorted(value.items()):
-        out.append(("," if out else "{") + inner + json.dumps(key) + ": ")
-        out.extend(fast[key] if key in fast else [_json_text(item, level + 1)])
-    out.append("\n" + _INDENT * level + "}")
-    return out
+    if type(value) is list and (chunks := _number_lists_chunks(value, level)) is not None:
+        lists.append(chunks)
+        return NUMBER_LIST_STUB
+    if (type(value) is not dict or level >= _MAX_DEPTH or any(type(k) is not str for k in value)
+            or not any(type(item) in (list, dict) for item in value.values())):
+        return value
+    return {key: _stub_number_lists(item, level + 1, lists) for key, item in sorted(value.items())}
 
 
 def save_json(payload, path) -> None:
@@ -401,14 +383,18 @@ def save_json(payload, path) -> None:
 
     The bytes are always ``json.dumps(payload, sort_keys=True, indent=2)``
     plus a newline. json's pure-Python indenting encoder costs about twice
-    what the numbers' ``repr`` does, so lists of finite numbers (a model's
-    posterior, its log-joint trace) are laid out from their ``repr`` instead,
-    and the pieces are written in turn rather than joined into one string.
+    what the numbers' ``repr`` does, so json writes the payload with a stub
+    in place of each list of finite numbers (a model's posterior, its
+    log-joint trace), and the lists, laid out from their ``repr``, replace
+    the stubs.
     """
-    chunks = _fast_json_chunks(payload, 0)
-    if chunks is None:
-        chunks = [json.dumps(payload, sort_keys=True, indent=2)]
-    write_atomic(path, chunks + ["\n"])
+    lists: list[list[str]] = []
+    stubbed = _stub_number_lists(payload, 0, lists)
+    parts = json.dumps(stubbed, sort_keys=True, indent=2).split(json.dumps(NUMBER_LIST_STUB))
+    if len(parts) != len(lists) + 1:  # the payload holds the stub's text itself
+        parts, lists = [json.dumps(payload, sort_keys=True, indent=2)], []
+    pieces = chain.from_iterable([part, *chunks] for part, chunks in zip(parts, lists))
+    write_atomic(path, [*pieces, parts[-1], "\n"])
 
 
 def save_schema(schema: Schema, path) -> None:

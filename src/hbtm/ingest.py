@@ -313,6 +313,8 @@ def parse_raw_log(fh, column_map: dict) -> tuple[list[RawEvent], list[RejectedRo
     header = next(reader, None)
     if header is None:
         return [], []
+    if header:  # a spreadsheet export may start with a byte-order mark
+        header[0] = header[0].removeprefix("\ufeff")
     mouse_cols = _count_columns(column_map["mouse_clicks"])
     key_cols = _count_columns(column_map["keystrokes"])
     mapped_cols = (

@@ -34,7 +34,6 @@ import io
 import json
 import math
 import os
-import re
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from itertools import chain
@@ -43,7 +42,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import gammaln
 
-from .core import Corpus, Hyperparams, Posterior, validate_corpus
+from .core import NUMBER_LIST_STUB, Corpus, Hyperparams, Posterior, validate_corpus
 
 
 _TABLES = ("n_mk", "n_ke", "n_ket", "n_kei", "n_k")
@@ -245,7 +244,7 @@ _POSTERIOR_LAYOUT = (
     b',\n    "theta": ', b'\n  }',
 )
 _SCAN_MAX_NDIM = 32  # SCAN_MAX_NDIM in _sweep.c
-_JSON_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"')
+_STUB_TEXT = json.dumps(NUMBER_LIST_STUB)
 
 
 def _scan_array(scan, raw: bytes, lo: int, hi: int) -> np.ndarray | None:
@@ -269,15 +268,15 @@ def _read_text(raw: bytes) -> str:
 def _scan_fit(raw: bytes) -> dict | None:
     """The model file ``raw`` as ``json.loads`` reads it, its posterior read by the scanner.
 
-    None when the library is missing, the posterior is not in
-    ``_POSTERIOR_LAYOUT``, the scanner declines one of its arrays, or the
-    rest of the file does not parse as the same object without it.
+    ``json`` reads the file with each array in ``_POSTERIOR_LAYOUT`` replaced
+    by ``core.save_json``'s stub. None when the library is missing, the layout
+    or an array is declined, or json's ``posterior`` is not those four stubs.
     """
     library = _library()
-    start = raw.find(_POSTERIOR_LAYOUT[0])
-    if library is None or start < 0:
+    at = raw.find(_POSTERIOR_LAYOUT[0])
+    if library is None or at < 0:
         return None
-    bounds, at = [], start
+    bounds = []
     for mark in _POSTERIOR_LAYOUT:
         at = raw.find(mark, at)
         if at < 0:
@@ -289,17 +288,14 @@ def _scan_fit(raw: bytes) -> dict | None:
         arrays[key] = _scan_array(library.hbtm_scan, raw, lo, hi)
         if arrays[key] is None:
             return None
+    kept = [raw[:bounds[0][1]], *(raw[lo:hi] for lo, hi in bounds[1:-1]), raw[bounds[-1][0]:]]
     try:  # undecodable bytes and bad JSON are reported by the json path
-        head, tail = _read_text(raw[:start]), _read_text(raw[bounds[-1][1]:])
-        data = json.loads(head + tail)
+        text = _read_text(_STUB_TEXT.encode().join(kept))
+        # an escaped NUL anywhere else could spell the stub
+        data = json.loads(text) if text.count(_STUB_TEXT[1:-1]) == len(arrays) else None
     except (ValueError, RecursionError):
         return None
-    # the file and head + tail parse alike only if the cut lies outside every
-    # string, directly inside the top-level object, and after a member
-    outer = _JSON_STRING.sub("", head)
-    depth = outer.count("{") + outer.count("[") - outer.count("}") - outer.count("]")
-    if (type(data) is not dict or "posterior" in data  # a second posterior key
-            or depth != 1 or '"' in outer or outer.rstrip(" \t\n\r").endswith("{")):
+    if type(data) is not dict or data.get("posterior") != dict.fromkeys(arrays, NUMBER_LIST_STUB):
         return None
     data["posterior"] = arrays
     return data

@@ -285,6 +285,42 @@ def test_a_reingest_removes_the_session_files_of_the_earlier_ingest(tmp_path):
         "notes.txt", "rejects.csv", "schema.json", "session_1.jsonl", "summary.json"]
 
 
+@pytest.mark.parametrize("session", ["x/../../escaped", "a\0b"])
+def test_ingest_refuses_a_session_id_that_is_not_a_file_name(tmp_path, capsys, session):
+    raw, cmap, out_dir = tmp_path / "raw.csv", tmp_path / "cols.json", tmp_path / "out"
+    write_column_map(cmap)
+    write_raw_csv(raw, ["1,s1,Deeds,0,30,1,1,5", f"{session},s1,Deeds,0,30,1,1,5"])
+    (out_dir / "session_x").mkdir(parents=True)
+    (out_dir / "summary.json").write_text("an earlier summary\n")
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert run(["ingest", "--raw", raw, "--column-map", cmap, "--out-dir", out_dir]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": "ValueError",
+                                "detail": f"session ids cannot name a file: {session!r}"}
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+def test_a_byte_order_mark_before_a_csv_header_changes_no_output(tmp_path, generated):
+    model = fit_small_model(tmp_path, generated)
+    raw, cmap, grades = tmp_path / "raw.csv", tmp_path / "cols.json", tmp_path / "grades.csv"
+    out_dir, report = tmp_path / "out", tmp_path / "report.json"
+    write_column_map(cmap)
+    texts = {raw: RAW_HEADER + "1,s1,Deeds,0,30,1,1,5\n2,s2,Aulaweb,0,12,2,0,0\n",
+             grades: "trace_id,SA,SFE,FE\n"
+             + "".join(f"trace_{m:04d},{m % 5},{m / 2},{50 + m}\n" for m in range(6))}
+    commands = (["ingest", "--raw", raw, "--column-map", cmap, "--out-dir", out_dir],
+                ["analyze", "--model", model, "--grades", grades, "--out", report])
+
+    def outputs(mark):
+        for path, text in texts.items():
+            path.write_text(mark + text)
+        shutil.rmtree(out_dir, ignore_errors=True)
+        assert [run(argv) for argv in commands] == [0, 0]
+        return {p.name: p.read_bytes() for p in [*out_dir.iterdir(), report]}
+
+    assert outputs("\ufeff") == outputs("")
+
+
 def fit_small_model(tmp_path, generated, out_name="model.json"):
     out = tmp_path / out_name
     assert run([
@@ -357,10 +393,13 @@ def test_export_trait_one_based(tmp_path, generated):
 
 
 def test_export_trait_out_of_range(tmp_path, generated, capsys):
-    model = fit_small_model(tmp_path, generated)
-    code = run(["export-trait", "--model", model, "--trait", 3, "--out", tmp_path / "t.csv"])
-    assert code == 1
-    assert "trait" in json.loads(capsys.readouterr().err.strip())["detail"]
+    model, out = fit_small_model(tmp_path, generated), tmp_path / "t.csv"
+    for trait in (0, -1, 3):  # the model has 2 traits
+        code = run(["export-trait", "--model", model, "--trait", trait, "--out", out])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "error": "ValueError", "detail": f"trait {trait} outside [1, 2]"}
+        assert not out.exists()
 
 
 def test_unknown_flag_is_error(capsys):
@@ -798,6 +837,9 @@ MODEL_EDITS = [
     ("crlf", lambda t: t.replace("\n", "\r\n"), False),
     ("crlf-in-config", lambda t: t.replace('\n    "', '\r\n    "', 3), True),
     ("non-ascii-in-config", lambda t: t.replace('"corpus": "', '"corpus": "\u00e9\\u00e9', 1), True),
+    ("nul-in-config", lambda t: t.replace('"corpus": "', '"corpus": "\\u0000', 1), False),
+    ("escaped-backslash-in-config", lambda t: t.replace('"corpus": "', '"corpus": "\\\\u0000', 1),
+     False),
     ("non-stochastic-row", lambda t: _first_number(t, "theta", "0.999"), True),
     ("posterior-nested", lambda t: _moved_posterior(t, lambda rest, p: rest.replace(
         "{", '{\n  "wrapper": {"a": 1.0' + p + "},", 1)), False),

@@ -22,7 +22,6 @@ from hbtm import (
     Token,
     Trace,
     estimate_posterior,
-    from_one_based,
     load_corpus,
     load_schema,
     save_corpus,
@@ -30,7 +29,7 @@ from hbtm import (
     synthetic_schema,
     validate_corpus,
 )
-from hbtm.core import _number_lists_chunks, save_json, write_atomic
+from hbtm.core import NUMBER_LIST_STUB, _number_lists_chunks, save_json, write_atomic
 from hbtm.ingest import MappingRule, write_rejects_csv
 
 from conftest import greedy_match_traits, random_corpus, total_variation
@@ -65,14 +64,6 @@ def test_schema_rejects_bad_edges():
         Schema((), (0.0, 1.0), (0.0, 1.0))
     with pytest.raises(ValueError):
         Schema(("a",), (0.0,), (0.0, 1.0))
-
-
-def test_one_based_round_trip():
-    for p in range(1, 16):
-        assert from_one_based(p) + 1 == p
-    assert from_one_based(1) == 0
-    with pytest.raises(ValueError):
-        from_one_based(0)
 
 
 def test_hyperparams_positive():
@@ -559,6 +550,9 @@ json_payloads = st.recursive(
 @example({"posterior": {"theta": [[0.25, 0.75], [1.0, 0.0]], "psi": [[[0.5, 0.5]], [[1.0, 0.0]]]},
           "trace_ids": ["a", "b"], "log_joint_trace": [-12.5, -11.0], "config": {"seed": 1}})
 @example([[], [1.0], [[2.0]]])
+@example({"a": [0.5, 1.5], "b": NUMBER_LIST_STUB, "c": [[2.5]], NUMBER_LIST_STUB: "x"})
+@example({"z": [1.0], "m": {"y": [[2.0, 3.0]], "b": {"q": [4.0], "c": [5.0, 6.0]}, "a": "x"},
+          "a": [7.0]})
 @example({"\u00e9": [-0.0, 5e-324, 1e-05, 1e16, 3.0, float("nan"), float("inf")], "x": [[[]]]})
 @example({"a": [1.0, 2, True, np.float64(0.5)], "b": [[1.0], []], 3: [1.0]})
 def test_save_json_writes_what_json_dumps_writes(tmp_path_factory, payload):
