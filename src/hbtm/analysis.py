@@ -18,7 +18,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import betainc
 
-from .core import Posterior
+from . import sampler
+from .core import Posterior, skip_bom
 
 GRADE_TYPES = ("SA", "SFE", "FE")
 GRADE_RANGES = {"SA": (0.0, 5.0), "FE": (0.0, 100.0)}
@@ -138,42 +139,65 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return points[chosen].copy()
 
 
+def _reference_lloyd(points: np.ndarray, centroids: np.ndarray,
+                     max_iters: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd iterations in numpy: the oracle ``hbtm_lloyd`` must match, and its fallback.
+
+    Returns the labels and centroids after assigning the points to
+    ``centroids``, then up to ``max_iters`` times moving each centroid to its
+    members' mean and reassigning, until the labels repeat. A cluster emptied
+    by reassignment is reseeded with the point farthest from its centroid.
+    """
+    labels = _assign(points, centroids)
+    for _ in range(max_iters):
+        new_centroids = centroids.copy()
+        for j in range(len(centroids)):
+            members = points[labels == j]
+            if len(members):
+                new_centroids[j] = members.mean(axis=0)
+            else:
+                farthest = int(np.argmax(((points - centroids[labels]) ** 2).sum(axis=1)))
+                new_centroids[j] = points[farthest]
+        new_labels = _assign(points, new_centroids)
+        converged = bool(np.array_equal(new_labels, labels))
+        centroids, labels = new_centroids, new_labels
+        if converged:
+            break
+    return labels, centroids
+
+
 def kmeans(points, k: int, seed: int = 0, max_iters: int = 100, restarts: int = 10) -> KMeansResult:
     """Lloyd iterations from seeded k-means++ starts; best of ``restarts`` kept.
 
     Runs to an assignment fixpoint or max_iters; within-cluster sum of
     squares never increases across iterations. A cluster emptied by
     reassignment is reseeded with the point farthest from its centroid.
-    Deterministic given the seed.
+    Deterministic given the seed. The iterations run in the compiled
+    library's ``hbtm_lloyd``, or in ``_reference_lloyd`` when the library
+    is missing; both give the same labels and the same centroid floats.
     """
-    points = np.asarray(points, dtype=float)
+    points = np.ascontiguousarray(points, dtype=float)
     if points.ndim != 2:
         raise ValueError("points must be a 2-d array")
-    n = points.shape[0]
+    n, d = points.shape
     if not 1 <= k <= n:
         raise ValueError(f"cluster count must satisfy 1 <= k <= {n}, got {k}")
     if not np.all(np.isfinite(points)):
         raise ValueError("points must be finite")
     rng = np.random.default_rng(seed)
+    library = sampler._library()
+    # the kernel's scratch: next centroids, next labels, cluster sizes, a member column
+    scratch = (np.empty((k, d)), np.empty(n, np.int64), np.empty(k, np.int64), np.empty(n))
 
     best: KMeansResult | None = None
     for _ in range(max(1, restarts)):
         centroids = _kmeans_pp_init(points, k, rng)
-        labels = _assign(points, centroids)
-        for _ in range(max_iters):
-            new_centroids = centroids.copy()
-            for j in range(k):
-                members = points[labels == j]
-                if len(members):
-                    new_centroids[j] = members.mean(axis=0)
-                else:
-                    farthest = int(np.argmax(((points - centroids[labels]) ** 2).sum(axis=1)))
-                    new_centroids[j] = points[farthest]
-            new_labels = _assign(points, new_centroids)
-            converged = bool(np.array_equal(new_labels, labels))
-            centroids, labels = new_centroids, new_labels
-            if converged:
-                break
+        if library is None:
+            labels, centroids = _reference_lloyd(points, centroids, max_iters)
+        else:
+            labels = np.empty(n, np.int64)
+            library.hbtm_lloyd(n, d, k, max_iters, points.ctypes.data, centroids.ctypes.data,
+                               labels.ctypes.data, *(a.ctypes.data for a in scratch))
         candidate = KMeansResult(labels, centroids, _wcss(points, centroids, labels))
         if best is None or candidate.wcss < best.wcss:
             best = candidate
@@ -215,9 +239,7 @@ class GradeTable:
         """Load ``trace_id,SA,SFE,FE`` rows; blank cells mean missing."""
         scores: dict[str, dict[str, float | None]] = {}
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames:  # a spreadsheet export may start with a byte-order mark
-                reader.fieldnames[0] = reader.fieldnames[0].removeprefix("\ufeff")
+            reader = csv.DictReader(skip_bom(fh))
             needed = {"trace_id", *GRADE_TYPES}
             if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
                 raise ValueError(f"grades CSV must have columns {sorted(needed)}")

@@ -3,7 +3,8 @@
 Every subcommand accepts --config pointing at a JSON file whose keys match
 the flag names (dashes as underscores); explicit flags override file values.
 Outputs embed the fully resolved configuration and seed. Errors exit nonzero
-with a one-line JSON object on stderr.
+with a one-line JSON object on stderr; the only other stderr line is the
+notice of a process whose compiled library is unavailable, which comes first.
 """
 
 from __future__ import annotations

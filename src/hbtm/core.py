@@ -298,6 +298,18 @@ def validate_corpus(corpus: Corpus) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+def skip_bom(lines):
+    """The lines of an open text file, or of any iterable, minus a leading byte-order mark.
+
+    A spreadsheet export may start with one. It has to go before ``csv``
+    parses the header: otherwise a quoted first field reads as the mark, the
+    quotes and the name, and does not match its column.
+    """
+    lines = iter(lines)
+    first = next(lines, None)
+    return lines if first is None else chain([first.removeprefix("\ufeff")], lines)
+
+
 def write_atomic(path, text: str | list[str]) -> None:
     """Replace ``path`` with ``text`` so readers see the old file or all of the new one.
 

@@ -20,7 +20,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from .core import Corpus, FrozenSlots, Schema, Token, Trace, write_atomic
+from .core import Corpus, FrozenSlots, Schema, Token, Trace, skip_bom, write_atomic
 
 OTHER_EVENT_INDEX = 14
 
@@ -309,12 +309,10 @@ def parse_raw_log(fh, column_map: dict) -> tuple[list[RawEvent], list[RejectedRo
     if missing:
         raise ValueError(f"column_map missing entries for: {', '.join(missing)}")
 
-    reader = csv.reader(fh)
+    reader = csv.reader(skip_bom(fh))
     header = next(reader, None)
     if header is None:
         return [], []
-    if header:  # a spreadsheet export may start with a byte-order mark
-        header[0] = header[0].removeprefix("\ufeff")
     mouse_cols = _count_columns(column_map["mouse_clicks"])
     key_cols = _count_columns(column_map["keystrokes"])
     mapped_cols = (

@@ -19,7 +19,9 @@ numpy arrays. The per-token update loop dominates the cost of a fit, so
 system C compiler on first use and cached under ``$XDG_CACHE_HOME/hbtm``
 (default ``~/.cache/hbtm``). ``reference_sweep`` is the same loop in plain
 Python: it is the oracle the kernel must match bit for bit, and the fallback
-when no compiler or cache directory is usable.
+when no compiler or cache directory is usable. The same library runs
+``analysis.kmeans``' Lloyd iterations. A process that falls back says so
+once, in one line on stderr.
 
 ``load_fit_result`` reads the posterior of a model file in ``core.save_json``'s
 layout through the same library's number scanner, and every other file, or
@@ -34,6 +36,7 @@ import io
 import json
 import math
 import os
+import sys
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from itertools import chain
@@ -434,11 +437,15 @@ def _build_kernel(source: Path, library: Path) -> None:
     fd, tmp = tempfile.mkstemp(prefix=".build-", suffix=".so", dir=library.parent)
     os.close(fd)
     try:
-        done = subprocess.run(
-            ["cc", *_CFLAGS, "-o", tmp, str(source)], capture_output=True, text=True
-        )
+        try:
+            done = subprocess.run(
+                ["cc", *_CFLAGS, "-o", tmp, str(source)], capture_output=True, text=True
+            )
+        except FileNotFoundError:
+            raise OSError("no C compiler: cc is not on the PATH") from None
         if done.returncode:
-            raise OSError(f"cc exited with status {done.returncode}: {done.stderr.strip()}")
+            first = done.stderr.strip().partition("\n")[0]
+            raise OSError(f"cc exited with status {done.returncode}: {first}")
         os.replace(tmp, library)
     finally:
         if os.path.exists(tmp):
@@ -449,7 +456,9 @@ def _load_kernel():
     """The compiled library from the cache, built there on a miss; None if unusable.
 
     A cached library that does not load (truncated or corrupt) is rebuilt
-    once, so one bad file does not slow every later process.
+    once, so one bad file does not slow every later process. When it returns
+    None it writes one line to stderr naming the reason, since the fallbacks
+    give the same results only much more slowly.
     """
     import ctypes
     import hashlib
@@ -466,13 +475,17 @@ def _load_kernel():
         except OSError:
             _build_kernel(source, library)
             loaded = ctypes.CDLL(str(library))
-        sweep, scan = loaded.hbtm_sweep, loaded.hbtm_scan
-    except OSError:
+        sweep, scan, lloyd = loaded.hbtm_sweep, loaded.hbtm_scan, loaded.hbtm_lloyd
+    except OSError as exc:
+        reason = " ".join(str(exc).split())
+        print(f"hbtm: compiled library unavailable ({reason}); "
+              "falling back to the slower Python code", file=sys.stderr)
         return None
-    sweep.restype = scan.restype = ctypes.c_int64
+    sweep.restype = scan.restype = lloyd.restype = ctypes.c_int64
     sweep.argtypes = [ctypes.c_int64] * 5 + [ctypes.c_double] * 7 + [ctypes.c_void_p] * 12
     scan.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
                      ctypes.c_int64]
+    lloyd.argtypes = [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 7
     return loaded
 
 
@@ -567,13 +580,18 @@ def _dm_log_marginal(counts, concentration: float) -> float:
 
 
 def collapsed_log_joint(state: ModelState, hyper: Hyperparams) -> float:
-    """Log joint of assignments and observations with parameters integrated out."""
-    return (
-        _dm_log_marginal(state.n_mk, hyper.alpha)
-        + _dm_log_marginal(state.n_ke, hyper.beta)
-        + _dm_log_marginal(state.n_ket, hyper.gamma)
-        + _dm_log_marginal(state.n_kei, hyper.delta)
-    )
+    """Log joint of assignments and observations with parameters integrated out.
+
+    Infinite or NaN, without a warning, when a concentration is so large
+    that its log-gamma terms overflow.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (
+            _dm_log_marginal(state.n_mk, hyper.alpha)
+            + _dm_log_marginal(state.n_ke, hyper.beta)
+            + _dm_log_marginal(state.n_ket, hyper.gamma)
+            + _dm_log_marginal(state.n_kei, hyper.delta)
+        )
 
 
 def fit(corpus: Corpus, config: FitConfig) -> FitResult:
@@ -595,7 +613,13 @@ def fit(corpus: Corpus, config: FitConfig) -> FitResult:
     audits = 0
     for sweep_no in range(1, config.sweeps + 1):
         gibbs_sweep(state, hyper)
-        log_joint_trace.append(collapsed_log_joint(state, hyper))
+        log_joint = collapsed_log_joint(state, hyper)
+        if not math.isfinite(log_joint):
+            raise ValueError(
+                f"the collapsed log joint after sweep {sweep_no} is {log_joint}: "
+                "the hyperparameters are too large for this corpus"
+            )
+        log_joint_trace.append(log_joint)
         if config.audit_every and sweep_no % config.audit_every == 0:
             state.audit()
             audits += 1

@@ -1,9 +1,12 @@
 import csv
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from hbtm import (
@@ -15,6 +18,7 @@ from hbtm import (
     run_analysis,
     welch_t_test,
 )
+from hbtm import analysis, sampler
 from hbtm.analysis import student_t_two_sided_p
 
 
@@ -211,6 +215,88 @@ def test_kmeans_wcss_nonincreasing_in_iterations(rng):
     assert all(later <= earlier + 1e-12 for earlier, later in zip(wcss, wcss[1:]))
 
 
+@st.composite
+def lloyd_cases(draw):
+    """Points, k, seed and max_iters; a third of the cases have fewer distinct
+    points than clusters, so a cluster empties and is reseeded."""
+    n = draw(st.integers(1, 300))
+    d = draw(st.integers(1, 140))
+    k = draw(st.integers(1, min(n, 6)))
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["simplex", "spread", "duplicates"]))
+    if kind == "simplex":  # rows like theta's trait mixtures
+        points = data.dirichlet(np.ones(d), size=n)
+    elif kind == "spread":
+        points = data.normal(size=(n, d)) * 10.0 ** data.integers(-6, 7, size=d)
+    else:
+        pool = data.integers(0, 3, size=(draw(st.integers(1, max(1, k - 1))), d)).astype(float)
+        points = pool[data.integers(len(pool), size=n)]
+    max_iters = draw(st.sampled_from([0, 1, 2, 100]))
+    return points, k, draw(st.integers(0, 2**16)), max_iters
+
+
+def kmeans_without_library(*args, **kwargs):
+    with mock.patch.object(sampler, "_library", lambda: None):
+        return kmeans(*args, **kwargs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=lloyd_cases())
+@example(case=(np.linspace(0.0, 1.0, 300)[:, None] ** 3, 2, 0, 100))  # d = 1: summed pairwise
+@example(case=(np.eye(140)[:9], 6, 1, 100))  # d > 128: the pairwise sum splits in halves
+@example(case=(np.arange(10.0).reshape(5, 2), 5, 2, 100))  # k = n
+@example(case=(np.ones((8, 3)), 4, 3, 1))  # one distinct point: three clusters reseeded
+def test_compiled_lloyd_matches_the_numpy_reference(case):
+    points, k, seed, max_iters = case
+    if sampler._library() is None:
+        pytest.skip("no compiled library")
+    got = kmeans(points, k, seed=seed, max_iters=max_iters, restarts=2)
+    want = kmeans_without_library(points, k, seed=seed, max_iters=max_iters, restarts=2)
+    assert got.labels.dtype == want.labels.dtype
+    assert got.labels.tolist() == want.labels.tolist()
+    assert got.centroids.shape == want.centroids.shape
+    assert got.centroids.tobytes() == want.centroids.tobytes()
+    assert got.wcss == want.wcss
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(1, 140), seed=st.integers(0, 2**32 - 1), max_iters=st.sampled_from([0, 1]))
+@example(d=140, seed=0, max_iters=0)
+def test_compiled_lloyd_breaks_near_ties_as_numpy_does(d, seed, max_iters):
+    # from starts v and a shuffle of v, each point a * (1, ..., 1) is equally
+    # far from both in exact arithmetic: which one wins depends only on the
+    # order the squares are summed in, so a label shows any order change
+    if sampler._library() is None:
+        pytest.skip("no compiled library")
+    data = np.random.default_rng(seed)
+    v = data.random(d)
+    starts = np.stack([v, data.permutation(v)])
+    points = np.vstack([starts, np.outer(data.random(200), np.ones(d))])
+    with mock.patch.object(analysis, "_kmeans_pp_init", lambda *_: starts.copy()):
+        got = kmeans(points, 2, max_iters=max_iters, restarts=1)
+        want = kmeans_without_library(points, 2, max_iters=max_iters, restarts=1)
+    assert got.labels.tolist() == want.labels.tolist()
+    assert got.centroids.tobytes() == want.centroids.tobytes()
+
+
+def test_kmeans_runs_the_compiled_loop_when_the_library_loads(rng, monkeypatch):
+    if sampler._library() is None:
+        pytest.skip("no compiled library")
+    points = rng.random((50, 4))
+    want = kmeans_without_library(points, 2, seed=5)
+    monkeypatch.setattr(analysis, "_reference_lloyd",
+                        lambda *_: pytest.fail("numpy Lloyd loop ran beside the library"))
+    got = kmeans(points, 2, seed=5)
+    assert got.labels.tolist() == want.labels.tolist() and got.wcss == want.wcss
+
+
+def test_kmeans_reads_a_non_contiguous_array_as_its_copy(rng):
+    points = np.asfortranarray(rng.random((30, 5)))
+    got, want = kmeans(points, 3, seed=4), kmeans(points.copy(order="C"), 3, seed=4)
+    assert got.labels.tolist() == want.labels.tolist()
+    assert got.centroids.tobytes() == want.centroids.tobytes()
+
+
 # --- grades ----------------------------------------------------------------
 
 
@@ -222,6 +308,12 @@ def test_grade_table_from_csv(tmp_path):
     assert table.get("s2", "SA") is None
     assert table.get("s2", "SFE") == 1.0
     assert table.get("s2", "FE") is None  # whitespace-only cell is missing too
+
+
+def test_grade_table_reads_a_quoted_first_header_field_after_a_byte_order_mark(tmp_path):
+    path = tmp_path / "grades.csv"
+    path.write_text('\ufeff"trace_id",SA,SFE,FE\ns1,4,2.5,88\n', encoding="utf-8")
+    assert GradeTable.from_csv(path).scores == {"s1": {"SA": 4.0, "SFE": 2.5, "FE": 88.0}}
 
 
 def test_grade_table_range_validation(tmp_path):

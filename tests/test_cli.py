@@ -756,6 +756,7 @@ def _refuse_constant(name):
 @example(traits=2, sweeps=3, burn_in=0, stride=1, hyper={"alpha": 5e-324})
 @example(traits=6, sweeps=3, burn_in=0, stride=1, hyper={"gamma": sys.float_info.min})
 @example(traits=3, sweeps=2, burn_in=1, stride=1, hyper={"beta": 1e308, "delta": math.inf})
+@example(traits=1, sweeps=1, burn_in=0, stride=1, hyper={"alpha": 1e308})  # log joint NaN
 def test_every_fit_config_fits_or_is_one_json_error(four_token_corpus, traits, sweeps, burn_in,
                                                     stride, hyper):
     with tempfile.TemporaryDirectory() as tmp:

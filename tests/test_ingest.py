@@ -228,6 +228,14 @@ def test_parse_empty_file_with_header():
     assert events == [] and rejects == []
 
 
+def test_parse_reads_a_quoted_first_header_field_after_a_byte_order_mark():
+    quoted = '"session"' + HEADER[len("session"):]
+    row = "1,s1,Deeds,100,110,2,3,4,5\n"
+    got = parse_raw_log(io.StringIO("\ufeff" + quoted + row), COLUMN_MAP)
+    assert got == parse_raw_log(io.StringIO(HEADER + row), COLUMN_MAP)
+    assert len(got[0]) == 1 and got[1] == []
+
+
 def test_parse_sums_interaction_columns():
     events, rejects = parse_raw_log(
         csv_of(["1,s1,Deeds,100,110,2,3,4,5"]), COLUMN_MAP

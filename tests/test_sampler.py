@@ -396,6 +396,82 @@ def test_a_truncated_cached_kernel_is_rebuilt(tmp_path, monkeypatch):
     assert list(library.parent.iterdir()) == [library]
     assert library.stat().st_size > 100
 
+FAKE_COMPILERS = [  # (the shell script run as cc, or None for no cc; the reason stated)
+    (None, "(no C compiler: cc is not on the PATH)"),
+    ("echo 'kernel.c:1: error: first line' >&2\necho 'second line' >&2\nexit 3\n",
+     "(cc exited with status 3: kernel.c:1: error: first line)"),
+    # writes a file that is no shared library to the -o path
+    ('while [ $# -gt 0 ]; do [ "$1" = -o ] && echo junk > "$2"; shift; done\n', "/hbtm/_sweep-"),
+]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="fake compilers are shell scripts")
+@pytest.mark.parametrize("script, reason", FAKE_COMPILERS,
+                         ids=["no cc", "cc fails", "unloadable library"])
+def test_a_missing_library_is_reported_in_one_stderr_line(tmp_path, monkeypatch, capsys,
+                                                          script, reason):
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    if script is not None:
+        (bin_dir / "cc").write_text("#!/bin/sh\n" + script)
+        (bin_dir / "cc").chmod(0o755)
+    monkeypatch.setenv("PATH", str(bin_dir))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    assert sampler._load_kernel() is None
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("hbtm: compiled library unavailable (")
+    assert line.endswith("); falling back to the slower Python code")
+    assert reason in line
+    assert [p.name for p in (tmp_path / "cache" / "hbtm").iterdir()
+            if p.name.startswith(".build-")] == []
+
+
+@pytest.mark.skipif(shutil.which("cc") is None or os.name != "posix",
+                    reason="no C compiler to compare with")
+def test_a_process_without_a_compiler_writes_the_same_files_and_says_so_once(tmp_path, rng):
+    corpus = random_corpus(rng, num_traces=6)
+    save_corpus(corpus, tmp_path / "corpus.jsonl")
+    save_schema(corpus.schema, tmp_path / "schema.json")
+    grades = tmp_path / "grades.csv"
+    grades.write_text("trace_id,SA,SFE,FE\n" + "".join(f"t{m},{m % 5},{m},{50 + m}\n"
+                                                      for m in range(6)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(sampler.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+
+    def pipeline(**overrides):
+        out = tmp_path / "out"  # one path for both runs: the model records it
+        shutil.rmtree(out, ignore_errors=True)
+        out.mkdir()
+        steps = (["fit", "--corpus", str(tmp_path / "corpus.jsonl"), "--traits", "3",
+                  "--sweeps", "8", "--burn-in", "2", "--stride", "2", "--out", str(out / "m.json")],
+                 ["analyze", "--model", str(out / "m.json"), "--grades", str(grades),
+                  "--out", str(out / "report.json")],
+                 ["export-trait", "--model", str(out / "m.json"), "--trait", "9",
+                  "--out", str(out / "trait.csv")])
+        runs = [subprocess.run([sys.executable, "-m", "hbtm.cli", *argv], capture_output=True,
+                               text=True, timeout=300, env=dict(env, **overrides))
+                for argv in steps]
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        return ([(r.returncode, r.stdout) for r in runs], [r.stderr.splitlines() for r in runs],
+                files)
+
+    (tmp_path / "no-cc").mkdir()
+    # an empty cache: a library cached there would load without a compiler
+    codes, errs, files = pipeline(PATH=str(tmp_path / "no-cc"),
+                                  XDG_CACHE_HOME=str(tmp_path / "cache"))
+    kernel_codes, kernel_errs, kernel_files = pipeline()
+    assert (codes, files) == (kernel_codes, kernel_files)
+    assert kernel_errs[:2] == [[], []]
+    assert [code for code, _ in codes] == [0, 0, 1]
+    notice = ("hbtm: compiled library unavailable (no C compiler: cc is not on the PATH); "
+              "falling back to the slower Python code")
+    assert errs[:2] == [[notice], [notice]]
+    assert errs[2][0] == notice and len(errs[2]) == 2
+    assert json.loads(errs[2][1])["error"] == "ValueError"
+
+
 def test_compiled_kernel_loads_when_a_compiler_exists():
     # a silent fallback to the Python sweep would hide a large slowdown
     if shutil.which("cc") is None:
@@ -404,6 +480,14 @@ def test_compiled_kernel_loads_when_a_compiler_exists():
 
 
 # --- collapsed log joint ---------------------------------------------------
+
+
+@pytest.mark.parametrize("traits", [1, 3])
+def test_a_concentration_that_overflows_the_log_joint_stops_the_fit(rng, traits):
+    # the sweep's weights stay finite; log-gamma of alpha and traits * alpha does not
+    with pytest.raises(ValueError, match="collapsed log joint after sweep 1 is nan"):
+        fit(random_corpus(rng), FitConfig(num_traits=traits, sweeps=2, burn_in=0,
+                                          sample_stride=1, hyper=Hyperparams(alpha=1e306)))
 
 
 def test_collapsed_log_joint_single_token():

@@ -100,9 +100,10 @@ def test_kernel_prototype_matches_its_argtypes():
     library = sampler._library()
     assert library is not None
     scalars = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
-    for name in ("hbtm_sweep", "hbtm_scan"):
+    prototypes = re.findall(r"^int64_t (hbtm_\w+)\s*\(([^)]*)\)", KERNEL_SOURCE.read_text(), re.M)
+    assert {"hbtm_sweep", "hbtm_scan", "hbtm_lloyd"} <= {name for name, _ in prototypes}
+    for name, prototype in prototypes:
         function = getattr(library, name)
-        prototype = re.search(rf"\bint64_t {name}\s*\(([^)]*)\)", KERNEL_SOURCE.read_text()).group(1)
         params = prototype.split(",")
         expected = [ctypes.c_void_p if "*" in p else scalars[p.split()[0]] for p in params]
         assert len(params) == len(function.argtypes), name
@@ -153,7 +154,8 @@ print(len(spans), accepted)
 """
 
 
-def test_scanner_stays_inside_its_buffers_under_address_and_undefined_sanitizers(tmp_path):
+def _sanitized_library(tmp_path) -> tuple[Path, dict]:
+    """The kernel built with address and undefined-behaviour checks, and the env that runs it."""
     libasan = _libasan()
     if libasan is None:
         pytest.skip("no C compiler or no libasan")
@@ -164,6 +166,11 @@ def test_scanner_stays_inside_its_buffers_under_address_and_undefined_sanitizers
         capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
+    return library, dict(os.environ, LD_PRELOAD=libasan, ASAN_OPTIONS="detect_leaks=0")
+
+
+def test_scanner_stays_inside_its_buffers_under_address_and_undefined_sanitizers(tmp_path):
+    library, env = _sanitized_library(tmp_path)
     # a small model's psi block, as core.save_json writes it
     corpus = Corpus(synthetic_schema(3, 2, 2), (
         Trace("a", (Token(0, 0, 0), Token(1, 1, 1), Token(2, 0, 1))),
@@ -177,9 +184,64 @@ def test_scanner_stays_inside_its_buffers_under_address_and_undefined_sanitizers
     block.write_text(text[text.index('"psi": ') + len('"psi": '):text.index(',\n    "tau": ')])
     script = tmp_path / "scan.py"
     script.write_text(SANITIZED_SCAN)
-    env = dict(os.environ, LD_PRELOAD=libasan, ASAN_OPTIONS="detect_leaks=0")
     done = subprocess.run([sys.executable, str(script), str(library), str(block)],
                           capture_output=True, text=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr[-3000:]
     spans, accepted = map(int, done.stdout.split())
     assert spans > 3000 and accepted >= 1  # the whole block, at least
+
+
+# Runs under libasan: every array is its own malloc block of exactly its size,
+# so a read or write past any of them stops the process
+SANITIZED_LLOYD = r"""
+import ctypes, random, sys
+lib = ctypes.CDLL(sys.argv[1])
+libc = ctypes.CDLL(None)
+libc.malloc.restype = ctypes.c_void_p
+libc.malloc.argtypes = [ctypes.c_size_t]
+libc.free.argtypes = [ctypes.c_void_p]
+lloyd = lib.hbtm_lloyd
+lloyd.restype = ctypes.c_int64
+lloyd.argtypes = [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 7
+rng = random.Random(11)
+shapes = [(1, 1, 1, 0), (5, 3, 5, 100), (7, 1, 7, 0), (40, 140, 3, 100), (300, 1, 2, 100),
+          (9, 129, 9, 5), (12, 2, 6, 100)]
+for _ in range(60):
+    n = rng.randrange(1, 200)
+    shapes.append((n, rng.choice([1, 2, 7, 8, 9, 20, 127, 128, 129, 200]),
+                   rng.randrange(1, min(n, 6) + 1), rng.choice([0, 1, 3, 100])))
+iterations = reseeded = 0
+for case, (n, d, k, max_iters) in enumerate(shapes):
+    if case % 3 == 0:
+        # duplicate points and k equal starts: every cluster but the first
+        # empties in the first iteration and is reseeded
+        pool = [[float(rng.randrange(2)) for _ in range(d)] for _ in range(max(1, k - 1))]
+        rows = [rng.choice(pool) for _ in range(n)]
+        starts = rows[0] * k
+        reseeded += k > 1 and max_iters > 0
+    else:
+        rows = [[rng.random() for _ in range(d)] for _ in range(n)]
+        starts = [x for i in rng.sample(range(n), k) for x in rows[i]]
+    values = [x for row in rows for x in row]
+    blocks = [libc.malloc(max(size, 1) * 8) for size in (n * d, k * d, n, k * d, n, k, n)]
+    points, centroids = blocks[:2]
+    ctypes.memmove(points, (ctypes.c_double * (n * d))(*values), n * d * 8)
+    ctypes.memmove(centroids, (ctypes.c_double * (k * d))(*starts), k * d * 8)
+    iterations += lloyd(n, d, k, max_iters, *blocks)
+    labels = (ctypes.c_int64 * n).from_address(blocks[2])
+    assert all(0 <= label < k for label in labels)
+    for block in blocks:
+        libc.free(block)
+print(len(shapes), iterations, reseeded)
+"""
+
+
+def test_lloyd_kernel_stays_inside_its_buffers_under_address_and_undefined_sanitizers(tmp_path):
+    library, env = _sanitized_library(tmp_path)
+    script = tmp_path / "lloyd.py"
+    script.write_text(SANITIZED_LLOYD)
+    done = subprocess.run([sys.executable, str(script), str(library)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr[-3000:]
+    cases, iterations, reseeded = map(int, done.stdout.split())
+    assert cases > 60 and iterations > cases and reseeded >= 10
