@@ -12,6 +12,9 @@ weight of trait k is
 Sweeps visit tokens in trace order, then token order; this sequential scan is
 part of the contract and makes runs with equal seeds bit-identical. One chain
 owns its ModelState; concurrent chains need distinct states and seeds.
+``run_chain`` runs a chain and yields its state after every sweep; that state
+is valid only until the next item is requested. ``fit`` is its consumer that
+averages the retained snapshots.
 
 Assignments, token encodings and count tables are flat C-contiguous int64
 numpy arrays. The per-token update loop dominates the cost of a fit, so
@@ -43,7 +46,6 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import NUMBER_LIST_STUB, Corpus, Hyperparams, Posterior, validate_corpus
 
@@ -553,6 +555,7 @@ def _gammaln_shifted(counts: np.ndarray, shift: float) -> np.ndarray:
     is smaller than the array: its entries are the same floats, so the result
     is equal element for element.
     """
+    from scipy.special import gammaln  # on use: only fit and analyze need scipy
     if counts.dtype.kind in "iu" and counts.size > 1:
         top = int(counts.max())
         if top + 1 < counts.size and counts.min() >= 0:
@@ -567,6 +570,7 @@ def _dm_log_marginal(counts, concentration: float) -> float:
     for the symmetric prior, written in log-gamma form. Zero-count rows
     contribute exactly 0.
     """
+    from scipy.special import gammaln
     arr = np.asarray(counts)
     if arr.dtype.kind not in "iu":
         arr = arr.astype(float)
@@ -594,23 +598,15 @@ def collapsed_log_joint(state: ModelState, hyper: Hyperparams) -> float:
         )
 
 
-def fit(corpus: Corpus, config: FitConfig) -> FitResult:
-    """Run the chain and average the retained posterior snapshots.
+def run_chain(corpus: Corpus, config: FitConfig):
+    """Run one chain, yielding ``(sweep_no, state, log_joint)`` after sweeps 1..S.
 
-    After burn-in, every sample_stride-th sweep contributes one smoothed
-    posterior estimate; the result is their element-wise mean. The collapsed
-    log joint is recorded after every sweep. Deterministic given (corpus,
-    config): identical inputs give bit-identical results.
-
-    Averaging thinned snapshots from a single chain tolerates the small
-    label-switching risk at these sizes; never average across chains.
+    Raises if a log joint is not finite or an audit_every-th sweep's audit
+    fails. ``state`` is the one ModelState the chain mutates, valid only until
+    the next item is requested. A consumer may stop early at no cost.
     """
     state = init_state(corpus, config)
     hyper = config.hyper
-    log_joint_trace: list[float] = []
-    sums = None
-    retained = 0
-    audits = 0
     for sweep_no in range(1, config.sweeps + 1):
         gibbs_sweep(state, hyper)
         log_joint = collapsed_log_joint(state, hyper)
@@ -619,23 +615,39 @@ def fit(corpus: Corpus, config: FitConfig) -> FitResult:
                 f"the collapsed log joint after sweep {sweep_no} is {log_joint}: "
                 "the hyperparameters are too large for this corpus"
             )
-        log_joint_trace.append(log_joint)
         if config.audit_every and sweep_no % config.audit_every == 0:
             state.audit()
-            audits += 1
+        yield sweep_no, state, log_joint
+
+
+def fit(corpus: Corpus, config: FitConfig) -> FitResult:
+    """Run the chain and average the retained posterior snapshots.
+
+    After burn-in, every sample_stride-th sweep contributes one smoothed
+    posterior estimate; the result is their element-wise mean. The collapsed
+    log joint is recorded after every sweep. Deterministic given (corpus,
+    config): identical inputs give bit-identical results.
+
+    Snapshots keep their own labels: on perfbench's ``session-fit`` corpus at
+    K=20, 29 of 99 retained snapshots match the first only under a
+    non-identity permutation (ROADMAP item 6). Never average across chains.
+    """
+    log_joint_trace: list[float] = []
+    sums = None
+    for sweep_no, state, log_joint in run_chain(corpus, config):
+        log_joint_trace.append(log_joint)
         if sweep_no > config.burn_in and (sweep_no - config.burn_in) % config.sample_stride == 0:
-            snap = estimate_posterior(state, hyper)
+            snap = estimate_posterior(state, config.hyper)
             parts = (snap.theta, snap.phi, snap.psi, snap.tau)
             sums = parts if sums is None else [a + b for a, b in zip(sums, parts)]
-            retained += 1
-    posterior = Posterior(*(a / retained for a in sums))
+    retained = (config.sweeps - config.burn_in) // config.sample_stride
     diagnostics = {
         "retained_samples": retained,
-        "audits_passed": audits,
+        "audits_passed": config.sweeps // config.audit_every if config.audit_every else 0,
         "config": config.to_dict(),
     }
     return FitResult(
-        posterior=posterior,
+        posterior=Posterior(*(a / retained for a in sums)),
         log_joint_trace=log_joint_trace,
         diagnostics=diagnostics,
         trace_ids=list(state.trace_ids),

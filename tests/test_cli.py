@@ -665,6 +665,37 @@ def test_a_subnormal_hyperparameter_is_a_json_error_in_a_fresh_process(tmp_path,
     assert not out.exists()
 
 
+NO_SCIPY = r"""
+import sys
+import hbtm.cli
+raw, cmap, out_dir, prefix, model, trait = sys.argv[1:]
+assert hbtm.cli.main(["ingest", "--raw", raw, "--column-map", cmap, "--out-dir", out_dir]) == 0
+assert hbtm.cli.main(["generate", "--traits", "2", "--traces", "3", "--tokens-per-trace", "4",
+                      "--out-prefix", prefix]) == 0
+assert hbtm.cli.main(["export-trait", "--model", model, "--trait", "1", "--out", trait]) == 0
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+"""
+
+
+def test_ingest_generate_and_export_trait_never_import_scipy(tmp_path, generated):
+    # scipy's import is most of a short command's process time; only fit and analyze call it
+    model = fit_small_model(tmp_path, generated)
+    raw, cmap = tmp_path / "raw.csv", tmp_path / "cols.json"
+    write_raw_csv(raw, ["1,s1,Deeds_Es_1_1,0,30,1,1,5", "1,s1,TextEditor,40,41.5,0,1,3"])
+    write_column_map(cmap)
+    src = str(Path(hbtm.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY, str(raw), str(cmap), str(tmp_path / "out"),
+         str(tmp_path / "syn2"), str(model), str(tmp_path / "trait.csv")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]"]
+    assert (tmp_path / "trait.csv").exists()
+
+
 @pytest.mark.parametrize("grade, cell", [
     ("SFE", "nan"), ("SFE", "1e400"), ("SFE", "-inf"), ("SA", "nan"), ("FE", "inf"),
 ])

@@ -645,6 +645,89 @@ def test_fit_bookkeeping_matches_recount(rng):
     assert collapsed_log_joint(rebuilt, cfg.hyper) == result.log_joint_trace[-1]
 
 
+@pytest.mark.parametrize("sweeps, burn_in, stride, audit_every", [
+    (12, 5, 2, 5), (10, 3, 4, 0), (17, 0, 3, 4), (11, 2, 4, 3), (8, 1, 5, 7),
+])
+def test_fit_counts_retained_snapshots_and_audits_by_hand(rng, sweeps, burn_in, stride,
+                                                           audit_every):
+    # neither the stride nor audit_every divides its span evenly
+    cfg = FitConfig(num_traits=2, sweeps=sweeps, burn_in=burn_in, sample_stride=stride,
+                    audit_every=audit_every)
+    diagnostics = fit(random_corpus(rng), cfg).diagnostics
+    retained = [s for s in range(1, sweeps + 1) if s > burn_in and (s - burn_in) % stride == 0]
+    audited = [s for s in range(1, sweeps + 1) if audit_every and s % audit_every == 0]
+    assert diagnostics["retained_samples"] == len(retained)
+    assert diagnostics["audits_passed"] == len(audited)
+
+
+def test_fit_calls_each_traced_layer_through_the_module(rng, monkeypatch):
+    # perfbench/tracer.py times these by replacing the attributes by name
+    calls = {}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("init_state", "validate_corpus", "gibbs_sweep", "collapsed_log_joint",
+                 "estimate_posterior"):
+        counting(sampler, name)
+    counting(sampler.ModelState, "count_violations")
+    cfg = FitConfig(num_traits=3, sweeps=14, burn_in=3, sample_stride=4, audit_every=4)
+    fit(random_corpus(rng), cfg)
+    assert calls == {"init_state": 1, "validate_corpus": 1, "gibbs_sweep": 14,
+                     "collapsed_log_joint": 14, "estimate_posterior": 2, "count_violations": 3}
+
+
+def test_run_chain_yields_every_sweep_with_the_one_state_and_fits_log_joints(rng):
+    corpus = random_corpus(rng)
+    cfg = FitConfig(num_traits=3, sweeps=9, burn_in=4, sample_stride=2, seed=5)
+    items = list(sampler.run_chain(corpus, cfg))
+    assert [sweep_no for sweep_no, _, _ in items] == list(range(1, 10))
+    assert all(state is items[0][1] for _, state, _ in items)
+    assert [log_joint for _, _, log_joint in items] == fit(corpus, cfg).log_joint_trace
+    assert np.array_equal(items[0][1].z, replay_chain(corpus, cfg).z)
+
+
+def test_a_consumer_that_stops_early_leaves_nothing_to_clean_up(rng):
+    corpus = random_corpus(rng)
+    cfg = FitConfig(num_traits=2, sweeps=30, burn_in=10, sample_stride=5, seed=1, audit_every=1)
+    before = fit(corpus, cfg)
+    chain = sampler.run_chain(corpus, cfg)
+    for sweep_no, state, _ in chain:
+        if sweep_no == 3:
+            break
+    chain.close()
+    assert chain.gi_frame is None
+    state.audit()
+    three = FitConfig(num_traits=2, sweeps=3, burn_in=0, sample_stride=1, seed=1)
+    assert np.array_equal(state.z, replay_chain(corpus, three).z)
+    after = fit(corpus, cfg)
+    assert after.log_joint_trace == before.log_joint_trace
+    assert np.array_equal(after.posterior.phi, before.posterior.phi)
+
+
+def test_run_chain_stops_at_the_sweep_whose_log_joint_overflows(rng):
+    cfg = FitConfig(num_traits=3, sweeps=2, burn_in=0, sample_stride=1,
+                    hyper=Hyperparams(alpha=1e306))
+    with pytest.raises(ValueError, match="collapsed log joint after sweep 1 is nan"):
+        next(sampler.run_chain(random_corpus(rng), cfg))
+
+
+def test_a_table_corrupted_between_items_fails_the_next_audit(rng):
+    cfg = FitConfig(num_traits=3, sweeps=9, burn_in=0, sample_stride=1, audit_every=3)
+    chain = sampler.run_chain(random_corpus(rng), cfg)
+    _, state, _ = next(chain)
+    state.n_k[0] += 1
+    assert next(chain)[0] == 2
+    with pytest.raises(CountConsistencyError, match="n_k differs from a from-scratch recount"):
+        next(chain)
+
+
 def test_fit_result_round_trip(tmp_path, rng):
     corpus = random_corpus(rng)
     cfg = FitConfig(num_traits=2, sweeps=10, burn_in=5, sample_stride=1, seed=0)
