@@ -42,7 +42,7 @@ from .ingest import (
     FilterConfig,
     IngestResult,
     MappingRule,
-    RawEvent,
+    RawEvents,
     RejectedRow,
     build_corpora,
     discretize_duration,

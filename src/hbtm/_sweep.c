@@ -1,4 +1,4 @@
-/* The compiled helpers of hbtm: hbtm_sweep, hbtm_scan and hbtm_lloyd.
+/* The compiled helpers of hbtm: hbtm_sweep, hbtm_scan, hbtm_lloyd and hbtm_rows.
  *
  * hbtm_sweep runs one collapsed-Gibbs sweep over flat int64 count tables.
  * It reproduces sampler.reference_sweep bit for bit: each weight is computed
@@ -18,6 +18,11 @@
  *
  * hbtm_lloyd runs analysis.kmeans' Lloyd iterations with the same floats as
  * analysis._reference_lloyd's numpy loop; see its own comment.
+ *
+ * hbtm_rows reads the plain body lines of a raw log into stamps, count sums
+ * and the ids of distinct name texts. It answers a row only with the values
+ * ingest's Python reader gives it, and declines every other row for Python
+ * to read; see its own comment.
  */
 #include <float.h>
 #include <stdint.h>
@@ -351,4 +356,200 @@ int64_t hbtm_lloyd(int64_t n, int64_t d, int64_t k, int64_t max_iters, const dou
             return iter + 1;
     }
     return max_iters > 0 ? max_iters : 0;
+}
+
+
+enum { ROW_DECLINED = 0, ROW_OK = 1, ROW_BLANK = 2 };
+enum { ROW_COLUMNS = 6 };  /* status, session, student and activity text ids, two count sums */
+
+/* The value of the n ASCII digits at p into *value; 0 if any byte is no digit. */
+static int read_digits(const char *p, int64_t n, int64_t *value)
+{
+    int64_t v = 0;
+    for (int64_t i = 0; i < n; i++) {
+        if (p[i] < '0' || p[i] > '9')
+            return 0;
+        v = v * 10 + (p[i] - '0');
+    }
+    *value = v;
+    return 1;
+}
+
+/* [*lo, *hi) narrowed past the spaces at both ends. */
+static void trim(const char **lo, const char **hi)
+{
+    while (*lo < *hi && **lo == ' ')
+        (*lo)++;
+    while (*hi > *lo && (*hi)[-1] == ' ')
+        (*hi)--;
+}
+
+/* Proleptic Gregorian days from 1970-01-01 to y-m-d, y >= 1 (Hinnant's days_from_civil). */
+static int64_t days_from_civil(int64_t y, int64_t m, int64_t d)
+{
+    y -= m <= 2;
+    const int64_t era = y / 400, yoe = y - era * 400;
+    const int64_t doy = (153 * (m > 2 ? m - 3 : m + 9) + 2) / 5 + d - 1;
+    return era * 146097 + yoe * 365 + yoe / 4 - yoe / 100 + doy - 719468;
+}
+
+/* The epoch seconds of the stamp [p, end), space-trimmed, into *out, if it is
+ * exactly dd.mm.yyyy HH:MM:SS or dd/mm/yyyy HH:MM:SS with a valid date in
+ * years 1-9999, a clock below 24:00 and seconds 00-59. Every term is an
+ * integer below 2^53, so the double equals the one ingest._epoch gives. */
+static int read_stamp(const char *p, const char *end, double *out)
+{
+    static const int64_t DAYS[12] = {31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31};
+    int64_t d, m, y, hh, mm, ss;
+    trim(&p, &end);
+    if (end - p != 19 || (p[2] != '.' && p[2] != '/') || p[5] != p[2] || p[10] != ' '
+        || p[13] != ':' || p[16] != ':'
+        || !read_digits(p, 2, &d) || !read_digits(p + 3, 2, &m) || !read_digits(p + 6, 4, &y)
+        || !read_digits(p + 11, 2, &hh) || !read_digits(p + 14, 2, &mm)
+        || !read_digits(p + 17, 2, &ss))
+        return 0;
+    const int leap = y % 4 == 0 && (y % 100 != 0 || y % 400 == 0);
+    if (y < 1 || m < 1 || m > 12 || d < 1 || d > DAYS[m - 1] + (m == 2 && leap)
+        || hh > 23 || mm > 59 || ss > 59)
+        return 0;
+    *out = (double)(days_from_civil(y, m, d) * 86400 + hh * 3600 + mm * 60 + ss);
+    return 1;
+}
+
+/* The distinct texts of one hbtm_rows call: an open-addressing table of ids
+ * (mask + 1 slots, -1 when empty) and each id's [lo, hi) offsets in text. */
+typedef struct {
+    const char *text;
+    int64_t *slots, mask, *bounds, count;
+} Texts;
+
+/* The id of the text [lo, hi); a new text takes the next id. */
+static int64_t text_id(Texts *t, const char *lo, const char *hi)
+{
+    uint64_t h = UINT64_C(14695981039346656037);  /* FNV-1a */
+    for (const char *q = lo; q < hi; q++)
+        h = (h ^ (unsigned char)*q) * UINT64_C(1099511628211);
+    for (int64_t s = (int64_t)(h & (uint64_t)t->mask);; s = (s + 1) & t->mask) {
+        const int64_t id = t->slots[s];
+        if (id < 0) {
+            t->slots[s] = t->count;
+            t->bounds[2 * t->count] = lo - t->text;
+            t->bounds[2 * t->count + 1] = hi - t->text;
+            return t->count++;
+        }
+        const char *seen = t->text + t->bounds[2 * id];
+        if (t->text + t->bounds[2 * id + 1] - seen == hi - lo) {
+            int64_t i = 0;
+            while (i < hi - lo && seen[i] == lo[i])
+                i++;
+            if (i == hi - lo)
+                return id;
+        }
+    }
+}
+
+/* The status of the line [p, eol), without its newline; for an answered row
+ * its values go to row[1..ROW_COLUMNS) and stamp[0..2). */
+static int64_t read_row(Texts *texts, const char *p, const char *eol, int64_t need,
+                        int64_t max_line, const int64_t *columns, int64_t n_counts,
+                        int64_t n_mouse, const char **fields, int64_t *row, double *stamp)
+{
+    if (p == eol)
+        return ROW_BLANK;
+    if (eol - p > max_line)
+        return ROW_DECLINED;
+    int64_t f = 0;
+    const char *from = p;
+    for (const char *q = p;; q++) {
+        if (q == eol || *q == ',') {
+            if (f < need) {
+                fields[2 * f] = from;
+                fields[2 * f + 1] = q;
+            }
+            f++;
+            if (q == eol)
+                break;
+            from = q + 1;
+        } else if ((unsigned char)*q < 0x20 || (unsigned char)*q >= 0x7f || *q == '"') {
+            return ROW_DECLINED;
+        }
+    }
+    if (f < need)
+        return ROW_DECLINED;
+    for (int64_t c = 0; c < 2; c++)
+        if (!read_stamp(fields[2 * columns[3 + c]], fields[2 * columns[3 + c] + 1], stamp + c))
+            return ROW_DECLINED;
+    if (stamp[1] < stamp[0])
+        return ROW_DECLINED;
+    for (int64_t c = 0; c < n_counts; c++) {
+        const char *lo = fields[2 * columns[5 + c]], *hi = fields[2 * columns[5 + c] + 1];
+        int64_t value, *sum = row + (c < n_mouse ? 4 : 5);
+        trim(&lo, &hi);
+        if (hi - lo < 1 || hi - lo > 15 || !read_digits(lo, hi - lo, &value)
+            || *sum > INT64_MAX - value)
+            return ROW_DECLINED;
+        *sum += value;
+    }
+    for (int64_t c = 0; c < 3; c++) {
+        const char *lo = fields[2 * columns[c]], *hi = fields[2 * columns[c] + 1];
+        trim(&lo, &hi);
+        row[1 + c] = text_id(texts, lo, hi);
+    }
+    return ROW_OK;
+}
+
+/* Read the lines of text[0, len), each ending in '\n' but perhaps the last,
+ * as raw-log body rows split on ','. A row is answered (ROW_OK) only with
+ * the values ingest's Python reader gives it; an empty line is ROW_BLANK,
+ * and every other row is declined (ROW_DECLINED) for Python to classify: a
+ * line longer than max_line or holding a byte below 0x20, at or above 0x7f,
+ * or a '"'; fewer than need fields; a stamp outside read_stamp's form; end
+ * before start; or a count that is not 1-15 ASCII digits with optional
+ * spaces around them, or whose group sum leaves int64.
+ *
+ * columns holds the field indices, each below need, of the session,
+ * student, activity, start and end, then of n_counts count columns, of which
+ * the first n_mouse are summed as mouse clicks and the rest as keystrokes.
+ * fields (2 * need pointers) and slots (n_slots, a power of two above
+ * 3 * capacity) are scratch.
+ *
+ * For at most capacity lines, rows holds ROW_COLUMNS arrays of capacity
+ * int64: the status; the session, student and activity, space-trimmed, as
+ * text ids; and the two count sums. stamps holds two arrays of capacity
+ * doubles: the start and end epoch seconds. A line not answered has text ids
+ * -1 and zero sums and stamps. Text ids count the distinct texts in order of first
+ * occurrence; bounds (2 * 3 * capacity) receives each one's [lo, hi) byte
+ * offsets. Returns the number of distinct texts, or -1 if n_slots is not a
+ * power of two above 3 * capacity. */
+int64_t hbtm_rows(const char *text, int64_t len, int64_t need, int64_t max_line,
+                  const int64_t *columns, int64_t n_counts, int64_t n_mouse, const char **fields,
+                  int64_t capacity, int64_t *slots, int64_t n_slots, int64_t *bounds,
+                  int64_t *rows, double *stamps)
+{
+    if (n_slots <= 3 * capacity || (n_slots & (n_slots - 1)) != 0)
+        return -1;
+    for (int64_t s = 0; s < n_slots; s++)
+        slots[s] = -1;
+    Texts texts = {text, slots, n_slots - 1, bounds, 0};
+    const char *p = text;
+    const char *const stop = text + len;
+    for (int64_t n = 0; p < stop && n < capacity; n++) {
+        const char *eol = p;
+        while (eol < stop && *eol != '\n')
+            eol++;
+        int64_t row[ROW_COLUMNS] = {0, -1, -1, -1, 0, 0};
+        double stamp[2] = {0.0, 0.0};
+        row[0] = read_row(&texts, p, eol, need, max_line, columns, n_counts, n_mouse,
+                          fields, row, stamp);
+        if (row[0] != ROW_OK) {
+            row[4] = row[5] = 0;
+            stamp[0] = stamp[1] = 0.0;
+        }
+        for (int64_t c = 0; c < ROW_COLUMNS; c++)
+            rows[c * capacity + n] = row[c];
+        stamps[n] = stamp[0];
+        stamps[capacity + n] = stamp[1];
+        p = eol < stop ? eol + 1 : stop;
+    }
+    return texts.count;
 }

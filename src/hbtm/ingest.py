@@ -14,12 +14,14 @@ import json
 import math
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
 
+import numpy as np
+
+from . import sampler
 from .core import Corpus, FrozenSlots, Schema, Token, Trace, skip_bom, write_atomic
 
 OTHER_EVENT_INDEX = 14
@@ -37,16 +39,31 @@ _SECONDS = {f"{s:02d}": s for s in range(60)}
 _TABLE_LIMIT = 4096  # entries per conversion table; the day-first dates fit with room
 
 
-class RawEvent(NamedTuple):
-    """One parsed log row; timestamps are epoch seconds."""
+_BLOCK_CHARS = 1 << 20  # body characters per compiled read, about 1 MiB
+_ROW_OK, _ROW_BLANK, _ROW_COLUMNS = 1, 2, 6  # as in _sweep.c's hbtm_rows
 
-    session: str
-    student_id: str
-    activity: str
-    start_time: float
-    end_time: float
-    mouse_clicks: int
-    keystrokes: int
+
+@dataclass(slots=True)
+class RawEvents:
+    """Parsed log rows as one list per field, in file order; timestamps are epoch seconds.
+
+    Iterating yields each row as a tuple in field order.
+    """
+
+    session: list[str] = field(default_factory=list)
+    student_id: list[str] = field(default_factory=list)
+    activity: list[str] = field(default_factory=list)
+    start_time: list[float] = field(default_factory=list)
+    end_time: list[float] = field(default_factory=list)
+    mouse_clicks: list[int] = field(default_factory=list)
+    keystrokes: list[int] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.session)
+
+    def __iter__(self):
+        return zip(self.session, self.student_id, self.activity, self.start_time,
+                   self.end_time, self.mouse_clicks, self.keystrokes)
 
 
 @dataclass(frozen=True)
@@ -288,11 +305,72 @@ def _unbalanced_quote(row_number: int, cause: Exception | None = None) -> ValueE
     )
 
 
-def parse_raw_log(fh, column_map: dict) -> tuple[list[RawEvent], list[RejectedRow]]:
+def _read_block(lines, budget: int) -> tuple[list[str], Exception | None]:
+    """The next lines of ``lines``, about ``budget`` characters, and the error that ended them.
+
+    The lines read before a failing read are kept: they are parsed before
+    the error is raised, as ``csv.reader`` would.
+    """
+    block, size = [], 0
+    try:
+        for line in lines:
+            block.append(line)
+            size += len(line)
+            if size >= budget:
+                break
+    except (OSError, ValueError) as exc:  # ValueError: an undecodable byte, say
+        return block, exc
+    return block, None
+
+
+def _rest(block: list[str], error: Exception | None, lines):
+    """``block``, then ``error`` raised or the lines after it."""
+    yield from block
+    if error is not None:
+        raise error
+    yield from lines
+
+
+def _row_scanner(library, need: int, columns: list[int], n_mouse: int, intern):
+    """A reader of plain body blocks through the compiled ``hbtm_rows``.
+
+    ``columns`` are the field indices of the session, student, activity,
+    start and end, then of every count column, mouse columns first. The
+    reader takes a block's text and its number of lines, and returns the
+    seven field columns of every line (each distinct session, student and
+    activity text passed once through ``intern``) and the ``(index, blank)``
+    of each line the library did not answer.
+    """
+    index = np.array(columns, np.int64)
+    fields = np.empty(2 * need, np.int64)  # the library's field pointers
+    max_line = csv.field_size_limit()  # a longer line may hold a field csv refuses
+
+    def scan(text: str, n: int) -> tuple[list[list], list[tuple[int, bool]]]:
+        data = text.encode()
+        slots = np.empty(1 << (6 * n).bit_length(), np.int64)
+        bounds = np.empty(6 * n, np.int64)
+        rows, stamps = np.empty((_ROW_COLUMNS, n), np.int64), np.empty((2, n))
+        distinct = library.hbtm_rows(
+            data, len(data), need, max_line, index.ctypes.data, len(columns) - 5, n_mouse,
+            fields.ctypes.data, n, slots.ctypes.data, slots.size, bounds.ctypes.data,
+            rows.ctypes.data, stamps.ctypes.data)
+        lo_hi = bounds[:2 * distinct].tolist()
+        texts = list(map(text.__getitem__, map(slice, lo_hi[::2], lo_hi[1::2])))
+        strings = list(map(intern, texts, texts)) + [None]  # id -1: a line not answered
+        status, *ids, mouse, keys = rows.tolist()
+        names = [list(map(strings.__getitem__, column)) for column in ids]
+        unanswered = [(j, status[j] == _ROW_BLANK)
+                      for j in np.flatnonzero(rows[0] != _ROW_OK).tolist()]
+        return names + stamps.tolist() + [mouse, keys], unanswered
+
+    return scan
+
+
+def parse_raw_log(fh, column_map: dict) -> tuple[RawEvents, list[RejectedRow]]:
     """Read raw events from an open text file of CSV with a header row.
 
     Open the file with ``newline=""``, as ``csv.reader`` expects.
-    ``column_map`` names the source column for each RawEvent field; the
+    ``column_map`` names the source column for each RawEvents field; the
     ``mouse_clicks`` and ``keystrokes`` entries may name several columns,
     which are summed. An optional ``timestamp_format`` entry supplies a
     strptime pattern. Malformed rows land in the rejects list with a reason
@@ -302,6 +380,15 @@ def parse_raw_log(fh, column_map: dict) -> tuple[list[RawEvent], list[RejectedRo
     have no fields that span lines, so a row whose quoted field runs past
     its line (an unbalanced double quote) raises ValueError naming that data
     row, instead of swallowing the rows after it.
+
+    Without a ``timestamp_format``, the body is read in blocks of about
+    ``_BLOCK_CHARS`` characters by the compiled library's ``hbtm_rows``,
+    which answers the plain rows and leaves every other row to ``take``, the
+    Python reader. From the first block that is not ASCII or holds a double
+    quote, a carriage return or a NUL, or when the library is missing, the
+    rest goes through ``csv.reader`` and ``take``: the results and errors are
+    the same either way. Equal session, student and activity texts share one
+    string.
     """
     required = ("session", "student_id", "activity", "start_time", "end_time",
                 "mouse_clicks", "keystrokes")
@@ -309,10 +396,11 @@ def parse_raw_log(fh, column_map: dict) -> tuple[list[RawEvent], list[RejectedRo
     if missing:
         raise ValueError(f"column_map missing entries for: {', '.join(missing)}")
 
-    reader = csv.reader(skip_bom(fh))
-    header = next(reader, None)
+    lines = skip_bom(fh)
+    header = next(csv.reader(lines), None)
+    events, rejects = RawEvents(), []
     if header is None:
-        return [], []
+        return events, rejects
     mouse_cols = _count_columns(column_map["mouse_clicks"])
     key_cols = _count_columns(column_map["keystrokes"])
     mapped_cols = (
@@ -333,43 +421,82 @@ def parse_raw_log(fh, column_map: dict) -> tuple[list[RawEvent], list[RejectedRo
                    else lambda row: [row[i] for i in count_cols])
     n_mouse = len(mouse_cols)
     need = max(index[c] for c in mapped_cols) + 1
-    read_stamp = _timestamp_reader(column_map.get("timestamp_format"))
+    fmt = column_map.get("timestamp_format")
+    read_stamp = _timestamp_reader(fmt)
     count_of = _Table(_count).__getitem__
+    intern = {}.setdefault
+    columns = [getattr(events, name) for name in required]
+    add_session, add_student, add_activity, add_start, add_end, add_mouse, add_keys = (
+        column.append for column in columns)
 
-    events: list[RawEvent] = []
-    rejects: list[RejectedRow] = []
+    def take(row_number: int, row: list[str]) -> None:
+        """One non-blank row to an event or a reject."""
+        if len(row) < need:
+            rejects.append(RejectedRow(row_number, "short row"))
+            return
+        try:
+            start = read_stamp(row[i_start])
+            end = read_stamp(row[i_end])
+        except (ValueError, TypeError):
+            rejects.append(RejectedRow(row_number, "bad timestamp"))
+            return
+        if end < start:
+            rejects.append(RejectedRow(row_number, "negative duration"))
+            return
+        try:
+            counts = list(map(count_of, count_texts(row)))
+        except (ValueError, OverflowError):
+            rejects.append(RejectedRow(row_number, "bad interaction count"))
+            return
+        if min(counts, default=0) < 0:
+            rejects.append(RejectedRow(row_number, "negative interaction count"))
+            return
+        session, student, activity = (
+            row[i_session].strip(), row[i_student].strip(), row[i_activity].strip())
+        add_session(intern(session, session))
+        add_student(intern(student, student))
+        add_activity(intern(activity, activity))
+        add_start(start)
+        add_end(end)
+        add_mouse(sum(counts[:n_mouse]))
+        add_keys(sum(counts[n_mouse:]))
+
+    library = None if fmt else sampler._library()
+    block, error = [], None
     row_number = 0
     try:
-        for line, row in enumerate(reader, start=reader.line_num + 1):
+        if library is not None:
+            scan = _row_scanner(library, need, [i_session, i_student, i_activity, i_start,
+                                                i_end, *count_cols], n_mouse, intern)
+            while True:
+                block, error = _read_block(lines, _BLOCK_CHARS)
+                text = "".join(block)
+                if (not block or error is not None or not text.isascii()
+                        or any(c in text for c in '"\r\0')):
+                    break
+                values, unanswered = scan(text, len(block))
+                # one row per line: a plain line holds no quote; a field past csv's
+                # size limit raises as below
+                declined = csv.reader([block[j] for j, blank in unanswered if not blank])
+                at = 0  # answered rows [at, j) go in as slices; the end flushes the last run
+                for j, blank in unanswered + [(len(block), True)]:
+                    if at < j:
+                        for column, answered in zip(columns, values):
+                            column += answered[at:j]
+                        row_number += j - at
+                    if not blank:
+                        row = next(declined)
+                        row_number += 1
+                        take(row_number, row)
+                    at = j + 1
+        reader = csv.reader(_rest(block, error, lines))
+        for line, row in enumerate(reader, start=1):
             if reader.line_num != line:
                 raise _unbalanced_quote(row_number + 1)
             if not row:
                 continue  # blank lines are skipped and not numbered, as in csv.DictReader
             row_number += 1
-            if len(row) < need:
-                rejects.append(RejectedRow(row_number, "short row"))
-                continue
-            try:
-                start = read_stamp(row[i_start])
-                end = read_stamp(row[i_end])
-            except (ValueError, TypeError):
-                rejects.append(RejectedRow(row_number, "bad timestamp"))
-                continue
-            if end < start:
-                rejects.append(RejectedRow(row_number, "negative duration"))
-                continue
-            try:
-                counts = list(map(count_of, count_texts(row)))
-            except (ValueError, OverflowError):
-                rejects.append(RejectedRow(row_number, "bad interaction count"))
-                continue
-            if min(counts, default=0) < 0:
-                rejects.append(RejectedRow(row_number, "negative interaction count"))
-                continue
-            events.append(RawEvent(
-                row[i_session].strip(), row[i_student].strip(), row[i_activity].strip(),
-                start, end, sum(counts[:n_mouse]), sum(counts[n_mouse:]),
-            ))
+            take(row_number, row)
     except csv.Error as exc:  # e.g. a runaway quoted field passing the field-size limit
         raise _unbalanced_quote(row_number + 1, exc) from exc
     return events, rejects
@@ -404,7 +531,7 @@ class IngestResult:
 
 
 def build_corpora(
-    raw: list[RawEvent],
+    raw: RawEvents,
     mapping: ActivityMapping,
     schema: Schema,
     filt: FilterConfig,

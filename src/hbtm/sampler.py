@@ -23,8 +23,9 @@ system C compiler on first use and cached under ``$XDG_CACHE_HOME/hbtm``
 (default ``~/.cache/hbtm``). ``reference_sweep`` is the same loop in plain
 Python: it is the oracle the kernel must match bit for bit, and the fallback
 when no compiler or cache directory is usable. The same library runs
-``analysis.kmeans``' Lloyd iterations. A process that falls back says so
-once, in one line on stderr.
+``analysis.kmeans``' Lloyd iterations and reads the plain rows of
+``ingest.parse_raw_log``. A process that falls back says so once, in one
+line on stderr.
 
 ``load_fit_result`` reads the posterior of a model file in ``core.save_json``'s
 layout through the same library's number scanner, and every other file, or
@@ -477,17 +478,20 @@ def _load_kernel():
         except OSError:
             _build_kernel(source, library)
             loaded = ctypes.CDLL(str(library))
-        sweep, scan, lloyd = loaded.hbtm_sweep, loaded.hbtm_scan, loaded.hbtm_lloyd
+        sweep, scan, lloyd, rows = (loaded.hbtm_sweep, loaded.hbtm_scan, loaded.hbtm_lloyd,
+                                    loaded.hbtm_rows)
     except OSError as exc:
         reason = " ".join(str(exc).split())
         print(f"hbtm: compiled library unavailable ({reason}); "
               "falling back to the slower Python code", file=sys.stderr)
         return None
-    sweep.restype = scan.restype = lloyd.restype = ctypes.c_int64
+    sweep.restype = scan.restype = lloyd.restype = rows.restype = ctypes.c_int64
     sweep.argtypes = [ctypes.c_int64] * 5 + [ctypes.c_double] * 7 + [ctypes.c_void_p] * 12
     scan.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
                      ctypes.c_int64]
     lloyd.argtypes = [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 7
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    rows.argtypes = [ptr, i64, i64, i64, ptr, i64, i64, ptr, i64, ptr, i64, ptr, ptr, ptr]
     return loaded
 
 

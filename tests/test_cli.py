@@ -815,6 +815,55 @@ def test_every_fit_config_fits_or_is_one_json_error(four_token_corpus, traits, s
             assert out.read_bytes() == b"an earlier model\n"
 
 
+RAW_PIECES = [
+    b"1,s1,Deeds,02.10.2019 09:00:17,02.10.2019 09:00:47,1,2,5",
+    b"2,s2,Aulaweb,02/10/2019 09:00:17,02/10/2019 09:01:17, 3 ,007,0",
+    b"1,s2,Deeds_Es_1_1,0,30,1,1,5", b"1,s1,Deeds,x,30,1,1,5", b"1,s1,Deeds,30,0,1,1,5",
+    b"1,s1,Deeds,0,30,1e400,1,5", b"1,s1,Deeds,0,30,-1,1,5", b"1,s1", b",,,,,,,", b"",
+    b'1,s1,"Deeds, quoted",0,30,1,1,5', b'1,s1,"Deeds,0,30,1,1,5', b"1,s1,De\0eds,0,30,1,1,5",
+    b"1,s1,Deeds,0,30,1,1,5\r", b"1,s\xc3\xa9,Deeds,0,30,1,1,5", b"1,s\xff,Deeds,0,30,1,1,5",
+    b"x/y,s1,Deeds,0,30,1,1,5", b".,s1,Deeds,0,30,1,1,5",
+]
+RAW_HEADERS = [RAW_HEADER.encode(), b"\xef\xbb\xbf" + RAW_HEADER.encode(),
+               b'\xef\xbb\xbf"session"' + RAW_HEADER[len("session"):].encode(),
+               RAW_HEADER.replace("\n", "\r\n").encode(), b"session,student\n", b""]
+
+
+@settings(max_examples=200, deadline=None)
+@given(header=st.sampled_from(RAW_HEADERS), rows=st.lists(st.sampled_from(RAW_PIECES), max_size=12),
+       ending=st.sampled_from([b"\n", b"\r\n"]), missing=st.integers(0, 19))
+@example(header=RAW_HEADERS[0], rows=RAW_PIECES[:10], ending=b"\n", missing=1)
+@example(header=RAW_HEADERS[0], rows=RAW_PIECES[:2] + RAW_PIECES[-3:-2], ending=b"\n", missing=1)
+@example(header=RAW_HEADERS[0], rows=RAW_PIECES[:2], ending=b"\n", missing=0)
+def test_every_raw_log_ingests_or_is_one_json_error(header, rows, ending, missing):
+    with tempfile.TemporaryDirectory() as tmp:
+        raw, cmap, out = Path(tmp) / "raw.csv", Path(tmp) / "cols.json", Path(tmp) / "out"
+        write_column_map(cmap)
+        if missing:  # missing == 0: no raw file at all
+            raw.write_bytes(header + b"".join(row + ending for row in rows))
+        out.mkdir()
+        (out / "summary.json").write_text("an earlier summary\n")
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["ingest", "--raw", str(raw), "--column-map", str(cmap),
+                         "--out-dir", str(out)])
+        lines = stderr.getvalue().splitlines()
+        event("ingest" if code == 0 else "error")
+        if code == 0:
+            assert lines == []
+            summary = json.loads((out / "summary.json").read_text())
+            schema = hbtm.load_schema(out / "schema.json")
+            corpora = {s: hbtm.load_corpus(out / f"session_{s}.jsonl", schema)
+                       for s in summary["sessions"]}
+            assert {s: c.num_traces for s, c in corpora.items()} == summary["sessions"]
+            assert sum(c.num_tokens for c in corpora.values()) == summary["tokenized"]
+        else:
+            assert code == 1 and len(lines) == 1
+            assert set(json.loads(lines[0])) == {"error", "detail"}
+            assert [p.name for p in out.iterdir()] == ["summary.json"]
+            assert (out / "summary.json").read_text() == "an earlier summary\n"
+
+
 # --- model files: the number scanner against json ------------------------------
 
 

@@ -1,6 +1,7 @@
 import io
 import math
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hbtm import (
     ActivityMapping,
     Corpus,
     FilterConfig,
-    RawEvent,
+    RawEvents,
     Schema,
     Token,
     Trace,
@@ -21,6 +22,7 @@ from hbtm import (
     map_activity,
     parse_raw_log,
 )
+from hbtm import ingest, sampler
 from hbtm.core import save_json
 from hbtm.ingest import (
     _CLOCKS,
@@ -55,19 +57,20 @@ def _rows(rejects):
 
 
 def raw(session="1", student="s1", activity="Deeds", start=0.0, dur=10.0, mouse=1, keys=1):
-    return RawEvent(session, student, activity, start, start + dur, mouse, keys)
+    """One event row in RawEvents' field order."""
+    return (session, student, activity, start, start + dur, mouse, keys)
 
 
-def test_raw_event_is_an_immutable_record():
-    ev = RawEvent(session="1", student_id="s1", activity="Deeds", start_time=5.0,
-                  end_time=12.5, mouse_clicks=2, keystrokes=3)
-    assert ev == raw(start=5.0, dur=7.5, mouse=2, keys=3)
-    assert ev.end_time - ev.start_time == 7.5
-    assert ev.mouse_clicks + ev.keystrokes == 5
+def test_raw_events_hold_one_list_per_field_and_iterate_as_rows():
+    events = RawEvents(["1", "2"], ["s1", "s2"], ["Deeds", "Blank"], [5.0, 0.0], [12.5, 3.0],
+                       [2, 0], [3, 1])
+    assert len(events) == 2 and len(RawEvents()) == 0
+    assert list(events) == [raw(start=5.0, dur=7.5, mouse=2, keys=3),
+                            raw("2", "s2", "Blank", 0.0, 3.0, 0, 1)]
+    assert events == RawEvents(*map(list, zip(*events)))
+    assert events.end_time[0] - events.start_time[0] == 7.5
     with pytest.raises(AttributeError):
-        ev.session = "2"
-    with pytest.raises(AttributeError):
-        ev.note = ""
+        events.note = []
 
 
 # --- activity mapping ------------------------------------------------------
@@ -225,7 +228,7 @@ def test_interaction_levels_clamp_at_top(edges, count):
 
 def test_parse_empty_file_with_header():
     events, rejects = parse_raw_log(csv_of([]), COLUMN_MAP)
-    assert events == [] and rejects == []
+    assert events == RawEvents() and rejects == []
 
 
 def test_parse_reads_a_quoted_first_header_field_after_a_byte_order_mark():
@@ -241,10 +244,9 @@ def test_parse_sums_interaction_columns():
         csv_of(["1,s1,Deeds,100,110,2,3,4,5"]), COLUMN_MAP
     )
     assert rejects == []
-    assert events[0].mouse_clicks == 9
-    assert events[0].keystrokes == 5
-    assert events[0].mouse_clicks + events[0].keystrokes == 14
-    assert events[0].end_time - events[0].start_time == 10.0
+    assert events.mouse_clicks == [9]
+    assert events.keystrokes == [5]
+    assert events.end_time[0] - events.start_time[0] == 10.0
 
 
 def test_parse_reads_a_lone_count_column():
@@ -252,7 +254,7 @@ def test_parse_reads_a_lone_count_column():
     rows = ["1,s1,Deeds,100,110,2,3,4,5", "1,s1,Deeds,100,110,2,3,4,x",
             "1,s1,Deeds,100,110,2,3,4,-5"]
     events, rejects = parse_raw_log(csv_of(rows), column_map)
-    assert [(e.mouse_clicks, e.keystrokes) for e in events] == [(0, 5)]
+    assert (events.mouse_clicks, events.keystrokes) == ([0], [5])
     assert _rows(rejects) == [(2, "bad interaction count"), (3, "negative interaction count")]
 
 
@@ -261,7 +263,7 @@ def test_parse_rejects_any_negative_count_column_and_truncates_the_rest():
     rows = ["1,s1,Deeds,100,110,-3,5,0,1", "1,s1,Deeds,100,110,0,0,0,-0.5",
             "1,s1,Deeds,100,110,0.9,5,0,7.9", "1,s1,Deeds,100,110,-0,0,0,-0.0"]
     events, rejects = parse_raw_log(csv_of(rows), COLUMN_MAP)
-    assert [(e.mouse_clicks, e.keystrokes) for e in events] == [(5, 7), (0, 0)]
+    assert (events.mouse_clicks, events.keystrokes) == ([5, 0], [7, 0])
     assert _rows(rejects) == [(1, "negative interaction count"), (2, "negative interaction count")]
 
 
@@ -269,7 +271,7 @@ def test_parse_rejects_negative_duration():
     events, rejects = parse_raw_log(
         csv_of(["1,s1,Deeds,200,100,0,0,0,0"]), COLUMN_MAP
     )
-    assert events == []
+    assert len(events) == 0
     assert len(rejects) == 1
     assert rejects[0].row_number == 1
     assert rejects[0].reason == "negative duration"
@@ -282,7 +284,7 @@ def test_parse_rejects_bad_timestamp():
 
 def test_parse_rejects_short_row():
     events, rejects = parse_raw_log(csv_of(["1,s1,Deeds,100"]), COLUMN_MAP)
-    assert events == []
+    assert len(events) == 0
     assert rejects[0].reason == "short row"
 
 
@@ -292,7 +294,7 @@ def test_parse_accepts_datetime_strings():
         COLUMN_MAP,
     )
     assert rejects == []
-    assert events[0].end_time - events[0].start_time == pytest.approx(10.5)
+    assert events.end_time[0] - events.start_time[0] == pytest.approx(10.5)
 
 
 def test_parse_missing_mapped_column_is_config_error():
@@ -312,7 +314,7 @@ def test_parse_missing_map_entry_is_config_error():
 ])
 def test_parse_rejects_non_finite_timestamps(start, end):
     events, rejects = parse_raw_log(csv_of([f"1,s1,Deeds,{start},{end},0,0,0,0"]), COLUMN_MAP)
-    assert events == []
+    assert len(events) == 0
     assert _rows(rejects) == [(1, "bad timestamp")]
 
 
@@ -320,7 +322,7 @@ def test_parse_rejects_non_finite_timestamps(start, end):
 def test_parse_rejects_overflowing_counts(count):
     rows = [f"1,s1,Deeds,0,10,{count},0,0,0", f"1,s1,Deeds,0,10,0,0,0,{count}"]
     events, rejects = parse_raw_log(csv_of(rows), COLUMN_MAP)
-    assert events == []
+    assert len(events) == 0
     assert _rows(rejects) == [(1, "bad interaction count"), (2, "bad interaction count")]
 
 
@@ -473,7 +475,7 @@ def test_fast_path_declines_other_shapes(raw):
 
 
 def test_parse_empty_file():
-    assert parse_raw_log(io.StringIO(""), COLUMN_MAP) == ([], [])
+    assert parse_raw_log(io.StringIO(""), COLUMN_MAP) == (RawEvents(), [])
 
 
 def test_parse_blank_lines_are_skipped_and_not_numbered():
@@ -498,14 +500,14 @@ def test_parse_duplicate_header_name_resolves_to_last_column():
         "1,s1,Deeds,0,10,0,0,0,4,7",  # lacks the last activity column
     ]) + "\n"
     events, rejects = parse_raw_log(io.StringIO(text), COLUMN_MAP)
-    assert [(e.keystrokes, e.activity) for e in events] == [(7, "Aulaweb")]
+    assert (events.keystrokes, events.activity) == ([7], ["Aulaweb"])
     assert _rows(rejects) == [(2, "short row")]
 
 
 def test_parse_ignores_extra_fields():
     events, rejects = parse_raw_log(csv_of(["1,s1,Deeds,0,10,1,2,3,4,extra,,more"]), COLUMN_MAP)
     assert rejects == []
-    assert (events[0].mouse_clicks, events[0].keystrokes) == (6, 4)
+    assert (events.mouse_clicks, events.keystrokes) == ([6], [4])
 
 
 def test_parse_short_rows_keep_their_numbers():
@@ -518,7 +520,7 @@ def test_parse_short_rows_keep_their_numbers():
 def test_parse_unbalanced_quote_names_the_row_where_it_opened():
     closed = '1,s1,"Deeds, quoted",0,10,0,0,0,0'
     events, rejects = parse_raw_log(csv_of([closed]), COLUMN_MAP)
-    assert rejects == [] and events[0].activity == "Deeds, quoted"
+    assert rejects == [] and events.activity == ["Deeds, quoted"]
     # blank lines are not numbered, so the runaway quote opens in data row 2
     rows = [closed, "", '1,s1,"Deeds,0,10,0,0,0,0', "1,s1,Deeds,0,10,0,0,0,0"]
     with pytest.raises(ValueError, match="data row 2: .* unbalanced double quote"):
@@ -648,16 +650,15 @@ def test_ingest_conservation_on_random_logs(rows):
 def _corpora_with_fresh_tokens(events, mapping, schema, filt):
     """Per-session corpora built with a new Token for every kept event."""
     per_session = {}
-    for ev in events:
-        tokens = per_session.setdefault(ev.session, {}).setdefault(
-            f"{ev.student_id}_{ev.session}", [])
-        duration = ev.end_time - ev.start_time
+    for session, student_id, activity, start, end, mouse, keys in events:
+        tokens = per_session.setdefault(session, {}).setdefault(f"{student_id}_{session}", [])
+        duration = end - start
         if not filt.min_duration_s <= duration <= filt.max_duration_s:
             continue
         t_bin = discretize_duration(duration, schema, filt)
         if t_bin is not None:
-            tokens.append(Token(map_activity(ev.activity, mapping), t_bin,
-                                discretize_interaction(ev.mouse_clicks + ev.keystrokes, schema)))
+            tokens.append(Token(map_activity(activity, mapping), t_bin,
+                                discretize_interaction(mouse + keys, schema)))
     corpora = {}
     for session, traces in per_session.items():
         kept = tuple(Trace(tid, tuple(tokens)) for tid, tokens in traces.items() if tokens)
@@ -698,3 +699,167 @@ def test_filter_config_validation():
         FilterConfig(min_duration_s=0.0)
     with pytest.raises(ValueError):
         FilterConfig(min_duration_s=10.0, max_duration_s=5.0)
+
+
+# --- the compiled row reader against the Python reader ------------------------
+
+
+def _parsed(text, column_map=COLUMN_MAP, library=True, budget=None):
+    """parse_raw_log's events and rejects, or its ValueError's text, for a file of ``text``."""
+    with mock.patch.object(ingest, "_BLOCK_CHARS", budget or ingest._BLOCK_CHARS), \
+            mock.patch.object(sampler, "_library", sampler._library if library else lambda: None):
+        try:
+            return parse_raw_log(io.StringIO(text, newline=""), column_map)
+        except ValueError as exc:
+            return str(exc)
+
+
+def _day_first(dt, sep):
+    return (f"{dt.day:02d}{sep}{dt.month:02d}{sep}{dt.year:04d} "
+            f"{dt.hour:02d}:{dt.minute:02d}:{dt.second:02d}")
+
+
+_ODD_STAMPS = ["02.10.2019 24:00:00", "31.02.2019 09:00:00", "29.02.2019 09:00:00",
+               "29.02.2020 09:00:00", "02.10/2019 09:00:17", "01.01.0000 00:00:00",
+               "31.12.9999 23:59:59", "nan", "1570006817.5", "2019-10-02 09:00:17", "", "x"]
+_NAMES = ["1", "2", "s1", "s2", "Deeds", "Aulaweb", "Study_Es_1_1", "", "a b"]
+_COUNTS = ["0", "7", "12", "007", " 7 ", "1e400", "-0.5", "1_0", "-3", "-0", "", "n/a",
+           "1.5", "inf", "999999999999999", "9999999999999999", "99999999999999999999"]
+# one of these lands in a late row: each sends its block and the rest to csv.reader
+_LATE = ['"Deeds, quoted"', '"Deeds', 'De"eds', "Déeds", "De\0eds", "Deeds\r", " "]
+_PADS = ["", "", "", " ", "  ", "\t"]
+_COLUMN_MAPS = [COLUMN_MAP, {**COLUMN_MAP, "mouse_clicks": []},
+                {**COLUMN_MAP, "mouse_clicks": ["wheel", "wheel"], "keystrokes": ["keys"]}]
+_HEADERS = [HEADER, HEADER.rstrip("\n") + ",keys,activity\n", HEADER.rstrip("\n") + ",extra\n",
+            HEADER.replace("\n", "\r\n")]
+
+
+@st.composite
+def raw_log_texts(draw):
+    """A raw log over ``HEADER``'s columns: mostly plain rows, some odd, perhaps one late oddity."""
+    lines = []
+    for _ in range(draw(st.integers(0, 25))):
+        kind = draw(st.sampled_from(["plain"] * 4 + ["odd"] * 3 + ["blank", "short", "long"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "", " "])))
+            continue
+        start = draw(st.datetimes(datetime(2019, 1, 1), datetime(2020, 12, 31))
+                     | st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59)))
+        end = start + draw(st.sampled_from([0, 1, 9, 600, 20000, -1])) * timedelta(seconds=1) \
+            if datetime(1, 1, 2) < start < datetime(9999, 12, 30) else start
+        seps = draw(st.sampled_from(["..", "//", "./"]))
+        fields = [draw(st.sampled_from(_NAMES)) for _ in range(3)]
+        fields += [_day_first(start, seps[0]), _day_first(end, seps[1])]
+        fields += [draw(st.sampled_from(_COUNTS[:3])) for _ in range(4)]
+        if kind == "odd":
+            at = draw(st.integers(0, len(fields) - 1))
+            fields[at] = draw(st.sampled_from(_ODD_STAMPS if at in (3, 4) else
+                                              _NAMES if at < 3 else _COUNTS))
+        fields = [draw(st.sampled_from(_PADS)) + f + draw(st.sampled_from(_PADS)) for f in fields]
+        if kind == "short":
+            fields = fields[:draw(st.integers(0, len(fields) - 1))]
+        elif kind == "long":
+            fields += draw(st.lists(st.sampled_from(["", "x", "9"]), min_size=1, max_size=4))
+        lines.append(",".join(fields))
+    if lines and draw(st.booleans()):
+        at = draw(st.integers(len(lines) // 2, len(lines) - 1))
+        late = draw(st.sampled_from(_LATE))
+        lines[at] = late + "," + lines[at] if draw(st.booleans()) else lines[at] + late
+    ending = "\r\n" if lines and draw(st.integers(0, 9)) == 0 else "\n"
+    text = ending.join(lines) + draw(st.sampled_from([ending, ""]))
+    return draw(st.sampled_from(_HEADERS)) + text
+
+
+# each row valid but for its end stamp or last count, which only Python may answer or refuse
+_BOUNDARIES = HEADER + "".join(
+    f"1,s1,Deeds,{start},{end},1,2,3,{count}\n" for start, end, count in [
+        ("01.01.2019 00:00:00", "02.10.2019 24:00:00", "1"),
+        ("01.01.2019 00:00:00", "02.10.2019 23:60:00", "1"),
+        ("01.01.2019 00:00:00", "02.10.2019 23:59:60", "1"),
+        ("01.01.2019 00:00:00", "29.02.2019 09:00:00", "1"),
+        ("01.01.2019 00:00:00", "29.02.2020 09:00:00", "1"),
+        ("01.01.2019 00:00:00", "29.02.2100 09:00:00", "1"),
+        ("01.01.2019 00:00:00", "29.02.2000 09:00:00", "1"),
+        ("01.01.2019 00:00:00", "31.04.2019 09:00:00", "1"),
+        ("01.01.2019 00:00:00", "00.10.2019 09:00:00", "1"),
+        ("01.01.2019 00:00:00", "02.13.2019 09:00:00", "1"),
+        ("01.01.2019 00:00:00", "02.00.2019 09:00:00", "1"),
+        ("01.01.0000 00:00:00", "31.12.9999 23:59:59", "1"),
+        ("01.01.0001 00:00:00", "31.12.9999 23:59:59", "1"),
+        ("01.01.2019 00:00:00", "02.10.2019 09:00:00", "999999999999999"),
+        ("01.01.2019 00:00:00", "02.10.2019 09:00:00", "9999999999999999"),
+        ("01.01.2019 00:00:00", "02.10.2019 09:00:00", "9007199254740993"),
+        ("01.01.2019 00:00:00", "02.10.2019 09:00:00", "٩"),
+    ])
+_EVERY_REASON = HEADER + "\n".join([
+    "1,s1,Deeds,02.10.2019 09:00:17,02.10.2019 09:00:27,1,2,3,4",
+    "1,s1,Deeds,02.10.2019 09:00:17",
+    "1,s1,Deeds,31.02.2019 09:00:17,02.10.2019 09:00:27,1,2,3,4",
+    "1,s1,Deeds,02.10.2019 09:00:17,02.10.2019 09:00:07,1,2,3,4",
+    "1,s1,Deeds,02.10.2019 09:00:17,02.10.2019 09:00:27,1,2,3,n/a",
+    "1,s1,Deeds,02.10.2019 09:00:17,02.10.2019 09:00:27,1,-2,3,4",
+    "",
+    "2, s2 ,Aulaweb,02/10/2019 09:00:17 , 02/10/2019 09:00:27,007, 1_0 ,0,9999999999999999",
+    '1,s1,"Deeds",02.10.2019 09:00:17,02.10.2019 09:00:27,1,2,3,4',
+]) + "\n"
+
+
+@settings(max_examples=250, deadline=None)
+@given(raw_log_texts(), st.sampled_from(_COLUMN_MAPS), st.integers(1, 200))
+@example(_BOUNDARIES, COLUMN_MAP, 1)
+@example(_EVERY_REASON, COLUMN_MAP, 1)
+@example(_EVERY_REASON, COLUMN_MAP, 150)
+@example(HEADER + "1,s1,Deeds,0,10,0,0,0,0\n" * 3 + '1,s1,"Deeds,0,10,0,0,0,0\n' + "x\n",
+         COLUMN_MAP, 30)
+def test_the_compiled_reader_parses_like_the_python_reader_at_any_block_size(text, column_map,
+                                                                          budget):
+    want = _parsed(text, column_map, library=False)
+    assert _parsed(text, column_map) == want
+    assert _parsed(text, column_map, budget=budget) == want
+
+
+def test_every_reject_reason_and_the_python_only_forms_read_alike_with_the_library():
+    events, rejects = _parsed(_EVERY_REASON, budget=1)
+    assert _rows(rejects) == [(2, "short row"), (3, "bad timestamp"), (4, "negative duration"),
+                              (5, "bad interaction count"), (6, "negative interaction count")]
+    assert list(events) == [
+        ("1", "s1", "Deeds", 1570006817.0, 1570006827.0, 6, 4),
+        # float() rounds a 16-digit count, which the library therefore declines
+        ("2", "s2", "Aulaweb", 1570006817.0, 1570006827.0, 17, 10**16),
+        ("1", "s1", "Deeds", 1570006817.0, 1570006827.0, 6, 4),
+    ]
+
+
+def test_the_compiled_reader_answers_plain_rows_and_declines_the_rest():
+    library = sampler._library()
+    if library is None:
+        pytest.skip("no compiled library")
+    lines = ["1,s1, Deeds ,02.10.2019 09:00:17,02/10/2019 09:00:27,1,2,3, 4 \n", "\n",
+             "1,s1,Deeds,02.10.2019 09:00:17,02.10.2019 09:00:27,1,2,3,4.0\n",
+             "1,s1,Deeds,02.10.2019 09:00:17,02.10.2019 09:00:27,1,2,3\n",
+             "2,s1,Deeds,29.02.2020 23:59:59,31.12.9999 23:59:59,0,0,0,999999999999999"]
+    intern = {}.setdefault
+    scan = ingest._row_scanner(library, 9, list(range(9)), 3, intern)
+    values, unanswered = scan("".join(lines), len(lines))
+    assert unanswered == [(1, True), (2, False), (3, False)]
+    rows = list(zip(*values))
+    assert rows[0] == ("1", "s1", "Deeds", 1570006817.0, 1570006827.0, 6, 4)
+    assert rows[4] == ("2", "s1", "Deeds", _epoch(datetime(2020, 2, 29, 23, 59, 59)),
+                       _epoch(datetime(9999, 12, 31, 23, 59, 59)), 0, 999999999999999)
+    assert rows[0][1] is rows[4][1] is intern("s1", None)
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+def test_a_read_error_after_an_earlier_error_in_its_block_comes_second(tmp_path, budget):
+    # the undecodable byte lies past the first 8 KiB that the file reader decodes at once,
+    # but inside the first block; the runaway quote before it is the error to report
+    raw = tmp_path / "raw.csv"
+    raw.write_bytes(HEADER.encode() + b'1,s1,"Deeds,0,10,0,0,0,0\n1,s1,Deeds",0,10,0,0,0,0\n'
+                    + b"1,s1,Deeds,0,10,0,0,0,0\n" * 1000 + b"1,s\xff,Deeds,0,10,0,0,0,0\n")
+    with mock.patch.object(ingest, "_BLOCK_CHARS", budget or ingest._BLOCK_CHARS):
+        with open(raw, newline="") as fh, pytest.raises(ValueError, match="data row 1: "):
+            parse_raw_log(fh, COLUMN_MAP)
+        # past the quote, the read error is raised when its line is reached
+        raw.write_bytes(raw.read_bytes().replace(b'"', b""))
+        with open(raw, newline="") as fh, pytest.raises(UnicodeDecodeError):
+            parse_raw_log(fh, COLUMN_MAP)

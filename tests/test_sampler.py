@@ -439,12 +439,30 @@ def test_a_process_without_a_compiler_writes_the_same_files_and_says_so_once(tmp
                                                       for m in range(6)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         str(Path(sampler.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    raw, columns = tmp_path / "raw.csv", tmp_path / "columns.json"
+    rows = [
+        "1,s1,Deeds,02.10.2019 09:00:17,02.10.2019 09:00:27,1,2",
+        "1,s1,Aulaweb,02/10/2019 09:01:00,02/10/2019 09:03:00, 4 ,007",
+        "1,s2,Deeds,02.10.2019 09:00:17",
+        "1,s2,Deeds,31.02.2019 09:00:17,02.10.2019 09:00:27,1,2",
+        "1,s2,Deeds,02.10.2019 09:00:27,02.10.2019 09:00:17,1,2",
+        "1,s2,Deeds,02.10.2019 09:00:17,02.10.2019 09:00:27,n/a,2",
+        "1,s2,Deeds,02.10.2019 09:00:17,02.10.2019 09:00:27,1,-2",
+        "",
+        "2,s1,Blank,0,700,0,20",
+    ]
+    raw.write_text("session,student,activity,start,end,clicks,keys\n" + "\n".join(rows) + "\n")
+    columns.write_text(json.dumps({
+        "session": "session", "student_id": "student", "activity": "activity",
+        "start_time": "start", "end_time": "end", "mouse_clicks": "clicks", "keystrokes": "keys"}))
 
     def pipeline(**overrides):
-        out = tmp_path / "out"  # one path for both runs: the model records it
+        out = tmp_path / "out"  # one path for both runs: the model and the summary record it
         shutil.rmtree(out, ignore_errors=True)
         out.mkdir()
-        steps = (["fit", "--corpus", str(tmp_path / "corpus.jsonl"), "--traits", "3",
+        steps = (["ingest", "--raw", str(raw), "--column-map", str(columns),
+                  "--out-dir", str(out / "ingest")],
+                 ["fit", "--corpus", str(tmp_path / "corpus.jsonl"), "--traits", "3",
                   "--sweeps", "8", "--burn-in", "2", "--stride", "2", "--out", str(out / "m.json")],
                  ["analyze", "--model", str(out / "m.json"), "--grades", str(grades),
                   "--out", str(out / "report.json")],
@@ -453,7 +471,8 @@ def test_a_process_without_a_compiler_writes_the_same_files_and_says_so_once(tmp
         runs = [subprocess.run([sys.executable, "-m", "hbtm.cli", *argv], capture_output=True,
                                text=True, timeout=300, env=dict(env, **overrides))
                 for argv in steps]
-        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        files = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
+                 if p.is_file()}
         return ([(r.returncode, r.stdout) for r in runs], [r.stderr.splitlines() for r in runs],
                 files)
 
@@ -463,13 +482,16 @@ def test_a_process_without_a_compiler_writes_the_same_files_and_says_so_once(tmp
                                   XDG_CACHE_HOME=str(tmp_path / "cache"))
     kernel_codes, kernel_errs, kernel_files = pipeline()
     assert (codes, files) == (kernel_codes, kernel_files)
-    assert kernel_errs[:2] == [[], []]
-    assert [code for code, _ in codes] == [0, 0, 1]
+    assert kernel_errs[:3] == [[], [], []]
+    assert [code for code, _ in codes] == [0, 0, 0, 1]
+    assert files["ingest/rejects.csv"].decode().splitlines()[1:] == [
+        "3,short row", "4,bad timestamp", "5,negative duration", "6,bad interaction count",
+        "7,negative interaction count"]
     notice = ("hbtm: compiled library unavailable (no C compiler: cc is not on the PATH); "
               "falling back to the slower Python code")
-    assert errs[:2] == [[notice], [notice]]
-    assert errs[2][0] == notice and len(errs[2]) == 2
-    assert json.loads(errs[2][1])["error"] == "ValueError"
+    assert errs[:3] == [[notice], [notice], [notice]]
+    assert errs[3][0] == notice and len(errs[3]) == 2
+    assert json.loads(errs[3][1])["error"] == "ValueError"
 
 
 def test_compiled_kernel_loads_when_a_compiler_exists():

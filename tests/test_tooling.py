@@ -245,3 +245,99 @@ def test_lloyd_kernel_stays_inside_its_buffers_under_address_and_undefined_sanit
     assert done.returncode == 0, done.stderr[-3000:]
     cases, iterations, reseeded = map(int, done.stdout.split())
     assert cases > 60 and iterations > cases and reseeded >= 10
+
+
+# Runs under libasan: every array is its own malloc block of exactly its size,
+# so a read past the text or a write past any output stops the process
+SANITIZED_ROWS = r"""
+import ctypes, random, sys
+from datetime import datetime, timezone
+lib = ctypes.CDLL(sys.argv[1])
+libc = ctypes.CDLL(None)
+libc.malloc.restype = ctypes.c_void_p
+libc.malloc.argtypes = [ctypes.c_size_t]
+libc.free.argtypes = [ctypes.c_void_p]
+rows = lib.hbtm_rows
+rows.restype = ctypes.c_int64
+rows.argtypes = ([ctypes.c_void_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p]
+                 + [ctypes.c_int64] * 2 + [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+                                           ctypes.c_int64] + [ctypes.c_void_p] * 3)
+
+
+def block(values, size=8):
+    pointer = libc.malloc(max(len(values) * size, 1))
+    for i, value in enumerate(values):
+        ctypes.c_int64.from_address(pointer + 8 * i).value = value
+    return pointer
+
+
+def call(text, columns, n_mouse, capacity, need=None, n_slots=None, max_line=1 << 17):
+    need = need or max(columns) + 1
+    n_slots = n_slots or 1 << (6 * capacity).bit_length()
+    buffer = libc.malloc(max(len(text), 1))
+    ctypes.memmove(buffer, text, len(text))
+    arrays = [block(columns), libc.malloc(max(2 * need * ctypes.sizeof(ctypes.c_void_p), 1)),
+              libc.malloc(max(n_slots, 1) * 8), libc.malloc(max(6 * capacity, 1) * 8),
+              libc.malloc(max(6 * capacity, 1) * 8), libc.malloc(max(2 * capacity, 1) * 8)]
+    index, fields, slots, bounds, out, stamps = arrays
+    distinct = rows(buffer, len(text), need, max_line, index, len(columns) - 5, n_mouse, fields,
+                    capacity, slots, n_slots, bounds, out, stamps)
+    status = [ctypes.c_int64.from_address(out + 8 * j).value for j in range(capacity)]
+    ends = [ctypes.c_double.from_address(stamps + 8 * (capacity + j)).value
+            for j in range(capacity)]
+    for pointer in [buffer] + arrays:
+        libc.free(pointer)
+    return distinct, status, ends
+
+
+GOOD = b"1,s1,Deeds,02.10.2019 09:00:17,02.10.2019 09:00:27,1,2,3,4"
+# (line, status): 1 answered, 2 blank, 0 declined
+CASES = [
+    (GOOD, 1), (b"", 2), (b",,,,,,,,", 0), (b",,,,,,,,,,,,,,,,,,,,,,,,", 0),
+    (GOOD + b",extra,fields,,beyond,need,9", 1),
+    (GOOD[:-1] + b"999999999999999", 1), (GOOD[:-1] + b"9999999999999999", 0),
+    (b"1,s1,Deeds,01.01.0000 00:00:00,31.12.9999 23:59:59,1,2,3,4", 0),
+    (b"1,s1,Deeds,01.01.0001 00:00:00,31.12.9999 23:59:59,1,2,3,4", 1),
+    (b"1,s1,Deeds,01.01.2019 00:00:00,29.02.2020 12:00:00,1,2,3,4", 1),
+    (b"1,s1,Deeds,01.01.2019 00:00:00,29.02.2019 12:00:00,1,2,3,4", 0),
+    (b"1,s1,Deeds,01.01.2019 00:00:00,29.02.1900 12:00:00,1,2,3,4", 0),
+    (GOOD.replace(b"Deeds", b"De\tds"), 0), (GOOD.replace(b"Deeds", b'"Deeds"'), 0),
+]
+text = b"\n".join(line for line, _ in CASES)  # no final newline
+columns = list(range(9))
+distinct, status, ends = call(text, columns, 3, len(CASES))
+assert status == [want for _, want in CASES], status
+assert ends[8] == datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp()
+assert call(b"", columns, 3, 0)[:2] == (0, [])
+assert call(text, columns, 3, 3)[1] == [1, 2, 0]  # capacity caps the lines read
+assert call(text, columns, 3, 4, n_slots=12)[0] == -1  # not a power of two above 3 * 4
+assert call(text, [0, 1, 2, 3, 4], 0, len(CASES), need=5)[1][2] == 0
+rng = random.Random(13)
+alphabet = b"0123456789.,/: \n-s\t\"\x7f\xe9"
+answered = 0
+for _ in range(3000):
+    pool = alphabet if rng.random() < 0.7 else GOOD + b"\n"
+    text = bytes(rng.choice(pool) for _ in range(rng.randrange(120)))
+    if rng.random() < 0.3:
+        text = GOOD + b"\n" + text
+    columns = (list(range(9)) if rng.random() < 0.5
+               else [rng.randrange(10) for _ in range(5 + rng.randrange(4))])
+    lines = text.count(b"\n") + (not text.endswith(b"\n") and text != b"")
+    capacity = lines if rng.random() < 0.7 else rng.randrange(lines + 1)
+    distinct, status, _ = call(text, columns, rng.randrange(len(columns) - 4), capacity,
+                               need=max(columns) + 1 + rng.randrange(3),
+                               max_line=rng.choice([1 << 17, 40]))
+    assert 0 <= distinct <= 3 * capacity and set(status) <= {0, 1, 2}
+    answered += status.count(1)
+print(answered)
+"""
+
+
+def test_row_reader_stays_inside_its_buffers_under_address_and_undefined_sanitizers(tmp_path):
+    library, env = _sanitized_library(tmp_path)
+    script = tmp_path / "rows.py"
+    script.write_text(SANITIZED_ROWS)
+    done = subprocess.run([sys.executable, str(script), str(library)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr[-3000:]
+    assert int(done.stdout) >= 20  # random blocks led by GOOD answer some rows
