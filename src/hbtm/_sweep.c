@@ -1,4 +1,5 @@
-/* The compiled helpers of hbtm: hbtm_sweep, hbtm_scan, hbtm_lloyd and hbtm_rows.
+/* The compiled helpers of hbtm: hbtm_sweep, hbtm_scan, hbtm_lloyd, hbtm_rows and
+ * hbtm_format.
  *
  * hbtm_sweep runs one collapsed-Gibbs sweep over flat int64 count tables.
  * It reproduces sampler.reference_sweep bit for bit: each weight is computed
@@ -23,10 +24,15 @@
  * and the ids of distinct name texts. It answers a row only with the values
  * ingest's Python reader gives it, and declines every other row for Python
  * to read; see its own comment.
+ *
+ * hbtm_format writes a float64 array as json.dumps lays out its tolist(),
+ * each number spelled exactly as float.__repr__ spells it, or declines the
+ * whole array for core.save_json to write from repr; see its own comment.
  */
 #include <float.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define MOVE(k, d) do { \
         n_mk[m * nk + (k)] += (d); n_ke[(k) * ne + e] += (d); \
@@ -552,4 +558,192 @@ int64_t hbtm_rows(const char *text, int64_t len, int64_t need, int64_t max_line,
         p = eol < stop ? eol + 1 : stop;
     }
     return texts.count;
+}
+
+/* hbtm_format's range: nonzero doubles with 2^-49 <= |v| < 2^126, whose
+ * arithmetic fits 128 bits, by biased exponent. */
+enum { FORMAT_MIN_EXP = 974, FORMAT_MAX_EXP = 1148 };
+enum { FORMAT_MAX_CHARS = 24 };  /* "-2.2250738585072014e-308", the longest repr */
+
+typedef unsigned __int128 u128;
+
+typedef struct {
+    u128 pow5[32];   /* 5^a for a <= 31 */
+    u128 pow10[39];  /* 10^j for j <= 38 */
+} Powers;
+
+/* floor(x log10(2)) for |x| <= 1650: Ryu's log10Pow2 (Adams, PLDI 2018),
+ * rounded down for negative x too. */
+static int floor_log10_pow2(int x)
+{
+    const int64_t n = (int64_t)x * 78913;
+    return (int)(n >= 0 ? n >> 18 : -((-n + 262143) >> 18));
+}
+
+/* floor(x 2^e2 / 10^j) for x < 2^56 and the (e2, j) that format_double
+ * passes, where every term fits 128 bits; *exact says whether the quotient
+ * is exact. Below 1, 10^j is 5^j 2^j, and the division is a shift. */
+static uint64_t scaled(uint64_t x, int e2, int j, const Powers *pw, int *exact)
+{
+    u128 num = x, den = 1;
+    int b = e2;
+    if (j < 0) {
+        num *= pw->pow5[-j];
+        b -= j;
+    } else {
+        den = pw->pow10[j];
+    }
+    if (b >= 0) {
+        num <<= b;
+    } else if (j <= 0) {
+        *exact = (num & (((u128)1 << -b) - 1)) == 0;
+        return (uint64_t)(num >> -b);
+    } else {
+        den <<= -b;
+    }
+    *exact = num % den == 0;
+    return (uint64_t)(num / den);
+}
+
+/* Write float.__repr__(v) at p; return its end, or NULL to decline a v that
+ * is not zero and outside FORMAT_MIN_EXP..FORMAT_MAX_EXP (NaN and inf
+ * included).
+ *
+ * v = m 2^e is written as the shortest decimal c 10^j that reads back as v,
+ * and of those the nearest to v (Steele & White, PLDI 1990), as dtoa's mode
+ * 0 does. What reads back as v lies between v's midpoints with its
+ * neighbours, ends included when m is even (reading rounds half to even). In
+ * units of 2^(e-2) the ends are 4m - 2 (4m - 1 at a power of two, whose lower
+ * neighbour is nearer) and 4m + 2. The candidates [lo, hi] inside are
+ * counted exactly at 10^j <= 2^(e-1), where there is at least one; each step
+ * up a power of ten keeps the multiples of ten among them while any remain.
+ * The nearest of the last ones is v rounded at 10^j, half to even as dtoa
+ * rounds its last digit (15853097491924.0625 is ...924.062), then clamped
+ * into [lo, hi]. repr writes the digits in fixed notation when the decimal
+ * point falls after digit -4 and at most 16 digits in. */
+static char *format_double(double v, const Powers *pw, char *p)
+{
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    if (bits >> 63)
+        *p++ = '-';
+    const int biased = (int)(bits >> 52 & 0x7ff);
+    const uint64_t frac = bits & ((UINT64_C(1) << 52) - 1);
+    if (biased == 0 && frac == 0) {
+        memcpy(p, "0.0", 3);
+        return p + 3;
+    }
+    if (biased < FORMAT_MIN_EXP || biased > FORMAT_MAX_EXP)
+        return NULL;
+    const uint64_t m = frac | UINT64_C(1) << 52;
+    const int e2 = biased - 1077, inclusive = (m & 1) == 0;
+    int j = floor_log10_pow2(e2 + 1), exact;
+    uint64_t lo = scaled(4 * m - 1 - (frac != 0), e2, j, pw, &exact);
+    lo += !(exact && inclusive);
+    uint64_t hi = scaled(4 * m + 2, e2, j, pw, &exact);
+    hi -= exact && !inclusive;
+    while ((lo + 9) / 10 <= hi / 10) {
+        lo = (lo + 9) / 10;
+        hi /= 10;
+        j++;
+    }
+    const uint64_t twice = scaled(8 * m, e2, j, pw, &exact);  /* floor(2v / 10^j) */
+    uint64_t c = twice / 2 + ((twice & 1) && (!exact || (twice / 2 & 1)));
+    c = c < lo ? lo : c > hi ? hi : c;
+
+    char digits[20];
+    int n = 0;
+    for (; c; c /= 10)
+        digits[19 - n++] = (char)('0' + c % 10);
+    const char *const d = digits + 20 - n;
+    const int point = n + j;  /* digits before the decimal point */
+    if (point > -4 && point <= 16) {
+        if (point <= 0) {  /* 0.00ddd */
+            memcpy(p, "0.", 2);
+            memset(p + 2, '0', (size_t)-point);
+            memcpy(p + 2 - point, d, (size_t)n);
+            return p + 2 - point + n;
+        }
+        if (point < n) {  /* dd.ddd */
+            memcpy(p, d, (size_t)point);
+            p[point] = '.';
+            memcpy(p + point + 1, d + point, (size_t)(n - point));
+            return p + n + 1;
+        }
+        memcpy(p, d, (size_t)n);  /* ddd00.0 */
+        memset(p + n, '0', (size_t)(point - n));
+        memcpy(p + point, ".0", 2);
+        return p + point + 2;
+    }
+    *p++ = d[0];
+    if (n > 1) {
+        *p++ = '.';
+        memcpy(p, d + 1, (size_t)(n - 1));
+        p += n - 1;
+    }
+    const int x = point - 1;  /* |x| < 100 in the range */
+    *p++ = 'e';
+    *p++ = x < 0 ? '-' : '+';
+    *p++ = (char)('0' + abs(x) / 10);
+    *p++ = (char)('0' + abs(x) % 10);
+    return p;
+}
+
+/* Write the list of shape[0] items at *x, nested ndim deep, as json.dumps
+ * with indent=2 lays it out level deep; return its end, or NULL to decline.
+ * *x moves past the numbers written. */
+static char *format_list(const double **x, const int64_t *shape, int64_t ndim, int64_t level,
+                         const Powers *pw, char *p, const char *end)
+{
+    const int64_t indent = 2 * (level + 1);
+    for (int64_t i = 0; i < shape[0]; i++) {
+        if (end - p < 2 + indent)
+            return NULL;
+        *p++ = i ? ',' : '[';
+        *p++ = '\n';
+        memset(p, ' ', (size_t)indent);
+        p += indent;
+        if (ndim > 1) {
+            if (!(p = format_list(x, shape + 1, ndim - 1, level + 1, pw, p, end)))
+                return NULL;
+            continue;
+        }
+        char text[FORMAT_MAX_CHARS];
+        const char *const stop = format_double(*(*x)++, pw, text);
+        if (stop == NULL || end - p < stop - text)
+            return NULL;
+        memcpy(p, text, (size_t)(stop - text));
+        p += stop - text;
+    }
+    if (end - p < indent)  /* '\n', 2 * level spaces, ']' */
+        return NULL;
+    *p++ = '\n';
+    memset(p, ' ', (size_t)(indent - 2));
+    p += indent - 2;
+    *p++ = ']';
+    return p;
+}
+
+/* Write the C-contiguous array x of the given shape (ndim <= SCAN_MAX_NDIM,
+ * no length 0) as the text json.dumps(x.tolist(), indent=2) gives it level
+ * deep in a document: every number spelled as float.__repr__ spells it; see
+ * format_double. Returns the number of bytes written to out, or 0 to decline
+ * the whole array: a number outside format_double's range, a bad shape or
+ * level, or fewer than the bytes needed in capacity. */
+int64_t hbtm_format(const double *x, int64_t ndim, const int64_t *shape, int64_t level,
+                    char *out, int64_t capacity)
+{
+    if (ndim < 1 || ndim > SCAN_MAX_NDIM || level < 0 || level > capacity)
+        return 0;
+    for (int64_t d = 0; d < ndim; d++)
+        if (shape[d] < 1)
+            return 0;
+    Powers pw;
+    pw.pow5[0] = pw.pow10[0] = 1;
+    for (int a = 1; a < 32; a++)
+        pw.pow5[a] = pw.pow5[a - 1] * 5;
+    for (int j = 1; j < 39; j++)
+        pw.pow10[j] = pw.pow10[j - 1] * 10;
+    const char *const end = format_list(&x, shape, ndim, level, &pw, out, out + capacity);
+    return end ? end - out : 0;
 }

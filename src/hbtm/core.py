@@ -8,7 +8,9 @@ the sampler estimates them as Dirichlet posterior means of its count tables.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import os
 import re
 import sys
@@ -373,19 +375,52 @@ def _lay_out(value: list, level: int, depth: int, chunks: list[str]) -> None:
     chunks.append(close)
 
 
+def _float_array_chunks(value: np.ndarray, level: int) -> list[str] | None:
+    """A float64 array as ``_number_lists_chunks`` lays out its ``tolist()``; or None.
+
+    The compiled library writes it (``hbtm_format`` in ``_sweep.c``) without
+    making a float object per number. None when the library is missing or
+    declines the array: a NaN or inf, a number it cannot spell exactly, a
+    length-0 axis.
+    """
+    from . import sampler  # sampler imports this module
+
+    library = sampler._library()
+    # a 0-d array is a float, which ascontiguousarray would make a list
+    if library is None or value.dtype != np.float64 or value.ndim == 0:
+        return None
+    value = np.ascontiguousarray(value)
+    # room for each number at its longest (24 bytes) and for each number's and
+    # list's comma, newline and indent, and each list's closing line
+    lists = sum(math.prod(value.shape[:d]) for d in range(value.ndim))
+    capacity = (value.size + 2 * lists) * (2 * (level + value.ndim) + 28)
+    out = np.empty(capacity, np.uint8)
+    shape = np.array(value.shape, np.int64)
+    written = library.hbtm_format(value.ctypes.data, value.ndim, shape.ctypes.data, level,
+                                  out.ctypes.data, capacity)
+    return [out[:written].tobytes().decode("ascii")] if written else None
+
+
 def _stub_number_lists(value, level: int, lists: list[list[str]]):
     """``value``, ``level`` deep in a payload, with each number list replaced by the stub.
 
-    A list that ``_number_lists_chunks`` lays out becomes the stub and its
-    pieces go on ``lists``. A dict with str keys and a list or dict value is
-    rebuilt with its keys sorted, so the stubs come in the order
-    ``json.dumps(sort_keys=True)`` writes them; every other value is kept.
+    A float64 array that ``_float_array_chunks`` writes, or a list that
+    ``_number_lists_chunks`` lays out, becomes the stub and its pieces go on
+    ``lists``; any other array is taken as its ``tolist()``. A dict with str
+    keys and a list, array or dict value is rebuilt with its keys sorted, so
+    the stubs come in the order ``json.dumps(sort_keys=True)`` writes them;
+    every other value is kept.
     """
+    if type(value) is np.ndarray:
+        if (chunks := _float_array_chunks(value, level)) is not None:
+            lists.append(chunks)
+            return NUMBER_LIST_STUB
+        value = value.tolist()
     if type(value) is list and (chunks := _number_lists_chunks(value, level)) is not None:
         lists.append(chunks)
         return NUMBER_LIST_STUB
     if (type(value) is not dict or level >= _MAX_DEPTH or any(type(k) is not str for k in value)
-            or not any(type(item) in (list, dict) for item in value.values())):
+            or not any(type(item) in (list, dict, np.ndarray) for item in value.values())):
         return value
     return {key: _stub_number_lists(item, level + 1, lists) for key, item in sorted(value.items())}
 
@@ -394,17 +429,19 @@ def save_json(payload, path) -> None:
     """Write ``payload`` atomically as sorted, indented JSON with a final newline.
 
     The bytes are always ``json.dumps(payload, sort_keys=True, indent=2)``
-    plus a newline. json's pure-Python indenting encoder costs about twice
-    what the numbers' ``repr`` does, so json writes the payload with a stub
-    in place of each list of finite numbers (a model's posterior, its
-    log-joint trace), and the lists, laid out from their ``repr``, replace
-    the stubs.
+    plus a newline, with each numpy array written as its ``tolist()``. json's
+    pure-Python indenting encoder costs about twice what the numbers'
+    ``repr`` does, so json writes the payload with a stub in place of each
+    array and list of finite numbers (a model's posterior, its log-joint
+    trace), and their text, from the compiled library or from ``repr``,
+    replaces the stubs.
     """
     lists: list[list[str]] = []
     stubbed = _stub_number_lists(payload, 0, lists)
-    parts = json.dumps(stubbed, sort_keys=True, indent=2).split(json.dumps(NUMBER_LIST_STUB))
+    dumps = functools.partial(json.dumps, sort_keys=True, indent=2, default=np.ndarray.tolist)
+    parts = dumps(stubbed).split(json.dumps(NUMBER_LIST_STUB))
     if len(parts) != len(lists) + 1:  # the payload holds the stub's text itself
-        parts, lists = [json.dumps(payload, sort_keys=True, indent=2)], []
+        parts, lists = [dumps(payload)], []
     pieces = chain.from_iterable([part, *chunks] for part, chunks in zip(parts, lists))
     write_atomic(path, [*pieces, parts[-1], "\n"])
 

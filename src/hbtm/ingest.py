@@ -551,7 +551,7 @@ def build_corpora(
     if mapping.default_index >= schema.num_events:
         raise ValueError("mapping default_index outside schema")
 
-    # session -> trace_id -> token list; insertion order is first appearance
+    # session -> student -> token list; insertion order is first appearance
     per_session: dict[str, dict[str, list[Token]]] = {}
     filtered = 0
     event_counts = [0] * schema.num_events
@@ -561,12 +561,17 @@ def build_corpora(
     bin_of = _Table(lambda seconds: discretize_duration(seconds, schema, filt))
     level_of = _Table(lambda total: discretize_interaction(total, schema))
     token_of = _Table(Token._make)  # one shared Token per distinct triple
+    shortest, longest = filt.min_duration_s, filt.max_duration_s
 
     for session, student_id, activity, start, end, mouse, keys in raw:
-        traces = per_session.setdefault(session, {})
-        bucket = traces.setdefault(f"{student_id}_{session}", [])
+        traces = per_session.get(session)
+        if traces is None:
+            traces = per_session[session] = {}
+        bucket = traces.get(student_id)
+        if bucket is None:
+            bucket = traces[student_id] = []
         duration = end - start
-        if duration < filt.min_duration_s or duration > filt.max_duration_s:
+        if duration < shortest or duration > longest:
             filtered += 1
             continue
         t_bin = bin_of[duration]
@@ -585,7 +590,8 @@ def build_corpora(
     tokenized = 0
     for session, traces in per_session.items():
         kept = []
-        for trace_id, tokens in traces.items():
+        for student_id, tokens in traces.items():
+            trace_id = f"{student_id}_{session}"
             if not tokens:
                 dropped.append(trace_id)
                 continue

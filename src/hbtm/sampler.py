@@ -23,9 +23,9 @@ system C compiler on first use and cached under ``$XDG_CACHE_HOME/hbtm``
 (default ``~/.cache/hbtm``). ``reference_sweep`` is the same loop in plain
 Python: it is the oracle the kernel must match bit for bit, and the fallback
 when no compiler or cache directory is usable. The same library runs
-``analysis.kmeans``' Lloyd iterations and reads the plain rows of
-``ingest.parse_raw_log``. A process that falls back says so once, in one
-line on stderr.
+``analysis.kmeans``' Lloyd iterations, reads the plain rows of
+``ingest.parse_raw_log`` and writes the float arrays of ``core.save_json``.
+A process that falls back says so once, in one line on stderr.
 
 ``load_fit_result`` reads the posterior of a model file in ``core.save_json``'s
 layout through the same library's number scanner, and every other file, or
@@ -239,7 +239,8 @@ class FitResult:
         return {
             "diagnostics": self.diagnostics,
             "log_joint_trace": self.log_joint_trace,
-            "posterior": self.posterior.to_dict(),
+            "posterior": {name: getattr(self.posterior, name)
+                          for name in ("theta", "phi", "psi", "tau")},
             "trace_ids": list(self.trace_ids),
         }
 
@@ -478,20 +479,21 @@ def _load_kernel():
         except OSError:
             _build_kernel(source, library)
             loaded = ctypes.CDLL(str(library))
-        sweep, scan, lloyd, rows = (loaded.hbtm_sweep, loaded.hbtm_scan, loaded.hbtm_lloyd,
-                                    loaded.hbtm_rows)
+        sweep, scan, lloyd, rows, fmt = (loaded.hbtm_sweep, loaded.hbtm_scan, loaded.hbtm_lloyd,
+                                         loaded.hbtm_rows, loaded.hbtm_format)
     except OSError as exc:
         reason = " ".join(str(exc).split())
         print(f"hbtm: compiled library unavailable ({reason}); "
               "falling back to the slower Python code", file=sys.stderr)
         return None
-    sweep.restype = scan.restype = lloyd.restype = rows.restype = ctypes.c_int64
+    sweep.restype = scan.restype = lloyd.restype = rows.restype = fmt.restype = ctypes.c_int64
     sweep.argtypes = [ctypes.c_int64] * 5 + [ctypes.c_double] * 7 + [ctypes.c_void_p] * 12
     scan.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
                      ctypes.c_int64]
     lloyd.argtypes = [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 7
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     rows.argtypes = [ptr, i64, i64, i64, ptr, i64, i64, ptr, i64, ptr, i64, ptr, ptr, ptr]
+    fmt.argtypes = [ptr, i64, ptr, i64, ptr, i64]
     return loaded
 
 

@@ -972,3 +972,88 @@ def test_model_files_read_alike_with_and_without_the_scanner(tmp_path, generated
         assert outcomes() == with_scanner
     for code, err, _ in with_scanner:
         assert code == 0 or len(err.splitlines()) == 1
+
+
+@pytest.fixture(scope="module")
+def small_model(tmp_path_factory):
+    """A small real model's bytes, its trait count and a grades file that joins it."""
+    directory = tmp_path_factory.mktemp("mutated")
+    prefix = directory / "syn"
+    assert run(["generate", "--traits", 2, "--events", 4, "--time-bins", 3,
+                "--interaction-levels", 2, "--traces", 6, "--tokens-per-trace", 8,
+                "--seed", 5, "--out-prefix", prefix]) == 0
+    model = fit_small_model(directory, prefix)
+    grades = directory / "grades.csv"
+    grades.write_text("trace_id,SA,SFE,FE\n"
+                      + "".join(f"trace_{m:04d},{m % 5},{m / 2},{50 + m}\n" for m in range(6)))
+    return model.read_bytes(), 2, grades
+
+
+NUMBER = re.compile(rb"-?[0-9][0-9.eE+-]*")
+
+
+@st.composite
+def mutated_models(draw, raw):
+    """``raw`` cut short, with a few bytes changed, or with one number swapped for another text.
+
+    The other text is NaN, an infinity, a finite number out of range, an int,
+    another value, or the same value spelled with an exponent.
+    """
+    kind = draw(st.sampled_from(["truncate", "flip", "number"]))
+    if kind == "truncate":
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    if kind == "flip":
+        data = bytearray(raw)
+        for at, byte in draw(st.lists(st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 255)),
+                                      min_size=1, max_size=3)):
+            data[at] = byte
+        return bytes(data)
+    numbers = list(NUMBER.finditer(raw))
+    match = numbers[draw(st.integers(0, len(numbers) - 1))]
+    same = match.group() if b"e" in match.group().lower() else match.group() + b"e0"
+    other = st.sampled_from([b"NaN", b"-Infinity", b"1e400", b"1", b"0", b"-0.5"])
+    new = draw(st.just(same) | other)
+    return raw[:match.start()] + new + raw[match.end():]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), trait_at=st.sampled_from(["first", "last", "zero", "past", "negative"]))
+def test_every_mutated_model_analyzes_and_exports_alike_or_is_one_json_error(small_model, data,
+                                                                            trait_at):
+    raw, num_traits, grades = small_model
+    model_bytes = data.draw(mutated_models(raw))
+    trait = {"first": 1, "last": num_traits, "zero": 0, "past": num_traits + 1,
+             "negative": -1}[trait_at]
+    with tempfile.TemporaryDirectory() as tmp:
+        model, report, profile = (Path(tmp) / name for name in ("model.json", "report.json",
+                                                                 "trait.csv"))
+        model.write_bytes(model_bytes)
+        commands = {report: ["analyze", "--model", model, "--grades", grades, "--out", report],
+                    profile: ["export-trait", "--model", model, "--trait", trait,
+                              "--out", profile]}
+
+        def outcomes():
+            seen = []
+            for out, argv in commands.items():
+                out.write_bytes(b"an earlier output\n")
+                stderr = io.StringIO()
+                with contextlib.redirect_stderr(stderr):
+                    code = run(argv)
+                lines = stderr.getvalue().splitlines()
+                if code == 0:
+                    assert lines == []
+                else:
+                    assert code == 1 and len(lines) == 1
+                    assert set(json.loads(lines[0])) == {"error", "detail"}
+                    assert out.read_bytes() == b"an earlier output\n"
+                seen.append((code, lines, out.read_bytes()))
+            return seen
+
+        read = outcomes()
+        original = hbtm.sampler._library
+        hbtm.sampler._library = lambda: None  # the json reader and the Python k-means
+        try:
+            assert outcomes() == read
+        finally:
+            hbtm.sampler._library = original
+        event(" ".join("ok" if code == 0 else "error" for code, _, _ in read))

@@ -4,6 +4,7 @@ import json
 import os
 import pickle
 import stat
+import sys
 from dataclasses import FrozenInstanceError, fields
 from types import SimpleNamespace
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from hbtm import (
     Corpus,
@@ -24,12 +26,15 @@ from hbtm import (
     estimate_posterior,
     load_corpus,
     load_schema,
+    sampler,
     save_corpus,
     save_schema,
     synthetic_schema,
     validate_corpus,
 )
-from hbtm.core import NUMBER_LIST_STUB, _number_lists_chunks, save_json, write_atomic
+from hbtm.core import (
+    NUMBER_LIST_STUB, _float_array_chunks, _number_lists_chunks, save_json, write_atomic,
+)
 from hbtm.ingest import MappingRule, write_rejects_csv
 
 from conftest import greedy_match_traits, random_corpus, total_variation
@@ -594,6 +599,120 @@ def test_a_self_containing_payload_is_reported_as_json_dumps_does(tmp_path):
     for payload in (loop, cycle, [[loop]]):
         with pytest.raises(ValueError, match="Circular reference"):
             save_json(payload, tmp_path / "out.json")
+
+
+# --- float arrays written by the compiled library -----------------------------
+
+
+def library_text(array: np.ndarray, level: int = 0) -> str | None:
+    """The compiled library's text for ``array`` ``level`` deep; None if it declines the array."""
+    if sampler._library() is None:
+        pytest.skip("no compiled library")
+    chunks = _float_array_chunks(array, level)
+    return None if chunks is None else "".join(chunks)
+
+
+def json_text(array: np.ndarray, level: int = 0) -> str:
+    return json.dumps(array.tolist(), indent=2).replace("\n", "\n" + "  " * level)
+
+
+def assert_written_as_repr_or_declined(array: np.ndarray, level: int = 0) -> bool:
+    """Whether the library writes ``array``; if it does, its text is json's, byte for byte."""
+    text = library_text(array, level)
+    if text is not None:
+        assert text == json_text(array, level)
+    return text is not None
+
+
+def powers_of_two_and_neighbours() -> list[float]:
+    powers = [2.0 ** k for k in range(-1074, 1024)]
+    return [float(x) for p in powers for x in (np.nextafter(p, 0.0), p, np.nextafter(p, np.inf))]
+
+
+SHORTEST_DIGITS = [  # the shortest round-trip forms have 15, 16 and 17 digits
+    0.123456789012345, 1234567890.12345, 0.1234567890123456, 123456789012.3456,
+    0.30000000000000004, 1.2345678901234567, 0.9007199254740993, 2.718281828459045,
+]
+HALFWAY = [  # exactly halfway between the two nearest shortest forms: the even one is written
+    15853097491924.0625, 195482867757207.625, 1865872891979953.25, 772714597012530.25,
+]
+PINNED = [0.0, -0.0, 5e-324, sys.float_info.max, 1e-4, 1e-5, 9.999999999999999e-05,
+          1e15, 1e16, 9999999999999998.0, 9007199254740993.0, *SHORTEST_DIGITS, *HALFWAY]
+
+
+def test_pinned_floats_are_written_as_repr_or_declined():
+    values = powers_of_two_and_neighbours() + PINNED
+    written = {v for v in values if assert_written_as_repr_or_declined(np.array([v]))}
+    # the documented range: zero, and 2^-49 <= |v| < 2^126
+    assert written == {v for v in values if v == 0.0 or 2.0 ** -49 <= v < 2.0 ** 126}
+    negated = np.array([-v for v in written])
+    assert assert_written_as_repr_or_declined(negated)
+    assert assert_written_as_repr_or_declined(negated.reshape(-1, 1), level=3)
+    assert not assert_written_as_repr_or_declined(np.array(values))  # 5e-324 declines them all
+
+
+def test_many_uniforms_and_sevenths_are_written_as_repr():
+    rng = np.random.default_rng(18)
+    for array in (rng.random(20000), np.arange(1, 20000) / 7, rng.dirichlet(np.ones(20), 500)):
+        assert assert_written_as_repr_or_declined(array, level=2)
+
+
+def in_range_bits(sign_exponent: int, fraction: int) -> int:
+    return sign_exponent << 52 | fraction
+
+
+shapes = array_shapes(min_dims=1, max_dims=3, max_side=4)
+float_elements = (st.floats() | st.floats(-1e17, 1e17) | st.floats(1e-13, 1.0)
+                  | st.sampled_from(PINNED))
+bit_elements = st.integers(0, 2 ** 64 - 1) | st.builds(
+    in_range_bits, st.integers(974, 1148) | st.integers(974 + 2048, 1148 + 2048),
+    st.integers(0, 2 ** 52 - 1) | st.sampled_from([0, 1, 2 ** 52 - 1]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(array=arrays(np.float64, shapes, elements=float_elements)
+       | arrays(np.uint64, shapes, elements=bit_elements).map(lambda a: a.view(np.float64)),
+       level=st.integers(0, 4))
+def test_float_arrays_are_written_as_repr_or_declined_whole(array, level):
+    written = assert_written_as_repr_or_declined(array, level)
+    alone = [assert_written_as_repr_or_declined(np.array([v])) for v in array.flat]
+    assert written == all(alone)
+
+
+@pytest.mark.parametrize("array", [
+    np.array([[0.25, 1e-300], [0.5, 0.5]]), np.array([[float("nan"), 1.0]]),
+    np.array([1e200, -1.5]), np.zeros((2, 0)), np.zeros(0), np.array(0.5), np.arange(3),
+    np.ones((2, 3), np.float32), np.array([0.1, 0.7])[::-1], np.asfortranarray(np.eye(3) / 3),
+])
+def test_declined_and_other_arrays_write_what_json_writes(tmp_path, monkeypatch, array):
+    # kept from the library (a number outside its range, NaN, a length-0 axis,
+    # another dtype or rank) or written by it (the strided and Fortran-ordered
+    # ones): the bytes are the same, and the same without the library
+    payload = {"posterior": {"theta": array, "x": [0.5]}, "y": array, "z": [1.0, array],
+               "\u00e9": 1}
+    want = json.dumps({"posterior": {"theta": array.tolist(), "x": [0.5]}, "y": array.tolist(),
+                       "z": [1.0, array.tolist()], "\u00e9": 1}, sort_keys=True, indent=2) + "\n"
+    save_json(payload, tmp_path / "kernel.json")
+    assert (tmp_path / "kernel.json").read_text() == want
+    monkeypatch.setattr(sampler, "_library", lambda: None)
+    save_json(payload, tmp_path / "python.json")
+    assert (tmp_path / "python.json").read_text() == want
+
+
+def test_a_fit_writes_the_same_model_with_and_without_the_library(tmp_path, monkeypatch):
+    corpus = random_corpus(np.random.default_rng(3), num_traces=6)
+    payload = sampler.fit(corpus, sampler.FitConfig(num_traits=3, sweeps=6, burn_in=2,
+                                                    sample_stride=2)).to_json_dict()
+    assert all(type(a) is np.ndarray for a in payload["posterior"].values())
+    listed = {**payload, "posterior": {k: a.tolist() for k, a in payload["posterior"].items()}}
+    for name, stub in (("plain", {}), ("stub", {"note": NUMBER_LIST_STUB})):
+        want = json.dumps({**listed, **stub}, sort_keys=True, indent=2) + "\n"
+        save_json({**payload, **stub}, tmp_path / f"{name}.json")
+        assert (tmp_path / f"{name}.json").read_text() == want
+        with monkeypatch.context() as patch:
+            patch.setattr(sampler, "_library", lambda: None)
+            save_json({**payload, **stub}, tmp_path / f"{name}-python.json")
+        assert (tmp_path / f"{name}-python.json").read_text() == want
 
 
 # --- atomic output files -----------------------------------------------------

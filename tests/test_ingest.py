@@ -688,6 +688,21 @@ def test_build_corpora_shares_one_token_per_distinct_triple(events):
         schema.num_events * schema.num_time_bins * schema.num_interaction_levels)
 
 
+def test_trace_ids_with_underscores_stay_apart_by_session():
+    # student a_1 in session 2 and student a in session 1_2 are both trace a_1_2
+    events = [raw(session="2", student="a_1"), raw(session="1_2", student="a"),
+              raw(session="2", student="a_1", dur=20.0), raw(session="1_2", student="b", dur=0.5),
+              raw(session="2", student="a", dur=0.5)]
+    schema, mapping, filt = Schema.default(), ActivityMapping.default(), FilterConfig()
+    result = build_corpora(events, mapping, schema, filt)
+    assert result.corpora == _corpora_with_fresh_tokens(events, mapping, schema, filt)
+    assert list(result.corpora) == ["2", "1_2"]
+    assert [(t.trace_id, len(t)) for t in result.corpora["2"].traces] == [("a_1_2", 2)]
+    assert [(t.trace_id, len(t)) for t in result.corpora["1_2"].traces] == [("a_1_2", 1)]
+    assert result.dropped_traces == ["a_2", "b_1_2"]
+    assert (result.tokenized, result.filtered) == (3, 2)
+
+
 def test_mapping_outside_schema_rejected():
     mapping = ActivityMapping((), default_index=99)
     with pytest.raises(ValueError):

@@ -101,7 +101,8 @@ def test_kernel_prototype_matches_its_argtypes():
     assert library is not None
     scalars = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
     prototypes = re.findall(r"^int64_t (hbtm_\w+)\s*\(([^)]*)\)", KERNEL_SOURCE.read_text(), re.M)
-    assert {"hbtm_sweep", "hbtm_scan", "hbtm_lloyd"} <= {name for name, _ in prototypes}
+    assert {"hbtm_sweep", "hbtm_scan", "hbtm_lloyd", "hbtm_rows", "hbtm_format"} <= {
+        name for name, _ in prototypes}
     for name, prototype in prototypes:
         function = getattr(library, name)
         params = prototype.split(",")
@@ -341,3 +342,76 @@ def test_row_reader_stays_inside_its_buffers_under_address_and_undefined_sanitiz
                           capture_output=True, text=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr[-3000:]
     assert int(done.stdout) >= 20  # random blocks led by GOOD answer some rows
+
+
+# Runs under libasan: the numbers, the shape and the output buffer are each
+# their own malloc block of exactly their size, so a read or write past any of
+# them stops the process
+SANITIZED_FORMAT = r"""
+import ctypes, json, random, struct, sys
+lib = ctypes.CDLL(sys.argv[1])
+libc = ctypes.CDLL(None)
+libc.malloc.restype = ctypes.c_void_p
+libc.malloc.argtypes = [ctypes.c_size_t]
+libc.free.argtypes = [ctypes.c_void_p]
+fmt = lib.hbtm_format
+fmt.restype = ctypes.c_int64
+fmt.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
+                ctypes.c_void_p, ctypes.c_int64]
+
+
+def call(values, shape, level, capacity):
+    blocks = [libc.malloc(max(8 * len(values), 1)), libc.malloc(8 * len(shape)),
+              libc.malloc(max(capacity, 1))]
+    data, dims, out = blocks
+    ctypes.memmove(data, struct.pack(f"{len(values)}d", *values), 8 * len(values))
+    ctypes.memmove(dims, struct.pack(f"{len(shape)}q", *shape), 8 * len(shape))
+    written = fmt(data, len(shape), dims, level, out, capacity)
+    text = ctypes.string_at(out, written).decode() if written > 0 else None
+    for block in blocks:
+        libc.free(block)
+    return text
+
+
+def nest(values, shape):
+    if len(shape) == 1:
+        return list(values)
+    step = len(values) // shape[0]
+    return [nest(values[i * step:(i + 1) * step], shape[1:]) for i in range(shape[0])]
+
+
+rng = random.Random(19)
+pool = [0.0, -0.0, 0.1, 1e-05, 1e16, 123456.789, 2.0 ** -49, 2.0 ** 126 * (1 - 2 ** -53),
+        1.7976931348623157e308, 5e-324, float("nan"), float("-inf")]
+written = declined = 0
+for case in range(400):
+    shape = [rng.randrange(1, 5) for _ in range(1 + case % 3)]
+    size = 1
+    for side in shape:
+        size *= side
+    values = [rng.choice(pool) if rng.random() < 0.1
+              else rng.uniform(-1, 1) * 10.0 ** rng.randrange(-14, 20) for _ in range(size)]
+    level = rng.randrange(4)
+    exact = json.dumps(nest(values, shape), indent=2).replace("\n", "\n" + "  " * level)
+    ok = all(v == 0.0 or 2.0 ** -49 <= abs(v) < 2.0 ** 126 for v in values)
+    assert call(values, shape, level, len(exact)) == (exact if ok else None)
+    assert call(values, shape, level, len(exact) - 1) is None
+    assert call(values, shape, level, rng.randrange(len(exact))) is None
+    written += ok
+    declined += not ok
+assert call([1.0], [1], 0, 1 << 20) == "[\n  1.0\n]"
+for shape, level in (([0], 0), ([2, 0], 0), ([1], -1), ([1] * 33, 0), ([1], 1 << 21)):
+    assert call([1.0], shape, level, 1 << 20) is None
+print(written, declined)
+"""
+
+
+def test_format_kernel_stays_inside_its_buffers_under_address_and_undefined_sanitizers(tmp_path):
+    library, env = _sanitized_library(tmp_path)
+    script = tmp_path / "format.py"
+    script.write_text(SANITIZED_FORMAT)
+    done = subprocess.run([sys.executable, str(script), str(library)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr[-3000:]
+    written, declined = map(int, done.stdout.split())
+    assert written >= 100 and declined >= 50
