@@ -1,5 +1,5 @@
-/* The compiled helpers of hbtm: hbtm_sweep, hbtm_scan, hbtm_lloyd, hbtm_rows and
- * hbtm_format.
+/* The compiled helpers of hbtm: hbtm_sweep, hbtm_scan, hbtm_lloyd, hbtm_rows,
+ * hbtm_format and hbtm_gammaln.
  *
  * hbtm_sweep runs one collapsed-Gibbs sweep over flat int64 count tables.
  * It reproduces sampler.reference_sweep bit for bit: each weight is computed
@@ -28,8 +28,13 @@
  * hbtm_format writes a float64 array as json.dumps lays out its tolist(),
  * each number spelled exactly as float.__repr__ spells it, or declines the
  * whole array for core.save_json to write from repr; see its own comment.
+ *
+ * hbtm_gammaln evaluates the log-gamma function of positive finite doubles
+ * with the same value for every one as scipy.special.gammaln, for
+ * sampler.collapsed_log_joint; see its own comment.
  */
 #include <float.h>
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -746,4 +751,89 @@ int64_t hbtm_format(const double *x, int64_t ndim, const int64_t *shape, int64_t
         pw.pow10[j] = pw.pow10[j - 1] * 10;
     const char *const end = format_list(&x, shape, ndim, level, &pw, out, out + capacity);
     return end ? end - out : 0;
+}
+
+/* Cephes' lgam (Moshier, Cephes Math Library 2.8; the one scipy.special.gammaln
+ * runs for real x), restricted to 0 < x <= DBL_MAX, with its constants and
+ * its operation order, so each value equals scipy's bit for bit. Below 13 the
+ * argument is moved into [2, 3) by the recurrence and the B/C rational gives
+ * the rest; above, Stirling's series, with the A polynomial below 1000, three
+ * terms below 1e8 and none above. */
+static const double LGAM_A[] = {
+    8.11614167470508450300E-4, -5.95061904284301438324E-4, 7.93650340457716943945E-4,
+    -2.77777777730099687205E-3, 8.33333333333331927722E-2,
+};
+static const double LGAM_B[] = {
+    -1.37825152569120859100E3, -3.88016315134637840924E4, -3.31612992738871184744E5,
+    -1.16237097492762307383E6, -1.72173700820839662146E6, -8.53555664245765465627E5,
+};
+static const double LGAM_C[] = {  /* monic: the leading 1 is p1evl's */
+    -3.51815701436523470549E2, -1.70642106651881159223E4, -2.20528590553854454839E5,
+    -1.13933444367982507207E6, -2.53252307177582951285E6, -2.01889141433532773231E6,
+};
+static const double LS2PI = 0.91893853320467274178;  /* log(sqrt(2 pi)) */
+static const double MAXLGM = 2.556348e305;           /* lgam overflows above */
+
+/* coef[0] x^n + ... + coef[n], by Horner's rule */
+static double polevl(double x, const double *coef, int n)
+{
+    double ans = coef[0];
+    for (int i = 1; i <= n; i++)
+        ans = ans * x + coef[i];
+    return ans;
+}
+
+/* x^n + coef[0] x^(n-1) + ... + coef[n-1], by Horner's rule */
+static double p1evl(double x, const double *coef, int n)
+{
+    double ans = x + coef[0];
+    for (int i = 1; i < n; i++)
+        ans = ans * x + coef[i];
+    return ans;
+}
+
+static double lgam(double x)
+{
+    if (x < 13.0) {
+        double z = 1.0, p = 0.0, u = x;
+        while (u >= 3.0) {
+            p -= 1.0;
+            u = x + p;
+            z *= u;
+        }
+        while (u < 2.0) {
+            z /= u;
+            p += 1.0;
+            u = x + p;
+        }
+        if (u == 2.0)
+            return log(z);
+        p -= 2.0;
+        x = x + p;
+        return log(z) + x * polevl(x, LGAM_B, 5) / p1evl(x, LGAM_C, 6);
+    }
+    if (x > MAXLGM)
+        return HUGE_VAL;
+    double q = (x - 0.5) * log(x) - x + LS2PI;
+    if (x > 1.0e8)
+        return q;
+    const double p = 1.0 / (x * x);
+    if (x >= 1000.0)
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x;
+    return q + polevl(p, LGAM_A, 4) / x;
+}
+
+/* out[j] = log|Gamma(x[j])| for j < n, as scipy.special.gammaln gives it;
+ * out may be x. Returns 0, or j + 1 to decline element j, which is not
+ * positive or not finite (lgam's poles and its reflection branch are scipy's
+ * to answer); out[0..j) is written by then. */
+int64_t hbtm_gammaln(const double *x, int64_t n, double *out)
+{
+    for (int64_t j = 0; j < n; j++) {
+        if (!(x[j] > 0.0 && x[j] <= DBL_MAX))
+            return j + 1;
+        out[j] = lgam(x[j]);
+    }
+    return 0;
 }

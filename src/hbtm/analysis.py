@@ -45,7 +45,7 @@ class KMeansResult:
 
 def student_t_two_sided_p(t: float, df: float) -> float:
     """P(|T| >= |t|) for Student's t via the regularized incomplete beta."""
-    from scipy.special import betainc  # on use: only fit and analyze need scipy
+    from scipy.special import betainc  # on use: only analyze needs scipy
     if df <= 0:
         raise ValueError("degrees of freedom must be positive")
     if math.isinf(t):

@@ -204,7 +204,7 @@ def _cmd_generate(resolved: dict) -> int:
     core.save_schema(schema, Path(str(prefix) + ".schema.json"))
     truth = {
         "config": resolved,
-        "params": params.to_dict(),
+        "params": {name: getattr(params, name) for name in ("theta", "phi", "psi", "tau")},
         "assignments": [list(row) for row in labeled.assignments],
     }
     core.save_json(truth, Path(str(prefix) + ".truth.json"))

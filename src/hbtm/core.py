@@ -246,14 +246,6 @@ class Posterior:
     def num_traits(self) -> int:
         return self.phi.shape[0]
 
-    def to_dict(self) -> dict:
-        return {
-            "theta": self.theta.tolist(),
-            "phi": self.phi.tolist(),
-            "psi": self.psi.tolist(),
-            "tau": self.tau.tolist(),
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "Posterior":
         return cls(d["theta"], d["phi"], d["psi"], d["tau"])

@@ -24,8 +24,11 @@ system C compiler on first use and cached under ``$XDG_CACHE_HOME/hbtm``
 Python: it is the oracle the kernel must match bit for bit, and the fallback
 when no compiler or cache directory is usable. The same library runs
 ``analysis.kmeans``' Lloyd iterations, reads the plain rows of
-``ingest.parse_raw_log`` and writes the float arrays of ``core.save_json``.
-A process that falls back says so once, in one line on stderr.
+``ingest.parse_raw_log``, writes the float arrays of ``core.save_json`` and
+evaluates the log-gamma terms of ``collapsed_log_joint`` (``hbtm_gammaln``,
+equal to ``scipy.special.gammaln``, which stays its fallback, so a fit with
+the library imports no scipy). A process that falls back says so once, in
+one line on stderr.
 
 ``load_fit_result`` reads the posterior of a model file in ``core.save_json``'s
 layout through the same library's number scanner, and every other file, or
@@ -443,7 +446,7 @@ def _build_kernel(source: Path, library: Path) -> None:
     try:
         try:
             done = subprocess.run(
-                ["cc", *_CFLAGS, "-o", tmp, str(source)], capture_output=True, text=True
+                ["cc", *_CFLAGS, "-o", tmp, str(source), "-lm"], capture_output=True, text=True
             )
         except FileNotFoundError:
             raise OSError("no C compiler: cc is not on the PATH") from None
@@ -479,14 +482,16 @@ def _load_kernel():
         except OSError:
             _build_kernel(source, library)
             loaded = ctypes.CDLL(str(library))
-        sweep, scan, lloyd, rows, fmt = (loaded.hbtm_sweep, loaded.hbtm_scan, loaded.hbtm_lloyd,
-                                         loaded.hbtm_rows, loaded.hbtm_format)
+        sweep, scan, lloyd, rows, fmt, gammaln = (
+            loaded.hbtm_sweep, loaded.hbtm_scan, loaded.hbtm_lloyd, loaded.hbtm_rows,
+            loaded.hbtm_format, loaded.hbtm_gammaln)
     except OSError as exc:
         reason = " ".join(str(exc).split())
         print(f"hbtm: compiled library unavailable ({reason}); "
               "falling back to the slower Python code", file=sys.stderr)
         return None
-    sweep.restype = scan.restype = lloyd.restype = rows.restype = fmt.restype = ctypes.c_int64
+    for function in (sweep, scan, lloyd, rows, fmt, gammaln):
+        function.restype = ctypes.c_int64
     sweep.argtypes = [ctypes.c_int64] * 5 + [ctypes.c_double] * 7 + [ctypes.c_void_p] * 12
     scan.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
                      ctypes.c_int64]
@@ -494,6 +499,7 @@ def _load_kernel():
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     rows.argtypes = [ptr, i64, i64, i64, ptr, i64, i64, ptr, i64, ptr, i64, ptr, ptr, ptr]
     fmt.argtypes = [ptr, i64, ptr, i64, ptr, i64]
+    gammaln.argtypes = [ptr, i64, ptr]
     return loaded
 
 
@@ -554,6 +560,23 @@ def gibbs_sweep(state: ModelState, hyper: Hyperparams) -> ModelState:
     return state
 
 
+def _gammaln(x) -> np.ndarray:
+    """``scipy.special.gammaln`` of ``x`` as a float64 array, element for element.
+
+    The compiled library's ``hbtm_gammaln`` answers when every element is
+    positive and finite; scipy, imported only then, answers every other array
+    and every array when the library is missing.
+    """
+    library = _library()
+    if library is not None:
+        out = np.array(x, dtype=float)  # the library overwrites it in place
+        address = out.ctypes.data
+        if not library.hbtm_gammaln(address, out.size, address):
+            return out
+    from scipy.special import gammaln  # on use: analyze, and fit without the library
+    return gammaln(x)
+
+
 def _gammaln_shifted(counts: np.ndarray, shift: float) -> np.ndarray:
     """``gammaln(counts + shift)`` element by element, in the shape of ``counts``.
 
@@ -561,12 +584,11 @@ def _gammaln_shifted(counts: np.ndarray, shift: float) -> np.ndarray:
     is smaller than the array: its entries are the same floats, so the result
     is equal element for element.
     """
-    from scipy.special import gammaln  # on use: only fit and analyze need scipy
     if counts.dtype.kind in "iu" and counts.size > 1:
         top = int(counts.max())
         if top + 1 < counts.size and counts.min() >= 0:
-            return gammaln(np.arange(top + 1) + shift)[counts]
-    return gammaln(counts + shift)
+            return _gammaln(np.arange(top + 1) + shift)[counts]
+    return _gammaln(counts + shift)
 
 
 def _dm_log_marginal(counts, concentration: float) -> float:
@@ -576,14 +598,14 @@ def _dm_log_marginal(counts, concentration: float) -> float:
     for the symmetric prior, written in log-gamma form. Zero-count rows
     contribute exactly 0.
     """
-    from scipy.special import gammaln
     arr = np.asarray(counts)
     if arr.dtype.kind not in "iu":
         arr = arr.astype(float)
     rows = arr.reshape(-1, arr.shape[-1])
     dim = rows.shape[1]
     row_totals = rows.sum(axis=1)
-    value = rows.shape[0] * (gammaln(dim * concentration) - dim * gammaln(concentration))
+    row_prior, cell_prior = _gammaln([dim * concentration, concentration])
+    value = rows.shape[0] * (row_prior - dim * cell_prior)
     value += _gammaln_shifted(rows, concentration).sum()
     value -= _gammaln_shifted(row_totals, dim * concentration).sum()
     return float(value)

@@ -72,6 +72,24 @@ def test_generate_outputs_and_determinism(tmp_path):
     assert len(truth["assignments"]) == 4
 
 
+@pytest.mark.parametrize("concentrations", [[], ["--alpha", 5, "--beta", 4, "--gamma", 3,
+                                                 "--delta", 2]], ids=["default", "large"])
+def test_generate_writes_the_truth_as_json_dumps_of_its_lists(tmp_path, concentrations):
+    # the compiled writer declines the tiny Dirichlet(0.1) draws of the default
+    # concentrations and writes those of the large ones
+    prefix = tmp_path / "t"
+    assert run(["generate", "--traits", 3, "--traces", 5, "--tokens-per-trace", 6,
+                "--seed", 2, "--out-prefix", prefix, *concentrations]) == 0
+    written = (tmp_path / "t.truth.json").read_text()
+    truth = json.loads(written)
+    hyper = hbtm.Hyperparams(*(truth["config"][k] for k in ("alpha", "beta", "gamma", "delta")))
+    schema = hbtm.core.load_schema(tmp_path / "t.schema.json")
+    truth_params = hbtm.sample_params(3, 5, schema, hyper, 2)
+    params = {name: getattr(truth_params, name).tolist() for name in ("theta", "phi", "psi", "tau")}
+    assert truth["params"] == params
+    assert written == json.dumps(dict(truth, params=params), sort_keys=True, indent=2) + "\n"
+
+
 def test_generate_default_dims_match_standard_schema(tmp_path):
     prefix = tmp_path / "d"
     assert run(["generate", "--traits", 2, "--traces", 2, "--tokens-per-trace", 3,
@@ -678,7 +696,7 @@ print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
 
 
 def test_ingest_generate_and_export_trait_never_import_scipy(tmp_path, generated):
-    # scipy's import is most of a short command's process time; only fit and analyze call it
+    # scipy's import is most of a short command's process time; only analyze calls it
     model = fit_small_model(tmp_path, generated)
     raw, cmap = tmp_path / "raw.csv", tmp_path / "cols.json"
     write_raw_csv(raw, ["1,s1,Deeds_Es_1_1,0,30,1,1,5", "1,s1,TextEditor,40,41.5,0,1,3"])
@@ -694,6 +712,41 @@ def test_ingest_generate_and_export_trait_never_import_scipy(tmp_path, generated
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["[]"]
     assert (tmp_path / "trait.csv").exists()
+
+
+FIT_SCIPY = r"""
+import sys
+import hbtm.cli
+import hbtm.sampler
+corpus, schema, out, library = sys.argv[1:]
+if library == "missing":
+    hbtm.sampler._library = lambda: None
+assert hbtm.cli.main(["fit", "--corpus", corpus, "--schema", schema, "--traits", "3",
+                      "--sweeps", "9", "--burn-in", "3", "--stride", "2", "--out", out]) == 0
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy") != [])
+"""
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_fit_imports_scipy_only_without_the_compiled_library(tmp_path, generated):
+    # the library's log-gamma serves the log joint; scipy's is its fallback,
+    # with the same floats in the model
+    src = str(Path(hbtm.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    model = tmp_path / "model.json"  # one path for both runs: the model records it
+    written = {}
+    for library in ("built", "missing"):
+        done = subprocess.run(
+            [sys.executable, "-c", FIT_SCIPY, str(generated.with_suffix(".jsonl")),
+             str(generated) + ".schema.json", str(model), library],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        written[library] = (done.stdout, model.read_bytes())
+        model.unlink()
+    assert written["built"][0] == "False\n" and written["missing"][0] == "True\n"
+    assert written["built"][1] == written["missing"][1]
 
 
 @pytest.mark.parametrize("grade, cell", [

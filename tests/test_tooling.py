@@ -101,8 +101,8 @@ def test_kernel_prototype_matches_its_argtypes():
     assert library is not None
     scalars = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
     prototypes = re.findall(r"^int64_t (hbtm_\w+)\s*\(([^)]*)\)", KERNEL_SOURCE.read_text(), re.M)
-    assert {"hbtm_sweep", "hbtm_scan", "hbtm_lloyd", "hbtm_rows", "hbtm_format"} <= {
-        name for name, _ in prototypes}
+    assert {"hbtm_sweep", "hbtm_scan", "hbtm_lloyd", "hbtm_rows", "hbtm_format",
+            "hbtm_gammaln"} <= {name for name, _ in prototypes}
     for name, prototype in prototypes:
         function = getattr(library, name)
         params = prototype.split(",")
@@ -415,3 +415,53 @@ def test_format_kernel_stays_inside_its_buffers_under_address_and_undefined_sani
     assert done.returncode == 0, done.stderr[-3000:]
     written, declined = map(int, done.stdout.split())
     assert written >= 100 and declined >= 50
+
+
+# Runs under libasan: the arguments and the output are each their own malloc
+# block of exactly their length, so a read or write past either stops the
+# process
+SANITIZED_GAMMALN = r"""
+import ctypes, math, random, struct, sys
+lib = ctypes.CDLL(sys.argv[1])
+libc = ctypes.CDLL(None)
+libc.malloc.restype = ctypes.c_void_p
+libc.malloc.argtypes = [ctypes.c_size_t]
+libc.free.argtypes = [ctypes.c_void_p]
+gammaln = lib.hbtm_gammaln
+gammaln.restype = ctypes.c_int64
+gammaln.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+rng = random.Random(11)
+special = [0.0, -0.0, -1.0, math.inf, -math.inf, math.nan, 5e-324, sys.float_info.min,
+           2.0, 3.0, 13.0, 1000.0, 1e8, 2.556348e305, sys.float_info.max]
+def draw():
+    if rng.random() < 0.05:
+        return rng.choice(special)
+    return struct.unpack("<d", struct.pack("<Q", rng.getrandbits(63)))[0]
+answered = declined = 0
+for _ in range(3000):
+    values = [draw() for _ in range(rng.randrange(40))]
+    n = len(values)
+    x, out = libc.malloc(max(n, 1) * 8), libc.malloc(max(n, 1) * 8)
+    ctypes.memmove(x, struct.pack(f"<{n}d", *values), n * 8)
+    failed = gammaln(x, n, out)
+    good = [v > 0 and v != math.inf for v in values]
+    assert failed == (good.index(False) + 1 if False in good else 0), (values, failed)
+    written = struct.unpack(f"<{n}d", ctypes.string_at(out, n * 8))
+    assert not any(math.isnan(v) for v in written[:failed - 1 if failed else n])
+    answered += failed == 0
+    declined += failed > 0
+    libc.free(x)
+    libc.free(out)
+print(answered, declined)
+"""
+
+
+def test_gammaln_kernel_stays_inside_its_buffers_under_address_and_undefined_sanitizers(tmp_path):
+    library, env = _sanitized_library(tmp_path)
+    script = tmp_path / "gammaln.py"
+    script.write_text(SANITIZED_GAMMALN)
+    done = subprocess.run([sys.executable, str(script), str(library)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr[-3000:]
+    answered, declined = map(int, done.stdout.split())
+    assert answered >= 100 and declined >= 100
