@@ -45,8 +45,6 @@ from .ingest import (
     RawEvents,
     RejectedRow,
     build_corpora,
-    discretize_duration,
-    discretize_interaction,
     map_activity,
     parse_raw_log,
 )

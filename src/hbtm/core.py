@@ -446,15 +446,30 @@ def load_schema(path) -> Schema:
     return Schema.from_dict(json.loads(Path(path).read_text()))
 
 
+class _TokenTexts(dict):
+    """Maps each token to its JSON text, spelled once per distinct token."""
+
+    def __missing__(self, token) -> str:
+        text = self[token] = json.dumps(token, separators=(",", ":"))
+        return text
+
+
 def save_corpus(corpus: Corpus, path) -> None:
-    """Write one trace per line: {"trace_id": ..., "tokens": [[e, t, i], ...]}."""
-    write_atomic(path, "".join(
-        json.dumps(
-            {"trace_id": trace.trace_id, "tokens": trace.tokens},
-            sort_keys=True, separators=(",", ":"),
-        ) + "\n"
+    """Write one trace per line: {"tokens": [[e, t, i], ...], "trace_id": ...}.
+
+    Each line is ``json.dumps({"trace_id": ..., "tokens": ...}, sort_keys=True,
+    separators=(",", ":"))``. Each distinct token is spelled once and the
+    texts are joined per trace. Token components are ints, as every builder
+    and reader here makes them; equal tokens are spelled alike, so a bool or
+    float component equal to an int would take the spelling of the first
+    equal token.
+    """
+    text_of = _TokenTexts().__getitem__
+    write_atomic(path, [
+        f'{{"tokens":[{",".join(map(text_of, trace.tokens))}],'
+        f'"trace_id":{json.dumps(trace.trace_id)}}}\n'
         for trace in corpus.traces
-    ))
+    ])
 
 
 # The exact line ``save_corpus`` writes, with an id that needs no JSON escape

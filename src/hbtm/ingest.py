@@ -13,9 +13,9 @@ import io
 import json
 import math
 import re
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -26,7 +26,7 @@ from .core import Corpus, FrozenSlots, Schema, Token, Trace, skip_bom, write_ato
 
 OTHER_EVENT_INDEX = 14
 
-_TIMESTAMP_FORMATS = (
+_TIMESTAMP_FORMATS = (  # each holds a ":", which _parse_timestamp relies on
     "%d.%m.%Y %H:%M:%S",
     "%d/%m/%Y %H:%M:%S",
     "%Y-%m-%d %H:%M:%S.%f",
@@ -43,27 +43,57 @@ _BLOCK_CHARS = 1 << 20  # body characters per compiled read, about 1 MiB
 _ROW_OK, _ROW_BLANK, _ROW_COLUMNS = 1, 2, 6  # as in _sweep.c's hbtm_rows
 
 
-@dataclass(slots=True)
-class RawEvents:
-    """Parsed log rows as one list per field, in file order; timestamps are epoch seconds.
+def _ints(values) -> np.ndarray:
+    """``values`` as int64, or as Python ints in an object array when one leaves int64."""
+    try:
+        return np.asarray(values, np.int64)
+    except OverflowError:  # a count text such as 1e30, which the Python reader takes
+        return np.asarray(values, object)
 
-    Iterating yields each row as a tuple in field order.
+
+@dataclass(slots=True, eq=False)
+class RawEvents:
+    """Parsed log rows as one array per field, in file order.
+
+    ``session``, ``student_id`` and ``activity`` are int64 codes into
+    ``names``, which holds each distinct stripped text once; ``start_time``
+    and ``end_time`` are float64 epoch seconds; ``mouse_clicks`` and
+    ``keystrokes`` are the count sums, int64, or Python ints in an object
+    array when a sum leaves int64. A column given as a list becomes its
+    array. Iterating yields each row as a tuple of Python values in field
+    order, names as texts; two RawEvents are equal when their rows are.
     """
 
-    session: list[str] = field(default_factory=list)
-    student_id: list[str] = field(default_factory=list)
-    activity: list[str] = field(default_factory=list)
-    start_time: list[float] = field(default_factory=list)
-    end_time: list[float] = field(default_factory=list)
-    mouse_clicks: list[int] = field(default_factory=list)
-    keystrokes: list[int] = field(default_factory=list)
+    names: list[str] = field(default_factory=list)
+    session: np.ndarray = field(default_factory=list)
+    student_id: np.ndarray = field(default_factory=list)
+    activity: np.ndarray = field(default_factory=list)
+    start_time: np.ndarray = field(default_factory=list)
+    end_time: np.ndarray = field(default_factory=list)
+    mouse_clicks: np.ndarray = field(default_factory=list)
+    keystrokes: np.ndarray = field(default_factory=list)
+
+    def __post_init__(self):
+        self.session, self.student_id, self.activity = (
+            np.asarray(codes, np.int64) for codes in (self.session, self.student_id, self.activity))
+        self.start_time, self.end_time = (
+            np.asarray(stamps, np.float64) for stamps in (self.start_time, self.end_time))
+        self.mouse_clicks, self.keystrokes = map(_ints, (self.mouse_clicks, self.keystrokes))
 
     def __len__(self) -> int:
         return len(self.session)
 
     def __iter__(self):
-        return zip(self.session, self.student_id, self.activity, self.start_time,
-                   self.end_time, self.mouse_clicks, self.keystrokes)
+        text_of = self.names.__getitem__
+        return zip(*(map(text_of, codes.tolist())
+                     for codes in (self.session, self.student_id, self.activity)),
+                   *(column.tolist() for column in (self.start_time, self.end_time,
+                                                    self.mouse_clicks, self.keystrokes)))
+
+    def __eq__(self, other):
+        if not isinstance(other, RawEvents):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
 
 
 @dataclass(frozen=True)
@@ -170,40 +200,6 @@ def map_activity(label: str, mapping: ActivityMapping) -> int:
     return mapping.default_index
 
 
-def discretize_duration(seconds: float, schema: Schema, filt: FilterConfig) -> int | None:
-    """Time-bin index for an admitted duration, or None when filtered out.
-
-    Bins are left-open/right-closed between consecutive schema edges. Returns
-    None when the duration falls outside the filter window or outside the
-    binned range (only possible when the window is wider than the edges).
-    """
-    if not seconds > 0:
-        raise ValueError(f"duration must be positive, got {seconds}")
-    if seconds < filt.min_duration_s or seconds > filt.max_duration_s:
-        return None
-    edges = schema.time_bin_edges
-    idx = bisect_left(edges, seconds) - 1
-    if idx < 0 or idx >= schema.num_time_bins:
-        return None
-    return idx
-
-
-def discretize_interaction(total_count: int, schema: Schema) -> int:
-    """Interaction-level index; counts at or above the top edge clamp to the top level.
-
-    Bins are left-closed/right-open; the top edge reads as an observed
-    maximum, not a cap, so larger totals land in the highest level.
-    """
-    if total_count < 0:
-        raise ValueError(f"interaction count must be nonnegative, got {total_count}")
-    edges = schema.interaction_bin_edges
-    idx = bisect_right(edges, total_count) - 1
-    top = schema.num_interaction_levels - 1
-    if idx < 0:
-        return 0
-    return min(idx, top)
-
-
 def _epoch(dt: datetime) -> float:
     # naive stamps are pinned to UTC so results never depend on the host zone
     if dt.tzinfo is None:
@@ -247,12 +243,16 @@ def _count(text: str) -> int:
 
 
 def _parse_timestamp(raw: str) -> float:
-    """Epoch seconds of a stripped stamp in any accepted form; ValueError if none fits."""
+    """Epoch seconds of a stripped stamp in any accepted form; ValueError if none fits.
+
+    Every strptime pattern holds a literal ``:``, so a text without one (plain
+    epoch seconds, say) goes from ``fromisoformat`` straight to ``float``.
+    """
     try:
         return _epoch(datetime.fromisoformat(raw))
     except ValueError:
         pass
-    for candidate in _TIMESTAMP_FORMATS:
+    for candidate in _TIMESTAMP_FORMATS if ":" in raw else ():
         try:
             return _epoch(datetime.strptime(raw, candidate))
         except ValueError:
@@ -309,15 +309,19 @@ def _read_block(lines, budget: int) -> tuple[list[str], Exception | None]:
     """The next lines of ``lines``, about ``budget`` characters, and the error that ended them.
 
     The lines read before a failing read are kept: they are parsed before
-    the error is raised, as ``csv.reader`` would.
+    the error is raised, as ``csv.reader`` would. Lines are taken a batch at
+    a time, one line per 4 KiB of budget and at most 256, by ``list.extend``,
+    which keeps what it appended before an error; below 4 KiB a block ends at
+    the line that reaches the budget.
     """
-    block, size = [], 0
+    block, size, batch = [], 0, min(256, 1 + budget // 4096)
     try:
-        for line in lines:
-            block.append(line)
-            size += len(line)
-            if size >= budget:
+        while size < budget:
+            start = len(block)
+            block.extend(islice(lines, batch))
+            if len(block) == start:
                 break
+            size += sum(map(len, block[start:]))
     except (OSError, ValueError) as exc:  # ValueError: an undecodable byte, say
         return block, exc
     return block, None
@@ -331,21 +335,22 @@ def _rest(block: list[str], error: Exception | None, lines):
     yield from lines
 
 
-def _row_scanner(library, need: int, columns: list[int], n_mouse: int, intern):
+def _row_scanner(library, need: int, columns: list[int], n_mouse: int, code_of):
     """A reader of plain body blocks through the compiled ``hbtm_rows``.
 
     ``columns`` are the field indices of the session, student, activity,
     start and end, then of every count column, mouse columns first. The
-    reader takes a block's text and its number of lines, and returns the
-    seven field columns of every line (each distinct session, student and
-    activity text passed once through ``intern``) and the ``(index, blank)``
-    of each line the library did not answer.
+    reader takes a block's text and its number of lines, and returns each
+    line's ``hbtm_rows`` status and the seven field columns of the block:
+    the session, student and activity codes (each distinct text passed once
+    through ``code_of``; -1 on a line not answered), the two stamps and the
+    two count sums.
     """
     index = np.array(columns, np.int64)
     fields = np.empty(2 * need, np.int64)  # the library's field pointers
     max_line = csv.field_size_limit()  # a longer line may hold a field csv refuses
 
-    def scan(text: str, n: int) -> tuple[list[list], list[tuple[int, bool]]]:
+    def scan(text: str, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
         data = text.encode()
         slots = np.empty(1 << (6 * n).bit_length(), np.int64)
         bounds = np.empty(6 * n, np.int64)
@@ -355,15 +360,24 @@ def _row_scanner(library, need: int, columns: list[int], n_mouse: int, intern):
             fields.ctypes.data, n, slots.ctypes.data, slots.size, bounds.ctypes.data,
             rows.ctypes.data, stamps.ctypes.data)
         lo_hi = bounds[:2 * distinct].tolist()
-        texts = list(map(text.__getitem__, map(slice, lo_hi[::2], lo_hi[1::2])))
-        strings = list(map(intern, texts, texts)) + [None]  # id -1: a line not answered
-        status, *ids, mouse, keys = rows.tolist()
-        names = [list(map(strings.__getitem__, column)) for column in ids]
-        unanswered = [(j, status[j] == _ROW_BLANK)
-                      for j in np.flatnonzero(rows[0] != _ROW_OK).tolist()]
-        return names + stamps.tolist() + [mouse, keys], unanswered
+        codes = [code_of(text[lo:hi]) for lo, hi in zip(lo_hi[::2], lo_hi[1::2])]
+        names = np.array(codes + [-1], np.int64)[rows[1:4]]  # id -1: a line not answered
+        return rows[0], [*names, *stamps, *rows[4:]]
 
     return scan
+
+
+_DTYPES = (np.int64,) * 3 + (np.float64,) * 2 + (np.int64,) * 2  # RawEvents' columns
+
+
+def _put(column: np.ndarray, index, values) -> np.ndarray:
+    """``column`` with ``values`` written at ``index``; Python ints where one leaves int64."""
+    try:
+        column[index] = values
+    except OverflowError:
+        column = column.astype(object)
+        column[index] = values
+    return column
 
 
 def parse_raw_log(fh, column_map: dict) -> tuple[RawEvents, list[RejectedRow]]:
@@ -383,12 +397,13 @@ def parse_raw_log(fh, column_map: dict) -> tuple[RawEvents, list[RejectedRow]]:
 
     Without a ``timestamp_format``, the body is read in blocks of about
     ``_BLOCK_CHARS`` characters by the compiled library's ``hbtm_rows``,
-    which answers the plain rows and leaves every other row to ``take``, the
-    Python reader. From the first block that is not ASCII or holds a double
-    quote, a carriage return or a NUL, or when the library is missing, the
-    rest goes through ``csv.reader`` and ``take``: the results and errors are
-    the same either way. Equal session, student and activity texts share one
-    string.
+    which answers the plain rows into arrays and leaves every other row to
+    ``take``, the Python reader, whose values are written into the block's
+    arrays in place. From the first block that is not ASCII or holds a
+    double quote, a carriage return or a NUL, or when the library is
+    missing, the rest goes through ``csv.reader`` and ``take``: the results
+    and errors are the same either way. The returned columns are numpy
+    arrays, so no Python object is made per answered row.
     """
     required = ("session", "student_id", "activity", "start_time", "end_time",
                 "mouse_clicks", "keystrokes")
@@ -398,9 +413,9 @@ def parse_raw_log(fh, column_map: dict) -> tuple[RawEvents, list[RejectedRow]]:
 
     lines = skip_bom(fh)
     header = next(csv.reader(lines), None)
-    events, rejects = RawEvents(), []
+    rejects = []
     if header is None:
-        return events, rejects
+        return RawEvents(), rejects
     mouse_cols = _count_columns(column_map["mouse_clicks"])
     key_cols = _count_columns(column_map["keystrokes"])
     mapped_cols = (
@@ -424,82 +439,93 @@ def parse_raw_log(fh, column_map: dict) -> tuple[RawEvents, list[RejectedRow]]:
     fmt = column_map.get("timestamp_format")
     read_stamp = _timestamp_reader(fmt)
     count_of = _Table(_count).__getitem__
-    intern = {}.setdefault
-    columns = [getattr(events, name) for name in required]
-    add_session, add_student, add_activity, add_start, add_end, add_mouse, add_keys = (
-        column.append for column in columns)
+    codes: dict[str, int] = {}  # each distinct name text and its code, in code order
 
-    def take(row_number: int, row: list[str]) -> None:
-        """One non-blank row to an event or a reject."""
+    def code_of(text: str) -> int:
+        return codes.setdefault(text, len(codes))
+
+    def take(row_number: int, row: list[str]) -> tuple | None:
+        """One non-blank row's values in RawEvents' field order, or None for a reject."""
         if len(row) < need:
             rejects.append(RejectedRow(row_number, "short row"))
-            return
+            return None
         try:
             start = read_stamp(row[i_start])
             end = read_stamp(row[i_end])
         except (ValueError, TypeError):
             rejects.append(RejectedRow(row_number, "bad timestamp"))
-            return
+            return None
         if end < start:
             rejects.append(RejectedRow(row_number, "negative duration"))
-            return
+            return None
         try:
             counts = list(map(count_of, count_texts(row)))
         except (ValueError, OverflowError):
             rejects.append(RejectedRow(row_number, "bad interaction count"))
-            return
+            return None
         if min(counts, default=0) < 0:
             rejects.append(RejectedRow(row_number, "negative interaction count"))
-            return
-        session, student, activity = (
-            row[i_session].strip(), row[i_student].strip(), row[i_activity].strip())
-        add_session(intern(session, session))
-        add_student(intern(student, student))
-        add_activity(intern(activity, activity))
-        add_start(start)
-        add_end(end)
-        add_mouse(sum(counts[:n_mouse]))
-        add_keys(sum(counts[n_mouse:]))
+            return None
+        return (code_of(row[i_session].strip()), code_of(row[i_student].strip()),
+                code_of(row[i_activity].strip()), start, end,
+                sum(counts[:n_mouse]), sum(counts[n_mouse:]))
 
     library = None if fmt else sampler._library()
+    parts = [[np.empty(0, dtype)] for dtype in _DTYPES]  # each column's blocks, in file order
     block, error = [], None
-    row_number = 0
+    row_number = 0  # the data rows before the one being read
     try:
         if library is not None:
             scan = _row_scanner(library, need, [i_session, i_student, i_activity, i_start,
-                                                i_end, *count_cols], n_mouse, intern)
+                                                i_end, *count_cols], n_mouse, code_of)
             while True:
                 block, error = _read_block(lines, _BLOCK_CHARS)
                 text = "".join(block)
                 if (not block or error is not None or not text.isascii()
                         or any(c in text for c in '"\r\0')):
                     break
-                values, unanswered = scan(text, len(block))
+                status, columns = scan(text, len(block))
+                kept = status == _ROW_OK
+                unanswered = np.flatnonzero(~kept).tolist()
                 # one row per line: a plain line holds no quote; a field past csv's
                 # size limit raises as below
-                declined = csv.reader([block[j] for j, blank in unanswered if not blank])
-                at = 0  # answered rows [at, j) go in as slices; the end flushes the last run
-                for j, blank in unanswered + [(len(block), True)]:
-                    if at < j:
-                        for column, answered in zip(columns, values):
-                            column += answered[at:j]
-                        row_number += j - at
-                    if not blank:
-                        row = next(declined)
-                        row_number += 1
-                        take(row_number, row)
-                    at = j + 1
+                declined = csv.reader([block[j] for j in unanswered if status[j] != _ROW_BLANK])
+                base, blanks, taken = row_number, 0, {}
+                for j in unanswered:
+                    if status[j] == _ROW_BLANK:
+                        blanks += 1
+                        continue
+                    row_number = base + j - blanks
+                    values = take(row_number + 1, next(declined))
+                    if values is not None:
+                        taken[j] = values
+                row_number = base + len(block) - blanks
+                if taken:
+                    at = list(taken)
+                    kept[at] = True
+                    columns = list(map(_put, columns, [at] * 7, zip(*taken.values())))
+                for part, column in zip(parts, columns):
+                    part.append(column[kept])
         reader = csv.reader(_rest(block, error, lines))
+        taken = []
         for line, row in enumerate(reader, start=1):
             if reader.line_num != line:
                 raise _unbalanced_quote(row_number + 1)
             if not row:
                 continue  # blank lines are skipped and not numbered, as in csv.DictReader
             row_number += 1
-            take(row_number, row)
+            values = take(row_number, row)
+            if values is not None:
+                taken.append(values)
+        for part, dtype, values in zip(parts, _DTYPES, zip(*taken)):
+            part.append(_put(np.empty(len(taken), dtype), slice(None), values))
     except csv.Error as exc:  # e.g. a runaway quoted field passing the field-size limit
         raise _unbalanced_quote(row_number + 1, exc) from exc
-    return events, rejects
+    columns = []
+    for part in parts:  # one column at a time, its blocks freed once joined
+        columns.append(np.concatenate(part))
+        part.clear()
+    return RawEvents(list(codes), *columns), rejects
 
 
 @dataclass
@@ -530,6 +556,43 @@ class IngestResult:
         }
 
 
+def _time_bins(duration: np.ndarray, schema: Schema, filt: FilterConfig) -> np.ndarray:
+    """Each duration's time bin, left-open and right-closed; -1 outside the window or the edges."""
+    if np.isnan(duration).any():
+        raise ValueError("duration must be positive, got nan")
+    bins = np.searchsorted(np.array(schema.time_bin_edges), duration, side="left") - 1
+    bins[(duration < filt.min_duration_s) | (duration > filt.max_duration_s)
+         | (bins >= schema.num_time_bins)] = -1
+    return bins
+
+
+def _levels(mouse: np.ndarray, keys: np.ndarray, schema: Schema, keep: np.ndarray) -> np.ndarray:
+    """Each row's interaction level over the exact integer total ``mouse + keys``.
+
+    Levels are left-closed and right-open, and a total at or above the top
+    edge takes the top level. A total reaches a float edge e exactly when it
+    reaches ceil(e), so the level is the number of ceilings reached among the
+    edges between the first and the last. A total of a kept row below zero
+    raises ValueError.
+    """
+    total = mouse + keys
+    reach = _ints([math.ceil(e) for e in schema.interaction_bin_edges[1:-1]])
+    if (total.dtype == object or reach.dtype == object
+            or (((mouse ^ total) & (keys ^ total)) < 0).any()):  # a sum past int64
+        total, reach = mouse.astype(object) + keys, reach.astype(object)
+    if (total[keep] < 0).any():
+        first_negative = total[keep][total[keep] < 0][0]
+        raise ValueError(f"interaction count must be nonnegative, got {first_negative}")
+    return np.searchsorted(reach, total, side="right")
+
+
+def _groups(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows sorted by ``key``, in file order within a key, and where each key's run starts."""
+    order = np.argsort(key, kind="stable")
+    grouped = key[order]
+    return order, np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]][:len(key)])
+
+
 def build_corpora(
     raw: RawEvents,
     mapping: ActivityMapping,
@@ -539,8 +602,17 @@ def build_corpora(
     """Group events into per-session corpora of per-student traces.
 
     Trace ids are ``<student_id>_<session>``; traces keep file order within
-    themselves and appear in order of first appearance. Events outside the
-    duration window are filtered; traces left empty are dropped and reported.
+    themselves, and sessions and the traces within each appear in order of
+    their first row. An event is filtered when its duration lies outside
+    the filter window or the time-bin edges; traces left empty are dropped
+    and reported. Time bins are left-open and right-closed between
+    consecutive edges. Interaction levels are left-closed and right-open
+    over the exact integer total of mouse clicks and keystrokes, and a total
+    at or above the top edge takes the top level.
+
+    Works on ``raw``'s columns: each distinct activity label goes through
+    ``map_activity`` once, one stable sort groups the rows into traces, and
+    equal tokens share one Token object.
     """
     for rule in mapping.rules:
         if rule.event_index >= schema.num_events:
@@ -551,62 +623,60 @@ def build_corpora(
     if mapping.default_index >= schema.num_events:
         raise ValueError("mapping default_index outside schema")
 
-    # session -> student -> token list; insertion order is first appearance
-    per_session: dict[str, dict[str, list[Token]]] = {}
-    filtered = 0
-    event_counts = [0] * schema.num_events
-    time_counts = [0] * schema.num_time_bins
-    level_counts = [0] * schema.num_interaction_levels
-    event_of = _Table(lambda label: map_activity(label, mapping))
-    bin_of = _Table(lambda seconds: discretize_duration(seconds, schema, filt))
-    level_of = _Table(lambda total: discretize_interaction(total, schema))
-    token_of = _Table(Token._make)  # one shared Token per distinct triple
-    shortest, longest = filt.min_duration_s, filt.max_duration_s
+    n, names = len(raw), raw.names
+    bins, levels = schema.num_time_bins, schema.num_interaction_levels
+    # each row's token as one code, ((event * bins) + time bin) * levels + level
+    code = _time_bins(raw.end_time - raw.start_time, schema, filt)
+    keep = code >= 0
+    labels = np.flatnonzero(np.bincount(raw.activity, minlength=len(names))).tolist()
+    event_of = np.zeros(len(names), np.int64)
+    event_of[labels] = [map_activity(names[label], mapping) for label in labels]
+    code += event_of[raw.activity] * bins
+    code *= levels
+    code += _levels(raw.mouse_clicks, raw.keystrokes, schema, keep)
 
-    for session, student_id, activity, start, end, mouse, keys in raw:
-        traces = per_session.get(session)
-        if traces is None:
-            traces = per_session[session] = {}
-        bucket = traces.get(student_id)
-        if bucket is None:
-            bucket = traces[student_id] = []
-        duration = end - start
-        if duration < shortest or duration > longest:
-            filtered += 1
-            continue
-        t_bin = bin_of[duration]
-        if t_bin is None:
-            filtered += 1
-            continue
-        e_idx = event_of[activity]
-        i_lvl = level_of[mouse + keys]
-        bucket.append(token_of[e_idx, t_bin, i_lvl])
-        event_counts[e_idx] += 1
-        time_counts[t_bin] += 1
-        level_counts[i_lvl] += 1
+    # rows grouped by (session, student), in file order within each group; traces
+    # come in order of their session's first row, then of their own
+    order, starts = _groups(raw.session * len(names) + raw.student_id)
+    first = order[starts]
+    sessions, students = raw.session[first], raw.student_id[first]
+    session_first = np.full(len(names), n, np.int64)
+    np.minimum.at(session_first, sessions, first)
+    rank = np.lexsort((first, session_first[sessions])).tolist()
+    # the kept tokens in group order, each group's slice of them, one Token per code
+    kept = keep[order]
+    cut = np.r_[0, np.cumsum(kept)]
+    lo, hi = cut[starts].tolist(), cut[np.r_[starts[1:], n]].tolist()
+    codes, index, count = np.unique(code[order[kept]], return_inverse=True, return_counts=True)
+    parts = codes // (bins * levels), codes // levels % bins, codes % levels
+    token_of = np.fromiter(map(Token, *(part.tolist() for part in parts)), object, len(codes))
+    tokens = token_of[index].tolist()
+    tallies = []
+    for part, size in zip(parts, (schema.num_events, bins, levels)):
+        tally = np.zeros(size, np.int64)
+        np.add.at(tally, part, count)
+        tallies.append(tally.tolist())
 
-    corpora: dict[str, Corpus] = {}
+    per_session: dict[str, list[Trace]] = {}
     dropped: list[str] = []
-    tokenized = 0
-    for session, traces in per_session.items():
-        kept = []
-        for student_id, tokens in traces.items():
-            trace_id = f"{student_id}_{session}"
-            if not tokens:
-                dropped.append(trace_id)
-                continue
-            kept.append(Trace(trace_id, tuple(tokens)))
-            tokenized += len(tokens)
-        if kept:
-            corpora[session] = Corpus(schema, tuple(kept))
+    sessions, students = sessions.tolist(), students.tolist()
+    for g in rank:
+        session = names[sessions[g]]
+        trace_id = f"{names[students[g]]}_{session}"
+        traces = per_session.setdefault(session, [])
+        if lo[g] < hi[g]:
+            traces.append(Trace(trace_id, tuple(tokens[lo[g]:hi[g]])))
+        else:
+            dropped.append(trace_id)
     return IngestResult(
-        corpora=corpora,
-        tokenized=tokenized,
-        filtered=filtered,
+        corpora={session: Corpus(schema, tuple(traces))
+                 for session, traces in per_session.items() if traces},
+        tokenized=len(tokens),
+        filtered=n - len(tokens),
         dropped_traces=dropped,
-        event_counts=event_counts,
-        time_bin_counts=time_counts,
-        interaction_counts=level_counts,
+        event_counts=tallies[0],
+        time_bin_counts=tallies[1],
+        interaction_counts=tallies[2],
     )
 
 

@@ -1,9 +1,21 @@
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
 
-from hbtm import Corpus, Hyperparams, LabeledCorpus, Posterior, Token, Trace, synthetic_schema
+from hbtm import (
+    Corpus,
+    Hyperparams,
+    IngestResult,
+    LabeledCorpus,
+    Posterior,
+    RawEvents,
+    Token,
+    Trace,
+    map_activity,
+    synthetic_schema,
+)
 from hbtm.sampler import _tally
 
 _NEG_INF = float("-inf")
@@ -150,6 +162,115 @@ def joint_log_likelihood(params: Posterior, labeled: LabeledCorpus, hyper: Hyper
         if value == _NEG_INF:
             return _NEG_INF
     return math.fsum(terms)
+
+
+# The per-value binning rules and the per-row corpus builder: the oracles of
+# ingest.build_corpora, which applies the same rules to whole columns.
+def discretize_duration(seconds: float, schema, filt) -> int | None:
+    """Time-bin index for an admitted duration, or None when filtered out.
+
+    Bins are left-open/right-closed between consecutive schema edges. Returns
+    None when the duration falls outside the filter window or outside the
+    binned range (only possible when the window is wider than the edges).
+    """
+    if not seconds > 0:
+        raise ValueError(f"duration must be positive, got {seconds}")
+    if seconds < filt.min_duration_s or seconds > filt.max_duration_s:
+        return None
+    edges = schema.time_bin_edges
+    idx = bisect_left(edges, seconds) - 1
+    if idx < 0 or idx >= schema.num_time_bins:
+        return None
+    return idx
+
+
+def discretize_interaction(total_count: int, schema) -> int:
+    """Interaction-level index; counts at or above the top edge clamp to the top level.
+
+    Bins are left-closed/right-open; the top edge reads as an observed
+    maximum, not a cap, so larger totals land in the highest level.
+    """
+    if total_count < 0:
+        raise ValueError(f"interaction count must be nonnegative, got {total_count}")
+    edges = schema.interaction_bin_edges
+    idx = bisect_right(edges, total_count) - 1
+    top = schema.num_interaction_levels - 1
+    if idx < 0:
+        return 0
+    return min(idx, top)
+
+
+def raw_events(rows) -> RawEvents:
+    """RawEvents of ``(session, student, activity, start, end, mouse, keys)`` rows."""
+    codes: dict[str, int] = {}
+    columns = [[] for _ in range(7)]
+    for row in rows:
+        for column, name in zip(columns[:3], row[:3]):
+            column.append(codes.setdefault(name, len(codes)))
+        for column, value in zip(columns[3:], row[3:]):
+            column.append(value)
+    return RawEvents(list(codes), *columns)
+
+
+def reference_build_corpora(raw, mapping, schema, filt) -> IngestResult:
+    """build_corpora one row at a time: bin, map and group each event in file order."""
+    for rule in mapping.rules:
+        if rule.event_index >= schema.num_events:
+            raise ValueError(
+                f"mapping rule {rule.pattern!r} targets event {rule.event_index}, "
+                f"schema has only {schema.num_events}"
+            )
+    if mapping.default_index >= schema.num_events:
+        raise ValueError("mapping default_index outside schema")
+
+    # session -> student -> token list; insertion order is first appearance
+    per_session: dict[str, dict[str, list[Token]]] = {}
+    filtered = 0
+    event_counts = [0] * schema.num_events
+    time_counts = [0] * schema.num_time_bins
+    level_counts = [0] * schema.num_interaction_levels
+    token_of: dict[tuple, Token] = {}  # one shared Token per distinct triple
+    for session, student_id, activity, start, end, mouse, keys in raw:
+        bucket = per_session.setdefault(session, {}).setdefault(student_id, [])
+        duration = end - start
+        if duration < filt.min_duration_s or duration > filt.max_duration_s:
+            filtered += 1
+            continue
+        t_bin = discretize_duration(duration, schema, filt)
+        if t_bin is None:
+            filtered += 1
+            continue
+        e_idx = map_activity(activity, mapping)
+        i_lvl = discretize_interaction(mouse + keys, schema)
+        triple = (e_idx, t_bin, i_lvl)
+        bucket.append(token_of.setdefault(triple, Token._make(triple)))
+        event_counts[e_idx] += 1
+        time_counts[t_bin] += 1
+        level_counts[i_lvl] += 1
+
+    corpora: dict[str, Corpus] = {}
+    dropped: list[str] = []
+    tokenized = 0
+    for session, traces in per_session.items():
+        kept = []
+        for student_id, tokens in traces.items():
+            trace_id = f"{student_id}_{session}"
+            if not tokens:
+                dropped.append(trace_id)
+                continue
+            kept.append(Trace(trace_id, tuple(tokens)))
+            tokenized += len(tokens)
+        if kept:
+            corpora[session] = Corpus(schema, tuple(kept))
+    return IngestResult(
+        corpora=corpora,
+        tokenized=tokenized,
+        filtered=filtered,
+        dropped_traces=dropped,
+        event_counts=event_counts,
+        time_bin_counts=time_counts,
+        interaction_counts=level_counts,
+    )
 
 
 @pytest.fixture

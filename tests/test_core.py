@@ -24,8 +24,10 @@ from hbtm import (
     Token,
     Trace,
     estimate_posterior,
+    generate,
     load_corpus,
     load_schema,
+    sample_params,
     sampler,
     save_corpus,
     save_schema,
@@ -247,6 +249,43 @@ def test_corpus_file_format(tmp_path, rng):
     rec = json.loads(lines[0])
     assert set(rec) == {"trace_id", "tokens"}
     assert all(len(t) == 3 for t in rec["tokens"])
+
+
+def _json_lines(corpus) -> bytes:
+    """The corpus file as json.dumps spells each trace, one line each."""
+    return "".join(
+        json.dumps({"trace_id": t.trace_id, "tokens": t.tokens}, sort_keys=True,
+                   separators=(",", ":")) + "\n"
+        for t in corpus.traces
+    ).encode()
+
+
+_ODD_TRACE_IDS = ["", 'a"b', "back\\slash", '\\"', "tab\tnew\nline\x00\x1f\x7f", "ümlaut_日本",
+                  "lone\ud800surrogate", "plain_1"]
+
+
+def test_save_corpus_writes_json_lines_for_odd_ids_and_empty_token_lists(tmp_path):
+    tokens = (Token(0, 1, 2), Token(14, 6, 4), Token(0, 1, 2), Token(10**20, 0, 0))
+    corpus = Corpus(Schema.default(), tuple(Trace(trace_id, tokens[n % 3:] if n % 4 else ())
+                                            for n, trace_id in enumerate(_ODD_TRACE_IDS)))
+    path = tmp_path / "c.jsonl"
+    save_corpus(corpus, path)
+    assert path.read_bytes() == _json_lines(corpus)
+    assert load_corpus(path, corpus.schema) == corpus
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6),
+       st.lists(st.integers(1, 12), min_size=1, max_size=8))
+def test_save_corpus_writes_json_lines_for_generated_corpora(tmp_path_factory, seed, traits,
+                                                              lengths):
+    schema = synthetic_schema(6, 4, 3)
+    params = sample_params(traits, len(lengths), schema, Hyperparams(), seed=seed)
+    corpus = generate(params, lengths, seed=seed, schema=schema).corpus
+    path = tmp_path_factory.mktemp("gen") / "c.jsonl"
+    save_corpus(corpus, path)
+    assert path.read_bytes() == _json_lines(corpus)
+    assert load_corpus(path, schema) == corpus
 
 
 def test_load_corpus_rejects_malformed(tmp_path):

@@ -1,5 +1,7 @@
+import gc
 import io
 import math
+import sys
 from datetime import datetime, timedelta, timezone
 from unittest import mock
 
@@ -17,13 +19,11 @@ from hbtm import (
     Token,
     Trace,
     build_corpora,
-    discretize_duration,
-    discretize_interaction,
     map_activity,
     parse_raw_log,
 )
 from hbtm import ingest, sampler
-from hbtm.core import save_json
+from hbtm.core import DEFAULT_EVENT_LABELS, save_json
 from hbtm.ingest import (
     _CLOCKS,
     _SECONDS,
@@ -31,8 +31,16 @@ from hbtm.ingest import (
     _count,
     _epoch,
     _midnight,
+    _parse_timestamp,
     _Table,
     _timestamp_reader,
+)
+
+from conftest import (
+    discretize_duration,
+    discretize_interaction,
+    raw_events,
+    reference_build_corpora,
 )
 
 COLUMN_MAP = {
@@ -61,14 +69,19 @@ def raw(session="1", student="s1", activity="Deeds", start=0.0, dur=10.0, mouse=
     return (session, student, activity, start, start + dur, mouse, keys)
 
 
-def test_raw_events_hold_one_list_per_field_and_iterate_as_rows():
-    events = RawEvents(["1", "2"], ["s1", "s2"], ["Deeds", "Blank"], [5.0, 0.0], [12.5, 3.0],
-                       [2, 0], [3, 1])
+def test_raw_events_hold_one_array_per_field_and_iterate_as_rows():
+    events = RawEvents(["1", "s1", "Deeds", "2", "s2", "Blank"], [0, 3], [1, 4], [2, 5],
+                       [5.0, 0.0], [12.5, 3.0], [2, 0], [3, 1])
     assert len(events) == 2 and len(RawEvents()) == 0
     assert list(events) == [raw(start=5.0, dur=7.5, mouse=2, keys=3),
                             raw("2", "s2", "Blank", 0.0, 3.0, 0, 1)]
-    assert events == RawEvents(*map(list, zip(*events)))
+    assert events == raw_events(events) and events != raw_events(list(events)[:1])
+    assert [column.dtype for column in (events.session, events.start_time, events.keystrokes)] \
+        == [np.int64, np.float64, np.int64]
     assert events.end_time[0] - events.start_time[0] == 7.5
+    # a count sum past int64 keeps its exact value in an object array
+    big = RawEvents(["1"], [0], [0], [0], [0.0], [1.0], [10**20], [0])
+    assert big.mouse_clicks.dtype == object and list(big)[0][5] == 10**20
     with pytest.raises(AttributeError):
         events.note = []
 
@@ -244,8 +257,8 @@ def test_parse_sums_interaction_columns():
         csv_of(["1,s1,Deeds,100,110,2,3,4,5"]), COLUMN_MAP
     )
     assert rejects == []
-    assert events.mouse_clicks == [9]
-    assert events.keystrokes == [5]
+    assert events.mouse_clicks.tolist() == [9]
+    assert events.keystrokes.tolist() == [5]
     assert events.end_time[0] - events.start_time[0] == 10.0
 
 
@@ -254,7 +267,7 @@ def test_parse_reads_a_lone_count_column():
     rows = ["1,s1,Deeds,100,110,2,3,4,5", "1,s1,Deeds,100,110,2,3,4,x",
             "1,s1,Deeds,100,110,2,3,4,-5"]
     events, rejects = parse_raw_log(csv_of(rows), column_map)
-    assert (events.mouse_clicks, events.keystrokes) == ([0], [5])
+    assert (events.mouse_clicks.tolist(), events.keystrokes.tolist()) == ([0], [5])
     assert _rows(rejects) == [(2, "bad interaction count"), (3, "negative interaction count")]
 
 
@@ -263,7 +276,7 @@ def test_parse_rejects_any_negative_count_column_and_truncates_the_rest():
     rows = ["1,s1,Deeds,100,110,-3,5,0,1", "1,s1,Deeds,100,110,0,0,0,-0.5",
             "1,s1,Deeds,100,110,0.9,5,0,7.9", "1,s1,Deeds,100,110,-0,0,0,-0.0"]
     events, rejects = parse_raw_log(csv_of(rows), COLUMN_MAP)
-    assert (events.mouse_clicks, events.keystrokes) == ([5, 0], [7, 0])
+    assert (events.mouse_clicks.tolist(), events.keystrokes.tolist()) == ([5, 0], [7, 0])
     assert _rows(rejects) == [(1, "negative interaction count"), (2, "negative interaction count")]
 
 
@@ -471,6 +484,33 @@ def test_fast_path_declines_other_shapes(raw):
         _timestamp_reader(None)(raw)
 
 
+# Texts without a colon, which skip the strptime patterns: plain numbers, and the
+# traps among them. Python 3.11 reads 8 digits as an ISO basic date and 8 digits, any
+# character and 2 or 4 more as a date and a time; float takes "_" and non-ASCII digits.
+_DECIMAL_TRAPS = ["20191002", "20191002.12", "20191002123", "2019100212345", "20191002T12",
+                  "2019-10-02", "2019W401", "1570006817", "1570006817.5", "1_570_006_817",
+                  "\u0661\u0665\u0667\u0660", "\uff11\uff15", "nan", "NaN", "-inf", "Infinity",
+                  "1e400", "-1e400", "+5", ".5", "5.", "-0", "0x10", "1e5", "١٢٣.٤", ""]
+_DECIMAL_SHAPE = r"[+-]?[0-9_]{0,12}(\.[0-9]{0,6})?([eE][+-]?[0-9]{1,3})?[T.]?[0-9]{0,4}"
+decimal_texts = (st.integers(-10**13, 10**13).map(str) | st.floats().map(repr)
+                 | st.from_regex(_DECIMAL_SHAPE, fullmatch=True) | st.sampled_from(_DECIMAL_TRAPS))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(decimal_texts)
+def test_stamps_without_a_colon_read_as_the_full_chain_reads_them(raw):
+    want = _finite(_outcome(_full_chain, raw, None))
+    assert _outcome(_parse_timestamp, raw) == want
+    assert _outcome(_timestamp_reader(None), raw) == want
+
+
+def test_plain_epoch_seconds_skip_the_strptime_patterns():
+    with mock.patch.object(ingest, "datetime", wraps=datetime) as patched:
+        assert _parse_timestamp("1570006817.5") == 1570006817.5
+        assert _parse_timestamp("20191002") == 1569974400.0  # an ISO basic date
+    assert not patched.strptime.called
+
+
 # --- csv.DictReader parity ---------------------------------------------------
 
 
@@ -500,14 +540,14 @@ def test_parse_duplicate_header_name_resolves_to_last_column():
         "1,s1,Deeds,0,10,0,0,0,4,7",  # lacks the last activity column
     ]) + "\n"
     events, rejects = parse_raw_log(io.StringIO(text), COLUMN_MAP)
-    assert (events.keystrokes, events.activity) == ([7], ["Aulaweb"])
+    assert [row[2::4] for row in events] == [("Aulaweb", 7)]
     assert _rows(rejects) == [(2, "short row")]
 
 
 def test_parse_ignores_extra_fields():
     events, rejects = parse_raw_log(csv_of(["1,s1,Deeds,0,10,1,2,3,4,extra,,more"]), COLUMN_MAP)
     assert rejects == []
-    assert (events.mouse_clicks, events.keystrokes) == ([6], [4])
+    assert (events.mouse_clicks.tolist(), events.keystrokes.tolist()) == ([6], [4])
 
 
 def test_parse_short_rows_keep_their_numbers():
@@ -520,7 +560,7 @@ def test_parse_short_rows_keep_their_numbers():
 def test_parse_unbalanced_quote_names_the_row_where_it_opened():
     closed = '1,s1,"Deeds, quoted",0,10,0,0,0,0'
     events, rejects = parse_raw_log(csv_of([closed]), COLUMN_MAP)
-    assert rejects == [] and events.activity == ["Deeds, quoted"]
+    assert rejects == [] and [row[2] for row in events] == ["Deeds, quoted"]
     # blank lines are not numbered, so the runaway quote opens in data row 2
     rows = [closed, "", '1,s1,"Deeds,0,10,0,0,0,0', "1,s1,Deeds,0,10,0,0,0,0"]
     with pytest.raises(ValueError, match="data row 2: .* unbalanced double quote"):
@@ -532,7 +572,7 @@ def test_parse_unbalanced_quote_names_the_row_where_it_opened():
 
 def test_everything_filtered_drops_trace():
     result = build_corpora(
-        [raw(dur=0.5)], ActivityMapping.default(), Schema.default(), FilterConfig()
+        raw_events([raw(dur=0.5)]), ActivityMapping.default(), Schema.default(), FilterConfig()
     )
     assert result.corpora == {}
     assert result.filtered == 1
@@ -540,7 +580,7 @@ def test_everything_filtered_drops_trace():
 
 
 def test_minimal_grouping_two_students():
-    events = [raw(student="s1"), raw(student="s2")]
+    events = raw_events([raw(student="s1"), raw(student="s2")])
     result = build_corpora(
         events, ActivityMapping.default(), Schema.default(), FilterConfig()
     )
@@ -552,7 +592,7 @@ def test_minimal_grouping_two_students():
 
 
 def test_sessions_split_into_separate_corpora():
-    events = [raw(session="1"), raw(session="2"), raw(session="1", student="s2")]
+    events = raw_events([raw(session="1"), raw(session="2"), raw(session="1", student="s2")])
     result = build_corpora(
         events, ActivityMapping.default(), Schema.default(), FilterConfig()
     )
@@ -562,10 +602,10 @@ def test_sessions_split_into_separate_corpora():
 
 
 def test_tokens_keep_file_order():
-    events = [
+    events = raw_events([
         raw(activity="Deeds", start=50.0, dur=20.0),
         raw(activity="Aulaweb", start=0.0, dur=5.0),
-    ]
+    ])
     result = build_corpora(
         events, ActivityMapping.default(), Schema.default(), FilterConfig()
     )
@@ -680,12 +720,111 @@ def _corpora_with_fresh_tokens(events, mapping, schema, filt):
 ), max_size=60))
 def test_build_corpora_shares_one_token_per_distinct_triple(events):
     schema, mapping, filt = Schema.default(), ActivityMapping.default(), FilterConfig()
-    result = build_corpora(events, mapping, schema, filt)
+    result = build_corpora(raw_events(events), mapping, schema, filt)
     assert result.corpora == _corpora_with_fresh_tokens(events, mapping, schema, filt)
     tokens = [tok for c in result.corpora.values() for t in c.traces for tok in t.tokens]
     assert len({id(tok) for tok in tokens}) == len(set(tokens))
     assert len(set(tokens)) <= (
         schema.num_events * schema.num_time_bins * schema.num_interaction_levels)
+
+
+_SCHEMAS = [
+    Schema.default(),
+    # interaction edges past int64, a fraction, and 2**62 + 1024, the double after 2**62:
+    # only exact integer totals bin right (2**62 + 1023 rounds up to it as a float)
+    Schema(DEFAULT_EVENT_LABELS, (0.0, 1.0, 9.5, 600.0),
+           (0.0, 2.5, 2.0**62, 2.0**62 + 1024, 2.0**63, 1e19, 1e20, 1e30)),
+    Schema(DEFAULT_EVENT_LABELS, (0.5, 9.0, 15.0, 14000.0, 20000.0), (1.0, 16.0, 4779.0)),
+]
+_FILTERS = [FilterConfig(), FilterConfig(max_duration_s=1200.0),
+            FilterConfig(min_duration_s=0.25, max_duration_s=30000.0)]
+# exact rules, prefix rules and labels that no rule takes
+_LABELS = ["Deeds_Es", "Deeds_Es_3_1", "Deeds", "Blank", "Blankety", "TextEditor_Es", "zzz", ""]
+# counts that int64 holds, then counts past it (the Python reader takes each)
+_INT64_COUNTS = ["0", "1", "2", "3", "6", "15", "16", "1023", "1024", "4778", "4779", "7.9",
+                 "4611686018427387904"]
+_BIG_COUNTS = ["99999999999999999999", "9223372036854775807", "1e19"]
+
+
+@st.composite
+def binning_logs(draw):
+    """A raw log with durations on and beside every bin edge and filter bound, and huge counts.
+
+    Returns the text, the schema and the filter. Day-first stamps take the
+    compiled reader's path, epoch seconds the Python reader's; an epoch row
+    starting at 0 has exactly its drawn duration.
+    """
+    schema, filt = draw(st.sampled_from(_SCHEMAS)), draw(st.sampled_from(_FILTERS))
+    marks = [*schema.time_bin_edges, filt.min_duration_s, filt.max_duration_s]
+    whole = sorted({int(m) for m in marks if m == int(m) and 0 <= m < 40000} | {0, 1, 2})
+    near = [x for m in marks for x in (m, math.nextafter(m, -math.inf), math.nextafter(m, math.inf))
+            if x >= 0]
+    # the int64 counts alone can still overflow int64 when summed
+    pool = draw(st.sampled_from([_INT64_COUNTS, _INT64_COUNTS + _BIG_COUNTS]))
+    lines = []
+    for _ in range(draw(st.integers(0, 30))):
+        names = [draw(st.sampled_from(["1", "2", "1_2"])),
+                 draw(st.sampled_from(["s1", "a", "a_1", "s2"])), draw(st.sampled_from(_LABELS))]
+        if draw(st.booleans()):
+            start = draw(st.datetimes(datetime(2019, 1, 1), datetime(2020, 12, 31)))
+            end = start + timedelta(seconds=draw(st.sampled_from(whole)))
+            stamps = [_day_first(start, "."), _day_first(end, "/")]
+        else:
+            start = draw(st.sampled_from([0.0, 0.0, 1570006817.0, 0.1]))
+            stamps = [repr(start), repr(start + draw(st.sampled_from(near) | st.floats(0, 3e4)))]
+        counts = [draw(st.sampled_from(pool)) for _ in range(4)]
+        lines.append(",".join(names + stamps + counts) + "\n")
+    return HEADER + "".join(lines), schema, filt
+
+
+@settings(max_examples=200, deadline=None)
+@given(binning_logs(), st.integers(1, 400))
+def test_build_corpora_equals_the_per_row_builder(log, budget):
+    text, schema, filt = log
+    mapping = ActivityMapping.default()
+    results = []
+    for library, block_chars in [(True, None), (True, budget), (False, None)]:
+        raw, _ = _parsed(text, library=library, budget=block_chars)
+        result = build_corpora(raw, mapping, schema, filt)
+        assert result == reference_build_corpora(raw, mapping, schema, filt)
+        tokens = [tok for c in result.corpora.values() for t in c.traces for tok in t.tokens]
+        assert len({id(tok) for tok in tokens}) == len(set(tokens))
+        results.append(result)
+    assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("schema", _SCHEMAS)
+@pytest.mark.parametrize("filt", _FILTERS)
+def test_build_corpora_equals_the_per_row_builder_on_every_edge(schema, filt):
+    # each bin edge and filter bound, one ulp either side, as epoch stamps from 0
+    marks = [*schema.time_bin_edges, filt.min_duration_s, filt.max_duration_s]
+    durations = [x for m in marks for x in (m, math.nextafter(m, -math.inf),
+                                            math.nextafter(m, math.inf)) if x >= 0]
+    # totals 2**62 + 1022 to 2**62 + 1025 sit on both sides of the double after 2**62
+    text = HEADER + "".join(
+        f"{n % 3},s{n % 4},{_LABELS[n % len(_LABELS)]},0,{d!r},"
+        f"{2**62 if n % 5 else n},0,{n % 3},{1022 + n % 2}\n" for n, d in enumerate(durations))
+    mapping = ActivityMapping.default()
+    for library in (True, False):
+        raw, rejects = _parsed(text, library=library)
+        assert rejects == [] and len(raw) == len(durations)
+        assert build_corpora(raw, mapping, schema, filt) == reference_build_corpora(
+            raw, mapping, schema, filt)
+
+
+def test_build_corpora_bins_exact_integer_totals_past_int64():
+    schema, mapping, filt = _SCHEMAS[1], ActivityMapping.default(), FilterConfig()
+    counts = [(2**62, 1023), (2**62, 1024), (2**62, 2**62 - 1), (3, 0), (2**62, 2**62),
+              (2**63 - 1, 1), (10**19, 0), (10**20, 10**20)]
+    # int64 sums, then int64 columns whose sums overflow, then Python ints
+    for rows in (counts[:4], counts[:6], counts):
+        events = raw_events([raw(mouse=mouse, keys=keys) for mouse, keys in rows])
+        result = build_corpora(events, mapping, schema, filt)
+        assert result == reference_build_corpora(events, mapping, schema, filt)
+        assert [t.interaction_level for t in result.corpora["1"].traces[0].tokens] == [
+            discretize_interaction(mouse + keys, schema) for mouse, keys in rows]
+    assert events.mouse_clicks.dtype == object
+    assert [discretize_interaction(m + k, schema) for m, k in counts] == [2, 3, 3, 1, 4, 4, 5, 6]
 
 
 def test_trace_ids_with_underscores_stay_apart_by_session():
@@ -694,7 +833,7 @@ def test_trace_ids_with_underscores_stay_apart_by_session():
               raw(session="2", student="a_1", dur=20.0), raw(session="1_2", student="b", dur=0.5),
               raw(session="2", student="a", dur=0.5)]
     schema, mapping, filt = Schema.default(), ActivityMapping.default(), FilterConfig()
-    result = build_corpora(events, mapping, schema, filt)
+    result = build_corpora(raw_events(events), mapping, schema, filt)
     assert result.corpora == _corpora_with_fresh_tokens(events, mapping, schema, filt)
     assert list(result.corpora) == ["2", "1_2"]
     assert [(t.trace_id, len(t)) for t in result.corpora["2"].traces] == [("a_1_2", 2)]
@@ -706,7 +845,7 @@ def test_trace_ids_with_underscores_stay_apart_by_session():
 def test_mapping_outside_schema_rejected():
     mapping = ActivityMapping((), default_index=99)
     with pytest.raises(ValueError):
-        build_corpora([raw()], mapping, Schema.default(), FilterConfig())
+        build_corpora(raw_events([raw()]), mapping, Schema.default(), FilterConfig())
 
 
 def test_filter_config_validation():
@@ -853,15 +992,36 @@ def test_the_compiled_reader_answers_plain_rows_and_declines_the_rest():
              "1,s1,Deeds,02.10.2019 09:00:17,02.10.2019 09:00:27,1,2,3,4.0\n",
              "1,s1,Deeds,02.10.2019 09:00:17,02.10.2019 09:00:27,1,2,3\n",
              "2,s1,Deeds,29.02.2020 23:59:59,31.12.9999 23:59:59,0,0,0,999999999999999"]
-    intern = {}.setdefault
-    scan = ingest._row_scanner(library, 9, list(range(9)), 3, intern)
-    values, unanswered = scan("".join(lines), len(lines))
-    assert unanswered == [(1, True), (2, False), (3, False)]
-    rows = list(zip(*values))
+    codes = {}
+    scan = ingest._row_scanner(library, 9, list(range(9)), 3,
+                               lambda text: codes.setdefault(text, len(codes)))
+    status, columns = scan("".join(lines), len(lines))
+    assert status.tolist() == [ingest._ROW_OK, ingest._ROW_BLANK, 0, 0, ingest._ROW_OK]
+    names = list(codes) + [None]  # code -1: a line not answered
+    rows = [(*(names[c] for c in row[:3]), *row[3:]) for row in zip(*(c.tolist() for c in columns))]
     assert rows[0] == ("1", "s1", "Deeds", 1570006817.0, 1570006827.0, 6, 4)
+    assert rows[1] == rows[2] == (None, None, None, 0.0, 0.0, 0, 0)
     assert rows[4] == ("2", "s1", "Deeds", _epoch(datetime(2020, 2, 29, 23, 59, 59)),
                        _epoch(datetime(9999, 12, 31, 23, 59, 59)), 0, 999999999999999)
-    assert rows[0][1] is rows[4][1] is intern("s1", None)
+    assert list(codes) == ["1", "s1", "Deeds", "2"]
+
+
+def test_parsing_plain_rows_makes_no_python_object_per_row():
+    if sampler._library() is None:
+        pytest.skip("no compiled library")
+    rows = 20_000
+    text = HEADER + "".join(
+        f"{n % 6 + 1},s{n % 97},Deeds_Es_{n % 7},02.10.2019 09:{n % 60:02d}:17,"
+        f"02.10.2019 10:00:{n % 60:02d},{n % 9},{n},1,{n * 7}\n" for n in range(rows))
+    parse_raw_log(io.StringIO(text, newline=""), COLUMN_MAP)  # the first call's one-off work
+    fh = io.StringIO(text, newline="")
+    gc.collect()
+    before = sys.getallocatedblocks()
+    events, rejects = parse_raw_log(fh, COLUMN_MAP)
+    gc.collect()
+    grown = sys.getallocatedblocks() - before
+    assert len(events) == rows and rejects == []
+    assert grown < rows / 20, f"{grown} blocks kept for {rows} rows"
 
 
 @pytest.mark.parametrize("budget", [None, 1])
