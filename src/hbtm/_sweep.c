@@ -1,6 +1,11 @@
 /* The compiled helpers of hbtm: hbtm_sweep, hbtm_scan, hbtm_lloyd, hbtm_rows,
  * hbtm_format and hbtm_gammaln.
  *
+ * Each kernel returns int64_t and is declared once on the Python side, as a
+ * row of sampler._KERNELS giving its parameter types. Adding a kernel takes
+ * its prototype here, that row, and a driver in the sanitizer harness of
+ * tests/test_tooling.py, which runs every kernel under ASan and UBSan.
+ *
  * hbtm_sweep runs one collapsed-Gibbs sweep over flat int64 count tables.
  * It reproduces sampler.reference_sweep bit for bit: each weight is computed
  * in reference_sweep's operation order (numerator left to right, then
@@ -12,7 +17,8 @@
  * j + 1 when the weights of flat token j are degenerate (a zero denominator,
  * or a total outside (0, inf)), in which case token j is put back under its
  * old trait so the tables stay consistent; or -(j + 1) when z[j] is not a
- * trait index, before anything is written for token j.
+ * trait index, before anything is written for token j. Its sanitizer run is
+ * test_sweep_kernel_stays_inside_its_buffers_under_address_and_undefined_sanitizers.
  *
  * hbtm_scan reads a nested JSON array of numbers into doubles, with the same
  * value for every number as Python's float(); see its own comment.

@@ -28,7 +28,8 @@ when no compiler or cache directory is usable. The same library runs
 evaluates the log-gamma terms of ``collapsed_log_joint`` (``hbtm_gammaln``,
 equal to ``scipy.special.gammaln``, which stays its fallback, so a fit with
 the library imports no scipy). A process that falls back says so once, in
-one line on stderr.
+one line on stderr. A new kernel takes a prototype in ``_sweep.c``, one row in
+``_KERNELS`` and one driver in ``tests/test_tooling.py``'s sanitizer harness.
 
 ``load_fit_result`` reads the posterior of a model file in ``core.save_json``'s
 layout through the same library's number scanner, and every other file, or
@@ -38,6 +39,7 @@ floats and the same errors.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import io
 import json
@@ -433,6 +435,20 @@ def reference_sweep(state: ModelState, hyper: Hyperparams) -> ModelState:
 
 
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+_KERNELS = (  # each kernel's parameters in _sweep.c's order; every kernel returns int64_t
+    ("hbtm_sweep", [_I64] * 5 + [_F64] * 7 + [_PTR] * 12),
+    ("hbtm_scan", [_PTR, _I64, _PTR, _PTR, _I64]),
+    ("hbtm_lloyd", [_I64] * 4 + [_PTR] * 7),
+    ("hbtm_rows", [_PTR, _I64, _I64, _I64, _PTR, _I64, _I64, _PTR, _I64, _PTR, _I64] + [_PTR] * 3),
+    ("hbtm_format", [_PTR, _I64, _PTR, _I64, _PTR, _I64]),
+    ("hbtm_gammaln", [_PTR, _I64, _PTR]),
+)
+
+
+def _cc(source, library, *flags) -> list[str]:
+    """The command that compiles ``source`` into ``library``, ``flags`` added to ``_CFLAGS``."""
+    return ["cc", *_CFLAGS, *flags, "-o", str(library), str(source), "-lm"]
 
 
 def _build_kernel(source: Path, library: Path) -> None:
@@ -445,9 +461,7 @@ def _build_kernel(source: Path, library: Path) -> None:
     os.close(fd)
     try:
         try:
-            done = subprocess.run(
-                ["cc", *_CFLAGS, "-o", tmp, str(source), "-lm"], capture_output=True, text=True
-            )
+            done = subprocess.run(_cc(source, tmp), capture_output=True, text=True)
         except FileNotFoundError:
             raise OSError("no C compiler: cc is not on the PATH") from None
         if done.returncode:
@@ -459,6 +473,15 @@ def _build_kernel(source: Path, library: Path) -> None:
             os.unlink(tmp)
 
 
+def _open(library):
+    """The shared library at ``library``, each kernel typed by its row of ``_KERNELS``."""
+    loaded = ctypes.CDLL(str(library))
+    for name, argtypes in _KERNELS:
+        function = getattr(loaded, name)
+        function.restype, function.argtypes = _I64, argtypes
+    return loaded
+
+
 def _load_kernel():
     """The compiled library from the cache, built there on a miss; None if unusable.
 
@@ -467,7 +490,6 @@ def _load_kernel():
     None it writes one line to stderr naming the reason, since the fallbacks
     give the same results only much more slowly.
     """
-    import ctypes
     import hashlib
 
     source = Path(__file__).with_name("_sweep.c")
@@ -478,29 +500,15 @@ def _load_kernel():
         if not library.exists():
             _build_kernel(source, library)
         try:
-            loaded = ctypes.CDLL(str(library))
+            return _open(library)
         except OSError:
             _build_kernel(source, library)
-            loaded = ctypes.CDLL(str(library))
-        sweep, scan, lloyd, rows, fmt, gammaln = (
-            loaded.hbtm_sweep, loaded.hbtm_scan, loaded.hbtm_lloyd, loaded.hbtm_rows,
-            loaded.hbtm_format, loaded.hbtm_gammaln)
+            return _open(library)
     except OSError as exc:
         reason = " ".join(str(exc).split())
         print(f"hbtm: compiled library unavailable ({reason}); "
               "falling back to the slower Python code", file=sys.stderr)
         return None
-    for function in (sweep, scan, lloyd, rows, fmt, gammaln):
-        function.restype = ctypes.c_int64
-    sweep.argtypes = [ctypes.c_int64] * 5 + [ctypes.c_double] * 7 + [ctypes.c_void_p] * 12
-    scan.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
-                     ctypes.c_int64]
-    lloyd.argtypes = [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 7
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    rows.argtypes = [ptr, i64, i64, i64, ptr, i64, i64, ptr, i64, ptr, i64, ptr, ptr, ptr]
-    fmt.argtypes = [ptr, i64, ptr, i64, ptr, i64]
-    gammaln.argtypes = [ptr, i64, ptr]
-    return loaded
 
 
 _library = functools.cache(_load_kernel)  # the compiled library, loaded once per process

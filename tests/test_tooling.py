@@ -85,54 +85,69 @@ def test_the_package_ships_only_what_the_package_or_perfbench_reaches():
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 def test_kernel_compiles_without_warnings(tmp_path):
-    done = subprocess.run(
-        ["cc", *sampler._CFLAGS, "-Wall", "-Wextra", "-Werror",
-         "-o", str(tmp_path / "k.so"), str(KERNEL_SOURCE)],
-        capture_output=True, text=True,
-    )
+    done = subprocess.run(sampler._cc(KERNEL_SOURCE, tmp_path / "k.so", "-Wall", "-Wextra",
+                                      "-Werror"), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
 
 
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 def test_kernel_prototype_matches_its_argtypes():
     # ctypes passes whatever argtypes say: a parameter added or dropped on one
     # side only shifts every later argument without an error
-    library = sampler._library()
-    assert library is not None
+    source = KERNEL_SOURCE.read_text()
     scalars = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
-    prototypes = re.findall(r"^int64_t (hbtm_\w+)\s*\(([^)]*)\)", KERNEL_SOURCE.read_text(), re.M)
-    assert {"hbtm_sweep", "hbtm_scan", "hbtm_lloyd", "hbtm_rows", "hbtm_format",
-            "hbtm_gammaln"} <= {name for name, _ in prototypes}
-    for name, prototype in prototypes:
-        function = getattr(library, name)
-        params = prototype.split(",")
-        expected = [ctypes.c_void_p if "*" in p else scalars[p.split()[0]] for p in params]
-        assert len(params) == len(function.argtypes), name
-        assert list(function.argtypes) == expected, name
-        assert function.restype is ctypes.c_int64, name
+    prototypes = dict(re.findall(r"^int64_t (hbtm_\w+)\s*\(([^)]*)\)", source, re.M))
+    assert sorted(prototypes) == sorted(name for name, _ in sampler._KERNELS)
+    for name, params in sampler._KERNELS:
+        expected = [ctypes.c_void_p if "*" in p else scalars[p.split()[0]]
+                    for p in prototypes[name].split(",")]
+        assert params == expected, name
+    assert f"\n#define SCAN_MAX_NDIM {sampler._SCAN_MAX_NDIM}\n" in source
 
 
-def _libasan() -> str | None:
-    if shutil.which("cc") is None:
-        return None
-    done = subprocess.run(["cc", "-print-file-name=libasan.so"], capture_output=True, text=True)
-    path = done.stdout.strip()
-    return path if done.returncode == 0 and Path(path).is_file() else None
+@pytest.fixture(scope="module")
+def sanitized(tmp_path_factory):
+    """Run drivers on the kernel built once under ASan and UBSan: ``sanitized(driver, *args)``."""
+    libasan = shutil.which("cc") and subprocess.run(
+        ["cc", "-print-file-name=libasan.so"], capture_output=True, text=True).stdout.strip()
+    if not libasan or not Path(libasan).is_file():
+        pytest.skip("no C compiler or no libasan")
+    work = tmp_path_factory.mktemp("sanitized")
+    library = work / "sanitized.so"
+    done = subprocess.run(sampler._cc(KERNEL_SOURCE, library, "-g", "-fsanitize=address,undefined",
+                                      "-fno-sanitize-recover=all"), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    env = dict(os.environ, LD_PRELOAD=libasan, ASAN_OPTIONS="detect_leaks=0")
+
+    def run(driver: str, *args) -> str:
+        script = work / "driver.py"
+        script.write_text(PRELUDE + driver)
+        done = subprocess.run([sys.executable, str(script), str(library), *map(str, args)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr[-3000:]
+        return done.stdout
+
+    return run
 
 
-# Runs under libasan: every span is copied into its own malloc block of exactly
-# its length, so a read one byte past the span, or a write past the output
-# buffer, stops the process
-SANITIZED_SCAN = r"""
-import ctypes, random, sys
-lib = ctypes.CDLL(sys.argv[1])
+# Runs under libasan ahead of every driver: lib is the sanitized library, each
+# kernel typed by sampler's table, and libc.malloc gives each array its own
+# block of exactly its size, so a read or write past any of them stops the process
+PRELUDE = r"""
+import ctypes, sys
+from hbtm import sampler
+lib = sampler._open(sys.argv[1])
+assert all(getattr(lib, name).restype is ctypes.c_int64 for name, _ in sampler._KERNELS)
 libc = ctypes.CDLL(None)
 libc.malloc.restype = ctypes.c_void_p
 libc.malloc.argtypes = [ctypes.c_size_t]
 libc.free.argtypes = [ctypes.c_void_p]
-scan = lib.hbtm_scan
-scan.restype = ctypes.c_int64
-scan.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
+"""
+
+
+# every span is copied into its own block of exactly its length, so a read one
+# byte past the span stops the process
+SANITIZED_SCAN = r"""
+import random
 block = open(sys.argv[2], "rb").read()
 spans = [block[:n] for n in range(len(block) + 1)]
 rng = random.Random(7)
@@ -146,32 +161,17 @@ for span in spans:
     for capacity in (span.count(b",") + 1, rng.randrange(span.count(b",") + 1)):
         text = libc.malloc(max(len(span), 1))
         ctypes.memmove(text, span, len(span))
-        shape = libc.malloc(32 * 8)
+        shape = libc.malloc(sampler._SCAN_MAX_NDIM * 8)
         out = libc.malloc(max(capacity, 1) * 8)
-        accepted += scan(text, len(span), shape, out, capacity) > 0
+        accepted += lib.hbtm_scan(text, len(span), shape, out, capacity) > 0
         for pointer in (text, shape, out):
             libc.free(pointer)
 print(len(spans), accepted)
 """
 
 
-def _sanitized_library(tmp_path) -> tuple[Path, dict]:
-    """The kernel built with address and undefined-behaviour checks, and the env that runs it."""
-    libasan = _libasan()
-    if libasan is None:
-        pytest.skip("no C compiler or no libasan")
-    library = tmp_path / "sanitized.so"
-    done = subprocess.run(
-        ["cc", *sampler._CFLAGS, "-g", "-fsanitize=address,undefined",
-         "-fno-sanitize-recover=all", "-o", str(library), str(KERNEL_SOURCE)],
-        capture_output=True, text=True,
-    )
-    assert done.returncode == 0, done.stderr
-    return library, dict(os.environ, LD_PRELOAD=libasan, ASAN_OPTIONS="detect_leaks=0")
-
-
-def test_scanner_stays_inside_its_buffers_under_address_and_undefined_sanitizers(tmp_path):
-    library, env = _sanitized_library(tmp_path)
+def test_scanner_stays_inside_its_buffers_under_address_and_undefined_sanitizers(
+        sanitized, tmp_path):
     # a small model's psi block, as core.save_json writes it
     corpus = Corpus(synthetic_schema(3, 2, 2), (
         Trace("a", (Token(0, 0, 0), Token(1, 1, 1), Token(2, 0, 1))),
@@ -183,27 +183,12 @@ def test_scanner_stays_inside_its_buffers_under_address_and_undefined_sanitizers
     text = model.read_text()
     block = tmp_path / "psi.json"
     block.write_text(text[text.index('"psi": ') + len('"psi": '):text.index(',\n    "tau": ')])
-    script = tmp_path / "scan.py"
-    script.write_text(SANITIZED_SCAN)
-    done = subprocess.run([sys.executable, str(script), str(library), str(block)],
-                          capture_output=True, text=True, env=env, timeout=300)
-    assert done.returncode == 0, done.stderr[-3000:]
-    spans, accepted = map(int, done.stdout.split())
+    spans, accepted = map(int, sanitized(SANITIZED_SCAN, block).split())
     assert spans > 3000 and accepted >= 1  # the whole block, at least
 
 
-# Runs under libasan: every array is its own malloc block of exactly its size,
-# so a read or write past any of them stops the process
 SANITIZED_LLOYD = r"""
-import ctypes, random, sys
-lib = ctypes.CDLL(sys.argv[1])
-libc = ctypes.CDLL(None)
-libc.malloc.restype = ctypes.c_void_p
-libc.malloc.argtypes = [ctypes.c_size_t]
-libc.free.argtypes = [ctypes.c_void_p]
-lloyd = lib.hbtm_lloyd
-lloyd.restype = ctypes.c_int64
-lloyd.argtypes = [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 7
+import random
 rng = random.Random(11)
 shapes = [(1, 1, 1, 0), (5, 3, 5, 100), (7, 1, 7, 0), (40, 140, 3, 100), (300, 1, 2, 100),
           (9, 129, 9, 5), (12, 2, 6, 100)]
@@ -228,7 +213,7 @@ for case, (n, d, k, max_iters) in enumerate(shapes):
     points, centroids = blocks[:2]
     ctypes.memmove(points, (ctypes.c_double * (n * d))(*values), n * d * 8)
     ctypes.memmove(centroids, (ctypes.c_double * (k * d))(*starts), k * d * 8)
-    iterations += lloyd(n, d, k, max_iters, *blocks)
+    iterations += lib.hbtm_lloyd(n, d, k, max_iters, *blocks)
     labels = (ctypes.c_int64 * n).from_address(blocks[2])
     assert all(0 <= label < k for label in labels)
     for block in blocks:
@@ -237,32 +222,14 @@ print(len(shapes), iterations, reseeded)
 """
 
 
-def test_lloyd_kernel_stays_inside_its_buffers_under_address_and_undefined_sanitizers(tmp_path):
-    library, env = _sanitized_library(tmp_path)
-    script = tmp_path / "lloyd.py"
-    script.write_text(SANITIZED_LLOYD)
-    done = subprocess.run([sys.executable, str(script), str(library)],
-                          capture_output=True, text=True, env=env, timeout=300)
-    assert done.returncode == 0, done.stderr[-3000:]
-    cases, iterations, reseeded = map(int, done.stdout.split())
+def test_lloyd_kernel_stays_inside_its_buffers_under_address_and_undefined_sanitizers(sanitized):
+    cases, iterations, reseeded = map(int, sanitized(SANITIZED_LLOYD).split())
     assert cases > 60 and iterations > cases and reseeded >= 10
 
 
-# Runs under libasan: every array is its own malloc block of exactly its size,
-# so a read past the text or a write past any output stops the process
 SANITIZED_ROWS = r"""
-import ctypes, random, sys
+import random
 from datetime import datetime, timezone
-lib = ctypes.CDLL(sys.argv[1])
-libc = ctypes.CDLL(None)
-libc.malloc.restype = ctypes.c_void_p
-libc.malloc.argtypes = [ctypes.c_size_t]
-libc.free.argtypes = [ctypes.c_void_p]
-rows = lib.hbtm_rows
-rows.restype = ctypes.c_int64
-rows.argtypes = ([ctypes.c_void_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p]
-                 + [ctypes.c_int64] * 2 + [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
-                                           ctypes.c_int64] + [ctypes.c_void_p] * 3)
 
 
 def block(values, size=8):
@@ -281,8 +248,8 @@ def call(text, columns, n_mouse, capacity, need=None, n_slots=None, max_line=1 <
               libc.malloc(max(n_slots, 1) * 8), libc.malloc(max(6 * capacity, 1) * 8),
               libc.malloc(max(6 * capacity, 1) * 8), libc.malloc(max(2 * capacity, 1) * 8)]
     index, fields, slots, bounds, out, stamps = arrays
-    distinct = rows(buffer, len(text), need, max_line, index, len(columns) - 5, n_mouse, fields,
-                    capacity, slots, n_slots, bounds, out, stamps)
+    distinct = lib.hbtm_rows(buffer, len(text), need, max_line, index, len(columns) - 5, n_mouse,
+                             fields, capacity, slots, n_slots, bounds, out, stamps)
     status = [ctypes.c_int64.from_address(out + 8 * j).value for j in range(capacity)]
     ends = [ctypes.c_double.from_address(stamps + 8 * (capacity + j)).value
             for j in range(capacity)]
@@ -334,30 +301,13 @@ print(answered)
 """
 
 
-def test_row_reader_stays_inside_its_buffers_under_address_and_undefined_sanitizers(tmp_path):
-    library, env = _sanitized_library(tmp_path)
-    script = tmp_path / "rows.py"
-    script.write_text(SANITIZED_ROWS)
-    done = subprocess.run([sys.executable, str(script), str(library)],
-                          capture_output=True, text=True, env=env, timeout=300)
-    assert done.returncode == 0, done.stderr[-3000:]
-    assert int(done.stdout) >= 20  # random blocks led by GOOD answer some rows
+def test_row_reader_stays_inside_its_buffers_under_address_and_undefined_sanitizers(sanitized):
+    # random blocks led by GOOD answer some rows
+    assert int(sanitized(SANITIZED_ROWS)) >= 20
 
 
-# Runs under libasan: the numbers, the shape and the output buffer are each
-# their own malloc block of exactly their size, so a read or write past any of
-# them stops the process
 SANITIZED_FORMAT = r"""
-import ctypes, json, random, struct, sys
-lib = ctypes.CDLL(sys.argv[1])
-libc = ctypes.CDLL(None)
-libc.malloc.restype = ctypes.c_void_p
-libc.malloc.argtypes = [ctypes.c_size_t]
-libc.free.argtypes = [ctypes.c_void_p]
-fmt = lib.hbtm_format
-fmt.restype = ctypes.c_int64
-fmt.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
-                ctypes.c_void_p, ctypes.c_int64]
+import json, random, struct
 
 
 def call(values, shape, level, capacity):
@@ -366,7 +316,7 @@ def call(values, shape, level, capacity):
     data, dims, out = blocks
     ctypes.memmove(data, struct.pack(f"{len(values)}d", *values), 8 * len(values))
     ctypes.memmove(dims, struct.pack(f"{len(shape)}q", *shape), 8 * len(shape))
-    written = fmt(data, len(shape), dims, level, out, capacity)
+    written = lib.hbtm_format(data, len(shape), dims, level, out, capacity)
     text = ctypes.string_at(out, written).decode() if written > 0 else None
     for block in blocks:
         libc.free(block)
@@ -406,30 +356,13 @@ print(written, declined)
 """
 
 
-def test_format_kernel_stays_inside_its_buffers_under_address_and_undefined_sanitizers(tmp_path):
-    library, env = _sanitized_library(tmp_path)
-    script = tmp_path / "format.py"
-    script.write_text(SANITIZED_FORMAT)
-    done = subprocess.run([sys.executable, str(script), str(library)],
-                          capture_output=True, text=True, env=env, timeout=300)
-    assert done.returncode == 0, done.stderr[-3000:]
-    written, declined = map(int, done.stdout.split())
+def test_format_kernel_stays_inside_its_buffers_under_address_and_undefined_sanitizers(sanitized):
+    written, declined = map(int, sanitized(SANITIZED_FORMAT).split())
     assert written >= 100 and declined >= 50
 
 
-# Runs under libasan: the arguments and the output are each their own malloc
-# block of exactly their length, so a read or write past either stops the
-# process
 SANITIZED_GAMMALN = r"""
-import ctypes, math, random, struct, sys
-lib = ctypes.CDLL(sys.argv[1])
-libc = ctypes.CDLL(None)
-libc.malloc.restype = ctypes.c_void_p
-libc.malloc.argtypes = [ctypes.c_size_t]
-libc.free.argtypes = [ctypes.c_void_p]
-gammaln = lib.hbtm_gammaln
-gammaln.restype = ctypes.c_int64
-gammaln.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+import math, random, struct
 rng = random.Random(11)
 special = [0.0, -0.0, -1.0, math.inf, -math.inf, math.nan, 5e-324, sys.float_info.min,
            2.0, 3.0, 13.0, 1000.0, 1e8, 2.556348e305, sys.float_info.max]
@@ -443,7 +376,7 @@ for _ in range(3000):
     n = len(values)
     x, out = libc.malloc(max(n, 1) * 8), libc.malloc(max(n, 1) * 8)
     ctypes.memmove(x, struct.pack(f"<{n}d", *values), n * 8)
-    failed = gammaln(x, n, out)
+    failed = lib.hbtm_gammaln(x, n, out)
     good = [v > 0 and v != math.inf for v in values]
     assert failed == (good.index(False) + 1 if False in good else 0), (values, failed)
     written = struct.unpack(f"<{n}d", ctypes.string_at(out, n * 8))
@@ -456,12 +389,78 @@ print(answered, declined)
 """
 
 
-def test_gammaln_kernel_stays_inside_its_buffers_under_address_and_undefined_sanitizers(tmp_path):
-    library, env = _sanitized_library(tmp_path)
-    script = tmp_path / "gammaln.py"
-    script.write_text(SANITIZED_GAMMALN)
-    done = subprocess.run([sys.executable, str(script), str(library)],
-                          capture_output=True, text=True, env=env, timeout=300)
-    assert done.returncode == 0, done.stderr[-3000:]
-    answered, declined = map(int, done.stdout.split())
+def test_gammaln_kernel_stays_inside_its_buffers_under_address_and_undefined_sanitizers(sanitized):
+    answered, declined = map(int, sanitized(SANITIZED_GAMMALN).split())
     assert answered >= 100 and declined >= 100
+
+
+# Each case plants its return code: 0; j + 1 when token j's event is its own, so
+# a denominator underflows to 0 (K=1, concentrations 1e-200); or -(j + 1) for a
+# trait outside [0, K). The tables must then match a recount, token j unmoved.
+SANITIZED_SWEEP = r"""
+import random, struct
+rng = random.Random(23)
+
+
+def block(code, values):
+    pointer = libc.malloc(max(8 * len(values), 1))
+    ctypes.memmove(pointer, struct.pack(f"<{len(values)}{code}", *values), 8 * len(values))
+    return pointer
+
+def tally(z, m_idx, e_idx, t_idx, i_idx, m_n, k_n, e_n, t_n, i_n):
+    tables = [[0] * size for size in (m_n * k_n, k_n * e_n, k_n * e_n * t_n, k_n * e_n * i_n, k_n)]
+    for k, m, e, t, i in zip(z, m_idx, e_idx, t_idx, i_idx):
+        ke = k * e_n + e
+        for table, at in zip(tables, (m * k_n + k, ke, ke * t_n + t, ke * i_n + i, k)):
+            table[at] += 1
+    return tables
+
+counts = [0, 0, 0]  # answered, degenerate, outside
+for case in range(400):
+    k_n = (1, 20)[case % 2] if case % 5 < 2 else rng.randrange(1, 21)
+    lengths = ([1] * rng.randrange(1, 6) if case % 3 == 0
+               else [rng.randrange(1, 9) for _ in range(rng.randrange(1, 6))])
+    n = sum(lengths)
+    dims = (len(lengths), k_n, rng.randrange(2, 5), rng.randrange(1, 4), rng.randrange(1, 4))
+    m_idx = [m for m, length in enumerate(lengths) for _ in range(length)]
+    e_idx, t_idx, i_idx = ([rng.randrange(side) for _ in range(n)] for side in dims[2:])
+    z = [rng.randrange(k_n) for _ in range(n)]
+    alpha, beta, gamma, delta = (rng.uniform(0.01, 2.0) for _ in range(4))
+    want = 0
+    if k_n == 1 and n >= 3 and rng.random() < 0.5:
+        # every other token shares (0, 0, 0), so each of its weights keeps one
+        # tiny factor at most; token j's event 1 is its own
+        alpha = beta = gamma = delta = 1e-200
+        e_idx, t_idx, i_idx = [0] * n, [0] * n, [0] * n
+        j = rng.randrange(n)
+        e_idx[j] = 1
+        want = j + 1
+    tables = tally(z, m_idx, e_idx, t_idx, i_idx, *dims)
+    old = list(z)
+    if rng.random() < 0.25:
+        j = rng.randrange(n)
+        z[j] = rng.choice([-1, k_n, k_n + 5])
+        if want == 0 or j < want:
+            want = -(j + 1)
+    u = [rng.choice([0.0, 1 - 2 ** -53]) if rng.random() < 0.1 else rng.random()
+         for _ in range(n)]
+    arrays = [m_idx, e_idx, t_idx, i_idx, z, *tables]
+    blocks = [block("q", a) for a in arrays] + [block("d", u), libc.malloc(8 * k_n)]
+    e_n, t_n, i_n = dims[2:]
+    got = lib.hbtm_sweep(n, k_n, e_n, t_n, i_n, alpha, beta, e_n * beta, gamma, t_n * gamma,
+                         delta, i_n * delta, *blocks)
+    assert got == want, (case, got, want)
+    after = [list(struct.unpack(f"<{len(a)}q", ctypes.string_at(p, 8 * len(a))))
+             for a, p in zip(arrays, blocks)]
+    z = [k if 0 <= k < k_n else k_old for k, k_old in zip(after[4], old)]
+    assert after[5:] == tally(z, m_idx, e_idx, t_idx, i_idx, *dims), case
+    counts[(want > 0) + 2 * (want < 0)] += 1
+    for pointer in blocks:
+        libc.free(pointer)
+print(*counts)
+"""
+
+
+def test_sweep_kernel_stays_inside_its_buffers_under_address_and_undefined_sanitizers(sanitized):
+    answered, degenerate, outside = map(int, sanitized(SANITIZED_SWEEP).split())
+    assert answered >= 200 and degenerate >= 20 and outside >= 50
