@@ -325,55 +325,16 @@ def write_atomic(path, text: str | list[str]) -> None:
         raise
 
 
-_INDENT = "  "
-_MAX_DEPTH = 64  # deeper or self-containing values are left to json.dumps, which reports them
-NUMBER_LIST_STUB = "\0"  # stands in for a number list while json writes or reads the rest
+NUMBER_LIST_STUB = "\0"  # stands in for a float array while json writes or reads the rest
 
 
-def _number_lists_chunks(value: list, level: int) -> list[str] | None:
-    """``value`` as ``json.dumps(indent=2)`` lays it out ``level`` deep, in pieces; or None.
-
-    Handles lists whose leaves are all finite ints and floats at one depth,
-    with no empty inner list. Each innermost list is written from its C-level
-    ``repr``, which spells every number as json does (``int.__repr__``,
-    ``float.__repr__``), so only its ``, `` separators need line breaks. The
-    types are checked one nesting level at a time, at C speed.
-    """
-    if not value:
-        return ["[]"]
-    items, depth = value, 1
-    while (kinds := set(map(type, items))) == {list} and depth < _MAX_DEPTH:
-        if not all(items):  # an empty inner list
-            return None
-        items, depth = list(chain.from_iterable(items)), depth + 1
-    if not kinds or not kinds <= {float, int}:
-        return None
-    chunks: list[str] = []
-    _lay_out(value, level, depth, chunks)
-    # json writes nan and inf as NaN and Infinity
-    return None if any("n" in chunk for chunk in chunks) else chunks
-
-
-def _lay_out(value: list, level: int, depth: int, chunks: list[str]) -> None:
-    """Append the pieces of a checked number list nested ``depth`` lists deep."""
-    inner = "\n" + _INDENT * (level + 1)
-    close = "\n" + _INDENT * level + "]"
-    if depth == 1:
-        chunks.append("[" + inner + repr(value)[1:-1].replace(", ", "," + inner) + close)
-        return
-    for n, item in enumerate(value):
-        chunks.append(("," if n else "[") + inner)
-        _lay_out(item, level + 1, depth - 1, chunks)
-    chunks.append(close)
-
-
-def _float_array_chunks(value: np.ndarray, level: int) -> list[str] | None:
-    """A float64 array as ``_number_lists_chunks`` lays out its ``tolist()``; or None.
+def _float_array_text(value: np.ndarray, level: int) -> str | None:
+    """A float64 array as ``json.dumps(indent=2)`` lays out its list ``level`` deep; or None.
 
     The compiled library writes it (``hbtm_format`` in ``_sweep.c``) without
     making a float object per number. None when the library is missing or
     declines the array: a NaN or inf, a number it cannot spell exactly, a
-    length-0 axis.
+    length-0 axis; also None for another dtype or a 0-d array.
     """
     from . import sampler  # sampler imports this module
 
@@ -390,51 +351,40 @@ def _float_array_chunks(value: np.ndarray, level: int) -> list[str] | None:
     shape = np.array(value.shape, np.int64)
     written = library.hbtm_format(value.ctypes.data, value.ndim, shape.ctypes.data, level,
                                   out.ctypes.data, capacity)
-    return [out[:written].tobytes().decode("ascii")] if written else None
-
-
-def _stub_number_lists(value, level: int, lists: list[list[str]]):
-    """``value``, ``level`` deep in a payload, with each number list replaced by the stub.
-
-    A float64 array that ``_float_array_chunks`` writes, or a list that
-    ``_number_lists_chunks`` lays out, becomes the stub and its pieces go on
-    ``lists``; any other array is taken as its ``tolist()``. A dict with str
-    keys and a list, array or dict value is rebuilt with its keys sorted, so
-    the stubs come in the order ``json.dumps(sort_keys=True)`` writes them;
-    every other value is kept.
-    """
-    if type(value) is np.ndarray:
-        if (chunks := _float_array_chunks(value, level)) is not None:
-            lists.append(chunks)
-            return NUMBER_LIST_STUB
-        value = value.tolist()
-    if type(value) is list and (chunks := _number_lists_chunks(value, level)) is not None:
-        lists.append(chunks)
-        return NUMBER_LIST_STUB
-    if (type(value) is not dict or level >= _MAX_DEPTH or any(type(k) is not str for k in value)
-            or not any(type(item) in (list, dict, np.ndarray) for item in value.values())):
-        return value
-    return {key: _stub_number_lists(item, level + 1, lists) for key, item in sorted(value.items())}
+    return out[:written].tobytes().decode("ascii") if written else None
 
 
 def save_json(payload, path) -> None:
     """Write ``payload`` atomically as sorted, indented JSON with a final newline.
 
     The bytes are always ``json.dumps(payload, sort_keys=True, indent=2)``
-    plus a newline, with each numpy array written as its ``tolist()``. json's
-    pure-Python indenting encoder costs about twice what the numbers'
-    ``repr`` does, so json writes the payload with a stub in place of each
-    array and list of finite numbers (a model's posterior, its log-joint
-    trace), and their text, from the compiled library or from ``repr``,
-    replaces the stubs.
+    plus a newline, with each numpy array written as its ``tolist()``. json
+    writes the payload with a stub in place of each float64 array (a model's
+    posterior, a generator's truth), and each array's text replaces its stub
+    at the depth of the stub's line: the compiled library's, or json's own
+    for an array the library declines or when it is missing. A payload that
+    holds the stub's text itself is written by json whole.
     """
-    lists: list[list[str]] = []
-    stubbed = _stub_number_lists(payload, 0, lists)
-    dumps = functools.partial(json.dumps, sort_keys=True, indent=2, default=np.ndarray.tolist)
-    parts = dumps(stubbed).split(json.dumps(NUMBER_LIST_STUB))
-    if len(parts) != len(lists) + 1:  # the payload holds the stub's text itself
-        parts, lists = [dumps(payload)], []
-    pieces = chain.from_iterable([part, *chunks] for part, chunks in zip(parts, lists))
+    arrays: list[np.ndarray] = []
+
+    def stub(value):
+        if type(value) is np.ndarray and value.dtype == np.float64 and value.ndim:
+            arrays.append(value)
+            return NUMBER_LIST_STUB
+        return np.ndarray.tolist(value)  # a TypeError for anything but an array
+
+    dumps = functools.partial(json.dumps, sort_keys=True, indent=2)
+    parts = dumps(payload, default=stub).split(json.dumps(NUMBER_LIST_STUB))
+    if len(parts) != len(arrays) + 1:  # the payload holds the stub's text itself
+        parts, arrays = [dumps(payload, default=np.ndarray.tolist)], []
+    pieces = []
+    for part, array in zip(parts, arrays):
+        line = part[part.rfind("\n") + 1:]
+        level = (len(line) - len(line.lstrip(" "))) // 2
+        text = _float_array_text(array, level)
+        if text is None:
+            text = dumps(array.tolist()).replace("\n", "\n" + "  " * level)
+        pieces += [part, text]
     write_atomic(path, [*pieces, parts[-1], "\n"])
 
 

@@ -868,6 +868,55 @@ def test_every_fit_config_fits_or_is_one_json_error(four_token_corpus, traits, s
             assert out.read_bytes() == b"an earlier model\n"
 
 
+# subnormal, the smallest normal, tiny, small, one, huge, and not finite: the
+# tiny and smallest ones make Dirichlet draws that the compiled writer declines.
+# Each draw is half the time from the valid values alone, so that many cases succeed.
+CONCENTRATION_TEXTS = ("1e-320", "2.2250738585072014e-308", "1e-300", "1e-3", "1", "1e300",
+                       "inf", "nan")
+CONCENTRATION_FLAGS = (st.sampled_from(CONCENTRATION_TEXTS[1:6])
+                       | st.sampled_from(CONCENTRATION_TEXTS))
+SIZES = st.integers(1, 3) | st.integers(-1, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(traits=SIZES, events=SIZES, time_bins=SIZES, levels=SIZES, traces=SIZES, tokens=SIZES,
+       seed=st.integers(0, 2) | st.integers(-2, 2),
+       hyper=st.fixed_dictionaries(dict.fromkeys(("alpha", "beta", "gamma", "delta"),
+                                                 CONCENTRATION_FLAGS)))
+@example(traits=2, events=3, time_bins=2, levels=2, traces=3, tokens=4, seed=0,
+         hyper={"alpha": "1e-300", "beta": "2.2250738585072014e-308", "gamma": "1e-3",
+                "delta": "1e300"})
+def test_every_generate_flag_set_writes_loadable_files_or_is_one_json_error(
+        traits, events, time_bins, levels, traces, tokens, seed, hyper):
+    with tempfile.TemporaryDirectory() as tmp:
+        prefix = Path(tmp) / "syn"
+        outputs = [Path(f"{prefix}{end}") for end in (".jsonl", ".schema.json", ".truth.json")]
+        for path in outputs:
+            path.write_text(f"an earlier {path.name}\n")
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = run(["generate", "--traits", traits, "--events", events,
+                        "--time-bins", time_bins, "--interaction-levels", levels,
+                        "--traces", traces, "--tokens-per-trace", tokens, "--seed", seed,
+                        "--out-prefix", prefix,
+                        *(arg for name, text in hyper.items() for arg in (f"--{name}", text))])
+        lines = stderr.getvalue().splitlines()
+        event("generate" if code == 0 else "error")
+        if code == 0:
+            assert lines == []
+            corpus = hbtm.load_corpus(outputs[0], hbtm.load_schema(outputs[1]))
+            text = outputs[2].read_text()
+            truth = json.loads(text)
+            assert text == json.dumps(truth, sort_keys=True, indent=2) + "\n"
+            assert hbtm.Posterior.from_dict(truth["params"]).num_traits == traits
+            assert [len(row) for row in truth["assignments"]] == list(map(len, corpus.traces))
+        else:
+            assert code == 1 and len(lines) == 1
+            assert set(json.loads(lines[0])) == {"error", "detail"}
+            assert sorted(Path(tmp).iterdir()) == sorted(outputs)
+            assert all(p.read_text() == f"an earlier {p.name}\n" for p in outputs)
+
+
 RAW_PIECES = [
     b"1,s1,Deeds,02.10.2019 09:00:17,02.10.2019 09:00:47,1,2,5",
     b"2,s2,Aulaweb,02/10/2019 09:00:17,02/10/2019 09:01:17, 3 ,007,0",

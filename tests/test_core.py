@@ -34,9 +34,7 @@ from hbtm import (
     synthetic_schema,
     validate_corpus,
 )
-from hbtm.core import (
-    NUMBER_LIST_STUB, _float_array_chunks, _number_lists_chunks, save_json, write_atomic,
-)
+from hbtm.core import NUMBER_LIST_STUB, _float_array_text, save_json, write_atomic
 from hbtm.ingest import MappingRule, write_rejects_csv
 
 from conftest import greedy_match_traits, random_corpus, total_variation
@@ -611,23 +609,29 @@ def test_save_json_writes_what_json_dumps_writes(tmp_path_factory, payload):
     assert path.read_text() == expected
 
 
+def assert_saved_as_json_dumps(payload, tmp_path):
+    save_json(payload, tmp_path / "out.json")
+    expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert (tmp_path / "out.json").read_text() == expected
+
+
 @pytest.mark.parametrize("value", [
     [0.5, -0.0, 5e-324, 1e16, 3],
     [[0.25, 0.75], [1e-05]],
     [[[1.0, 0.0], [0.5, 0.5]], [[1.0]]],
     [],
 ])
-def test_number_lists_are_laid_out_from_their_repr(value):
-    text = "".join(_number_lists_chunks(value, 1))
-    assert text == json.dumps(value, indent=2).replace("\n", "\n  ")
+def test_number_lists_are_laid_out_from_their_repr(tmp_path, value):
+    # json spells each number by its repr; the list sits one level deep
+    assert_saved_as_json_dumps({"x": value}, tmp_path)
 
 
 @pytest.mark.parametrize("value", [
     [1.0, float("nan")], [float("inf")], [1.0, True], [np.float64(1.0)], [1.0, None],
     [[1.0], []], [[]], [1.0, [2.0]], [(1.0, 2.0)], ["1.0"],
 ])
-def test_other_lists_are_left_to_json_dumps(value):
-    assert _number_lists_chunks(value, 0) is None
+def test_other_lists_are_left_to_json_dumps(tmp_path, value):
+    assert_saved_as_json_dumps([value], tmp_path)
 
 
 def test_a_self_containing_payload_is_reported_as_json_dumps_does(tmp_path):
@@ -647,8 +651,7 @@ def library_text(array: np.ndarray, level: int = 0) -> str | None:
     """The compiled library's text for ``array`` ``level`` deep; None if it declines the array."""
     if sampler._library() is None:
         pytest.skip("no compiled library")
-    chunks = _float_array_chunks(array, level)
-    return None if chunks is None else "".join(chunks)
+    return _float_array_text(array, level)
 
 
 def json_text(array: np.ndarray, level: int = 0) -> str:
@@ -726,16 +729,24 @@ def test_float_arrays_are_written_as_repr_or_declined_whole(array, level):
 def test_declined_and_other_arrays_write_what_json_writes(tmp_path, monkeypatch, array):
     # kept from the library (a number outside its range, NaN, a length-0 axis,
     # another dtype or rank) or written by it (the strided and Fortran-ordered
-    # ones): the bytes are the same, and the same without the library
-    payload = {"posterior": {"theta": array, "x": [0.5]}, "y": array, "z": [1.0, array],
-               "\u00e9": 1}
-    want = json.dumps({"posterior": {"theta": array.tolist(), "x": [0.5]}, "y": array.tolist(),
-                       "z": [1.0, array.tolist()], "\u00e9": 1}, sort_keys=True, indent=2) + "\n"
-    save_json(payload, tmp_path / "kernel.json")
-    assert (tmp_path / "kernel.json").read_text() == want
-    monkeypatch.setattr(sampler, "_library", lambda: None)
-    save_json(payload, tmp_path / "python.json")
-    assert (tmp_path / "python.json").read_text() == want
+    # ones): the bytes are the same wherever the array sits, beside any key or
+    # the stub's own text, and the same without the library
+    payloads = [
+        {"posterior": {"theta": array, "x": [0.5]}, "y": array, "z": [1.0, array], "\u00e9": 1},
+        array,
+        [[array], [[1.0, array]]],
+        {"ints": {3: array, -1: [array]}},
+        {"  spaced": array, "new\nline": {"a": array}, 'say "hi"': array, "nul\0char": [array]},
+        {"note": NUMBER_LIST_STUB, "y": array},
+    ]
+    for n, payload in enumerate(payloads):
+        want = json.dumps(payload, sort_keys=True, indent=2, default=np.ndarray.tolist) + "\n"
+        save_json(payload, tmp_path / f"kernel-{n}.json")
+        assert (tmp_path / f"kernel-{n}.json").read_text() == want
+        with monkeypatch.context() as patch:
+            patch.setattr(sampler, "_library", lambda: None)
+            save_json(payload, tmp_path / f"python-{n}.json")
+        assert (tmp_path / f"python-{n}.json").read_text() == want
 
 
 def test_a_fit_writes_the_same_model_with_and_without_the_library(tmp_path, monkeypatch):
