@@ -393,17 +393,21 @@ def parse_raw_log(fh, column_map: dict) -> tuple[RawEvents, list[RejectedRow]]:
     mapped column is a configuration error and raises ValueError. Raw logs
     have no fields that span lines, so a row whose quoted field runs past
     its line (an unbalanced double quote) raises ValueError naming that data
-    row, instead of swallowing the rows after it.
+    row, instead of swallowing the rows after it. On the file's last line,
+    an unclosed quote ends with the file and its row is read as it stands
+    (a short row, say).
 
-    Without a ``timestamp_format``, the body is read in blocks of about
-    ``_BLOCK_CHARS`` characters by the compiled library's ``hbtm_rows``,
-    which answers the plain rows into arrays and leaves every other row to
-    ``take``, the Python reader, whose values are written into the block's
-    arrays in place. From the first block that is not ASCII or holds a
-    double quote, a carriage return or a NUL, or when the library is
-    missing, the rest goes through ``csv.reader`` and ``take``: the results
-    and errors are the same either way. The returned columns are numpy
-    arrays, so no Python object is made per answered row.
+    The body is read in one loop over blocks of about ``_BLOCK_CHARS``
+    characters. The compiled library's ``hbtm_rows`` answers a block's plain
+    rows into arrays, with CRLF line ends read as LF, and declines every
+    other line to ``csv.reader`` and ``take``, the Python reader, whose
+    values are written into the block's arrays in place. A block it cannot
+    take (one that is not ASCII or holds a double quote, a bare carriage
+    return or a NUL, or ends in a read error) is declined whole, as every
+    block is with a ``timestamp_format`` or without the library; the next
+    block is tried again. The results and errors are the same either way.
+    The returned columns are numpy arrays, so no Python object is made per
+    answered row.
     """
     required = ("session", "student_id", "activity", "start_time", "end_time",
                 "mouse_clicks", "keystrokes")
@@ -471,54 +475,46 @@ def parse_raw_log(fh, column_map: dict) -> tuple[RawEvents, list[RejectedRow]]:
                 sum(counts[:n_mouse]), sum(counts[n_mouse:]))
 
     library = None if fmt else sampler._library()
+    scan = library and _row_scanner(library, need, [i_session, i_student, i_activity, i_start,
+                                                    i_end, *count_cols], n_mouse, code_of)
     parts = [[np.empty(0, dtype)] for dtype in _DTYPES]  # each column's blocks, in file order
-    block, error = [], None
     row_number = 0  # the data rows before the one being read
     try:
-        if library is not None:
-            scan = _row_scanner(library, need, [i_session, i_student, i_activity, i_start,
-                                                i_end, *count_cols], n_mouse, code_of)
-            while True:
-                block, error = _read_block(lines, _BLOCK_CHARS)
-                text = "".join(block)
-                if (not block or error is not None or not text.isascii()
-                        or any(c in text for c in '"\r\0')):
-                    break
-                status, columns = scan(text, len(block))
-                kept = status == _ROW_OK
-                unanswered = np.flatnonzero(~kept).tolist()
-                # one row per line: a plain line holds no quote; a field past csv's
-                # size limit raises as below
-                declined = csv.reader([block[j] for j in unanswered if status[j] != _ROW_BLANK])
-                base, blanks, taken = row_number, 0, {}
-                for j in unanswered:
-                    if status[j] == _ROW_BLANK:
-                        blanks += 1
-                        continue
-                    row_number = base + j - blanks
-                    values = take(row_number + 1, next(declined))
-                    if values is not None:
-                        taken[j] = values
-                row_number = base + len(block) - blanks
-                if taken:
-                    at = list(taken)
-                    kept[at] = True
-                    columns = list(map(_put, columns, [at] * 7, zip(*taken.values())))
-                for part, column in zip(parts, columns):
-                    part.append(column[kept])
-        reader = csv.reader(_rest(block, error, lines))
-        taken = []
-        for line, row in enumerate(reader, start=1):
-            if reader.line_num != line:
-                raise _unbalanced_quote(row_number + 1)
-            if not row:
-                continue  # blank lines are skipped and not numbered, as in csv.DictReader
-            row_number += 1
-            values = take(row_number, row)
-            if values is not None:
-                taken.append(values)
-        for part, dtype, values in zip(parts, _DTYPES, zip(*taken)):
-            part.append(_put(np.empty(len(taken), dtype), slice(None), values))
+        while True:
+            block, error = _read_block(lines, _BLOCK_CHARS)
+            if not block and error is None:
+                break
+            n, text = len(block), "".join(block)
+            if "\r" in text:  # CRLF ends read as LF; a bare CR is left and declines the block
+                text = text.replace("\r\n", "\n")
+            if (scan and error is None and text.isascii()
+                    and not any(c in text for c in '"\r\0')):
+                status, columns = scan(text, n)
+            else:
+                status, columns = np.zeros(n, np.int64), [np.empty(n, t) for t in _DTYPES]
+            kept = status == _ROW_OK
+            declined = np.flatnonzero(~kept).tolist()
+            # a quoted field that runs past its line reads on into the next physical line
+            reader = csv.reader(_rest([block[j] for j in declined], error, lines))
+            base, blanks, taken = row_number, 0, {}
+            for line, j in enumerate(declined, start=1):
+                row_number = base + j - blanks
+                row = next(reader)
+                if reader.line_num != line:
+                    raise _unbalanced_quote(row_number + 1)
+                if not row:  # blank lines are skipped and not numbered, as in csv.DictReader
+                    blanks += 1
+                elif (values := take(row_number + 1, row)) is not None:
+                    taken[j] = values
+            row_number = base + n - blanks
+            if taken:
+                at = list(taken)
+                kept[at] = True
+                columns = list(map(_put, columns, [at] * 7, zip(*taken.values())))
+            for part, column in zip(parts, columns):
+                part.append(column[kept])
+            if error is not None:
+                raise error
     except csv.Error as exc:  # e.g. a runaway quoted field passing the field-size limit
         raise _unbalanced_quote(row_number + 1, exc) from exc
     columns = []

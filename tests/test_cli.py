@@ -242,14 +242,18 @@ def test_ingest_rejects_every_row_with_a_negative_count_column(tmp_path):
     assert (summary["raw_events"], summary["interaction_counts"]) == (1, [0, 0, 1, 0, 0])
 
 
-@pytest.mark.parametrize("num_rows", [3, 3000])
-def test_ingest_unbalanced_quote_is_json_error(tmp_path, capsys, num_rows):
+@pytest.mark.parametrize("num_rows, quoted", [
+    pytest.param(3, 1, id="3"),
+    pytest.param(3000, 1, id="3000"),
+    pytest.param(4000, 500, id="4000-quote-in-row-500"),  # past plain rows
+])
+def test_ingest_unbalanced_quote_is_json_error(tmp_path, capsys, num_rows, quoted):
     raw = tmp_path / "raw.csv"
-    write_raw_csv(raw, ['1,s1,"Deeds,0,30,1,1,5'] + [
-        f"1,student_{i:04d},TextEditor_Es_{i:04d},0,30,1,1,5" for i in range(2, num_rows + 1)
-    ])
-    if num_rows > 3:  # the runaway field then passes csv's field-size limit
-        assert raw.stat().st_size > csv.field_size_limit()
+    rows = [f"1,student_{i:04d},TextEditor_Es_{i:04d},0,30,1,1,5" for i in range(1, num_rows + 1)]
+    rows[quoted - 1] = '1,s1,"Deeds,0,30,1,1,5'
+    write_raw_csv(raw, rows)
+    # past 3 rows the runaway field passes csv's field-size limit
+    assert (sum(len(row) + 1 for row in rows[quoted - 1:]) > csv.field_size_limit()) == (num_rows > 3)
     cmap = tmp_path / "cols.json"
     write_column_map(cmap)
     code = run(["ingest", "--raw", raw, "--column-map", cmap, "--out-dir", tmp_path / "o"])
@@ -258,8 +262,9 @@ def test_ingest_unbalanced_quote_is_json_error(tmp_path, capsys, num_rows):
     assert len(lines) == 1
     err = json.loads(lines[0])
     assert err["error"] == "ValueError"
-    assert err["detail"].startswith("data row 1: ")
+    assert err["detail"].startswith(f"data row {quoted}: ")
     assert "unbalanced double quote" in err["detail"]
+    assert ("field larger than field limit" in err["detail"]) == (num_rows > 3)
     assert not (tmp_path / "o").exists()
 
 

@@ -565,6 +565,9 @@ def test_parse_unbalanced_quote_names_the_row_where_it_opened():
     rows = [closed, "", '1,s1,"Deeds,0,10,0,0,0,0', "1,s1,Deeds,0,10,0,0,0,0"]
     with pytest.raises(ValueError, match="data row 2: .* unbalanced double quote"):
         parse_raw_log(csv_of(rows), COLUMN_MAP)
+    # on the last line an unclosed quote ends with the file, and its row is read as it stands
+    events, rejects = parse_raw_log(csv_of([closed, '1,s1,"Deeds,0,10,0,0,0,0']), COLUMN_MAP)
+    assert len(events) == 1 and _rows(rejects) == [(2, "short row")]
 
 
 # --- corpus building -------------------------------------------------------
@@ -879,8 +882,8 @@ _ODD_STAMPS = ["02.10.2019 24:00:00", "31.02.2019 09:00:00", "29.02.2019 09:00:0
 _NAMES = ["1", "2", "s1", "s2", "Deeds", "Aulaweb", "Study_Es_1_1", "", "a b"]
 _COUNTS = ["0", "7", "12", "007", " 7 ", "1e400", "-0.5", "1_0", "-3", "-0", "", "n/a",
            "1.5", "inf", "999999999999999", "9999999999999999", "99999999999999999999"]
-# one of these lands in a late row: each sends its block and the rest to csv.reader
-_LATE = ['"Deeds, quoted"', '"Deeds', 'De"eds', "Déeds", "De\0eds", "Deeds\r", " "]
+# each of these declines its block to csv.reader; the blocks after it go back to hbtm_rows
+_ODDITIES = ['"Deeds, quoted"', '"Deeds', 'De"eds', "Déeds", "De\0eds", "Deeds\r", " "]
 _PADS = ["", "", "", " ", "  ", "\t"]
 _COLUMN_MAPS = [COLUMN_MAP, {**COLUMN_MAP, "mouse_clicks": []},
                 {**COLUMN_MAP, "mouse_clicks": ["wheel", "wheel"], "keystrokes": ["keys"]}]
@@ -890,7 +893,7 @@ _HEADERS = [HEADER, HEADER.rstrip("\n") + ",keys,activity\n", HEADER.rstrip("\n"
 
 @st.composite
 def raw_log_texts(draw):
-    """A raw log over ``HEADER``'s columns: mostly plain rows, some odd, perhaps one late oddity."""
+    """A raw log over ``HEADER``'s columns: mostly plain rows, some odd, perhaps a few oddities."""
     lines = []
     for _ in range(draw(st.integers(0, 25))):
         kind = draw(st.sampled_from(["plain"] * 4 + ["odd"] * 3 + ["blank", "short", "long"]))
@@ -915,10 +918,10 @@ def raw_log_texts(draw):
         elif kind == "long":
             fields += draw(st.lists(st.sampled_from(["", "x", "9"]), min_size=1, max_size=4))
         lines.append(",".join(fields))
-    if lines and draw(st.booleans()):
-        at = draw(st.integers(len(lines) // 2, len(lines) - 1))
-        late = draw(st.sampled_from(_LATE))
-        lines[at] = late + "," + lines[at] if draw(st.booleans()) else lines[at] + late
+    for _ in range(draw(st.integers(0, 3)) if lines else 0):
+        at = draw(st.integers(0, len(lines) - 1))
+        odd = draw(st.sampled_from(_ODDITIES))
+        lines[at] = odd + "," + lines[at] if draw(st.booleans()) else lines[at] + odd
     ending = "\r\n" if lines and draw(st.integers(0, 9)) == 0 else "\n"
     text = ending.join(lines) + draw(st.sampled_from([ending, ""]))
     return draw(st.sampled_from(_HEADERS)) + text
@@ -1004,6 +1007,35 @@ def test_the_compiled_reader_answers_plain_rows_and_declines_the_rest():
     assert rows[4] == ("2", "s1", "Deeds", _epoch(datetime(2020, 2, 29, 23, 59, 59)),
                        _epoch(datetime(9999, 12, 31, 23, 59, 59)), 0, 999999999999999)
     assert list(codes) == ["1", "s1", "Deeds", "2"]
+
+
+def test_a_quoted_field_declines_only_its_block_and_crlf_line_ends_stay_compiled():
+    if sampler._library() is None:
+        pytest.skip("no compiled library")
+    rows = [f"{n % 3 + 1},s{n % 5},Deeds,02.10.2019 09:00:{n % 60:02d},02.10.2019 10:00:00,"
+            f"1,2,3,{n}\n" for n in range(100, 130)]
+    budget = 10 * len(rows[0])  # three blocks of ten lines
+    quoted = HEADER + rows[0].replace("Deeds", '"Deeds, quoted"') + "".join(rows[1:])
+    crlf = (HEADER + "".join(rows)).replace("\n", "\r\n")
+    scanner = ingest._row_scanner
+    for text, answered_per_block in [(quoted, [10, 10]), (crlf, [10, 10, 10])]:
+        answered = []
+
+        def counting_scanner(*args):
+            scan = scanner(*args)
+
+            def counted(text, n):
+                status, columns = scan(text, n)
+                answered.append(int((status == ingest._ROW_OK).sum()))
+                return status, columns
+
+            return counted
+
+        with mock.patch.object(ingest, "_row_scanner", counting_scanner):
+            events, rejects = _parsed(text, budget=budget)
+        assert answered == answered_per_block
+        assert len(events) == 30 and rejects == []
+        assert (events, rejects) == _parsed(text, library=False)
 
 
 def test_parsing_plain_rows_makes_no_python_object_per_row():
