@@ -10,8 +10,9 @@
  * It reproduces sampler.reference_sweep bit for bit: each weight is computed
  * in reference_sweep's operation order (numerator left to right, then
  * divided by the three-factor denominator), cum is a sequential running sum,
- * and the trait is picked with bisect_right's own binary search, clamped to
- * K-1. Build with -ffp-contract=off so no multiply-add is fused.
+ * and the trait is bisect_right's index, found by counting the c with
+ * cum[c] <= x and clamped to K-1 (see the comment at the count). Build with
+ * -ffp-contract=off so no multiply-add is fused.
  *
  * u holds one uniform per token; cum is K doubles of scratch. Returns 0;
  * j + 1 when the weights of flat token j are degenerate (a zero denominator,
@@ -83,15 +84,16 @@ int64_t hbtm_sweep(int64_t n, int64_t nk, int64_t ne, int64_t nt, int64_t ni,
             MOVE(k, 1);
             return j + 1;
         }
+        /* bisect_right(cum, x) as a count with no branch to mispredict. The two
+         * are equal because cum never decreases here: a zero denominator and a
+         * total outside (0, inf) have both returned above, so every weight was
+         * finite and >= 0, given tables that count z as ModelState.audit
+         * checks. A hand-corrupted table with a negative cell can make a
+         * weight negative and cum decrease, and then the two may differ. */
         const double x = u[j] * total;
-        int64_t lo = 0, hi = nk;
-        while (lo < hi) {
-            const int64_t mid = (lo + hi) / 2;
-            if (x < cum[mid])
-                hi = mid;
-            else
-                lo = mid + 1;
-        }
+        int64_t lo = 0;
+        for (int64_t c = 0; c < nk; c++)
+            lo += cum[c] <= x;
         k = lo < nk ? lo : nk - 1;
         z[j] = k;
         MOVE(k, 1);

@@ -64,3 +64,18 @@ def test_bench_claim_follows_from_the_recorded_quartiles(path):
     met = (claim["change_wins"] >= 0.9 * claim["pairs"]
            and claim["median_gap"] > claim["parent_iqr"])
     assert claim["met"] is met
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_projected_grid_follows_from_the_traced_us_per_token(path):
+    """``sweep_only_s``: 6 sessions x 2000 sweeps x session tokens x the sum over K of µs/token."""
+    grid = json.loads(path.read_text())["projected_paper_grid"]
+    if "us_per_token" not in grid or "sweep_only_s" not in grid:
+        return
+    us, seconds = grid["us_per_token"], grid["sweep_only_s"]
+    if "parent" in us:
+        sides = [(us[side], seconds[side]) for side in ("parent", "change")]
+    else:  # one projection for both sides
+        sides = [(us, seconds)]
+    for per_k, recorded in sides:
+        assert recorded == pytest.approx(6 * 2000 * grid["session_tokens"] * sum(per_k.values()) / 1e6)

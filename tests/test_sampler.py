@@ -317,6 +317,35 @@ def test_underflowing_weights_raise_the_same_error_on_both_paths(rng):
     assert state.count_violations() == [] and twin.count_violations() == []
 
 
+class _FixedUniforms:
+    """A stand-in for a state's generator whose every uniform is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None, out=None):
+        if out is None:
+            return np.full(size, self.u)  # reference_sweep asks for a size
+        out.fill(self.u)  # gibbs_sweep fills its buffer
+        return out
+
+
+@pytest.mark.parametrize("u", [0.0, math.nextafter(1.0, 0.0)], ids=["zero", "below_one"])
+def test_both_sweeps_pick_the_same_trait_when_the_draw_hits_a_tie(rng, u):
+    # With concentrations of 1e-120 the leading weights underflow to 0, so cum
+    # has plateaus; u = 0 puts x exactly on the first one, where bisect_right
+    # and bisect_left part. A random uniform almost never lands there.
+    corpus = random_corpus(rng)
+    tiny = Hyperparams(1e-120, 1e-120, 1e-120, 1e-120)
+    z = np.arange(corpus.num_tokens) % 6  # no trait starts empty
+    state = ModelState(corpus, 6, z, _FixedUniforms(u))
+    twin = ModelState(corpus, 6, z, _FixedUniforms(u))
+    assert _sweep_outcome(gibbs_sweep, state, tiny) == _sweep_outcome(reference_sweep, twin, tiny)
+    assert np.array_equal(state.z, twin.z)
+    for name in _TABLES:
+        assert np.array_equal(getattr(state, name), getattr(twin, name)), name
+
+
 @pytest.mark.parametrize("bad", [-1, 3])
 @pytest.mark.parametrize("sweep", [gibbs_sweep, reference_sweep],
                          ids=["gibbs_sweep", "reference_sweep"])
