@@ -1,5 +1,5 @@
-/* The compiled helpers of hbtm: hbtm_sweep, hbtm_scan, hbtm_lloyd, hbtm_rows,
- * hbtm_format and hbtm_gammaln.
+/* The seven compiled helpers of hbtm: hbtm_sweep, hbtm_scan, hbtm_lloyd,
+ * hbtm_rows, hbtm_format, hbtm_gammaln and hbtm_corpus.
  *
  * Each kernel returns int64_t and is declared once on the Python side, as a
  * row of sampler._KERNELS giving its parameter types. Adding a kernel takes
@@ -39,6 +39,11 @@
  * hbtm_gammaln evaluates the log-gamma function of positive finite doubles
  * with the same value for every one as scipy.special.gammaln, for
  * sampler.collapsed_log_joint; see its own comment.
+ *
+ * hbtm_corpus reads a corpus file whose every line is in core.save_corpus's
+ * exact form into per-line token counts, id offsets and token codes, or
+ * declines the whole file for core.load_corpus's Python reader; see its own
+ * comment.
  */
 #include <float.h>
 #include <math.h>
@@ -844,4 +849,79 @@ int64_t hbtm_gammaln(const double *x, int64_t n, double *out)
         out[j] = lgam(x[j]);
     }
     return 0;
+}
+
+/* The byte after the literal lit at p, or NULL if [p, end) does not start with it. */
+#define EXPECT(p, end, lit) \
+    ((p) && (end) - (p) >= (int64_t)sizeof(lit) - 1 && memcmp((p), (lit), sizeof(lit) - 1) == 0 \
+     ? (p) + sizeof(lit) - 1 : NULL)
+
+/* The token component at p, 0|[1-9][0-9]{0,17} (so an int64 holds it), into
+ * *value; the byte after it, or NULL for any other text. p may be NULL. */
+static const char *read_component(const char *p, const char *end, int64_t *value)
+{
+    if (!p || p == end || *p < '0' || *p > '9')
+        return NULL;
+    const char *const from = p;
+    int64_t v = 0;
+    do
+        v = v * 10 + (*p++ - '0');
+    while (v && p < end && *p >= '0' && *p <= '9' && p - from < 18);
+    if (p < end && *p >= '0' && *p <= '9')  /* a leading zero, or a 19th digit */
+        return NULL;
+    *value = v;
+    return p;
+}
+
+/* Read a whole corpus file text[0, len) whose every line is exactly what
+ * core.save_corpus writes for a trace of ASCII id:
+ *
+ *     {"tokens":[[e,t,i],[e,t,i],...],"trace_id":"id"}\n
+ *
+ * with at least one token, each component 0|[1-9][0-9]{0,17}, an id of bytes
+ * 0x20-0x7e other than '"' and '\', and '\n' after every line, the last one
+ * included. For line m, lengths[m] is its token count and ids[2m], ids[2m + 1]
+ * its id's [lo, hi) byte offsets; codes receives each token's three
+ * components in file order. lengths takes max_lines int64, ids 2 * max_lines
+ * and codes 3 * max_tokens.
+ *
+ * Returns the number of lines, at least 1; or 0 to decline the whole file,
+ * for core.load_corpus's Python reader to read: an empty file, a line in any
+ * other form, more than max_lines lines or more than max_tokens tokens. */
+int64_t hbtm_corpus(const char *text, int64_t len, int64_t max_lines, int64_t max_tokens,
+                    int64_t *lengths, int64_t *ids, int64_t *codes)
+{
+    const char *p = text;
+    const char *const end = text + len;
+    int64_t lines = 0, tokens = 0;
+    while (p < end) {
+        if (lines == max_lines || !(p = EXPECT(p, end, "{\"tokens\":[")))
+            return 0;
+        const int64_t first = tokens;
+        for (;;) {
+            if (tokens == max_tokens)
+                return 0;
+            int64_t *const code = codes + 3 * tokens++;
+            p = read_component(EXPECT(p, end, "["), end, code);
+            p = read_component(EXPECT(p, end, ","), end, code + 1);
+            p = read_component(EXPECT(p, end, ","), end, code + 2);
+            p = EXPECT(p, end, "]");
+            if (!p || p == end || *p != ',')
+                break;
+            p++;
+        }
+        if (!(p = EXPECT(p, end, "],\"trace_id\":\"")))
+            return 0;
+        ids[2 * lines] = p - text;
+        while (p < end && *p != '"') {
+            if ((unsigned char)*p < 0x20 || (unsigned char)*p >= 0x7f || *p == '\\')
+                return 0;
+            p++;
+        }
+        ids[2 * lines + 1] = p - text;
+        if (!(p = EXPECT(p, end, "\"}\n")))
+            return 0;
+        lengths[lines++] = tokens - first;
+    }
+    return lines;
 }

@@ -158,7 +158,19 @@ class Trace(FrozenSlots):
 
 @dataclass(frozen=True)
 class Corpus:
-    """A schema plus the traces observed under it; at least one trace."""
+    """A schema plus the traces observed under it; at least one trace.
+
+    A corpus holds one of two forms and derives the other once, on first use.
+    One is ``traces``, the tuple of Trace objects that ``Corpus(schema,
+    traces)`` takes. The other is three columns: ``trace_ids``, ``lengths``
+    (an int64 array of tokens per trace) and ``codes`` (an (N, 3) int64 array
+    of every token's event, time bin and interaction level, in trace order);
+    both arrays are read-only. ``load_corpus`` builds a corpus of columns when
+    the compiled reader answers its file; its ``traces`` are built when first
+    read, with one shared Token per distinct triple. The sampler reads the
+    columns, which a corpus of traces derives by flattening its tokens. Both
+    forms compare equal when their traces do.
+    """
 
     schema: Schema
     traces: tuple[Trace, ...]
@@ -168,13 +180,55 @@ class Corpus:
         if not self.traces:
             raise ValueError("a corpus needs at least one trace")
 
+    @classmethod
+    def _of_columns(cls, schema: Schema, trace_ids: tuple[str, ...], lengths: np.ndarray,
+                    codes: np.ndarray) -> "Corpus":
+        corpus = cls.__new__(cls)
+        lengths.flags.writeable = codes.flags.writeable = False  # shared by every reader
+        for name, value in (("schema", schema), ("trace_ids", trace_ids), ("lengths", lengths),
+                            ("codes", codes)):
+            object.__setattr__(corpus, name, value)
+        return corpus
+
+    def __getattr__(self, name):
+        # called only for a name the instance lacks: a corpus of columns lacks
+        # its traces until they are first read
+        if name != "traces" or "codes" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        shared, index = np.unique(self.codes, axis=0, return_inverse=True)
+        token_of = np.fromiter(map(Token._make, shared.tolist()), object, len(shared))
+        tokens = token_of[index.reshape(-1)].tolist()
+        bounds = np.cumsum(self.lengths).tolist()
+        traces = tuple(Trace(trace_id, tuple(tokens[lo:hi]))
+                       for trace_id, lo, hi in zip(self.trace_ids, [0] + bounds, bounds))
+        object.__setattr__(self, "traces", traces)
+        return traces
+
+    @functools.cached_property
+    def trace_ids(self) -> tuple[str, ...]:
+        return tuple(t.trace_id for t in self.traces)
+
+    @functools.cached_property
+    def lengths(self) -> np.ndarray:
+        lengths = np.fromiter(map(len, self.traces), np.int64, len(self.traces))
+        lengths.flags.writeable = False
+        return lengths
+
+    @functools.cached_property
+    def codes(self) -> np.ndarray:
+        """Every token's three components, flattened in trace order."""
+        components = chain.from_iterable(chain.from_iterable(t.tokens for t in self.traces))
+        codes = np.fromiter(components, np.int64, 3 * self.num_tokens).reshape(-1, 3)
+        codes.flags.writeable = False
+        return codes
+
     @property
     def num_traces(self) -> int:
-        return len(self.traces)
+        return len(self.trace_ids)
 
     @property
     def num_tokens(self) -> int:
-        return sum(len(t) for t in self.traces)
+        return int(self.lengths.sum())
 
 
 @dataclass(frozen=True)
@@ -257,6 +311,10 @@ def validate_corpus(corpus: Corpus) -> list[str]:
     Messages follow trace order; within a trace the duplicate id comes first,
     then the empty trace or each offending token's components in token order.
     Returns an empty list iff the corpus is admissible for fitting.
+
+    A corpus that holds its columns is first checked on them, as whole
+    arrays; the loop over its traces below runs only when that check fails,
+    so it alone spells the messages.
     """
     schema = corpus.schema
     limits = (
@@ -264,6 +322,12 @@ def validate_corpus(corpus: Corpus) -> list[str]:
         ("time_bin", schema.num_time_bins),
         ("interaction_level", schema.num_interaction_levels),
     )
+    if "codes" in vars(corpus):  # columns already made: never flatten traces for this
+        codes = corpus.codes
+        if (len(set(corpus.trace_ids)) == len(corpus.trace_ids) and corpus.lengths.all()
+                and codes.min() >= 0
+                and all(column.max() < limit for column, (_, limit) in zip(codes.T, limits))):
+            return []
     # a corpus repeats few distinct tokens, so each distinct one is checked once
     bad = {
         tok for tok in set(chain.from_iterable(t.tokens for t in corpus.traces))
@@ -455,12 +519,48 @@ def _canonical_trace(line: str, tokens_of) -> Trace | None:
         return None
 
 
+def _read_columns(path, schema: Schema) -> Corpus | None:
+    """The corpus of columns the compiled library reads from ``path``; None if declined.
+
+    ``hbtm_corpus`` answers a file only when every line is in ``save_corpus``'s
+    exact form with an ASCII id that needs no escape and at least one token,
+    and every line, the last included, ends in ``\\n``. Such a line takes at
+    least 35 bytes, and each of its tokens 8 (``[0,0,0]`` and a comma or
+    bracket), so the buffers hold every line and token of a file it answers.
+    """
+    from . import sampler  # sampler imports this module
+
+    library = sampler._library()
+    if library is None:
+        return None
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    max_lines, max_tokens = len(raw) // 35, len(raw) // 8
+    lengths, ids = np.empty(max_lines, np.int64), np.empty(2 * max_lines, np.int64)
+    codes = np.empty((max_tokens, 3), np.int64)
+    lines = library.hbtm_corpus(np.frombuffer(raw, np.uint8).ctypes.data, len(raw), max_lines,
+                                max_tokens, lengths.ctypes.data, ids.ctypes.data,
+                                codes.ctypes.data)
+    if not lines:
+        return None
+    text, bounds = raw.decode("ascii"), ids[:2 * lines].tolist()
+    trace_ids = tuple(text[lo:hi] for lo, hi in zip(bounds[::2], bounds[1::2]))
+    lengths = lengths[:lines]
+    return Corpus._of_columns(schema, trace_ids, lengths, codes[:lengths.sum()])
+
+
 def load_corpus(path, schema: Schema) -> Corpus:
     """Read a corpus file; every token component must be a plain JSON integer.
 
-    Lines in ``save_corpus``'s own form are read without ``json``, their equal
-    tokens sharing one Token object; every other line is decoded as JSON.
+    A file the compiled library answers (see ``_read_columns``) becomes a
+    corpus of columns. Any other file, or every file without the library, is
+    read here line by line, with the same traces and the same errors: lines in
+    ``save_corpus``'s own form without ``json``, their equal tokens sharing
+    one Token object, and every other line decoded as JSON.
     """
+    corpus = _read_columns(path, schema)
+    if corpus is not None:
+        return corpus
     traces = []
     tokens_of = _TokenTable().__getitem__
     with open(path) as fh:

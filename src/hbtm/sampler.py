@@ -22,14 +22,17 @@ numpy arrays. The per-token update loop dominates the cost of a fit, so
 system C compiler on first use and cached under ``$XDG_CACHE_HOME/hbtm``
 (default ``~/.cache/hbtm``). ``reference_sweep`` is the same loop in plain
 Python: it is the oracle the kernel must match bit for bit, and the fallback
-when no compiler or cache directory is usable. The same library runs
-``analysis.kmeans``' Lloyd iterations, reads the plain rows of
-``ingest.parse_raw_log``, writes the float arrays of ``core.save_json`` and
-evaluates the log-gamma terms of ``collapsed_log_joint`` (``hbtm_gammaln``,
-equal to ``scipy.special.gammaln``, which stays its fallback, so a fit with
-the library imports no scipy). A process that falls back says so once, in
-one line on stderr. A new kernel takes a prototype in ``_sweep.c``, one row in
-``_KERNELS`` and one driver in ``tests/test_tooling.py``'s sanitizer harness.
+when no compiler or cache directory is usable. The same library holds six
+more kernels, seven in all: it runs ``analysis.kmeans``' Lloyd iterations,
+reads the plain rows of ``ingest.parse_raw_log``, writes the float arrays of
+``core.save_json``, reads ``load_fit_result``'s posterior (below), reads the
+corpus files of ``core.load_corpus`` that are in ``core.save_corpus``'s exact
+form straight into int64 columns, and evaluates the log-gamma terms of
+``collapsed_log_joint`` (``hbtm_gammaln``, equal to ``scipy.special.gammaln``,
+which stays its fallback, so a fit with the library imports no scipy). A
+process that falls back says so once, in one line on stderr. A new kernel
+takes a prototype in ``_sweep.c``, one row in ``_KERNELS`` and one driver in
+``tests/test_tooling.py``'s sanitizer harness.
 
 ``load_fit_result`` reads the posterior of a model file in ``core.save_json``'s
 layout through the same library's number scanner, and every other file, or
@@ -48,7 +51,6 @@ import os
 import sys
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +166,11 @@ class ModelState:
     and n_k (trait totals), all C-contiguous int64 arrays. The flat
     assignment array z follows token order within trace order. Exactly one
     writer may mutate a state at a time.
+
+    A state is built from the corpus's columns (``Corpus.trace_ids``,
+    ``lengths`` and ``codes``), never from its Token objects: a corpus the
+    compiled reader loaded holds only columns, and a corpus of traces
+    flattens its tokens into columns once, on first use.
     """
 
     def __init__(self, corpus: Corpus, num_traits: int, z_flat, rng: np.random.Generator):
@@ -174,14 +181,11 @@ class ModelState:
         self.num_events = schema.num_events
         self.num_time_bins = schema.num_time_bins
         self.num_interaction_levels = schema.num_interaction_levels
-        self.trace_ids = [t.trace_id for t in corpus.traces]
+        self.trace_ids = list(corpus.trace_ids)
         self.rng = rng
 
-        lengths = [len(t.tokens) for t in corpus.traces]
-        components = chain.from_iterable(chain.from_iterable(t.tokens for t in corpus.traces))
-        codes = np.fromiter(components, np.int64, count=3 * sum(lengths)).reshape(-1, 3)
-        self._e_idx, self._t_idx, self._i_idx = codes.T.copy()
-        self._m_idx = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+        self._e_idx, self._t_idx, self._i_idx = corpus.codes.T.copy()
+        self._m_idx = np.repeat(np.arange(len(corpus.lengths), dtype=np.int64), corpus.lengths)
 
         z = np.array(z_flat, dtype=np.int64)
         if z.shape != self._m_idx.shape:
@@ -443,6 +447,7 @@ _KERNELS = (  # each kernel's parameters in _sweep.c's order; every kernel retur
     ("hbtm_rows", [_PTR, _I64, _I64, _I64, _PTR, _I64, _I64, _PTR, _I64, _PTR, _I64] + [_PTR] * 3),
     ("hbtm_format", [_PTR, _I64, _PTR, _I64, _PTR, _I64]),
     ("hbtm_gammaln", [_PTR, _I64, _PTR]),
+    ("hbtm_corpus", [_PTR, _I64, _I64, _I64, _PTR, _PTR, _PTR]),
 )
 
 

@@ -7,6 +7,7 @@ import stat
 import sys
 from dataclasses import FrozenInstanceError, fields
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -428,6 +429,10 @@ def _rewritten_line(draw):
     return " " + line + "\t" if style == "padded" else line
 
 
+_SAVED_A = '{"tokens":[[1,2,3],[0,14,6]],"trace_id":"a"}'
+_SAVED_B = '{"tokens":[[999999999999999999,0,0]],"trace_id":"b"}'
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     st.lists(st.one_of(_saved_line(), _rewritten_line(), st.sampled_from(["", "  "])),
@@ -439,10 +444,25 @@ def _rewritten_line(draw):
 @example(['{"tokens":[[1,2,3]],"trace_id":"a\x01"}'], "\n", True)
 @example(['{"tokens":[],"trace_id":"a"}'], "\r\n", True)
 @example(['{"tokens":[[1,2,3]],"trace_id":"a"}', "", '{"tokens":[[4,5,6]]}'], "\n", False)
+# a file the compiled reader answers, then lines it could misread: wrong-width
+# tokens, a list closed early, an empty token, 19 digits, a blank line, no
+# final newline, CRLF, a BOM
+@example(['{"tokens":[[1,2],[3,4,5,6]],"trace_id":"a"}'], "\n", True)
+@example(['{"tokens":[[1,2,3]],[[4,5,6]],"trace_id":"a"}'], "\n", True)
+@example(['{"tokens":[[1,2,3],[]],"trace_id":"a"}'], "\n", True)
+@example(['{"tokens":[[1234567890123456789,0,0]],"trace_id":"a"}'], "\n", True)
+@example([_SAVED_A, _SAVED_B], "\n", True)
+@example([_SAVED_A, "", _SAVED_B], "\n", True)
+@example([_SAVED_A, _SAVED_B], "\n", False)
+@example([_SAVED_A, _SAVED_B], "\r\n", True)
+@example(["\ufeff" + _SAVED_A, _SAVED_B], "\n", True)
 def test_load_corpus_equals_the_json_reader(tmp_path_factory, lines, newline, final_newline):
     path = tmp_path_factory.mktemp("lc") / "c.jsonl"
     path.write_bytes((newline.join(lines) + (newline if final_newline else "")).encode())
-    assert _load_outcome(load_corpus, path) == _load_outcome(_load_corpus_by_json, path)
+    want = _load_outcome(_load_corpus_by_json, path)
+    assert _load_outcome(load_corpus, path) == want
+    with mock.patch.object(sampler, "_library", lambda: None):
+        assert _load_outcome(load_corpus, path) == want
 
 
 def test_load_corpus_shares_one_token_object_per_distinct_triple(tmp_path, rng):
@@ -522,7 +542,48 @@ def loose_corpora(draw):
 @settings(max_examples=300, deadline=None)
 @given(loose_corpora())
 def test_validate_corpus_matches_the_per_token_loop(corpus):
-    assert validate_corpus(corpus) == _validate_by_token(corpus)
+    want = _validate_by_token(corpus)
+    assert validate_corpus(corpus) == want
+    try:  # once a corpus of traces has made its columns, they are checked first
+        corpus.codes
+    except OverflowError:  # a component that no int64 holds
+        return
+    assert validate_corpus(corpus) == want
+
+
+@st.composite
+def saved_corpora(draw):
+    """Corpora that a corpus file holds: half valid, half with empty traces and with
+    components at each limit, past it, or of 18 and 19 digits.
+    """
+    dims = [draw(st.integers(1, 4)) for _ in range(3)]
+    loose = draw(st.booleans())
+    components = [st.integers(0, limit) | st.sampled_from([10**18 - 1, 10**18]) if loose
+                  else st.integers(0, limit - 1) for limit in dims]
+    traces = tuple(
+        Trace(draw(st.sampled_from(["a", "b", "c", "d", "é"])), tuple(
+            Token(*(draw(component) for component in components))
+            for _ in range(draw(st.integers(0 if loose else 1, 4)))
+        ))
+        for _ in range(draw(st.integers(1, 5)))
+    )
+    return Corpus(synthetic_schema(*dims), traces)
+
+
+@settings(max_examples=200, deadline=None)
+@given(saved_corpora())
+def test_validate_corpus_of_a_loaded_corpus_matches_the_per_token_loop(tmp_path_factory, corpus):
+    # with the library, a file of nonempty traces with ASCII ids and no 19-digit
+    # component loads as columns: a valid one passes on the columns alone, and
+    # any other goes through the loop over the traces built from them
+    path = tmp_path_factory.mktemp("vc") / "c.jsonl"
+    save_corpus(corpus, path)
+    want = _validate_by_token(corpus)
+    for library in (sampler._library, lambda: None):
+        with mock.patch.object(sampler, "_library", library):
+            loaded = load_corpus(path, corpus.schema)
+        assert validate_corpus(loaded) == want
+        assert loaded == corpus
 
 
 def test_trace_is_frozen_and_stores_its_tokens_as_a_tuple():

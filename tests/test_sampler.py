@@ -29,6 +29,7 @@ from hbtm import (
     generate,
     gibbs_sweep,
     init_state,
+    load_corpus,
     load_fit_result,
     reference_sweep,
     sample_params,
@@ -729,6 +730,27 @@ def test_fit_deterministic(rng):
     assert np.array_equal(a.posterior.tau, b.posterior.tau)
     assert a.log_joint_trace == b.log_joint_trace
     assert a.trace_ids == b.trace_ids
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6),
+       st.lists(st.integers(1, 12), min_size=1, max_size=8))
+def test_fit_of_a_saved_and_reloaded_corpus_equals_fit_of_the_corpus(tmp_path_factory, seed,
+                                                                     traits, lengths):
+    schema = synthetic_schema(6, 4, 3)
+    params = sample_params(traits, len(lengths), schema, Hyperparams(), seed=seed)
+    corpus = generate(params, lengths, seed=seed, schema=schema).corpus
+    path = tmp_path_factory.mktemp("fit") / "c.jsonl"
+    save_corpus(corpus, path)
+    loaded = load_corpus(path, schema)
+    cfg = FitConfig(num_traits=traits, sweeps=6, burn_in=2, sample_stride=2, seed=seed)
+    want, got = fit(corpus, cfg), fit(loaded, cfg)
+    for name in ("theta", "phi", "psi", "tau"):
+        assert (getattr(got.posterior, name) == getattr(want.posterior, name)).all(), name
+    assert got.log_joint_trace == want.log_joint_trace
+    assert got.trace_ids == want.trace_ids
+    # with the library the file went straight to columns: the fit made no Token
+    assert ("traces" in vars(loaded)) == (sampler._library() is None)
 
 
 def test_fit_audit_every_sweep(rng):

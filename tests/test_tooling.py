@@ -464,3 +464,95 @@ print(*counts)
 def test_sweep_kernel_stays_inside_its_buffers_under_address_and_undefined_sanitizers(sanitized):
     answered, degenerate, outside = map(int, sanitized(SANITIZED_SWEEP).split())
     assert answered >= 200 and degenerate >= 20 and outside >= 50
+
+
+# Each case is a file and its buffers' sizes: the kernel answers the file in
+# save_corpus's exact form when the sizes hold it, and declines any other
+# file (0). Answered files are checked against json, line by line.
+SANITIZED_CORPUS = r"""
+import json, random, struct
+
+
+def call(text, max_lines, max_tokens):
+    blocks = [libc.malloc(max(size, 1)) for size in
+              (len(text), 8 * max_lines, 16 * max_lines, 24 * max_tokens)]
+    buffer, lengths, ids, codes = blocks
+    ctypes.memmove(buffer, text, len(text))
+    lines = lib.hbtm_corpus(buffer, len(text), max_lines, max_tokens, lengths, ids, codes)
+    got = None
+    if lines:
+        counts = struct.unpack(f"<{lines}q", ctypes.string_at(lengths, 8 * lines))
+        bounds = struct.unpack(f"<{2 * lines}q", ctypes.string_at(ids, 16 * lines))
+        values = struct.unpack(f"<{3 * sum(counts)}q", ctypes.string_at(codes, 24 * sum(counts)))
+        got, at = [], 0
+        for m, count in enumerate(counts):
+            got.append((text[bounds[2 * m]:bounds[2 * m + 1]].decode(),
+                        [list(values[3 * j:3 * j + 3]) for j in range(at, at + count)]))
+            at += count
+    for block in blocks:
+        libc.free(block)
+    return lines, got
+
+
+def line(tokens, trace_id="a"):
+    return json.dumps({"tokens": tokens, "trace_id": trace_id}, sort_keys=True,
+                      separators=(",", ":")).encode() + b"\n"
+
+
+def expected(text):
+    return [(rec["trace_id"], rec["tokens"]) for rec in map(json.loads, text.splitlines())]
+
+
+two = line([[1, 2, 3], [4, 5, 6]]) + line([[7, 8, 9]], "b c")
+big = line([[10 ** 17, 999999999999999999, 0]])
+one = line([[0, 1, 2]])
+CASES = [  # (text, max_lines, max_tokens, lines answered or 0)
+    (two, 2, 3, 2), (two, 1, 3, 0), (two, 2, 2, 0), (two, 3, 4, 2),
+    (two[:-1], 2, 3, 0), (two[:-2], 2, 3, 0), (two[:20], 2, 3, 0),
+    (big, 1, 1, 1), (big.replace(b"[10", b"[910"), 1, 1, 0),
+    (one.replace(b"[0", b"[00"), 1, 1, 0), (one.replace(b"[0", b"[01"), 1, 1, 0),
+    (b'{"tokens":[[1,2],[3,4,5,6]],"trace_id":"a"}\n', 1, 2, 0),
+    (b'{"tokens":[[1,2,3]],[[4,5,6]],"trace_id":"a"}\n', 1, 2, 0),
+    (b'{"tokens":[[1,2,3],[]],"trace_id":"a"}\n', 1, 2, 0),
+    (b'{"tokens":[],"trace_id":"a"}\n', 1, 1, 0),
+    (one.replace(b'"a"', b'"a\x7f"'), 1, 1, 0), (one.replace(b'"a"', b'"a\x80"'), 1, 1, 0),
+    (line([[1, 2, 3]], "~ !"), 1, 1, 1), (line([[1, 2, 3]], 'q"'), 1, 1, 0),
+    (line([[1, 2, 3]], "t\t"), 1, 1, 0), (two.replace(b"\n", b"\r\n"), 2, 3, 0),
+    (one + b"\n" + one, 3, 2, 0), (b"\xef\xbb\xbf" + two, 2, 3, 0),
+    (b"", 0, 0, 0), (b"", 5, 5, 0), (b"\n", 1, 1, 0),
+]
+for n, (text, max_lines, max_tokens, want) in enumerate(CASES):
+    lines, got = call(text, max_lines, max_tokens)
+    assert lines == want, (n, lines)
+    assert got is None or got == expected(text), (n, got)
+rng = random.Random(29)
+answered = 0
+for _ in range(3000):
+    text = bytearray()
+    for _ in range(rng.randrange(1, 4)):
+        tokens = [[rng.choice([0, 1, 9, 10, 99, 10 ** 17]) for _ in range(3)]
+                  for _ in range(rng.randrange(1, 5))]
+        text += line(tokens, "".join(rng.choice("ab ~[") for _ in range(3)))
+    for _ in range(rng.choice([0, 0, 1, 2])):  # overwrite, delete or insert a byte
+        at = rng.randrange(len(text))
+        text[at:at + rng.randrange(2)] = bytes([rng.choice(b'[],":09 \n\r\\\x7f\x80\xff')])
+        if rng.random() < 0.3:
+            del text[at]
+    if rng.random() < 0.1:
+        del text[rng.randrange(len(text)):]
+    text = bytes(text)
+    lines, tokens = text.count(b"\n"), max(text.count(b"[") - text.count(b"\n"), 0)
+    # the exact sizes, load_corpus's sizes, and sizes that may be too small
+    for max_lines, max_tokens in ((lines, tokens), (len(text) // 35, len(text) // 8),
+                                  (rng.randrange(lines + 1), rng.randrange(tokens + 1))):
+        answer, got = call(text, max_lines, max_tokens)
+        assert 0 <= answer <= max_lines
+        if answer:
+            assert got == expected(text) and answer == len(got)
+            answered += 1
+print(answered)
+"""
+
+
+def test_corpus_kernel_stays_inside_its_buffers_under_address_and_undefined_sanitizers(sanitized):
+    assert int(sanitized(SANITIZED_CORPUS)) >= 1000
