@@ -21,8 +21,9 @@
  * trait index, before anything is written for token j. Its sanitizer run is
  * test_sweep_kernel_stays_inside_its_buffers_under_address_and_undefined_sanitizers.
  *
- * hbtm_scan reads a nested JSON array of numbers into doubles, with the same
- * value for every number as Python's float(); see its own comment.
+ * hbtm_scan reads the nested JSON array of numbers at the start of a span into
+ * doubles, with the same value for every number as Python's float(), and
+ * reports where the array ends; see its own comment.
  *
  * hbtm_lloyd runs analysis.kmeans' Lloyd iterations with the same floats as
  * analysis._reference_lloyd's numpy loop; see its own comment.
@@ -135,16 +136,45 @@ static const char *scan_digits(const char *p, const char *end, uint64_t *m, int 
     return p;
 }
 
+/* *v = m * 10^exp10 through a long double q, for |exp10| <= 27; returns 0,
+ * writing nothing, when q is a 53-bit midpoint or long double is not x87's
+ * 64-bit mantissa format. See scan_number. */
+static int x87_step(uint64_t m, int64_t exp10, double *v)
+{
+#if LDBL_MANT_DIG == 64 && defined(__x86_64__)
+    const int64_t k = exp10 < 0 ? -exp10 : exp10;
+    const long double p10 = (long double)POW10[k < 22 ? k : 22] * POW10[k < 22 ? 0 : k - 22];
+    const long double q = exp10 < 0 ? (long double)m / p10 : (long double)m * p10;
+    uint64_t mantissa;  /* the x87 format keeps its 64-bit mantissa in its first 8 bytes */
+    memcpy(&mantissa, &q, sizeof mantissa);
+    if ((mantissa & 0x7FF) == 0x400)
+        return 0;
+    *v = (double)q;
+    return 1;
+#else
+    (void)m, (void)exp10, (void)v;
+    return 0;
+#endif
+}
+
 /* Read the JSON number at p, which must carry a fraction or an exponent, into
  * *out. Returns the byte after it, or NULL to decline: bad grammar, a number
  * that runs to the span's end, or a non-finite value.
  *
  * A mantissa m <= 2^53 with a decimal exponent within +-22 is one IEEE
  * division or product of two exact doubles, so it is correctly rounded
- * (Clinger, PLDI 1990). Other numbers go to strtod, whose end pointer must
- * land on the number's end: in a locale whose decimal point is not '.', it
- * stops short and the span is declined. strtod never reads past end, because
- * the byte after the number is inside the span and cannot extend it. */
+ * (Clinger, PLDI 1990). Any other m that holds every digit (at most 18),
+ * with an exponent within +-27, is one x87 long double division or product:
+ * m and 10^27 = 2^27 * 5^27 are exact in its 64-bit mantissa, so q is
+ * m * 10^exp10 correctly rounded to 64 bits, and q is 0 or in [1e-27, 1e45],
+ * far from the doubles' subnormals and overflow. Rounding q to 53 bits gives
+ * the correctly rounded double unless q sits on a 53-bit midpoint (its low 11
+ * mantissa bits 0x400), where the exact value may lie on either side. Those
+ * numbers, every number on a build whose long double is not the x87 format,
+ * and all others go to strtod, whose end pointer must land on the number's
+ * end: in a locale whose decimal point is not '.', it stops short and the
+ * span is declined. strtod never reads past end, because the byte after the
+ * number is inside the span and cannot extend it. */
 static const char *scan_number(const char *p, const char *end, double *out)
 {
     const char *const start = p;
@@ -185,6 +215,9 @@ static const char *scan_number(const char *p, const char *end, double *out)
         v = exp10 < 0 ? (double)m / POW10[-exp10] : (double)m * POW10[exp10];
         if (negative)
             v = -v;
+    } else if (fits && exp10 >= -27 && exp10 <= 27 && x87_step(m, exp10, &v)) {
+        if (negative)
+            v = -v;
     } else {
         char *stop;
         v = strtod(start, &stop);
@@ -197,15 +230,18 @@ static const char *scan_number(const char *p, const char *end, double *out)
     return p;
 }
 
-/* Read text[0, len), which need not end in a NUL, as one JSON array of
- * numbers nested at most SCAN_MAX_NDIM deep. Returns its number of
- * dimensions, with their lengths in shape (SCAN_MAX_NDIM entries) and the
- * numbers in out in row-major order; or 0 to decline the whole span. Only
- * JSON whitespace, brackets, commas and numbers with a '.' or an exponent
- * are accepted, every list must be non-empty, and lists at the same depth
- * must have the same length. At most capacity doubles are written: a
- * rectangular array has one comma fewer than it has numbers. */
-int64_t hbtm_scan(const char *text, int64_t len, int64_t *shape, double *out, int64_t capacity)
+/* Read the JSON array of numbers at the start of text[0, len), which need not
+ * end in a NUL, nested at most SCAN_MAX_NDIM deep; JSON whitespace may come
+ * before it. Returns its number of dimensions, with their lengths in shape
+ * (SCAN_MAX_NDIM entries), the numbers in out in row-major order, and in
+ * *used the offset just past the bracket that closes it; or 0 to decline.
+ * The bytes after that bracket are not read: the caller decides what may
+ * follow. Only JSON whitespace, brackets, commas and numbers with a '.' or
+ * an exponent are accepted, every list must be non-empty, and lists at the
+ * same depth must have the same length. At most capacity doubles are
+ * written, and an array with more numbers is declined. */
+int64_t hbtm_scan(const char *text, int64_t len, int64_t *shape, double *out, int64_t capacity,
+                  int64_t *used)
 {
     const char *p = text;
     const char *const end = text + len;
@@ -217,8 +253,6 @@ int64_t hbtm_scan(const char *text, int64_t len, int64_t *shape, double *out, in
     for (;;) {
         while (p < end && is_space(*p))
             p++;
-        if (depth == 0 && after_value)
-            return p == end ? ndim : 0;
         if (p == end)
             return 0;
         if (!after_value && *p == '[') {
@@ -243,9 +277,12 @@ int64_t hbtm_scan(const char *text, int64_t len, int64_t *shape, double *out, in
                 shape[depth] = items[depth];
             else if (shape[depth] != items[depth])
                 return 0;
-            if (depth)
-                items[depth - 1]++;
             p++;
+            if (depth == 0) {
+                *used = p - text;
+                return ndim;
+            }
+            items[depth - 1]++;
         } else {
             return 0;
         }

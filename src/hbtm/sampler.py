@@ -263,17 +263,24 @@ _SCAN_MAX_NDIM = 32  # SCAN_MAX_NDIM in _sweep.c
 _STUB_TEXT = json.dumps(NUMBER_LIST_STUB)
 
 
-def _scan_array(scan, raw: bytes, lo: int, hi: int) -> np.ndarray | None:
-    """``raw[lo:hi]``, one JSON array of numbers, as a float64 array; None if declined.
+def _scan_array(scan, raw: bytes, lo: int) -> tuple[np.ndarray, int] | None:
+    """The JSON array of numbers at ``raw[lo:]`` as float64, and the offset past its ``]``.
 
-    An array the scanner accepts has one number more than it has commas, so
-    the buffer holds exactly its numbers.
+    None if the scanner declines it. The buffer holds one float per 8 bytes
+    of ``raw[lo:]``: ``core.save_json`` spends at least 12 on a number (8
+    spaces of indent, ``0.0`` and a newline), so its arrays always fit, and
+    an array packed tighter may be declined for want of room.
     """
-    out = np.empty(raw.count(b",", lo, hi) + 1)
+    out = np.empty((len(raw) - lo) // 8 + 1)
     shape = np.empty(_SCAN_MAX_NDIM, np.int64)
+    used = np.zeros(1, np.int64)
     address = np.frombuffer(raw, np.uint8).ctypes.data  # raw itself, not a copy
-    ndim = scan(address + lo, hi - lo, shape.ctypes.data, out.ctypes.data, out.size)
-    return out.reshape(shape[:ndim]) if ndim else None
+    ndim = scan(address + lo, len(raw) - lo, shape.ctypes.data, out.ctypes.data, out.size,
+                used.ctypes.data)
+    if not ndim:
+        return None
+    shape = tuple(shape[:ndim].tolist())
+    return out[:math.prod(shape)].reshape(shape), lo + int(used[0])
 
 
 def _read_text(raw: bytes) -> str:
@@ -284,27 +291,25 @@ def _read_text(raw: bytes) -> str:
 def _scan_fit(raw: bytes) -> dict | None:
     """The model file ``raw`` as ``json.loads`` reads it, its posterior read by the scanner.
 
-    ``json`` reads the file with each array in ``_POSTERIOR_LAYOUT`` replaced
-    by ``core.save_json``'s stub. None when the library is missing, the layout
-    or an array is declined, or json's ``posterior`` is not those four stubs.
+    Each array of ``_POSTERIOR_LAYOUT`` is scanned from just after its mark,
+    and the next mark must start right after its ``]``. ``json`` reads the
+    file with each array replaced by ``core.save_json``'s stub. None when the
+    library is missing, the layout or an array is declined, or json's
+    ``posterior`` is not those four stubs.
     """
     library = _library()
     at = raw.find(_POSTERIOR_LAYOUT[0])
     if library is None or at < 0:
         return None
-    bounds = []
-    for mark in _POSTERIOR_LAYOUT:
-        at = raw.find(mark, at)
-        if at < 0:
-            return None
-        bounds.append((at, at + len(mark)))
-        at += len(mark)
+    first = lo = at + len(_POSTERIOR_LAYOUT[0])
     arrays = {}
-    for key, (_, lo), (hi, _) in zip(("phi", "psi", "tau", "theta"), bounds, bounds[1:]):
-        arrays[key] = _scan_array(library.hbtm_scan, raw, lo, hi)
-        if arrays[key] is None:
+    for key, mark in zip(("phi", "psi", "tau", "theta"), _POSTERIOR_LAYOUT[1:]):
+        scanned = _scan_array(library.hbtm_scan, raw, lo)
+        if scanned is None or not raw.startswith(mark, scanned[1]):
             return None
-    kept = [raw[:bounds[0][1]], *(raw[lo:hi] for lo, hi in bounds[1:-1]), raw[bounds[-1][0]:]]
+        arrays[key], end = scanned
+        lo = end + len(mark)
+    kept = [raw[:first], *_POSTERIOR_LAYOUT[1:-1], raw[end:]]
     try:  # undecodable bytes and bad JSON are reported by the json path
         text = _read_text(_STUB_TEXT.encode().join(kept))
         # an escaped NUL anywhere else could spell the stub
@@ -442,7 +447,7 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 _KERNELS = (  # each kernel's parameters in _sweep.c's order; every kernel returns int64_t
     ("hbtm_sweep", [_I64] * 5 + [_F64] * 7 + [_PTR] * 12),
-    ("hbtm_scan", [_PTR, _I64, _PTR, _PTR, _I64]),
+    ("hbtm_scan", [_PTR, _I64, _PTR, _PTR, _I64, _PTR]),
     ("hbtm_lloyd", [_I64] * 4 + [_PTR] * 7),
     ("hbtm_rows", [_PTR, _I64, _I64, _I64, _PTR, _I64, _I64, _PTR, _I64, _PTR, _I64] + [_PTR] * 3),
     ("hbtm_format", [_PTR, _I64, _PTR, _I64, _PTR, _I64]),

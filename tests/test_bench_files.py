@@ -3,11 +3,13 @@
 A BENCH file holds the alternating parent/change pairs of ``perfbench/run.py``
 behind one change: the claim with its win count, the quartiles of both sides
 for every end-to-end metric that ``BENCHMARK.json`` declares on every
-workload, the machine, and the projected paper-grid time.
+workload, the machine, and the projected paper-grid time. Where a file times
+``sampler.load_fit_result`` in process, each median must follow from its rounds.
 """
 
 import json
 import math
+import statistics
 from pathlib import Path
 
 import pytest
@@ -79,3 +81,17 @@ def test_projected_grid_follows_from_the_traced_us_per_token(path):
         sides = [(us, seconds)]
     for per_k, recorded in sides:
         assert recorded == pytest.approx(6 * 2000 * grid["session_tokens"] * sum(per_k.values()) / 1e6)
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_in_process_model_load_medians_follow_from_the_recorded_rounds(path):
+    """``in_process_model_load``: each side's median ms per model is the median of its rounds."""
+    block = json.loads(path.read_text()).get("in_process_model_load")
+    if block is None:
+        return
+    assert block["every_float_equal"] is True
+    for model, sides in block["models"].items():
+        for side in ("parent", "change"):
+            rounds = sides[side]["ms"]
+            assert rounds and sides[side]["median_ms"] == pytest.approx(statistics.median(rounds)), \
+                (model, side)

@@ -344,12 +344,12 @@ def test_a_byte_order_mark_before_a_csv_header_changes_no_output(tmp_path, gener
     assert outputs("\ufeff") == outputs("")
 
 
-def fit_small_model(tmp_path, generated, out_name="model.json"):
+def fit_small_model(tmp_path, generated, out_name="model.json", traits=2):
     out = tmp_path / out_name
     assert run([
         "fit", "--corpus", generated.with_suffix(".jsonl"),
         "--schema", str(generated) + ".schema.json",
-        "--traits", 2, "--sweeps", 12, "--burn-in", 6, "--stride", 2,
+        "--traits", traits, "--sweeps", 12, "--burn-in", 6, "--stride", 2,
         "--seed", 3, "--out", out,
     ]) == 0
     return out
@@ -1046,7 +1046,14 @@ MODEL_EDITS = [
 ] + [
     ("truncated-in-theta-close", lambda t: t[:t.index("\n  }") + 1], False),
     ("truncated-before-last-brace", lambda t: t.rstrip()[:-1], False),
+    # the next mark must start right after an array's "]"
+    ("space-after-phi", lambda t: t.replace('\n    ],\n    "psi": ', '\n    ] ,\n    "psi": ', 1),
+     False),
+    ("space-after-theta", lambda t: t.replace("\n    ]\n  }", "\n    ] \n  }", 1), False),
+    ("traits-above-tokens", lambda t: t, True),  # fitted at FIT_TRAITS' count
 ]
+# --traits of the fit each case edits, where it is not 2: 50 traits for 48 tokens
+FIT_TRAITS = {"traits-above-tokens": 50}
 
 
 @pytest.mark.parametrize("name, edit, scanned", MODEL_EDITS, ids=[e[0] for e in MODEL_EDITS])
@@ -1054,7 +1061,7 @@ def test_model_files_read_alike_with_and_without_the_scanner(tmp_path, generated
                                                             capsys, name, edit, scanned):
     if hbtm.sampler._library() is None:
         pytest.skip("no compiled library")
-    model = fit_small_model(tmp_path, generated)
+    model = fit_small_model(tmp_path, generated, traits=FIT_TRAITS.get(name, 2))
     model.write_bytes(edit(model.read_text()).encode(errors="surrogateescape"))
     assert (hbtm.sampler._scan_fit(model.read_bytes()) is not None) == scanned
     grades = tmp_path / "grades.csv"

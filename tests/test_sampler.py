@@ -6,12 +6,13 @@ import shutil
 import subprocess
 import sys
 from bisect import bisect_right
+from decimal import ROUND_DOWN, ROUND_HALF_EVEN, ROUND_UP, Context, Decimal
 from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
@@ -948,7 +949,11 @@ def scan(text):
     if library is None:
         pytest.skip("no compiled library")
     raw = text.encode()
-    return sampler._scan_array(library.hbtm_scan, raw, 0, len(raw))
+    scanned = sampler._scan_array(library.hbtm_scan, raw, 0)
+    # the array must be the whole text: only JSON whitespace may follow its "]"
+    if scanned is None or raw[scanned[1]:].strip(b" \t\n\r"):
+        return None
+    return scanned[0]
 
 
 def assert_scans_like_json(text):
@@ -1027,6 +1032,49 @@ def test_scanner_declines_what_it_does_not_read_exactly(text):
     assert scan(text) is None
 
 
+@st.composite
+def long_mantissas(draw):
+    """A number of 16-19 significant digits whose value is digits * 10^exp10, exp10 in [-30, 30]."""
+    digits = str(draw(st.integers(16, 19).flatmap(lambda n: st.integers(10 ** (n - 1),
+                                                                         10 ** n - 1))))
+    exp10 = draw(st.integers(-30, 30))
+    point = draw(st.integers(0, len(digits)))  # digits before the '.'; 0 writes "0.<digits>"
+    body = (f"0.{digits}" if point == 0 else digits if point == len(digits)
+            else f"{digits[:point]}.{digits[point:]}")
+    written = exp10 + len(digits) - point
+    exponent = "" if written == 0 and "." in body else f"e{written}"
+    return draw(st.sampled_from(["", "-"])) + body + exponent
+
+
+@st.composite
+def beside_midpoints(draw):
+    """The midpoint of two adjacent doubles rounded to 17-19 digits: down, up or half-even."""
+    # a double drawn evenly over its bits, from 7e-15 to 1e46
+    x = math.ldexp(draw(st.integers(2 ** 52, 2 ** 53 - 1)), draw(st.integers(-99, 101)))
+    exact = Context(prec=1000)
+    mid = exact.divide(exact.add(Decimal(x), Decimal(math.nextafter(x, math.inf))), 2)
+    rounding = draw(st.sampled_from([ROUND_DOWN, ROUND_UP, ROUND_HALF_EVEN]))
+    near = Context(prec=draw(st.sampled_from([17, 18, 19])), rounding=rounding).plus(mid)
+    return draw(st.sampled_from(["", "-"])) + f"{near:e}"
+
+
+@given(text=st.one_of(long_mantissas(), beside_midpoints()))
+@example(text="9007199254740993.0")  # 2^53 + 1, a midpoint: its long double's low bits are 0x400
+@example(text="2.2250738585072011e-308")  # below DBL_MIN, where strtod answers
+@example(text="12345678901234567e27")  # exponents on both sides of +-27
+@example(text="12345678901234567e28")
+@example(text="12345678901234567e-27")
+@example(text="12345678901234567e-28")
+# beside a midpoint, yet rounded onto it in 64 bits: half-even from there picks the wrong side
+@example(text="453839902181544753e9")
+@example(text="881652491317715814e-16")
+@example(text="15337958006399439e-12")
+@example(text="79445591061588341e-8")
+@settings(max_examples=1000, deadline=None)
+def test_long_mantissas_scan_like_float_beside_every_midpoint(text):
+    assert_scans_like_json(f"[{text}]")
+
+
 LOCALE_SOURCE = """LC_NUMERIC
 decimal_point ","
 thousands_sep ""
@@ -1041,12 +1089,17 @@ assert locale.localeconv()["decimal_point"] == ","
 from hbtm import sampler
 library = sampler._library()
 def scan(text):
-    return sampler._scan_array(library.hbtm_scan, text.encode(), 0, len(text))
-# strtod stops at the '.' of a number the fast path leaves to it
-assert scan("[0.11333333333333333]") is None
+    return sampler._scan_array(library.hbtm_scan, text.encode(), 0)
+# strtod stops at the '.' of a number the fast paths leave to it: more than
+# 18 significant digits, or an exponent past +-27
+assert scan("[0.10000000000000000555]") is None
+assert scan("[1.2345678901234567e-28]") is None
+# and a 17-digit number whose long double is a midpoint between two doubles
+assert scan("[9007199254740993.0]") is None
 assert scan("[0.5, 1.5e-400]") is None
-# the fast path and numbers without a '.' do not depend on the locale
-assert scan("[0.5, 1e23, 1e-400]").tolist() == [0.5, 1e23, 0.0]
+# the two fast paths, and numbers without a '.', do not depend on the locale
+assert scan("[0.5, 1e23, 1e-400]")[0].tolist() == [0.5, 1e23, 0.0]
+assert scan("[0.11333333333333333]")[0].tolist() == [0.11333333333333333]
 fit = sampler.load_fit_result(sys.argv[1])
 names = ("theta", "phi", "psi", "tau")
 print(json.dumps({name: getattr(fit.posterior, name).tolist() for name in names}))

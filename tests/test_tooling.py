@@ -163,8 +163,12 @@ for span in spans:
         ctypes.memmove(text, span, len(span))
         shape = libc.malloc(sampler._SCAN_MAX_NDIM * 8)
         out = libc.malloc(max(capacity, 1) * 8)
-        accepted += lib.hbtm_scan(text, len(span), shape, out, capacity) > 0
-        for pointer in (text, shape, out):
+        used = libc.malloc(8)
+        if lib.hbtm_scan(text, len(span), shape, out, capacity, used) > 0:
+            end = ctypes.c_int64.from_address(used).value
+            assert 0 < end <= len(span) and span[end - 1] == ord("]"), (span, end)
+            accepted += 1
+        for pointer in (text, shape, out, used):
             libc.free(pointer)
 print(len(spans), accepted)
 """
