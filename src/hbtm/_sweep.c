@@ -1,5 +1,5 @@
-/* The seven compiled helpers of hbtm: hbtm_sweep, hbtm_scan, hbtm_lloyd,
- * hbtm_rows, hbtm_format, hbtm_gammaln and hbtm_corpus.
+/* The eight compiled helpers of hbtm: hbtm_sweep, hbtm_scan, hbtm_lloyd,
+ * hbtm_rows, hbtm_format, hbtm_gammaln, hbtm_corpus and hbtm_fsum.
  *
  * Each kernel returns int64_t and is declared once on the Python side, as a
  * row of sampler._KERNELS giving its parameter types. Adding a kernel takes
@@ -45,6 +45,12 @@
  * exact form into per-line token counts, id offsets and token codes, or
  * declines the whole file for core.load_corpus's Python reader; see its own
  * comment.
+ *
+ * hbtm_fsum adds an array of doubles exactly, with the same result bit for bit
+ * as math.fsum (it is CPython 3.11's math_fsum in C), for the Pearson
+ * correlations of analysis.run_analysis. It keeps its partial sums in a
+ * stack buffer of 32 and declines, for math.fsum to answer, an array whose
+ * partials turn inf or nan or outgrow that buffer; see its own comment.
  */
 #include <float.h>
 #include <math.h>
@@ -886,6 +892,78 @@ int64_t hbtm_gammaln(const double *x, int64_t n, double *out)
         out[j] = lgam(x[j]);
     }
     return 0;
+}
+
+/* The partials hbtm_fsum holds: CPython's NUM_PARTIALS, the size of the stack
+ * buffer math.fsum starts with before it grows one on the heap. */
+#define FSUM_PARTIALS 32
+
+/* *out = math.fsum(x[0..n)) bit for bit: a line-for-line port of CPython
+ * 3.11's math_fsum (Modules/mathmodule.c), Shewchuk's exact summation
+ * (Discrete & Computational Geometry 18, 1997). Each value is added into a
+ * list of nonoverlapping partials, smallest first, by two-sum steps that drop
+ * zero remainders; the result is the top partial plus the ones below it,
+ * added from the top while the sum stays exact, then one half-even step
+ * across the partials where the first inexact remainder and the partial
+ * under it share a sign. Build with -ffp-contract=off so no two-sum is fused.
+ *
+ * Returns 1 with the sum in *out; or 0 to decline, writing nothing, when a
+ * partial is not finite (an inf or nan among the values, or an intermediate
+ * overflow such as 1e308 + 1e308, each of which math.fsum answers or raises
+ * on its own) or when the partials would outgrow the FSUM_PARTIALS buffer,
+ * which math.fsum grows instead. Nonoverlapping partials of doubles that
+ * span a wide range of exponents can outnumber it (values from 1e-300 to
+ * 1e300 reach dozens), so a decline is a normal outcome for the caller to
+ * answer with math.fsum. */
+int64_t hbtm_fsum(int64_t n, const double *values, double *out)
+{
+    double p[FSUM_PARTIALS], x, y, t, hi, yr, lo = 0.0;
+    int64_t i, j, used = 0;
+    for (int64_t v = 0; v < n; v++) {
+        x = values[v];
+        for (i = j = 0; j < used; j++) {
+            y = p[j];
+            if (fabs(x) < fabs(y)) {
+                t = x;
+                x = y;
+                y = t;
+            }
+            hi = x + y;
+            yr = hi - x;
+            lo = y - yr;
+            if (lo != 0.0)
+                p[i++] = lo;
+            x = hi;
+        }
+        used = i;
+        if (x != 0.0) {
+            if (!isfinite(x) || used == FSUM_PARTIALS)
+                return 0;
+            p[used++] = x;
+        }
+    }
+    hi = 0.0;
+    if (used > 0) {
+        hi = p[--used];
+        while (used > 0) {
+            x = hi;
+            y = p[--used];
+            hi = x + y;
+            yr = hi - x;
+            lo = y - yr;
+            if (lo != 0.0)
+                break;
+        }
+        if (used > 0 && ((lo < 0.0 && p[used - 1] < 0.0) || (lo > 0.0 && p[used - 1] > 0.0))) {
+            y = lo * 2.0;
+            x = hi + y;
+            yr = x - hi;
+            if (y == yr)
+                hi = x;
+        }
+    }
+    *out = hi;
+    return 1;
 }
 
 /* The byte after the literal lit at p, or NULL if [p, end) does not start with it. */

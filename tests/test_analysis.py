@@ -1,5 +1,6 @@
 import csv
 import math
+import struct
 from types import SimpleNamespace
 from unittest import mock
 
@@ -18,7 +19,7 @@ from hbtm import (
     run_analysis,
     welch_t_test,
 )
-from hbtm import analysis, sampler
+from hbtm import analysis, core, generator, sampler
 from hbtm.analysis import student_t_two_sided_p
 
 
@@ -107,6 +108,120 @@ def test_welch_zero_variance_unequal_means():
     result = welch_t_test([2.0, 2.0], [5.0, 5.0])
     assert result.t == -math.inf
     assert result.p == 0.0
+
+
+def _welch_with(square, a, b):
+    """``welch_t_test``'s formula with each squared deviation taken as ``square(d)``."""
+    na, nb = len(a), len(b)
+    ma, mb = math.fsum(a) / na, math.fsum(b) / nb
+    sa = math.fsum(square(v - ma) for v in a) / (na - 1) / na
+    sb = math.fsum(square(v - mb) for v in b) / (nb - 1) / nb
+    se2 = sa + sb
+    t = (ma - mb) / math.sqrt(se2)
+    df = se2 * se2 / (sa * sa / (na - 1) + sb * sb / (nb - 1))
+    return analysis.TTestResult(t, df, student_t_two_sided_p(t, df))
+
+
+def test_welch_squares_deviations_with_pow_not_a_multiply():
+    # ``** 2`` is libm's pow, which is not always the correctly rounded d * d;
+    # a numpy rewrite of the squares would change reported t-tests
+    draws = np.random.default_rng(27).normal(size=20_000).tolist()
+    odd = [d for d in draws if d ** 2 != d * d]
+    a = [v for d in odd[:2] for v in (d, -d)]  # mean exactly 0: each deviation is a draw
+    b = [3.0 + v for d in odd[2:4] for v in (d, -d)]
+    assert math.fsum(a) == 0.0 and all(d ** 2 != d * d for d in a)
+    result = welch_t_test(a, b)
+    assert result == _welch_with(lambda d: d ** 2, a, b)
+    assert result != _welch_with(lambda d: d * d, a, b)
+
+
+# --- exact sums ------------------------------------------------------------
+
+
+def _outcome(fsum, values):
+    """``fsum(values)`` as its float's bytes, or as the type and text of what it raised."""
+    try:
+        return struct.pack("<d", fsum(values))
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_fsum_exact(values):
+    """``analysis._fsum`` gives ``math.fsum``'s bytes or error, with and without the library."""
+    values = np.asarray(values, dtype=float)
+    want = _outcome(math.fsum, values.tolist())
+    assert _outcome(analysis._fsum, values) == want, values
+    with mock.patch.object(sampler, "_library", lambda: None):
+        assert _outcome(analysis._fsum, values) == want, values
+
+
+@st.composite
+def fsum_arrays(draw):
+    """Seeded float64 arrays of the shapes an exact sum meets, and the hard ones."""
+    kind = draw(st.sampled_from(["uniform", "normal", "squared deviations", "cancellation",
+                                 "subnormal", "wide"]))
+    n = draw(st.integers(0, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "uniform":
+        return rng.uniform(0.0, 1.0, n)
+    if kind == "normal":
+        return rng.normal(0.0, 10.0 ** rng.integers(-5, 6), n)
+    if kind == "squared deviations":
+        x = rng.dirichlet(np.ones(20), size=n)[:, 0]
+        d = x - math.fsum(x.tolist()) / max(n, 1)
+        return d * d
+    if kind == "cancellation":  # large terms that cancel, leaving small ones
+        big = rng.normal(0.0, 1e16, n // 2)
+        values = np.concatenate([big, -big, rng.normal(0.0, 1.0, n - 2 * (n // 2))])
+        return rng.permutation(values)
+    if kind == "subnormal":
+        return rng.integers(-2 ** 52, 2 ** 52, n) * 5e-324
+    return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-308.0, 308.0, n)  # wide
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(fsum_arrays(),
+                 st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=60)))
+def test_exact_sum_is_math_fsum_bit_for_bit(values):
+    assert_fsum_exact(values)
+
+
+@pytest.mark.parametrize("values, expected", [
+    ([], 0.0),
+    ([-0.0], 0.0),  # +0.0: the bytes tell it from -0.0
+    ([1e-16, 1.0, 1e16], 1.0000000000000002e16),  # the half-even step across partials
+    ([1e16, 1.0, -1e16], 1.0),
+])
+def test_exact_sum_pinned_examples(values, expected):
+    assert struct.pack("<d", analysis._fsum(np.array(values, dtype=float))) == \
+        struct.pack("<d", expected)
+    assert_fsum_exact(values)
+
+
+@pytest.mark.parametrize("values", [
+    [math.inf, -math.inf],  # ValueError
+    [1e308, 1e308],  # OverflowError
+    [math.nan, 1.0],  # nan
+    [math.inf, 1.0],  # inf
+    [2.0 ** e for e in range(-1020, 1020, 60)],  # 34 partials, more than the kernel holds
+])
+def test_exact_sum_answers_what_the_kernel_declines_as_math_fsum_does(values):
+    assert_fsum_exact(values)
+    library = sampler._library()
+    if library is not None:
+        values = np.array(values, dtype=float)
+        out = np.full(1, 7.0)
+        assert library.hbtm_fsum(values.size, values.ctypes.data, out.ctypes.data) == 0
+        assert out[0] == 7.0
+
+
+def test_the_kernel_answers_the_sums_of_an_analysis(rng):
+    library = sampler._library()
+    if library is None:
+        pytest.skip("no compiled library")
+    values, out = rng.dirichlet(np.ones(20), size=4000)[:, 3].copy(), np.empty(1)
+    assert library.hbtm_fsum(values.size, values.ctypes.data, out.ctypes.data) == 1
+    assert out[0] == math.fsum(values.tolist())
 
 
 # --- Pearson ---------------------------------------------------------------
@@ -428,6 +543,39 @@ def test_run_analysis_tests_each_grade_over_its_scored_traces(rng):
                 groups[report.cluster_labels[tid]].append(v)
         assert report.ttests[grade_type]["group_sizes"] == [len(groups[0]), len(groups[1])]
         assert report.ttests[grade_type]["t"] == welch_t_test(*groups).t
+
+
+@pytest.fixture(scope="module")
+def generated_fit():
+    """A K=5 fit of 4,000 generated traces of 10 tokens."""
+    schema, hyper = generator.synthetic_schema(6, 3, 2), core.Hyperparams()
+    params = generator.sample_params(4, 4000, schema, hyper, seed=27)
+    corpus = generator.generate(params, [10] * 4000, seed=27).corpus
+    return sampler.fit(corpus, sampler.FitConfig(num_traits=5, sweeps=4, burn_in=2,
+                                                 sample_stride=1, seed=27))
+
+
+def test_run_analysis_report_is_the_same_without_the_library(generated_fit, tmp_path):
+    ids = generated_fit.trace_ids
+    rng = np.random.default_rng(27)
+    scores = {tid: {"SA": None if m % 7 == 3 else float(rng.uniform(0, 5)),  # its own blanks
+                    "SFE": None if m % 2 else 2.5,  # constant: the correlations skip it
+                    "FE": float(rng.uniform(0, 100)) if m in (5, 900) else None}  # 2 scored
+              for m, tid in enumerate(ids[:-100])}  # the last 100 traces ungraded
+    grades = GradeTable(scores)
+
+    def analyze(name):
+        report = run_analysis(generated_fit, grades).to_json_dict()
+        core.save_json(report, tmp_path / name)
+        return report, (tmp_path / name).read_bytes()
+
+    with_library = analyze("with.json")
+    with mock.patch.object(sampler, "_library", lambda: None):
+        without = analyze("without.json")
+    assert with_library == without
+    skips = {(c["grade"], c.get("skipped")) for c in with_library[0]["correlations"]}
+    assert skips == {("SA", None), ("SFE", "correlation undefined for a constant input"),
+                     ("FE", "fewer than 3 scored traces")}
 
 
 # --- trait profiles --------------------------------------------------------

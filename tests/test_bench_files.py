@@ -4,7 +4,8 @@ A BENCH file holds the alternating parent/change pairs of ``perfbench/run.py``
 behind one change: the claim with its win count, the quartiles of both sides
 for every end-to-end metric that ``BENCHMARK.json`` declares on every
 workload, the machine, and the projected paper-grid time. Where a file times
-``sampler.load_fit_result`` in process, each median must follow from its rounds.
+``sampler.load_fit_result`` or ``analysis.run_analysis`` in process, each
+median must follow from its rounds.
 """
 
 import json
@@ -90,6 +91,20 @@ def test_in_process_model_load_medians_follow_from_the_recorded_rounds(path):
     if block is None:
         return
     assert block["every_float_equal"] is True
+    for model, sides in block["models"].items():
+        for side in ("parent", "change"):
+            rounds = sides[side]["ms"]
+            assert rounds and sides[side]["median_ms"] == pytest.approx(statistics.median(rounds)), \
+                (model, side)
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_in_process_analysis_medians_follow_from_the_recorded_rounds(path):
+    """``in_process_analysis``: each side's median ms per model is the median of its rounds."""
+    block = json.loads(path.read_text()).get("in_process_analysis")
+    if block is None:
+        return
+    assert block["every_report_equal"] is True
     for model, sides in block["models"].items():
         for side in ("parent", "change"):
             rounds = sides[side]["ms"]
