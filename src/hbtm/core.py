@@ -12,7 +12,6 @@ import functools
 import json
 import math
 import os
-import re
 import sys
 from dataclasses import dataclass
 from itertools import chain
@@ -166,10 +165,11 @@ class Corpus:
     (an int64 array of tokens per trace) and ``codes`` (an (N, 3) int64 array
     of every token's event, time bin and interaction level, in trace order);
     both arrays are read-only. ``load_corpus`` builds a corpus of columns when
-    the compiled reader answers its file; its ``traces`` are built when first
-    read, with one shared Token per distinct triple. The sampler reads the
-    columns, which a corpus of traces derives by flattening its tokens. Both
-    forms compare equal when their traces do.
+    the compiled reader answers its file, and a corpus of traces from any
+    other file. A corpus of columns builds its ``traces`` when first read,
+    with one shared Token per distinct triple; only this form shares Tokens.
+    The sampler reads the columns, which a corpus of traces derives by
+    flattening its tokens. Both forms compare equal when their traces do.
     """
 
     schema: Schema
@@ -486,39 +486,6 @@ def save_corpus(corpus: Corpus, path) -> None:
     ])
 
 
-# The exact line ``save_corpus`` writes, with an id that needs no JSON escape
-# (so the id is its own decoded value) and a token list made of digits, commas
-# and brackets. Each distinct token text is then checked once against the
-# canonical triple; a line that fails either check is decoded as JSON.
-_CANONICAL_LINE = re.compile(
-    r'\{"tokens":\[\[([0-9,\[\]]+)\]\],"trace_id":"([^"\\\x00-\x1f]*)"\}\n?'
-)
-_COMPONENT = "(?:0|[1-9][0-9]{0,17})"  # a JSON integer that an int64 holds
-_CANONICAL_TOKEN = re.compile(f"{_COMPONENT},{_COMPONENT},{_COMPONENT}")
-
-
-class _TokenTable(dict):
-    """Maps each canonical ``e,t,i`` text to one shared Token; KeyError on any other text."""
-
-    def __missing__(self, text: str) -> Token:
-        if not _CANONICAL_TOKEN.fullmatch(text):
-            raise KeyError(text)
-        token = self[text] = Token._make(map(int, text.split(",")))
-        return token
-
-
-def _canonical_trace(line: str, tokens_of) -> Trace | None:
-    """The trace on a line in ``save_corpus``'s exact form; None for any other line."""
-    match = _CANONICAL_LINE.fullmatch(line)
-    if match is None:
-        return None
-    body, trace_id = match.groups()
-    try:
-        return Trace(trace_id, tuple(map(tokens_of, body.split("],["))))
-    except KeyError:
-        return None
-
-
 def _read_columns(path, schema: Schema) -> Corpus | None:
     """The corpus of columns the compiled library reads from ``path``; None if declined.
 
@@ -550,25 +517,22 @@ def _read_columns(path, schema: Schema) -> Corpus | None:
 
 
 def load_corpus(path, schema: Schema) -> Corpus:
-    """Read a corpus file; every token component must be a plain JSON integer.
+    """Read a corpus file; each token component must be a plain JSON integer
+    and each ``trace_id`` a string.
 
     A file the compiled library answers (see ``_read_columns``) becomes a
     corpus of columns. Any other file, or every file without the library, is
-    read here line by line, with the same traces and the same errors: lines in
-    ``save_corpus``'s own form without ``json``, their equal tokens sharing
-    one Token object, and every other line decoded as JSON.
+    read here with one ``json.loads`` per line, with the same traces and the
+    same errors; each token of such a corpus is its own Token. A line that
+    breaks these rules or that json cannot read (one nested past its
+    recursion limit included) raises ValueError naming the file and line.
     """
     corpus = _read_columns(path, schema)
     if corpus is not None:
         return corpus
     traces = []
-    tokens_of = _TokenTable().__getitem__
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
-            trace = _canonical_trace(line, tokens_of)
-            if trace is not None:
-                traces.append(trace)
-                continue
             line = line.strip()
             if not line:
                 continue
@@ -580,8 +544,10 @@ def load_corpus(path, schema: Schema) -> Corpus:
                 if kinds:  # bool, float and str are not coerced
                     names = ", ".join(sorted(k.__name__ for k in kinds))
                     raise TypeError(f"token components must be integers, got {names}")
+                if type(trace_id) is not str:
+                    raise TypeError(f"trace_id must be a string, got {type(trace_id).__name__}")
                 trace = Trace(trace_id, tokens)
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise ValueError(f"{path}:{line_no}: malformed trace record: {exc}") from exc
             traces.append(trace)
     if not traces:

@@ -168,6 +168,24 @@ def test_fit_rejects_non_integer_token_components(tmp_path, generated, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+def test_fit_rejects_a_non_string_trace_id(tmp_path, generated, capsys):
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text('{"tokens":[[0,0,0],[1,1,1]],"trace_id":"1"}\n'
+                      '{"tokens":[[0,0,0],[1,1,1]],"trace_id":1}\n')
+    code = run([
+        "fit", "--corpus", corpus, "--schema", str(generated) + ".schema.json",
+        "--traits", 2, "--out", tmp_path / "m.json",
+    ])
+    assert code == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ValueError"
+    assert err["detail"] == (f"{corpus}:2: malformed trace record: "
+                             "trace_id must be a string, got int")
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_ingest_end_to_end(tmp_path):
     raw = tmp_path / "raw.csv"
     write_raw_csv(raw, [

@@ -316,6 +316,36 @@ def test_load_corpus_accepts_only_plain_integer_components(tmp_path, tokens):
         load_corpus(path, Schema.default())
 
 
+@pytest.mark.parametrize("library", [True, False])
+@pytest.mark.parametrize("trace_id, kind", [
+    ("1", "int"), ("null", "NoneType"), ("true", "bool"), ("1.5", "float"), ("[1]", "list"),
+    ("{}", "dict"),
+])
+def test_load_corpus_accepts_only_string_trace_ids(tmp_path, monkeypatch, library, trace_id, kind):
+    # an int id beside "1" would reach analyze, whose sorted report keys cannot order them
+    path = tmp_path / "bad.jsonl"
+    path.write_text(f'{{"tokens":[[0,0,0],[1,1,1]],"trace_id":{trace_id}}}\n'
+                    '{"tokens":[[0,0,0],[1,1,1]],"trace_id":"1"}\n')
+    if not library:
+        monkeypatch.setattr(sampler, "_library", lambda: None)
+    with pytest.raises(ValueError, match=rf"bad\.jsonl:1: malformed trace record: "
+                                         rf"trace_id must be a string, got {kind}$"):
+        load_corpus(path, Schema.default())
+
+
+@pytest.mark.parametrize("library", [True, False])
+def test_load_corpus_names_the_line_nested_past_the_recursion_limit(tmp_path, monkeypatch,
+                                                                    library):
+    path = tmp_path / "deep.jsonl"
+    path.write_text('{"tokens":[[0,0,0]],"trace_id":"a"}\n' + "[" * 200000 + "\n")
+    if not library:
+        monkeypatch.setattr(sampler, "_library", lambda: None)
+    with pytest.raises(ValueError, match=r"deep\.jsonl:2: malformed trace record: maximum "
+                                         r"recursion depth exceeded") as info:
+        load_corpus(path, Schema.default())
+    assert type(info.value.__cause__) is RecursionError
+
+
 def test_load_corpus_keeps_out_of_range_integers_for_validation(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text(f'{{"trace_id": "a", "tokens": [[-1, 0, {2**70}]]}}\n')
@@ -363,8 +393,10 @@ def _load_corpus_by_json(path, schema):
                 if kinds:
                     names = ", ".join(sorted(k.__name__ for k in kinds))
                     raise TypeError(f"token components must be integers, got {names}")
+                if type(trace_id) is not str:
+                    raise TypeError(f"trace_id must be a string, got {type(trace_id).__name__}")
                 trace = Trace(trace_id, tokens)
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise ValueError(f"{path}:{line_no}: malformed trace record: {exc}") from exc
             traces.append(trace)
     if not traces:
