@@ -15,7 +15,9 @@ import os
 import sys
 from pathlib import Path
 
-from . import analysis, core, generator, ingest, sampler
+# analysis, generator and ingest are imported by the handlers that use them,
+# so a process loads only what its subcommand runs.
+from . import core, sampler
 
 
 def _error_json(kind: str, detail: str) -> str:
@@ -79,13 +81,15 @@ _INGEST_OPTIONS = (
     ("column_map", str, None, "JSON mapping of CSV columns"),
     ("activity_map", str, "", "activity mapping JSON"),
     ("schema", str, "", "schema JSON (default: built-in)"),
-    ("min_duration", float, ingest.FilterConfig.min_duration_s, None),
-    ("max_duration", float, ingest.FilterConfig.max_duration_s, None),
+    ("min_duration", float, core.DEFAULT_MIN_DURATION_S, None),
+    ("max_duration", float, core.DEFAULT_MAX_DURATION_S, None),
     ("out_dir", str, None, "output directory"),
 )
 
 
 def _cmd_ingest(resolved: dict) -> int:
+    from . import ingest
+
     column_map = json.loads(Path(resolved["column_map"]).read_text())
     mapping = (
         ingest.ActivityMapping.load(resolved["activity_map"])
@@ -186,6 +190,8 @@ _GENERATE_OPTIONS = (
 
 
 def _cmd_generate(resolved: dict) -> int:
+    from . import generator
+
     schema = generator.synthetic_schema(
         int(resolved["events"]), int(resolved["time_bins"]), int(resolved["interaction_levels"])
     )
@@ -221,6 +227,8 @@ _ANALYZE_OPTIONS = (
 
 
 def _cmd_analyze(resolved: dict) -> int:
+    from . import analysis
+
     fit_result = sampler.load_fit_result(resolved["model"])
     grades = analysis.GradeTable.from_csv(resolved["grades"])
     report = analysis.run_analysis(
@@ -240,6 +248,8 @@ _EXPORT_OPTIONS = (
 
 
 def _cmd_export_trait(resolved: dict) -> int:
+    from . import analysis
+
     fit_result = sampler.load_fit_result(resolved["model"])
     trait, num_traits = int(resolved["trait"]), fit_result.posterior.num_traits
     if not 1 <= trait <= num_traits:

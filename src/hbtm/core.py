@@ -43,6 +43,11 @@ DEFAULT_EVENT_LABELS = (
 # Duration bins are left-open/right-closed (lo, hi] in seconds.
 DEFAULT_TIME_BIN_EDGES = (0.0, 9.0, 15.0, 30.0, 60.0, 600.0, 1200.0, 14000.0)
 
+# The default admissible duration window (ingest's FilterConfig and its flags):
+# drop sub-second transients and anything beyond the top time-bin edge.
+DEFAULT_MIN_DURATION_S = 1.0
+DEFAULT_MAX_DURATION_S = DEFAULT_TIME_BIN_EDGES[-1]
+
 # Interaction bins are left-closed/right-open [lo, hi) in total input counts.
 DEFAULT_INTERACTION_BIN_EDGES = (0.0, 2.0, 3.0, 6.0, 16.0, 4779.0)
 

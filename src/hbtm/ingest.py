@@ -22,7 +22,17 @@ from pathlib import Path
 import numpy as np
 
 from . import sampler
-from .core import Corpus, FrozenSlots, Schema, Token, Trace, skip_bom, write_atomic
+from .core import (
+    DEFAULT_MAX_DURATION_S,
+    DEFAULT_MIN_DURATION_S,
+    Corpus,
+    FrozenSlots,
+    Schema,
+    Token,
+    Trace,
+    skip_bom,
+    write_atomic,
+)
 
 OTHER_EVENT_INDEX = 14
 
@@ -179,8 +189,8 @@ class FilterConfig:
     documented variant; with it the top duration bin is never populated.
     """
 
-    min_duration_s: float = 1.0
-    max_duration_s: float = 14000.0
+    min_duration_s: float = DEFAULT_MIN_DURATION_S
+    max_duration_s: float = DEFAULT_MAX_DURATION_S
 
     def __post_init__(self):
         if not self.min_duration_s > 0:

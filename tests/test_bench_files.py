@@ -4,8 +4,8 @@ A BENCH file holds the alternating parent/change pairs of ``perfbench/run.py``
 behind one change: the claim with its win count, the quartiles of both sides
 for every end-to-end metric that ``BENCHMARK.json`` declares on every
 workload, the machine, and the projected paper-grid time. Where a file times
-``sampler.load_fit_result`` or ``analysis.run_analysis`` in process, each
-median must follow from its rounds.
+``sampler.load_fit_result`` or ``analysis.run_analysis`` in process, or each
+subcommand in a fresh process, each median must follow from its rounds.
 """
 
 import json
@@ -110,3 +110,21 @@ def test_in_process_analysis_medians_follow_from_the_recorded_rounds(path):
             rounds = sides[side]["ms"]
             assert rounds and sides[side]["median_ms"] == pytest.approx(statistics.median(rounds)), \
                 (model, side)
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_fresh_process_medians_cover_every_subcommand_on_both_sides(path):
+    """``fresh_process``: each subcommand's median seconds per process is positive, from its rounds."""
+    block = json.loads(path.read_text()).get("fresh_process")
+    if block is None:
+        return
+    assert block["bytecode"]
+    commands = block["subcommands"]
+    assert sorted(commands) == sorted(["fit", "ingest", "analyze", "export-trait", "generate"])
+    for command, sides in commands.items():
+        for side in ("parent", "change"):
+            rounds = sides[side]["s"]
+            assert rounds and all(s > 0 for s in rounds), (command, side)
+            assert sides[side]["median_s"] == pytest.approx(statistics.median(rounds)), \
+                (command, side)
+            assert sides[side]["median_s"] > 0

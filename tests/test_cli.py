@@ -772,6 +772,59 @@ def test_fit_imports_scipy_only_without_the_compiled_library(tmp_path, generated
     assert written["built"][1] == written["missing"][1]
 
 
+IMPORT_SET = r"""
+import json
+import sys
+import hbtm.cli
+def loaded():
+    return sorted(name for name in sys.modules if name.startswith("hbtm."))
+seen = [loaded()]
+for argv in json.loads(sys.argv[1]):
+    assert hbtm.cli.main(argv) == 0
+    seen.append(loaded())
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.parametrize("commands, needed, unneeded", [
+    (["fit"], {"hbtm.sampler"}, {"hbtm.analysis", "hbtm.ingest", "hbtm.generator"}),
+    (["export-trait", "analyze"], {"hbtm.analysis"}, {"hbtm.ingest", "hbtm.generator"}),
+    (["ingest"], {"hbtm.ingest"}, {"hbtm.analysis", "hbtm.generator"}),
+    (["generate"], {"hbtm.generator"}, {"hbtm.analysis", "hbtm.ingest"}),
+], ids=["fit", "export-trait+analyze", "ingest", "generate"])
+def test_a_fresh_process_loads_only_the_modules_its_subcommands_run(tmp_path, generated,
+                                                                    commands, needed, unneeded):
+    # each submodule costs a fresh process its compile and import time
+    model, grades = graded_model(tmp_path, generated)
+    raw, cmap = tmp_path / "raw.csv", tmp_path / "cols.json"
+    write_raw_csv(raw, ["1,s1,Deeds_Es_1_1,0,30,1,1,5", "1,s1,TextEditor,40,41.5,0,1,3"])
+    write_column_map(cmap)
+    argvs = {
+        "fit": ["fit", "--corpus", generated.with_suffix(".jsonl"),
+                "--schema", str(generated) + ".schema.json", "--traits", 2, "--sweeps", 3,
+                "--burn-in", 1, "--stride", 1, "--out", tmp_path / "fresh.json"],
+        "export-trait": ["export-trait", "--model", model, "--trait", 1,
+                         "--out", tmp_path / "trait.csv"],
+        "analyze": ["analyze", "--model", model, "--grades", grades,
+                    "--out", tmp_path / "report.json"],
+        "ingest": ["ingest", "--raw", raw, "--column-map", cmap, "--out-dir", tmp_path / "out"],
+        "generate": ["generate", "--traits", 2, "--traces", 3, "--tokens-per-trace", 4,
+                     "--out-prefix", tmp_path / "syn2"],
+    }
+    steps = [[str(a) for a in argvs[command]] for command in commands]
+    src = str(Path(hbtm.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    done = subprocess.run([sys.executable, "-c", IMPORT_SET, json.dumps(steps)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    on_import, *after_steps = map(set, json.loads(done.stdout))
+    assert on_import == {"hbtm.cli", "hbtm.core", "hbtm.sampler"}
+    for command, loaded in zip(commands, after_steps):
+        assert not loaded & unneeded, command
+    assert needed <= loaded
+
+
 @pytest.mark.parametrize("grade, cell", [
     ("SFE", "nan"), ("SFE", "1e400"), ("SFE", "-inf"), ("SA", "nan"), ("FE", "inf"),
 ])
@@ -888,6 +941,55 @@ def test_every_fit_config_fits_or_is_one_json_error(four_token_corpus, traits, s
         else:
             assert code == 1 and len(lines) == 1
             assert not json.loads(lines[0])["error"].endswith("Warning")
+            assert out.read_bytes() == b"an earlier model\n"
+
+
+def _flag_text(value):
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(traits=st.integers(-1, 6), sweeps=st.integers(-1, 4), burn_in=st.integers(0, 3),
+       stride=st.integers(1, 2),
+       hyper=st.dictionaries(st.sampled_from(("alpha", "beta", "gamma", "delta")), CONFIG_VALUES,
+                             max_size=2))
+@example(traits=2, sweeps=3, burn_in=0, stride=1, hyper={"alpha": 5e-324})
+@example(traits=3, sweeps=2, burn_in=1, stride=1, hyper={"beta": 1e308, "delta": math.inf})
+@example(traits=1, sweeps=1, burn_in=0, stride=1, hyper={"alpha": 1e308})  # log joint NaN
+@example(traits=2, sweeps=2, burn_in=0, stride=1, hyper={"gamma": "-"})
+@example(traits=2, sweeps=2, burn_in=0, stride=1, hyper={"delta": None, "beta": True})
+def test_every_fit_flag_set_fits_or_is_one_json_error(four_token_corpus, traits, sweeps,
+                                                      burn_in, stride, hyper):
+    # the config test's draws as flag text: a string as given, anything else as its JSON
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "model.json"
+        out.write_bytes(b"an earlier model\n")
+        argv = ["fit", "--corpus", str(four_token_corpus.with_suffix(".jsonl")),
+                "--schema", str(four_token_corpus) + ".schema.json",
+                "--traits", str(traits), "--sweeps", str(sweeps), "--burn-in", str(burn_in),
+                "--stride", str(stride), "--out", str(out),
+                *(arg for name, value in hyper.items() for arg in (f"--{name}", _flag_text(value)))]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        lines = stderr.getvalue().splitlines()
+        event("fit" if code == 0 else f"exit {code}")
+        if code == 0:
+            assert lines == []
+            model = json.loads(out.read_text(), parse_constant=_refuse_constant)
+            assert len(model["log_joint_trace"]) == sweeps
+            assert all(math.isfinite(x) for x in model["log_joint_trace"])
+            assert hbtm.load_fit_result(out).posterior.num_traits == traits
+        else:
+            assert len(lines) == 1
+            error = json.loads(lines[0])["error"]
+            if code == 2:
+                assert error == "argument error"
+            else:
+                assert code == 1 and not error.endswith("Warning")
             assert out.read_bytes() == b"an earlier model\n"
 
 

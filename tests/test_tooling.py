@@ -2,6 +2,8 @@
 
 import ast
 import ctypes
+import importlib
+import json
 import os
 import re
 import shutil
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import hbtm
 from hbtm import Corpus, FitConfig, Token, Trace, fit, sampler, synthetic_schema
 from hbtm.core import save_json
 
@@ -74,13 +77,71 @@ def test_the_package_ships_only_what_the_package_or_perfbench_reaches():
     read = set().union(*map(_names_read, readers))
     defined = {node.name for path in modules for node in ast.parse(path.read_text()).body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    exported = {alias.name for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    defined -= {"__getattr__", "__dir__"}  # PEP 562 hooks: attribute lookup calls them
+    exported = set(hbtm.__all__)  # named only as strings in __init__'s table: not a read
     assert sorted((defined | exported) - read) == []
     stored = {node.attr for path in modules for node in ast.walk(ast.parse(path.read_text()))
               if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
               and isinstance(node.value, ast.Name) and node.value.id == "self"}
     assert sorted(stored - set().union(*map(_attributes_loaded, readers))) == []
+
+
+# the names ``from hbtm import X`` has always offered, by the submodule that defines each
+PUBLIC = {
+    "analysis": ["AnalysisReport", "GradeTable", "KMeansResult", "PearsonResult", "TTestResult",
+                 "export_trait", "kmeans", "pearson", "run_analysis", "welch_t_test"],
+    "core": ["Corpus", "Hyperparams", "Posterior", "Schema", "Token", "Trace", "load_corpus",
+             "load_schema", "save_corpus", "save_schema", "validate_corpus"],
+    "generator": ["LabeledCorpus", "generate", "sample_params", "synthetic_schema"],
+    "ingest": ["ActivityMapping", "FilterConfig", "IngestResult", "MappingRule", "RawEvents",
+               "RejectedRow", "build_corpora", "map_activity", "parse_raw_log"],
+    "sampler": ["CountConsistencyError", "FitConfig", "FitResult", "ModelState",
+                "collapsed_log_joint", "estimate_posterior", "fit", "gibbs_sweep", "init_state",
+                "load_fit_result", "reference_sweep"],
+}
+
+
+@pytest.mark.parametrize("module", PUBLIC)
+def test_each_public_name_is_its_submodules_object(module):
+    for name in PUBLIC[module]:
+        namespace = {}
+        exec(f"from hbtm import {name}", namespace)
+        defined = getattr(importlib.import_module(f"hbtm.{module}"), name)
+        assert getattr(hbtm, name) is defined and namespace[name] is defined, name
+        assert name in dir(hbtm)
+    assert module in dir(hbtm)
+
+
+def test_an_unknown_name_is_an_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        hbtm.no_such_name
+    with pytest.raises(ImportError, match="'no_such_name'"):
+        exec("from hbtm import no_such_name", {})
+
+
+SURFACE = r"""
+import json
+import sys
+import hbtm
+on_import = sorted(name for name in sys.modules if name.startswith("hbtm."))
+parse = hbtm.ingest.parse_raw_log
+namespace = {}
+exec("from hbtm import *", namespace)
+print(json.dumps([on_import, parse.__module__, sorted(set(namespace) - {"__builtins__"})]))
+"""
+
+
+def test_import_hbtm_loads_each_submodule_on_first_use():
+    src = str(PACKAGE.parent)
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    done = subprocess.run([sys.executable, "-c", SURFACE], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    on_import, parse_module, star = json.loads(done.stdout)
+    assert on_import == []
+    assert parse_module == "hbtm.ingest"
+    assert star == sorted([*PUBLIC, *(name for names in PUBLIC.values() for name in names)])
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
