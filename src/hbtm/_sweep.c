@@ -1,5 +1,6 @@
-/* The eight compiled helpers of hbtm: hbtm_sweep, hbtm_scan, hbtm_lloyd,
- * hbtm_rows, hbtm_format, hbtm_gammaln, hbtm_corpus and hbtm_fsum.
+/* The nine compiled helpers of hbtm: hbtm_sweep, hbtm_scan, hbtm_lloyd,
+ * hbtm_rows, hbtm_format, hbtm_gammaln, hbtm_corpus, hbtm_fsum and
+ * hbtm_tokens.
  *
  * Each kernel returns int64_t and is declared once on the Python side, as a
  * row of sampler._KERNELS giving its parameter types. Adding a kernel takes
@@ -51,6 +52,11 @@
  * correlations of analysis.run_analysis. It keeps its partial sums in a
  * stack buffer of 32 and declines, for math.fsum to answer, an array whose
  * partials turn inf or nan or outgrow that buffer; see its own comment.
+ *
+ * hbtm_tokens writes the token lists of a corpus of int64 columns as
+ * core.save_corpus spells them, and reports where each trace's text ends,
+ * or declines the corpus for save_corpus's Python writer; see its own
+ * comment.
  */
 #include <float.h>
 #include <math.h>
@@ -1039,4 +1045,67 @@ int64_t hbtm_corpus(const char *text, int64_t len, int64_t max_lines, int64_t ma
         lengths[lines++] = tokens - first;
     }
     return lines;
+}
+
+/* The decimal text of v at p, if it fits before end; the byte after it, or
+ * NULL. p may be NULL. INT64_MIN is spelled from its unsigned magnitude. */
+static char *write_component(char *p, const char *end, int64_t v)
+{
+    uint64_t u = v < 0 ? 0 - (uint64_t)v : (uint64_t)v;
+    int64_t n = 1 + (v < 0);
+    for (uint64_t rest = u; rest >= 10; rest /= 10)
+        n++;
+    if (!p || end - p < n)
+        return NULL;
+    if (v < 0)
+        *p = '-';
+    char *d = p + n;
+    do
+        *--d = (char)('0' + u % 10);
+    while (u /= 10);
+    return p + n;
+}
+
+/* The byte c at p, if it fits before end; the byte after it, or NULL. */
+static char *write_byte(char *p, const char *end, char c)
+{
+    if (!p || p == end)
+        return NULL;
+    *p = c;
+    return p + 1;
+}
+
+/* Write the tokens of n traces as core.save_corpus spells them inside a
+ * line's token list: [e,t,i],[e,t,i],... for each trace, every component in
+ * decimal, with no spaces. lengths[m] is trace m's token count, and codes
+ * holds the three components of each token, 3 * sum(lengths) int64 in trace
+ * order; every length is at least 0. ends[m] receives the offset in out just
+ * past trace m's text, so trace m's text is out[ends[m - 1], ends[m]) (from
+ * 0 for the first); a trace of no tokens writes nothing. out takes capacity
+ * bytes, ends n int64.
+ *
+ * Returns 1; or 0 to decline, for core.save_corpus's Python writer to write
+ * the corpus, when the text does not fit in out. */
+int64_t hbtm_tokens(int64_t n, const int64_t *lengths, const int64_t *codes, char *out,
+                    int64_t capacity, int64_t *ends)
+{
+    char *p = out;
+    const char *const end = out + capacity;
+    for (int64_t m = 0; m < n; m++) {
+        for (int64_t j = 0; j < lengths[m]; j++, codes += 3) {
+            if (j)
+                p = write_byte(p, end, ',');
+            p = write_byte(p, end, '[');
+            p = write_component(p, end, codes[0]);
+            p = write_byte(p, end, ',');
+            p = write_component(p, end, codes[1]);
+            p = write_byte(p, end, ',');
+            p = write_component(p, end, codes[2]);
+            p = write_byte(p, end, ']');
+        }
+        if (!p)
+            return 0;
+        ends[m] = p - out;
+    }
+    return 1;
 }

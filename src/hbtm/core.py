@@ -15,6 +15,7 @@ import os
 import sys
 from dataclasses import dataclass
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
 
@@ -169,12 +170,15 @@ class Corpus:
     traces)`` takes. The other is three columns: ``trace_ids``, ``lengths``
     (an int64 array of tokens per trace) and ``codes`` (an (N, 3) int64 array
     of every token's event, time bin and interaction level, in trace order);
-    both arrays are read-only. ``load_corpus`` builds a corpus of columns when
-    the compiled reader answers its file, and a corpus of traces from any
-    other file. A corpus of columns builds its ``traces`` when first read,
-    with one shared Token per distinct triple; only this form shares Tokens.
-    The sampler reads the columns, which a corpus of traces derives by
-    flattening its tokens. Both forms compare equal when their traces do.
+    both arrays are read-only. ``ingest.build_corpora`` builds corpora of
+    columns, and ``load_corpus`` does when the compiled reader answers its
+    file; it builds a corpus of traces from any other file. A corpus of
+    columns builds its ``traces`` when first read, with one shared Token per
+    distinct triple, shared too with the other corpora it was built with
+    (``tokens`` of ``_of_columns``); only this form shares Tokens. The
+    sampler and ``save_corpus`` read the columns, which a corpus of traces
+    derives by flattening its tokens. Both forms compare equal when their
+    traces do.
     """
 
     schema: Schema
@@ -187,11 +191,12 @@ class Corpus:
 
     @classmethod
     def _of_columns(cls, schema: Schema, trace_ids: tuple[str, ...], lengths: np.ndarray,
-                    codes: np.ndarray) -> "Corpus":
+                    codes: np.ndarray, tokens: dict | None = None) -> "Corpus":
+        """A corpus of columns; corpora given one ``tokens`` dict share their Tokens."""
         corpus = cls.__new__(cls)
         lengths.flags.writeable = codes.flags.writeable = False  # shared by every reader
         for name, value in (("schema", schema), ("trace_ids", trace_ids), ("lengths", lengths),
-                            ("codes", codes)):
+                            ("codes", codes), ("_tokens", {} if tokens is None else tokens)):
             object.__setattr__(corpus, name, value)
         return corpus
 
@@ -201,7 +206,8 @@ class Corpus:
         if name != "traces" or "codes" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         shared, index = np.unique(self.codes, axis=0, return_inverse=True)
-        token_of = np.fromiter(map(Token._make, shared.tolist()), object, len(shared))
+        made = list(map(Token._make, shared.tolist()))
+        token_of = np.fromiter(map(self._tokens.setdefault, made, made), object, len(shared))
         tokens = token_of[index.reshape(-1)].tolist()
         bounds = np.cumsum(self.lengths).tolist()
         traces = tuple(Trace(trace_id, tuple(tokens[lo:hi]))
@@ -473,21 +479,66 @@ class _TokenTexts(dict):
         return text
 
 
+def _check_traces(traces: tuple[Trace, ...]) -> None:
+    """Raise TypeError, naming the trace, for an id that is not a str or a component not an int."""
+    for trace in traces:
+        kinds = set(map(type, chain.from_iterable(trace.tokens))) - {int}
+        if kinds:  # bool and float too: load_corpus would refuse them
+            names = ", ".join(sorted(k.__name__ for k in kinds))
+            raise TypeError(f"trace {trace.trace_id!r}: token components must be integers, "
+                            f"got {names}")
+        if type(trace.trace_id) is not str:
+            raise TypeError(f"trace_id must be a string, got {type(trace.trace_id).__name__}")
+
+
+def _token_lists(corpus: Corpus) -> list[str] | None:
+    """Each trace's ``[e,t,i],...`` text, written from the corpus's columns; or None.
+
+    The compiled library writes them (``hbtm_tokens`` in ``_sweep.c``); None
+    when it is missing or declines, or when the lengths do not count the
+    rows of ``codes``. The buffer, not zeroed, holds every token at the
+    widest component's length: three components, two commas, two brackets
+    and the comma after.
+    """
+    from . import sampler  # sampler imports this module
+
+    library = sampler._library()
+    lengths, codes = (np.ascontiguousarray(corpus.lengths, np.int64),
+                      np.ascontiguousarray(corpus.codes, np.int64))
+    if library is None or lengths.min() < 0 or lengths.sum() != len(codes):
+        return None
+    width = max(len(str(codes.min())), len(str(codes.max()))) if codes.size else 0
+    capacity = len(codes) * (3 * width + 5)
+    out, ends = np.empty(capacity, np.uint8), np.empty(len(lengths), np.int64)
+    if not library.hbtm_tokens(len(lengths), lengths.ctypes.data, codes.ctypes.data,
+                               out.ctypes.data, capacity, ends.ctypes.data):
+        return None
+    bounds = ends.tolist()
+    text = out[:bounds[-1]].tobytes().decode("ascii")
+    return [text[lo:hi] for lo, hi in zip([0] + bounds, bounds)]
+
+
 def save_corpus(corpus: Corpus, path) -> None:
     """Write one trace per line: {"tokens": [[e, t, i], ...], "trace_id": ...}.
 
     Each line is ``json.dumps({"trace_id": ..., "tokens": ...}, sort_keys=True,
-    separators=(",", ":"))``. Each distinct token is spelled once and the
-    texts are joined per trace. Token components are ints, as every builder
-    and reader here makes them; equal tokens are spelled alike, so a bool or
-    float component equal to an int would take the spelling of the first
-    equal token.
+    separators=(",", ":"))``. A corpus that holds its columns has its token
+    lists written from them by ``_token_lists``; any other corpus, or any
+    corpus without the library, is written from its traces here, each
+    distinct token spelled once. Every id must be a str and every token
+    component an int, as ``load_corpus`` requires of the file: a trace that
+    holds a bool, a float or any other component raises TypeError naming
+    it, and no file is written.
     """
-    text_of = _TokenTexts().__getitem__
+    if "traces" in vars(corpus):  # a corpus of columns makes only str ids and int components
+        _check_traces(corpus.traces)
+    lists = _token_lists(corpus) if "codes" in vars(corpus) else None
+    if lists is None:
+        text_of = _TokenTexts().__getitem__
+        lists = [",".join(map(text_of, trace.tokens)) for trace in corpus.traces]
     write_atomic(path, [
-        f'{{"tokens":[{",".join(map(text_of, trace.tokens))}],'
-        f'"trace_id":{json.dumps(trace.trace_id)}}}\n'
-        for trace in corpus.traces
+        f'{{"tokens":[{tokens}],"trace_id":{quoted}}}\n'
+        for tokens, quoted in zip(lists, map(encode_basestring_ascii, corpus.trace_ids))
     ])
 
 

@@ -28,8 +28,6 @@ from .core import (
     Corpus,
     FrozenSlots,
     Schema,
-    Token,
-    Trace,
     skip_bom,
     write_atomic,
 )
@@ -566,7 +564,9 @@ def _time_bins(duration: np.ndarray, schema: Schema, filt: FilterConfig) -> np.n
     """Each duration's time bin, left-open and right-closed; -1 outside the window or the edges."""
     if np.isnan(duration).any():
         raise ValueError("duration must be positive, got nan")
-    bins = np.searchsorted(np.array(schema.time_bin_edges), duration, side="left") - 1
+    bins = np.full(len(duration), -1, np.int64)
+    for edge in schema.time_bin_edges:  # the edges below each duration, less one
+        bins += duration > edge
     bins[(duration < filt.min_duration_s) | (duration > filt.max_duration_s)
          | (bins >= schema.num_time_bins)] = -1
     return bins
@@ -582,14 +582,15 @@ def _levels(mouse: np.ndarray, keys: np.ndarray, schema: Schema, keep: np.ndarra
     raises ValueError.
     """
     total = mouse + keys
-    reach = _ints([math.ceil(e) for e in schema.interaction_bin_edges[1:-1]])
-    if (total.dtype == object or reach.dtype == object
-            or (((mouse ^ total) & (keys ^ total)) < 0).any()):  # a sum past int64
-        total, reach = mouse.astype(object) + keys, reach.astype(object)
-    if (total[keep] < 0).any():
-        first_negative = total[keep][total[keep] < 0][0]
-        raise ValueError(f"interaction count must be nonnegative, got {first_negative}")
-    return np.searchsorted(reach, total, side="right")
+    if total.dtype == object or (((mouse ^ total) & (keys ^ total)) < 0).any():  # past int64
+        total = mouse.astype(object) + keys
+    negative = keep & (total < 0)
+    if negative.any():
+        raise ValueError(f"interaction count must be nonnegative, got {total[negative][0]}")
+    levels = np.zeros(len(total), np.int64)
+    for edge in schema.interaction_bin_edges[1:-1]:  # numpy compares int64 with any int exactly
+        levels += total >= math.ceil(edge)
+    return levels
 
 
 def _groups(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -597,6 +598,29 @@ def _groups(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(key, kind="stable")
     grouped = key[order]
     return order, np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]][:len(key)])
+
+
+def _traces(raw: RawEvents, keep: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The kept rows in trace order, and each trace's session code, student code and length.
+
+    Rows are grouped by (session, student), in file order within a group;
+    traces come in order of their session's first row, then of their own.
+    A trace none of whose rows is kept has length 0.
+    """
+    n = len(raw)
+    order, starts = _groups(raw.session * len(raw.names) + raw.student_id)
+    first = order[starts]
+    session_first = np.full(len(raw.names), n, np.int64)
+    np.minimum.at(session_first, raw.session[first], first)
+    rank = np.lexsort((first, session_first[raw.session[first]]))
+    # each group's kept rows are a slice of the kept rows in group order; the
+    # slices laid out in rank order give every trace's rows in turn
+    kept = keep[order]
+    cut = np.r_[0, np.cumsum(kept)]
+    lo, lengths = cut[starts][rank], np.diff(cut[np.r_[starts, n]])[rank]
+    at = np.cumsum(lengths) - lengths  # where each trace's rows start in the output
+    rows = order[kept][np.arange(lengths.sum()) + np.repeat(lo - at, lengths)]
+    return rows, raw.session[first[rank]], raw.student_id[first[rank]], lengths
 
 
 def build_corpora(
@@ -618,7 +642,9 @@ def build_corpora(
 
     Works on ``raw``'s columns: each distinct activity label goes through
     ``map_activity`` once, one stable sort groups the rows into traces, and
-    equal tokens share one Token object.
+    each session is a corpus of columns, so no Python object is made per
+    token. The corpora build their ``traces`` when first read, with one
+    Token per distinct triple shared by all of them.
     """
     for rule in mapping.rules:
         if rule.event_index >= schema.num_events:
@@ -630,59 +656,47 @@ def build_corpora(
         raise ValueError("mapping default_index outside schema")
 
     n, names = len(raw), raw.names
-    bins, levels = schema.num_time_bins, schema.num_interaction_levels
-    # each row's token as one code, ((event * bins) + time bin) * levels + level
-    code = _time_bins(raw.end_time - raw.start_time, schema, filt)
-    keep = code >= 0
+    time_bins = _time_bins(raw.end_time - raw.start_time, schema, filt)
+    keep = time_bins >= 0
+    # grouped before the levels are made, so the temporaries of the two are never
+    # alive at once: that keeps ingest's peak memory down
+    rows, sessions, students, lengths = _traces(raw, keep)
     labels = np.flatnonzero(np.bincount(raw.activity, minlength=len(names))).tolist()
     event_of = np.zeros(len(names), np.int64)
     event_of[labels] = [map_activity(names[label], mapping) for label in labels]
-    code += event_of[raw.activity] * bins
-    code *= levels
-    code += _levels(raw.mouse_clicks, raw.keystrokes, schema, keep)
+    levels = _levels(raw.mouse_clicks, raw.keystrokes, schema, keep)
 
-    # rows grouped by (session, student), in file order within each group; traces
-    # come in order of their session's first row, then of their own
-    order, starts = _groups(raw.session * len(names) + raw.student_id)
-    first = order[starts]
-    sessions, students = raw.session[first], raw.student_id[first]
-    session_first = np.full(len(names), n, np.int64)
-    np.minimum.at(session_first, sessions, first)
-    rank = np.lexsort((first, session_first[sessions])).tolist()
-    # the kept tokens in group order, each group's slice of them, one Token per code
-    kept = keep[order]
-    cut = np.r_[0, np.cumsum(kept)]
-    lo, hi = cut[starts].tolist(), cut[np.r_[starts[1:], n]].tolist()
-    codes, index, count = np.unique(code[order[kept]], return_inverse=True, return_counts=True)
-    parts = codes // (bins * levels), codes // levels % bins, codes % levels
-    token_of = np.fromiter(map(Token, *(part.tolist() for part in parts)), object, len(codes))
-    tokens = token_of[index].tolist()
-    tallies = []
-    for part, size in zip(parts, (schema.num_events, bins, levels)):
-        tally = np.zeros(size, np.int64)
-        np.add.at(tally, part, count)
-        tallies.append(tally.tolist())
-
-    per_session: dict[str, list[Trace]] = {}
-    dropped: list[str] = []
-    sessions, students = sessions.tolist(), students.tolist()
-    for g in rank:
-        session = names[sessions[g]]
-        trace_id = f"{names[students[g]]}_{session}"
-        traces = per_session.setdefault(session, [])
-        if lo[g] < hi[g]:
-            traces.append(Trace(trace_id, tuple(tokens[lo[g]:hi[g]])))
-        else:
-            dropped.append(trace_id)
+    # a session's traces are one run in trace order; its nonempty ones make its corpus
+    sessions, students, sizes = sessions.tolist(), students.tolist(), lengths.tolist()
+    trace_ids = [f"{names[student]}_{names[session]}"
+                 for session, student in zip(sessions, students)]
+    ends = np.r_[np.flatnonzero(np.diff(sessions)) + 1, len(sessions)].tolist()
+    bounds, shared = [0, *np.cumsum(sizes).tolist()], {}
+    corpora, dropped = {}, []
+    tallies = [np.zeros(size, np.int64) for size in (
+        schema.num_events, schema.num_time_bins, schema.num_interaction_levels)]
+    for begin, end in zip([0, *ends[:-1]], ends):
+        traces = [g for g in range(begin, end) if sizes[g]]
+        dropped += [trace_ids[g] for g in range(begin, end) if not sizes[g]]
+        if not traces:
+            continue
+        part = rows[bounds[begin]:bounds[end]]
+        codes = np.empty((len(part), 3), np.int64)  # each token's event, time bin and level
+        codes[:, 0] = event_of[raw.activity[part]]
+        codes[:, 1] = time_bins[part]
+        codes[:, 2] = levels[part]
+        for tally, column in zip(tallies, codes.T):
+            tally += np.bincount(column, minlength=len(tally))
+        corpora[names[sessions[begin]]] = Corpus._of_columns(
+            schema, tuple(trace_ids[g] for g in traces), lengths[traces], codes, shared)
     return IngestResult(
-        corpora={session: Corpus(schema, tuple(traces))
-                 for session, traces in per_session.items() if traces},
-        tokenized=len(tokens),
-        filtered=n - len(tokens),
+        corpora=corpora,
+        tokenized=len(rows),
+        filtered=n - len(rows),
         dropped_traces=dropped,
-        event_counts=tallies[0],
-        time_bin_counts=tallies[1],
-        interaction_counts=tallies[2],
+        event_counts=tallies[0].tolist(),
+        time_bin_counts=tallies[1].tolist(),
+        interaction_counts=tallies[2].tolist(),
     )
 
 

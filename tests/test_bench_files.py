@@ -4,8 +4,9 @@ A BENCH file holds the alternating parent/change pairs of ``perfbench/run.py``
 behind one change: the claim with its win count, the quartiles of both sides
 for every end-to-end metric that ``BENCHMARK.json`` declares on every
 workload, the machine, and the projected paper-grid time. Where a file times
-``sampler.load_fit_result`` or ``analysis.run_analysis`` in process, or each
-subcommand in a fresh process, each median must follow from its rounds.
+``sampler.load_fit_result``, ``analysis.run_analysis`` or ``hbtm ingest`` in
+process, or each subcommand in a fresh process, each median must follow from
+its rounds.
 """
 
 import json
@@ -110,6 +111,24 @@ def test_in_process_analysis_medians_follow_from_the_recorded_rounds(path):
             rounds = sides[side]["ms"]
             assert rounds and sides[side]["median_ms"] == pytest.approx(statistics.median(rounds)), \
                 (model, side)
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_in_process_ingest_medians_follow_from_the_recorded_rounds(path):
+    """``in_process_ingest``: each side's median ms per input is the median of its rounds."""
+    block = json.loads(path.read_text()).get("in_process_ingest")
+    if block is None:
+        return
+    assert block["every_output_equal"] is True
+    assert sorted(block["inputs"]) == sorted(WORKLOADS)
+    for name, sides in block["inputs"].items():
+        digests = {sides[side]["output_sha256"] for side in ("parent", "change")}
+        assert len(digests) == 1, name
+        for side in ("parent", "change"):
+            rounds = sides[side]["ms"]
+            assert rounds and all(ms > 0 for ms in rounds), (name, side)
+            assert sides[side]["median_ms"] == pytest.approx(statistics.median(rounds)), \
+                (name, side)
 
 
 @pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)

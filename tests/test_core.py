@@ -1,4 +1,5 @@
 import copy
+import gc
 import itertools
 import json
 import os
@@ -11,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -36,9 +37,10 @@ from hbtm import (
     validate_corpus,
 )
 from hbtm.core import NUMBER_LIST_STUB, _float_array_text, save_json, write_atomic
-from hbtm.ingest import MappingRule, write_rejects_csv
+from hbtm.ingest import (ActivityMapping, FilterConfig, MappingRule, build_corpora,
+                         write_rejects_csv)
 
-from conftest import greedy_match_traits, random_corpus, total_variation
+from conftest import greedy_match_traits, random_corpus, raw_events, total_variation
 
 
 def make_counts(n_mk, n_ke, n_ket, n_kei):
@@ -285,6 +287,108 @@ def test_save_corpus_writes_json_lines_for_generated_corpora(tmp_path_factory, s
     save_corpus(corpus, path)
     assert path.read_bytes() == _json_lines(corpus)
     assert load_corpus(path, schema) == corpus
+
+
+@pytest.mark.parametrize("component, kind", [(True, "bool"), (1.0, "float")])
+def test_save_corpus_refuses_a_component_that_is_not_an_int(tmp_path, component, kind):
+    # equal to the int 1, so a writer that spells equal tokens alike would spell
+    # trace b's int token as this one too; load_corpus refuses either spelling
+    corpus = Corpus(Schema.default(), (Trace("a", (Token(component, 0, 0),)),
+                                       Trace("b", (Token(1, 0, 0),))))
+    assert validate_corpus(corpus) == []
+    path = tmp_path / "c.jsonl"
+    with pytest.raises(TypeError, match=rf"^trace 'a': token components must be integers, "
+                                        rf"got {kind}$"):
+        save_corpus(corpus, path)
+    assert list(tmp_path.iterdir()) == []
+    corpus = Corpus(Schema.default(), corpus.traces[::-1])
+    with pytest.raises(TypeError, match=r"^trace 'a': "):
+        save_corpus(corpus, path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_corpus_refuses_a_trace_id_that_is_not_a_string(tmp_path):
+    corpus = Corpus(Schema.default(), (Trace(5, (Token(0, 0, 0),)),))
+    with pytest.raises(TypeError, match=r"^trace_id must be a string, got int$"):
+        save_corpus(corpus, tmp_path / "c.jsonl")
+    assert list(tmp_path.iterdir()) == []
+
+
+_ID_PARTS = st.sampled_from(["s1", "a_1", "", 'q"', "back\\", "tab\t", "ü", "日本", "\x7f"])
+
+
+@st.composite
+def corpora_of_columns(draw):
+    """A corpus of columns built by build_corpora from drawn events, or a file's text.
+
+    Drawn events take student and session ids that need escapes or are not
+    ASCII. A drawn file is in save_corpus's form, with plain ASCII ids and
+    components of up to 18 digits, so the compiled reader loads it as columns.
+    """
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.tuples(
+            _ID_PARTS, _ID_PARTS, st.sampled_from(["Deeds", "Blank", "zzz"]),
+            st.sampled_from([0.5, 1.0, 9.0, 30.0, 20000.0]), st.integers(0, 6000)), min_size=1,
+            max_size=40))
+        events = raw_events([(session, student, activity, 0.0, duration, count, 1)
+                             for session, student, activity, duration, count in rows])
+        corpora = build_corpora(events, ActivityMapping.default(), Schema.default(),
+                                FilterConfig()).corpora
+        assume(corpora)
+        return list(corpora.values())[draw(st.integers(0, len(corpora) - 1))]
+    component = st.integers(0, 10**18 - 1) | st.integers(0, 20)  # as hbtm_corpus reads them
+    ids = draw(st.lists(st.text("ab_~ 9", max_size=4), min_size=1, max_size=6, unique=True))
+    text = "".join(json.dumps({"tokens": draw(st.lists(st.lists(component, min_size=3, max_size=3),
+                                                       min_size=1, max_size=5)),
+                               "trace_id": trace_id}, sort_keys=True, separators=(",", ":")) + "\n"
+                   for trace_id in ids)
+    return text
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpora_of_columns())
+def test_save_corpus_writes_json_lines_for_corpora_of_columns(tmp_path_factory, drawn):
+    directory = tmp_path_factory.mktemp("columns")
+    if isinstance(drawn, Corpus):
+        corpus = drawn
+    else:
+        (directory / "in.jsonl").write_text(drawn)
+        corpus = load_corpus(directory / "in.jsonl", Schema.default())
+    if sampler._library() is not None:
+        assert "traces" not in vars(corpus)  # a corpus of columns
+    written = []
+    for library in (sampler._library, lambda: None):
+        with mock.patch.object(sampler, "_library", library):
+            save_corpus(corpus, directory / "out.jsonl")
+        written.append((directory / "out.jsonl").read_bytes())
+    assert written[0] == written[1] == _json_lines(corpus)
+    if not isinstance(drawn, Corpus):
+        assert written[0] == drawn.encode()
+
+
+def test_building_and_saving_plain_rows_makes_no_python_object_per_token(tmp_path):
+    if sampler._library() is None:
+        pytest.skip("no compiled library")
+    rows = 20_000
+    events = raw_events([(str(n % 6 + 1), f"s{n % 13}", f"Deeds_Es_{n % 7}", 0.0,
+                          float(n % 900 + 2), n % 9, n % 40) for n in range(rows)])
+    args = (events, ActivityMapping.default(), Schema.default(), FilterConfig())
+
+    def build_and_save():
+        result = build_corpora(*args)
+        for session, corpus in result.corpora.items():
+            save_corpus(corpus, tmp_path / f"session_{session}.jsonl")
+        return result
+
+    build_and_save()  # the first call's one-off work
+    gc.collect()
+    before = sys.getallocatedblocks()
+    result = build_and_save()
+    gc.collect()
+    grown = sys.getallocatedblocks() - before
+    assert result.tokenized == rows
+    assert not any("traces" in vars(corpus) for corpus in result.corpora.values())
+    assert grown < rows / 20, f"{grown} blocks kept for {rows} tokens"
 
 
 def test_load_corpus_rejects_malformed(tmp_path):

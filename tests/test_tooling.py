@@ -684,3 +684,61 @@ print(answered)
 
 def test_corpus_kernel_stays_inside_its_buffers_under_address_and_undefined_sanitizers(sanitized):
     assert int(sanitized(SANITIZED_CORPUS)) >= 1000
+
+
+# Each case is a corpus's columns and an output buffer of exactly `capacity`
+# bytes: the kernel writes each trace's tokens as json spells them when the
+# text fits, and declines (0) when it does not, one byte short included.
+SANITIZED_TOKENS = r"""
+import json, random, struct
+
+
+def call(lengths, values, capacity):
+    n = len(lengths)
+    blocks = [libc.malloc(max(size, 1)) for size in (8 * n, 8 * len(values), capacity, 8 * n)]
+    sizes, codes, out, ends = blocks
+    ctypes.memmove(sizes, struct.pack(f"<{n}q", *lengths), 8 * n)
+    ctypes.memmove(codes, struct.pack(f"<{len(values)}q", *values), 8 * len(values))
+    answer = lib.hbtm_tokens(n, sizes, codes, out, capacity, ends)
+    got = None
+    if answer:
+        bounds = struct.unpack(f"<{n}q", ctypes.string_at(ends, 8 * n))
+        text = ctypes.string_at(out, bounds[-1])
+        got = [text[lo:hi].decode() for lo, hi in zip((0, *bounds), bounds)]
+    for block in blocks:
+        libc.free(block)
+    return answer, got
+
+
+def expected(lengths, values):
+    texts, at = [], 0
+    for length in lengths:
+        tokens = [values[3 * j:3 * j + 3] for j in range(at, at + length)]
+        texts.append(json.dumps(tokens, separators=(",", ":"))[1:-1])
+        at += length
+    return texts
+
+
+# 1 to 19 digits, negatives, and both ends of int64
+POOL = [0, 7, -1, 10, 99, -100, 2 ** 31, 10 ** 17, 10 ** 18, -10 ** 18, 2 ** 63 - 1, -2 ** 63]
+POOL += [10 ** k - 1 for k in range(1, 19)]
+rng = random.Random(30)
+answered = declined = 0
+for case in range(3000):
+    lengths = [rng.choice([0, 0, 1, 2, 4]) for _ in range(rng.randrange(1, 5))]
+    values = [rng.choice(POOL) for _ in range(3 * sum(lengths))]
+    want = expected(lengths, values)
+    size = sum(map(len, want))
+    answer, got = call(lengths, values, size)
+    assert answer == 1 and got == want, (lengths, values, got)
+    answered += 1
+    for capacity in {size - 1, rng.randrange(size)} if size else ():
+        assert call(lengths, values, capacity) == (0, None), (lengths, values, capacity)
+        declined += 1
+print(answered, declined)
+"""
+
+
+def test_tokens_kernel_stays_inside_its_buffers_under_address_and_undefined_sanitizers(sanitized):
+    answered, declined = map(int, sanitized(SANITIZED_TOKENS).split())
+    assert answered == 3000 and declined >= 2000
