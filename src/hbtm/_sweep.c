@@ -29,10 +29,11 @@
  * hbtm_lloyd runs analysis.kmeans' Lloyd iterations with the same floats as
  * analysis._reference_lloyd's numpy loop; see its own comment.
  *
- * hbtm_rows reads the plain body lines of a raw log into stamps, count sums
- * and the ids of distinct name texts. It answers a row only with the values
- * ingest's Python reader gives it, and declines every other row for Python
- * to read; see its own comment.
+ * hbtm_rows reads the plain body lines of a raw log, as the file's bytes,
+ * into stamps, count sums, the ids of distinct name texts and each line's
+ * end offset. It answers a row only with the values ingest's Python reader
+ * gives it, and declines every other row for Python to read; see its own
+ * comment.
  *
  * hbtm_format writes a float64 array as json.dumps lays out its tolist(),
  * each number spelled exactly as float.__repr__ spells it, or declines the
@@ -572,7 +573,8 @@ static int64_t read_row(Texts *texts, const char *p, const char *eol, int64_t ne
 }
 
 /* Read the lines of text[0, len), each ending in '\n' but perhaps the last,
- * as raw-log body rows split on ','. A row is answered (ROW_OK) only with
+ * as raw-log body rows split on ','; a '\r' just before a line's '\n' is part
+ * of its line end, not of the row. A row is answered (ROW_OK) only with
  * the values ingest's Python reader gives it; an empty line is ROW_BLANK,
  * and every other row is declined (ROW_DECLINED) for Python to classify: a
  * line longer than max_line or holding a byte below 0x20, at or above 0x7f,
@@ -592,12 +594,14 @@ static int64_t read_row(Texts *texts, const char *p, const char *eol, int64_t ne
  * doubles: the start and end epoch seconds. A line not answered has text ids
  * -1 and zero sums and stamps. Text ids count the distinct texts in order of first
  * occurrence; bounds (2 * 3 * capacity) receives each one's [lo, hi) byte
- * offsets. Returns the number of distinct texts, or -1 if n_slots is not a
- * power of two above 3 * capacity. */
+ * offsets. ends (capacity int64) receives the byte offset just past each
+ * line's '\n', or len for a last line without one, so that line n is
+ * text[ends[n - 1], ends[n]). Returns the number of distinct texts, or -1 if
+ * n_slots is not a power of two above 3 * capacity. */
 int64_t hbtm_rows(const char *text, int64_t len, int64_t need, int64_t max_line,
                   const int64_t *columns, int64_t n_counts, int64_t n_mouse, const char **fields,
                   int64_t capacity, int64_t *slots, int64_t n_slots, int64_t *bounds,
-                  int64_t *rows, double *stamps)
+                  int64_t *rows, double *stamps, int64_t *ends)
 {
     if (n_slots <= 3 * capacity || (n_slots & (n_slots - 1)) != 0)
         return -1;
@@ -612,7 +616,8 @@ int64_t hbtm_rows(const char *text, int64_t len, int64_t need, int64_t max_line,
             eol++;
         int64_t row[ROW_COLUMNS] = {0, -1, -1, -1, 0, 0};
         double stamp[2] = {0.0, 0.0};
-        row[0] = read_row(&texts, p, eol, need, max_line, columns, n_counts, n_mouse,
+        const char *const last = eol < stop && eol > p && eol[-1] == '\r' ? eol - 1 : eol;
+        row[0] = read_row(&texts, p, last, need, max_line, columns, n_counts, n_mouse,
                           fields, row, stamp);
         if (row[0] != ROW_OK) {
             row[4] = row[5] = 0;
@@ -623,6 +628,7 @@ int64_t hbtm_rows(const char *text, int64_t len, int64_t need, int64_t max_line,
         stamps[n] = stamp[0];
         stamps[capacity + n] = stamp[1];
         p = eol < stop ? eol + 1 : stop;
+        ends[n] = p - text;
     }
     return texts.count;
 }

@@ -104,7 +104,7 @@ def _cmd_ingest(resolved: dict) -> int:
         max_duration_s=float(resolved["max_duration"]),
     )
 
-    with open(resolved["raw"], newline="") as fh:
+    with open(resolved["raw"], "rb") as fh:
         events, rejects = ingest.parse_raw_log(fh, column_map)
     result = ingest.build_corpora(events, mapping, schema, filt)
     if result.tokenized + result.filtered != len(events):

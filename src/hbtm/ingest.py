@@ -15,7 +15,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import islice
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 
@@ -28,7 +28,6 @@ from .core import (
     Corpus,
     FrozenSlots,
     Schema,
-    skip_bom,
     write_atomic,
 )
 
@@ -47,7 +46,7 @@ _SECONDS = {f"{s:02d}": s for s in range(60)}
 _TABLE_LIMIT = 4096  # entries per conversion table; the day-first dates fit with room
 
 
-_BLOCK_CHARS = 1 << 20  # body characters per compiled read, about 1 MiB
+_BLOCK_BYTES = 1 << 20  # body bytes per read, about 1 MiB
 _ROW_OK, _ROW_BLANK, _ROW_COLUMNS = 1, 2, 6  # as in _sweep.c's hbtm_rows
 
 
@@ -313,34 +312,111 @@ def _unbalanced_quote(row_number: int, cause: Exception | None = None) -> ValueE
     )
 
 
-def _read_block(lines, budget: int) -> tuple[list[str], Exception | None]:
-    """The next lines of ``lines``, about ``budget`` characters, and the error that ended them.
+_BOM = b"\xef\xbb\xbf"
 
-    The lines read before a failing read are kept: they are parsed before
-    the error is raised, as ``csv.reader`` would. Lines are taken a batch at
-    a time, one line per 4 KiB of budget and at most 256, by ``list.extend``,
-    which keeps what it appended before an error; below 4 KiB a block ends at
-    the line that reaches the budget.
+
+def _line_end(data: bytes, at: int) -> int:
+    """The offset just past the last line end (``\\n`` or ``\\r``) before ``at``; 0 if none."""
+    return max(data.rfind(b"\n", 0, at), data.rfind(b"\r", 0, at)) + 1
+
+
+def _blocks(fh, budget: int):
+    """The bytes of a binary file past a leading BOM, as (block, error) pairs.
+
+    Each block is what ``fh.read(budget)`` adds to the bytes left over from
+    the last one, cut after its last ``\\n``; a line longer than ``budget``
+    takes as many reads as it needs, and the last block runs to the end of
+    the file. A read that raises OSError ends the blocks with the whole
+    lines before it and the error; every other block comes with None.
     """
-    block, size, batch = [], 0, min(256, 1 + budget // 4096)
-    try:
-        while size < budget:
-            start = len(block)
-            block.extend(islice(lines, batch))
-            if len(block) == start:
-                break
-            size += sum(map(len, block[start:]))
-    except (OSError, ValueError) as exc:  # ValueError: an undecodable byte, say
-        return block, exc
-    return block, None
+    carry, bom = b"", True
+    while True:
+        try:
+            chunk = fh.read(budget)
+        except OSError as exc:
+            yield carry[:_line_end(carry, len(carry))], exc
+            return
+        if isinstance(chunk, str):
+            raise TypeError("parse_raw_log reads a binary file: open it with 'rb'")
+        data, end = carry + chunk, not chunk
+        del chunk  # hold one block and its carry, no more
+        if bom:
+            if len(data) < len(_BOM) and not end:
+                carry = data
+                continue
+            data, bom = data.removeprefix(_BOM), False
+        if end:
+            if data:
+                yield data, None
+            return
+        cut = data.rfind(b"\n") + 1
+        block, carry = data[:cut], data[cut:]
+        del data
+        if block:
+            yield block, None
 
 
-def _rest(block: list[str], error: Exception | None, lines):
-    """``block``, then ``error`` raised or the lines after it."""
-    yield from block
-    if error is not None:
-        raise error
-    yield from lines
+class _Lines:
+    """The text lines of ``_blocks``' blocks, split as ``open(newline="")`` splits them.
+
+    ``start`` decodes a block as strict UTF-8 up to the line of its first
+    undecodable byte, whose UnicodeDecodeError then takes the place of the
+    block's read error. Iterating yields the block's lines, then raises its
+    error, or goes on into the lines of the next blocks: a ``csv.reader`` of
+    it reads a quoted field past a block's last line, as it would read one
+    past any other line.
+    """
+
+    def __init__(self, blocks):
+        self.blocks = blocks
+        self.lines, self.error = io.StringIO(), None
+
+    @classmethod
+    def of(cls, fh) -> "_Lines":
+        """The lines of a binary file, started at its first line, from which csv reads the header."""
+        blocks = _blocks(fh, _BLOCK_BYTES)
+        first, error = next(blocks, (b"", None))
+        cut = first.find(b"\n") + 1 or len(first)  # a quoted name may still run on past it
+        lines = cls(chain([(first[cut:], error)], blocks))
+        lines.start(first[:cut], None)
+        return lines
+
+    def start(self, block: bytes, error: Exception | None) -> int:
+        """Read ``block`` next, then ``error`` if not None; returns the number of its lines."""
+        try:
+            text = block.decode()
+        except UnicodeDecodeError as exc:
+            text, error = block[:_line_end(block, exc.start)].decode(), exc
+        self.lines, self.error = io.StringIO(text, newline=""), error
+        return (text.count("\n") + text.count("\r") - text.count("\r\n")
+                + (text[-1:] not in ("", "\n", "\r")))
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> str:
+        while not (line := self.lines.readline()):
+            if self.error is not None:
+                raise self.error
+            block = next(self.blocks, None)
+            if block is None:
+                raise StopIteration
+            self.start(*block)
+        return line
+
+    def rest(self) -> tuple[bytes, Exception | None]:
+        """The lines of the started block not read yet, as bytes, and the error after them."""
+        return self.lines.read().encode(), self.error
+
+
+def _plain(block: bytes) -> bool:
+    """Whether every line of ``block`` is one CSV record that ``hbtm_rows`` may read.
+
+    That is: ASCII without a double quote or a NUL, and every ``\\r`` part of
+    a CRLF line end.
+    """
+    return (block.isascii() and b'"' not in block and b"\0" not in block
+            and (b"\r" not in block or block.count(b"\r") == block.count(b"\r\n")))
 
 
 def _row_scanner(library, need: int, columns: list[int], n_mouse: int, code_of):
@@ -348,29 +424,30 @@ def _row_scanner(library, need: int, columns: list[int], n_mouse: int, code_of):
 
     ``columns`` are the field indices of the session, student, activity,
     start and end, then of every count column, mouse columns first. The
-    reader takes a block's text and its number of lines, and returns each
-    line's ``hbtm_rows`` status and the seven field columns of the block:
-    the session, student and activity codes (each distinct text passed once
-    through ``code_of``; -1 on a line not answered), the two stamps and the
-    two count sums.
+    reader takes a block's bytes and its number of lines, and returns each
+    line's ``hbtm_rows`` status, the seven field columns of the block (the
+    session, student and activity codes, each distinct text decoded and
+    passed once through ``code_of``, -1 on a line not answered; the two
+    stamps and the two count sums) and the byte offset at which each line
+    ends.
     """
     index = np.array(columns, np.int64)
     fields = np.empty(2 * need, np.int64)  # the library's field pointers
     max_line = csv.field_size_limit()  # a longer line may hold a field csv refuses
 
-    def scan(text: str, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
-        data = text.encode()
+    def scan(block: bytes, n: int) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
         slots = np.empty(1 << (6 * n).bit_length(), np.int64)
         bounds = np.empty(6 * n, np.int64)
         rows, stamps = np.empty((_ROW_COLUMNS, n), np.int64), np.empty((2, n))
+        ends = np.empty(n, np.int64)
         distinct = library.hbtm_rows(
-            data, len(data), need, max_line, index.ctypes.data, len(columns) - 5, n_mouse,
+            block, len(block), need, max_line, index.ctypes.data, len(columns) - 5, n_mouse,
             fields.ctypes.data, n, slots.ctypes.data, slots.size, bounds.ctypes.data,
-            rows.ctypes.data, stamps.ctypes.data)
+            rows.ctypes.data, stamps.ctypes.data, ends.ctypes.data)
         lo_hi = bounds[:2 * distinct].tolist()
-        codes = [code_of(text[lo:hi]) for lo, hi in zip(lo_hi[::2], lo_hi[1::2])]
+        codes = [code_of(block[lo:hi].decode()) for lo, hi in zip(lo_hi[::2], lo_hi[1::2])]
         names = np.array(codes + [-1], np.int64)[rows[1:4]]  # id -1: a line not answered
-        return rows[0], [*names, *stamps, *rows[4:]]
+        return rows[0], [*names, *stamps, *rows[4:]], ends
 
     return scan
 
@@ -389,33 +466,39 @@ def _put(column: np.ndarray, index, values) -> np.ndarray:
 
 
 def parse_raw_log(fh, column_map: dict) -> tuple[RawEvents, list[RejectedRow]]:
-    """Read raw events from an open text file of CSV with a header row.
+    """Read raw events from an open binary file of CSV with a header row.
 
-    Open the file with ``newline=""``, as ``csv.reader`` expects.
-    ``column_map`` names the source column for each RawEvents field; the
-    ``mouse_clicks`` and ``keystrokes`` entries may name several columns,
-    which are summed. An optional ``timestamp_format`` entry supplies a
-    strptime pattern. Malformed rows land in the rejects list with a reason
-    instead of being dropped; a row with any count column below zero is
-    rejected, even when its group sums to a non-negative total. A missing
-    mapped column is a configuration error and raises ValueError. Raw logs
-    have no fields that span lines, so a row whose quoted field runs past
-    its line (an unbalanced double quote) raises ValueError naming that data
-    row, instead of swallowing the rows after it. On the file's last line,
-    an unclosed quote ends with the file and its row is read as it stands
-    (a short row, say).
+    Open the file with ``open(path, "rb")``, or pass an ``io.BytesIO``. The
+    bytes are decoded as strict UTF-8 whatever the locale, and a leading
+    byte-order mark is dropped. ``column_map`` names the source column for
+    each RawEvents field; the ``mouse_clicks`` and ``keystrokes`` entries
+    may name several columns, which are summed. An optional
+    ``timestamp_format`` entry supplies a strptime pattern. Malformed rows
+    land in the rejects list with a reason instead of being dropped; a row
+    with any count column below zero is rejected, even when its group sums
+    to a non-negative total. A missing mapped column is a configuration
+    error and raises ValueError. Raw logs have no fields that span lines,
+    so a row whose quoted field runs past its line (an unbalanced double
+    quote) raises ValueError naming that data row, instead of swallowing
+    the rows after it. On the file's last line, an unclosed quote ends with
+    the file and its row is read as it stands (a short row, say). An
+    undecodable byte raises UnicodeDecodeError, and a failed read OSError,
+    once every line before the one it lies in has been parsed, so a row
+    with a runaway quote before it is the error raised.
 
-    The body is read in one loop over blocks of about ``_BLOCK_CHARS``
-    characters. The compiled library's ``hbtm_rows`` answers a block's plain
-    rows into arrays, with CRLF line ends read as LF, and declines every
-    other line to ``csv.reader`` and ``take``, the Python reader, whose
-    values are written into the block's arrays in place. A block it cannot
-    take (one that is not ASCII or holds a double quote, a bare carriage
-    return or a NUL, or ends in a read error) is declined whole, as every
-    block is with a ``timestamp_format`` or without the library; the next
-    block is tried again. The results and errors are the same either way.
-    The returned columns are numpy arrays, so no Python object is made per
-    answered row.
+    The body is read in one loop over blocks of about ``_BLOCK_BYTES``
+    bytes, each cut after its last line end. The compiled library's
+    ``hbtm_rows`` answers a plain block's rows into arrays from its bytes,
+    with CRLF line ends read as LF, and declines every other line to
+    ``csv.reader`` and ``take``, the Python reader, whose values are written
+    into the block's arrays in place; only the declined lines and each
+    distinct name are decoded. Any other block (one that is not ASCII or
+    holds a double quote, a bare carriage return or a NUL), as every block
+    with a ``timestamp_format`` or without the library, is decoded and
+    split into lines as ``open(newline="")`` splits them, and read by
+    ``csv.reader`` and ``take`` whole; the next block is tried again. The
+    results and errors are the same either way. The returned columns are
+    numpy arrays, so no Python object is made per answered row.
     """
     required = ("session", "student_id", "activity", "start_time", "end_time",
                 "mouse_clicks", "keystrokes")
@@ -423,8 +506,8 @@ def parse_raw_log(fh, column_map: dict) -> tuple[RawEvents, list[RejectedRow]]:
     if missing:
         raise ValueError(f"column_map missing entries for: {', '.join(missing)}")
 
-    lines = skip_bom(fh)
-    header = next(csv.reader(lines), None)
+    source = _Lines.of(fh)
+    header = next(csv.reader(source), None)
     rejects = []
     if header is None:
         return RawEvents(), rejects
@@ -488,26 +571,30 @@ def parse_raw_log(fh, column_map: dict) -> tuple[RawEvents, list[RejectedRow]]:
     parts = [[np.empty(0, dtype)] for dtype in _DTYPES]  # each column's blocks, in file order
     row_number = 0  # the data rows before the one being read
     try:
-        while True:
-            block, error = _read_block(lines, _BLOCK_CHARS)
-            if not block and error is None:
-                break
-            n, text = len(block), "".join(block)
-            if "\r" in text:  # CRLF ends read as LF; a bare CR is left and declines the block
-                text = text.replace("\r\n", "\n")
-            if (scan and error is None and text.isascii()
-                    and not any(c in text for c in '"\r\0')):
-                status, columns = scan(text, n)
+        for block, error in chain([source.rest()], source.blocks):
+            if scan and block and _plain(block):
+                # numpy counts bytes about 5x faster than bytes.count; the kernel finds the lines
+                n = (int(np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n")))
+                     + (block[-1:] != b"\n"))
+                status, columns, ends = scan(block, n)
+                kept = status == _ROW_OK
+                at = np.flatnonzero(~kept)
+                lines = [block[lo:hi].decode() for lo, hi in zip(
+                    np.r_[0, ends][at].tolist(), ends[at].tolist())]
+                declined = at.tolist()
             else:
-                status, columns = np.zeros(n, np.int64), [np.empty(n, t) for t in _DTYPES]
-            kept = status == _ROW_OK
-            declined = np.flatnonzero(~kept).tolist()
-            # a quoted field that runs past its line reads on into the next physical line
-            reader = csv.reader(_rest([block[j] for j in declined], error, lines))
+                n = source.start(block, error)
+                error = source.error  # an undecodable byte comes before any later read error
+                kept, columns = np.zeros(n, bool), [np.empty(n, t) for t in _DTYPES]
+                lines, declined = chain(source.lines, source), range(n)
+            reader = csv.reader(lines)
             base, blanks, taken = row_number, 0, {}
             for line, j in enumerate(declined, start=1):
                 row_number = base + j - blanks
-                row = next(reader)
+                try:
+                    row = next(reader)
+                except (OSError, UnicodeDecodeError) as exc:  # read on into a read error
+                    raise _unbalanced_quote(row_number + 1) from exc
                 if reader.line_num != line:
                     raise _unbalanced_quote(row_number + 1)
                 if not row:  # blank lines are skipped and not numbered, as in csv.DictReader

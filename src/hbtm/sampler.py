@@ -452,7 +452,7 @@ _KERNELS = (  # each kernel's parameters in _sweep.c's order; every kernel retur
     ("hbtm_sweep", [_I64] * 5 + [_F64] * 7 + [_PTR] * 12),
     ("hbtm_scan", [_PTR, _I64, _PTR, _PTR, _I64, _PTR]),
     ("hbtm_lloyd", [_I64] * 4 + [_PTR] * 7),
-    ("hbtm_rows", [_PTR, _I64, _I64, _I64, _PTR, _I64, _I64, _PTR, _I64, _PTR, _I64] + [_PTR] * 3),
+    ("hbtm_rows", [_PTR, _I64, _I64, _I64, _PTR, _I64, _I64, _PTR, _I64, _PTR, _I64] + [_PTR] * 4),
     ("hbtm_format", [_PTR, _I64, _PTR, _I64, _PTR, _I64]),
     ("hbtm_gammaln", [_PTR, _I64, _PTR]),
     ("hbtm_corpus", [_PTR, _I64, _I64, _I64, _PTR, _PTR, _PTR]),
@@ -681,7 +681,7 @@ def fit(corpus: Corpus, config: FitConfig) -> FitResult:
 
     Snapshots keep their own labels: on perfbench's ``session-fit`` corpus at
     K=20, 29 of 99 retained snapshots match the first only under a
-    non-identity permutation (ROADMAP item 6). Never average across chains.
+    non-identity permutation (ROADMAP item 7). Never average across chains.
     """
     log_joint_trace: list[float] = []
     sums = None

@@ -57,7 +57,7 @@ HEADER = "session,student,activity,start,end,wheel,left_click,right_click,keys\n
 
 
 def csv_of(rows):
-    return io.StringIO(HEADER + "".join(r + "\n" for r in rows))
+    return io.BytesIO((HEADER + "".join(r + "\n" for r in rows)).encode())
 
 
 def _rows(rejects):
@@ -247,8 +247,8 @@ def test_parse_empty_file_with_header():
 def test_parse_reads_a_quoted_first_header_field_after_a_byte_order_mark():
     quoted = '"session"' + HEADER[len("session"):]
     row = "1,s1,Deeds,100,110,2,3,4,5\n"
-    got = parse_raw_log(io.StringIO("\ufeff" + quoted + row), COLUMN_MAP)
-    assert got == parse_raw_log(io.StringIO(HEADER + row), COLUMN_MAP)
+    got = parse_raw_log(io.BytesIO(("\ufeff" + quoted + row).encode()), COLUMN_MAP)
+    assert got == parse_raw_log(io.BytesIO((HEADER + row).encode()), COLUMN_MAP)
     assert len(got[0]) == 1 and got[1] == []
 
 
@@ -515,7 +515,12 @@ def test_plain_epoch_seconds_skip_the_strptime_patterns():
 
 
 def test_parse_empty_file():
-    assert parse_raw_log(io.StringIO(""), COLUMN_MAP) == (RawEvents(), [])
+    assert parse_raw_log(io.BytesIO(b""), COLUMN_MAP) == (RawEvents(), [])
+
+
+def test_parse_refuses_a_text_file():
+    with pytest.raises(TypeError, match="binary file"):
+        parse_raw_log(io.StringIO(HEADER), COLUMN_MAP)
 
 
 def test_parse_blank_lines_are_skipped_and_not_numbered():
@@ -529,7 +534,7 @@ def test_parse_blank_lines_are_skipped_and_not_numbered():
         " ",  # whitespace is a one-field row, not a blank line
         "1,s1,Deeds,0,10,0,0,0,0",
     ]) + "\n\n"
-    events, rejects = parse_raw_log(io.StringIO(text), COLUMN_MAP)
+    events, rejects = parse_raw_log(io.BytesIO(text.encode()), COLUMN_MAP)
     assert len(events) == 2
     assert _rows(rejects) == [(2, "bad timestamp"), (3, "short row"), (4, "short row")]
 
@@ -539,7 +544,7 @@ def test_parse_duplicate_header_name_resolves_to_last_column():
         "1,s1,Deeds,0,10,0,0,0,4,7,Aulaweb",
         "1,s1,Deeds,0,10,0,0,0,4,7",  # lacks the last activity column
     ]) + "\n"
-    events, rejects = parse_raw_log(io.StringIO(text), COLUMN_MAP)
+    events, rejects = parse_raw_log(io.BytesIO(text.encode()), COLUMN_MAP)
     assert [row[2::4] for row in events] == [("Aulaweb", 7)]
     assert _rows(rejects) == [(2, "short row")]
 
@@ -861,12 +866,34 @@ def test_filter_config_validation():
 # --- the compiled row reader against the Python reader ------------------------
 
 
-def _parsed(text, column_map=COLUMN_MAP, library=True, budget=None):
-    """parse_raw_log's events and rejects, or its ValueError's text, for a file of ``text``."""
-    with mock.patch.object(ingest, "_BLOCK_CHARS", budget or ingest._BLOCK_CHARS), \
+class _FailingFile(io.BytesIO):
+    """A binary file whose reads stop at byte ``at``, where the next read raises OSError."""
+
+    def __init__(self, data: bytes, at: int):
+        super().__init__(data)
+        self.at = at
+
+    def read(self, size=-1):
+        left = self.at - self.tell()
+        if left <= 0:
+            raise OSError(5, "Input/output error")
+        return super().read(left if size is None or size < 0 else min(size, left))
+
+
+def _parsed(data, column_map=COLUMN_MAP, library=True, budget=None, fail_at=None):
+    """parse_raw_log's events and rejects, its ValueError's text, or its read error's type and
+    what it names, for a file of ``data`` (a str is UTF-8 encoded) whose reads fail at byte
+    ``fail_at`` if that is given."""
+    data = data.encode() if isinstance(data, str) else data
+    fh = io.BytesIO(data) if fail_at is None else _FailingFile(data, fail_at)
+    with mock.patch.object(ingest, "_BLOCK_BYTES", budget or ingest._BLOCK_BYTES), \
             mock.patch.object(sampler, "_library", sampler._library if library else lambda: None):
         try:
-            return parse_raw_log(io.StringIO(text, newline=""), column_map)
+            return parse_raw_log(fh, column_map)
+        except UnicodeDecodeError as exc:  # its position counts from the start of its block
+            return "UnicodeDecodeError", exc.reason, exc.object[exc.start:exc.end]
+        except OSError as exc:
+            return "OSError", str(exc)
         except ValueError as exc:
             return str(exc)
 
@@ -991,15 +1018,16 @@ def test_the_compiled_reader_answers_plain_rows_and_declines_the_rest():
     library = sampler._library()
     if library is None:
         pytest.skip("no compiled library")
-    lines = ["1,s1, Deeds ,02.10.2019 09:00:17,02/10/2019 09:00:27,1,2,3, 4 \n", "\n",
-             "1,s1,Deeds,02.10.2019 09:00:17,02.10.2019 09:00:27,1,2,3,4.0\n",
-             "1,s1,Deeds,02.10.2019 09:00:17,02.10.2019 09:00:27,1,2,3\n",
-             "2,s1,Deeds,29.02.2020 23:59:59,31.12.9999 23:59:59,0,0,0,999999999999999"]
+    lines = [b"1,s1, Deeds ,02.10.2019 09:00:17,02/10/2019 09:00:27,1,2,3, 4 \r\n", b"\n",
+             b"1,s1,Deeds,02.10.2019 09:00:17,02.10.2019 09:00:27,1,2,3,4.0\n",
+             b"1,s1,Deeds,02.10.2019 09:00:17,02.10.2019 09:00:27,1,2,3\n",
+             b"2,s1,Deeds,29.02.2020 23:59:59,31.12.9999 23:59:59,0,0,0,999999999999999"]
     codes = {}
     scan = ingest._row_scanner(library, 9, list(range(9)), 3,
                                lambda text: codes.setdefault(text, len(codes)))
-    status, columns = scan("".join(lines), len(lines))
+    status, columns, ends = scan(b"".join(lines), len(lines))
     assert status.tolist() == [ingest._ROW_OK, ingest._ROW_BLANK, 0, 0, ingest._ROW_OK]
+    assert ends.tolist() == np.cumsum([len(line) for line in lines]).tolist()
     names = list(codes) + [None]  # code -1: a line not answered
     rows = [(*(names[c] for c in row[:3]), *row[3:]) for row in zip(*(c.tolist() for c in columns))]
     assert rows[0] == ("1", "s1", "Deeds", 1570006817.0, 1570006827.0, 6, 4)
@@ -1018,16 +1046,18 @@ def test_a_quoted_field_declines_only_its_block_and_crlf_line_ends_stay_compiled
     quoted = HEADER + rows[0].replace("Deeds", '"Deeds, quoted"') + "".join(rows[1:])
     crlf = (HEADER + "".join(rows)).replace("\n", "\r\n")
     scanner = ingest._row_scanner
-    for text, answered_per_block in [(quoted, [10, 10]), (crlf, [10, 10, 10])]:
+    # a block ends at the last line end of each read of the budget, so the header
+    # shortens the first block and the last holds the two rows left
+    for text, answered_per_block in [(quoted, [10, 10, 2]), (crlf, [8, 10, 10, 2])]:
         answered = []
 
         def counting_scanner(*args):
             scan = scanner(*args)
 
-            def counted(text, n):
-                status, columns = scan(text, n)
+            def counted(block, n):
+                status, columns, ends = scan(block, n)
                 answered.append(int((status == ingest._ROW_OK).sum()))
-                return status, columns
+                return status, columns, ends
 
             return counted
 
@@ -1045,8 +1075,8 @@ def test_parsing_plain_rows_makes_no_python_object_per_row():
     text = HEADER + "".join(
         f"{n % 6 + 1},s{n % 97},Deeds_Es_{n % 7},02.10.2019 09:{n % 60:02d}:17,"
         f"02.10.2019 10:00:{n % 60:02d},{n % 9},{n},1,{n * 7}\n" for n in range(rows))
-    parse_raw_log(io.StringIO(text, newline=""), COLUMN_MAP)  # the first call's one-off work
-    fh = io.StringIO(text, newline="")
+    parse_raw_log(io.BytesIO(text.encode()), COLUMN_MAP)  # the first call's one-off work
+    fh = io.BytesIO(text.encode())
     gc.collect()
     before = sys.getallocatedblocks()
     events, rejects = parse_raw_log(fh, COLUMN_MAP)
@@ -1056,17 +1086,75 @@ def test_parsing_plain_rows_makes_no_python_object_per_row():
     assert grown < rows / 20, f"{grown} blocks kept for {rows} rows"
 
 
+# rows like tests/test_cli.py's RAW_PIECES, over HEADER's columns; none is an error to read
+_RAW_ROWS = [
+    b"1,s1,Deeds,02.10.2019 09:00:17,02.10.2019 09:00:47,1,2,3,5",
+    b"2,s2,Aulaweb,02/10/2019 09:00:17,02/10/2019 09:01:17, 3 ,007,0,1",
+    b"1,s2,Deeds_Es_1_1,0,30,1,1,1,5", b"1,s1,Deeds,x,30,1,1,1,5", b"1,s1,Deeds,30,0,1,1,1,5",
+    b"1,s1,Deeds,0,30,1e400,1,1,5", b"1,s1", b",,,,,,,,", b"", b"1,s1,De\0eds,0,30,1,1,1,5",
+    b'1,s1,"Deeds, quoted",0,30,1,1,1,5', b"1,s\xc3\xa9,Deeds,0,30,1,1,1,5",
+    b"1,s1,De\xef\xbb\xbfeds,0,30,1,1,1,5",  # a byte-order mark inside a row is a character
+    b"1,s1,Deeds,0,30,1,1,1,5\r1,s2,Deeds,0,30,1,1,1,5",  # a bare CR ends a line
+]
+_RUNAWAY = b'1,s1,"Deeds,0,30,1,1,1,5'
+_UNDECODABLE = b"1,s\xff,Deeds,0,30,1,1,1,5"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_RAW_ROWS), max_size=14), st.lists(st.tuples(
+           st.integers(0, 14), st.sampled_from([_RUNAWAY, _UNDECODABLE])), max_size=3),
+       st.sampled_from([b"\n", b"\r\n"]), st.booleans(), st.booleans(),
+       st.none() | st.integers(0, 16), st.integers(1, 80) | st.integers(1, 2000))
+@example([_RUNAWAY, _UNDECODABLE], [], b"\n", False, True, None, 1)
+@example([_RAW_ROWS[0], _RUNAWAY, _RAW_ROWS[0]], [], b"\r\n", True, False, 2, 3)
+@example([_UNDECODABLE, _RUNAWAY, _RAW_ROWS[-1]], [], b"\n", True, True, None, 7)
+def test_read_errors_and_runaway_quotes_raise_at_the_earliest_offending_line(
+        rows, offenders, ending, bom, final_ending, failing, budget):
+    for at, row in offenders:
+        rows.insert(min(at, len(rows)), row)
+    head = (b"\xef\xbb\xbf" if bom else b"") + HEADER.encode().replace(b"\n", ending)
+    raw = head + ending.join(rows) + (ending if final_ending and rows else b"")
+    starts = np.cumsum([len(head)] + [len(row) + len(ending) for row in rows]).tolist()
+    failing = failing if failing is not None and failing < len(rows) else None
+    fail_at = None if failing is None else starts[failing]  # a read fails at that row's start
+
+    got = _parsed(raw, fail_at=fail_at)
+    assert _parsed(raw, fail_at=fail_at, library=False) == got
+    assert _parsed(raw, fail_at=fail_at, budget=budget) == got
+    assert _parsed(raw, fail_at=fail_at, library=False, budget=budget) == got
+
+    # the first offending line: an undecodable byte, a read that fails at its start, or a
+    # quoted field that runs on into a line after it; blank lines are not numbered
+    data_rows, want = 0, None
+    for i, row in enumerate(rows):
+        if i == failing:
+            want = ("OSError", "[Errno 5] Input/output error")
+        elif row == _UNDECODABLE:
+            want = ("UnicodeDecodeError", "invalid start byte", b"\xff")
+        elif row == _RUNAWAY and starts[i + 1] < len(raw):
+            want = f"data row {data_rows + 1}: "
+        if want:
+            break
+        data_rows += sum(1 for line in row.split(b"\r") if line)
+    if want is None:
+        assert isinstance(got[0], RawEvents)
+    elif isinstance(want, str):
+        assert isinstance(got, str) and got.startswith(want), (got, want)
+    else:
+        assert got == want
+
+
 @pytest.mark.parametrize("budget", [None, 1])
 def test_a_read_error_after_an_earlier_error_in_its_block_comes_second(tmp_path, budget):
-    # the undecodable byte lies past the first 8 KiB that the file reader decodes at once,
-    # but inside the first block; the runaway quote before it is the error to report
+    # the undecodable byte lies past the first 8 KiB, but inside the first block; the
+    # runaway quote before it is the error to report
     raw = tmp_path / "raw.csv"
     raw.write_bytes(HEADER.encode() + b'1,s1,"Deeds,0,10,0,0,0,0\n1,s1,Deeds",0,10,0,0,0,0\n'
                     + b"1,s1,Deeds,0,10,0,0,0,0\n" * 1000 + b"1,s\xff,Deeds,0,10,0,0,0,0\n")
-    with mock.patch.object(ingest, "_BLOCK_CHARS", budget or ingest._BLOCK_CHARS):
-        with open(raw, newline="") as fh, pytest.raises(ValueError, match="data row 1: "):
+    with mock.patch.object(ingest, "_BLOCK_BYTES", budget or ingest._BLOCK_BYTES):
+        with open(raw, "rb") as fh, pytest.raises(ValueError, match="data row 1: "):
             parse_raw_log(fh, COLUMN_MAP)
         # past the quote, the read error is raised when its line is reached
         raw.write_bytes(raw.read_bytes().replace(b'"', b""))
-        with open(raw, newline="") as fh, pytest.raises(UnicodeDecodeError):
+        with open(raw, "rb") as fh, pytest.raises(UnicodeDecodeError):
             parse_raw_log(fh, COLUMN_MAP)

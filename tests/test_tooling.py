@@ -311,16 +311,23 @@ def call(text, columns, n_mouse, capacity, need=None, n_slots=None, max_line=1 <
     ctypes.memmove(buffer, text, len(text))
     arrays = [block(columns), libc.malloc(max(2 * need * ctypes.sizeof(ctypes.c_void_p), 1)),
               libc.malloc(max(n_slots, 1) * 8), libc.malloc(max(6 * capacity, 1) * 8),
-              libc.malloc(max(6 * capacity, 1) * 8), libc.malloc(max(2 * capacity, 1) * 8)]
-    index, fields, slots, bounds, out, stamps = arrays
+              libc.malloc(max(6 * capacity, 1) * 8), libc.malloc(max(2 * capacity, 1) * 8),
+              libc.malloc(max(capacity, 1) * 8)]
+    index, fields, slots, bounds, out, stamps, lines = arrays
     distinct = lib.hbtm_rows(buffer, len(text), need, max_line, index, len(columns) - 5, n_mouse,
-                             fields, capacity, slots, n_slots, bounds, out, stamps)
+                             fields, capacity, slots, n_slots, bounds, out, stamps, lines)
     status = [ctypes.c_int64.from_address(out + 8 * j).value for j in range(capacity)]
     ends = [ctypes.c_double.from_address(stamps + 8 * (capacity + j)).value
             for j in range(capacity)]
+    line_ends = [ctypes.c_int64.from_address(lines + 8 * j).value for j in range(capacity)]
     for pointer in [buffer] + arrays:
         libc.free(pointer)
-    return distinct, status, ends
+    return distinct, status, ends, line_ends
+
+
+def line_ends_of(text):  # the offset past each newline, and the end of a last line without one
+    ends = [at + 1 for at, byte in enumerate(text) if byte == 10]
+    return ends + [len(text)] if text and not text.endswith(b"\n") else ends
 
 
 GOOD = b"1,s1,Deeds,02.10.2019 09:00:17,02.10.2019 09:00:27,1,2,3,4"
@@ -338,15 +345,21 @@ CASES = [
 ]
 text = b"\n".join(line for line, _ in CASES)  # no final newline
 columns = list(range(9))
-distinct, status, ends = call(text, columns, 3, len(CASES))
+distinct, status, ends, line_ends = call(text, columns, 3, len(CASES))
 assert status == [want for _, want in CASES], status
 assert ends[8] == datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp()
+assert line_ends == line_ends_of(text) and line_ends[-1] == len(text)
+assert call(text + b"\n", columns, 3, len(CASES))[3] == line_ends_of(text + b"\n")
 assert call(b"", columns, 3, 0)[:2] == (0, [])
 assert call(text, columns, 3, 3)[1] == [1, 2, 0]  # capacity caps the lines read
+assert call(text, columns, 3, 3)[3] == line_ends[:3]
 assert call(text, columns, 3, 4, n_slots=12)[0] == -1  # not a power of two above 3 * 4
 assert call(text, [0, 1, 2, 3, 4], 0, len(CASES), need=5)[1][2] == 0
+# a CR before a newline ends its line; any other CR is a byte of the row
+crlf = GOOD + b"\r\n\r\n\n" + GOOD + b"\r\n" + GOOD + b"\r" + GOOD + b"\r"
+assert call(crlf, columns, 3, 5)[1::2] == ([1, 2, 2, 1, 0], line_ends_of(crlf))
 rng = random.Random(13)
-alphabet = b"0123456789.,/: \n-s\t\"\x7f\xe9"
+alphabet = b"0123456789.,/: \n-s\t\"\x7f\xe9\r"
 answered = 0
 for _ in range(3000):
     pool = alphabet if rng.random() < 0.7 else GOOD + b"\n"
@@ -357,10 +370,11 @@ for _ in range(3000):
                else [rng.randrange(10) for _ in range(5 + rng.randrange(4))])
     lines = text.count(b"\n") + (not text.endswith(b"\n") and text != b"")
     capacity = lines if rng.random() < 0.7 else rng.randrange(lines + 1)
-    distinct, status, _ = call(text, columns, rng.randrange(len(columns) - 4), capacity,
-                               need=max(columns) + 1 + rng.randrange(3),
-                               max_line=rng.choice([1 << 17, 40]))
+    distinct, status, _, line_ends = call(text, columns, rng.randrange(len(columns) - 4),
+                                          capacity, need=max(columns) + 1 + rng.randrange(3),
+                                          max_line=rng.choice([1 << 17, 40]))
     assert 0 <= distinct <= 3 * capacity and set(status) <= {0, 1, 2}
+    assert line_ends == line_ends_of(text)[:capacity]
     answered += status.count(1)
 print(answered)
 """
