@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import math
-import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import chain
@@ -39,12 +38,6 @@ _TIMESTAMP_FORMATS = (  # each holds a ":", which _parse_timestamp relies on
     "%Y-%m-%d %H:%M:%S.%f",
     "%Y-%m-%d %H:%M:%S",
 )
-# the parts of the canonical 19-character form of the two day-first patterns above
-_DATE = re.compile(r"\d\d([./])\d\d\1\d{4}", re.ASCII)
-_CLOCKS = {f"{h:02d}:{m:02d}": 3600 * h + 60 * m for h in range(24) for m in range(60)}
-_SECONDS = {f"{s:02d}": s for s in range(60)}
-_TABLE_LIMIT = 4096  # entries per conversion table; the day-first dates fit with room
-
 
 _BLOCK_BYTES = 1 << 20  # body bytes per read, about 1 MiB
 _ROW_OK, _ROW_BLANK, _ROW_COLUMNS = 1, 2, 6  # as in _sweep.c's hbtm_rows
@@ -214,35 +207,6 @@ def _epoch(dt: datetime) -> float:
     return dt.timestamp()
 
 
-class _Table(dict):
-    """Converts each distinct key once with ``convert``; one table serves one call.
-
-    A key whose conversion raises is not stored, so it raises again on every
-    lookup. Past ``_TABLE_LIMIT`` entries new keys are converted but not
-    stored, so a column of all-distinct texts costs no memory.
-    """
-
-    def __init__(self, convert):
-        super().__init__()
-        self.convert = convert
-
-    def __missing__(self, key):
-        value = self.convert(key)
-        if len(self) < _TABLE_LIMIT:
-            self[key] = value
-        return value
-
-
-def _midnight(date: str) -> float | None:
-    """UTC epoch of midnight of a ``dd.mm.yyyy`` or ``dd/mm/yyyy`` date; None for any other text."""
-    if _DATE.fullmatch(date) is None:
-        return None
-    try:
-        return _epoch(datetime(int(date[6:]), int(date[3:5]), int(date[:2])))
-    except ValueError:
-        return None
-
-
 def _count(text: str) -> int:
     # floor is int's truncation for every non-negative float, so a negative
     # text stays negative: int(float("-0.5")) would read as 0
@@ -273,29 +237,12 @@ def _parse_timestamp(raw: str) -> float:
 def _timestamp_reader(fmt: str | None):
     """A stamp parser for one parse call: raw field text to epoch seconds.
 
-    With a strptime pattern every stamp goes through it. Without one, a
-    stripped 19-character stamp with a space at index 10 and a colon at
-    index 16 is read from its date, ``HH:MM`` and seconds parts: the date
-    from a table of this call, the other two from ``_CLOCKS`` and
-    ``_SECONDS``. They answer only the ASCII-digit forms of a valid
-    ``dd.mm.yyyy`` or ``dd/mm/yyyy`` date, a clock below 24:00 and seconds
-    00-59; any other part sends the stamp through the full chain. The
-    answer equals strptime's: every term is an integer below 2**53, so the
-    float sum is exact.
+    The stamp is stripped, then read with the strptime pattern ``fmt`` if one
+    is given, or else by ``_parse_timestamp``.
     """
     if fmt:
         return lambda raw: _epoch(datetime.strptime(raw.strip(), fmt))
-    days, clock_of, second_of = _Table(_midnight), _CLOCKS.get, _SECONDS.get
-
-    def read(raw: str) -> float:
-        raw = raw.strip()
-        if len(raw) == 19 and raw[10] == " " and raw[16] == ":":
-            day, hm, s = days[raw[:10]], clock_of(raw[11:16]), second_of(raw[17:])
-            if day is not None and hm is not None and s is not None:
-                return day + (hm + s)
-        return _parse_timestamp(raw)
-
-    return read
+    return lambda raw: _parse_timestamp(raw.strip())
 
 
 def _count_columns(spec) -> list[str]:
@@ -321,20 +268,21 @@ def _line_end(data: bytes, at: int) -> int:
 
 
 def _blocks(fh, budget: int):
-    """The bytes of a binary file past a leading BOM, as (block, error) pairs.
+    """The bytes of a binary file past a leading BOM, as (block, error, offset) triples.
 
     Each block is what ``fh.read(budget)`` adds to the bytes left over from
     the last one, cut after its last ``\\n``; a line longer than ``budget``
     takes as many reads as it needs, and the last block runs to the end of
     the file. A read that raises OSError ends the blocks with the whole
     lines before it and the error; every other block comes with None.
+    ``offset`` is the position of the block's first byte in the file.
     """
-    carry, bom = b"", True
+    carry, bom, at = b"", True, 0
     while True:
         try:
             chunk = fh.read(budget)
         except OSError as exc:
-            yield carry[:_line_end(carry, len(carry))], exc
+            yield carry[:_line_end(carry, len(carry))], exc, at
             return
         if isinstance(chunk, str):
             raise TypeError("parse_raw_log reads a binary file: open it with 'rb'")
@@ -344,49 +292,61 @@ def _blocks(fh, budget: int):
             if len(data) < len(_BOM) and not end:
                 carry = data
                 continue
-            data, bom = data.removeprefix(_BOM), False
+            if data.startswith(_BOM):
+                data, at = data[len(_BOM):], len(_BOM)
+            bom = False
         if end:
             if data:
-                yield data, None
+                yield data, None, at
             return
         cut = data.rfind(b"\n") + 1
         block, carry = data[:cut], data[cut:]
         del data
         if block:
-            yield block, None
+            yield block, None, at
+            at += len(block)
 
 
 class _Lines:
     """The text lines of ``_blocks``' blocks, split as ``open(newline="")`` splits them.
 
     ``start`` decodes a block as strict UTF-8 up to the line of its first
-    undecodable byte, whose UnicodeDecodeError then takes the place of the
-    block's read error. Iterating yields the block's lines, then raises its
-    error, or goes on into the lines of the next blocks: a ``csv.reader`` of
-    it reads a quoted field past a block's last line, as it would read one
-    past any other line.
+    undecodable byte, whose UnicodeDecodeError, naming the byte's offset in
+    the file, then takes the place of the block's read error. Iterating
+    yields the block's lines, then raises its error, or goes on into the
+    lines of the next blocks: a ``csv.reader`` of it reads a quoted field
+    past a block's last line, as it would read one past any other line.
     """
 
     def __init__(self, blocks):
         self.blocks = blocks
-        self.lines, self.error = io.StringIO(), None
+        self.lines, self.error, self.end = io.StringIO(), None, 0
 
     @classmethod
     def of(cls, fh) -> "_Lines":
         """The lines of a binary file, started at its first line, from which csv reads the header."""
         blocks = _blocks(fh, _BLOCK_BYTES)
-        first, error = next(blocks, (b"", None))
+        first, error, at = next(blocks, (b"", None, 0))
         cut = first.find(b"\n") + 1 or len(first)  # a quoted name may still run on past it
-        lines = cls(chain([(first[cut:], error)], blocks))
-        lines.start(first[:cut], None)
+        lines = cls(chain([(first[cut:], error, at + cut)], blocks))
+        lines.start(first[:cut], None, at)
         return lines
 
-    def start(self, block: bytes, error: Exception | None) -> int:
-        """Read ``block`` next, then ``error`` if not None; returns the number of its lines."""
+    def start(self, block: bytes, error: Exception | None, at: int) -> int:
+        """Read ``block`` next, then ``error`` if not None; returns the number of its lines.
+
+        ``at`` is the offset of the block's first byte in the file.
+        """
         try:
             text = block.decode()
+            self.end = at + len(block)
         except UnicodeDecodeError as exc:
-            text, error = block[:_line_end(block, exc.start)].decode(), exc
+            good = _line_end(block, exc.start)
+            text, self.end = block[:good].decode(), at + good
+            # a whole-file decode would name the file offset; zeros stand for the bytes
+            # of the earlier blocks, which are no longer held
+            error = UnicodeDecodeError(exc.encoding, bytes(at) + block, at + exc.start,
+                                       at + exc.end, exc.reason)
         self.lines, self.error = io.StringIO(text, newline=""), error
         return (text.count("\n") + text.count("\r") - text.count("\r\n")
                 + (text[-1:] not in ("", "\n", "\r")))
@@ -404,9 +364,10 @@ class _Lines:
             self.start(*block)
         return line
 
-    def rest(self) -> tuple[bytes, Exception | None]:
-        """The lines of the started block not read yet, as bytes, and the error after them."""
-        return self.lines.read().encode(), self.error
+    def rest(self) -> tuple[bytes, Exception | None, int]:
+        """The started block's unread lines as bytes, the error after them, and their offset."""
+        rest = self.lines.read().encode()
+        return rest, self.error, self.end - len(rest)
 
 
 def _plain(block: bytes) -> bool:
@@ -482,9 +443,10 @@ def parse_raw_log(fh, column_map: dict) -> tuple[RawEvents, list[RejectedRow]]:
     quote) raises ValueError naming that data row, instead of swallowing
     the rows after it. On the file's last line, an unclosed quote ends with
     the file and its row is read as it stands (a short row, say). An
-    undecodable byte raises UnicodeDecodeError, and a failed read OSError,
-    once every line before the one it lies in has been parsed, so a row
-    with a runaway quote before it is the error raised.
+    undecodable byte raises UnicodeDecodeError, which names the byte's
+    offset in the file, and a failed read OSError, once every line before
+    the one it lies in has been parsed, so a row with a runaway quote before
+    it is the error raised.
 
     The body is read in one loop over blocks of about ``_BLOCK_BYTES``
     bytes, each cut after its last line end. The compiled library's
@@ -497,8 +459,11 @@ def parse_raw_log(fh, column_map: dict) -> tuple[RawEvents, list[RejectedRow]]:
     with a ``timestamp_format`` or without the library, is decoded and
     split into lines as ``open(newline="")`` splits them, and read by
     ``csv.reader`` and ``take`` whole; the next block is tried again. The
-    results and errors are the same either way. The returned columns are
-    numpy arrays, so no Python object is made per answered row.
+    Python reader reads each stamp with ``timestamp_format`` or else through
+    ``_parse_timestamp``, and each count through ``_count``, with no
+    shortcut for any form. The results and errors are the same either way.
+    The returned columns are numpy arrays, so no Python object is made per
+    answered row.
     """
     required = ("session", "student_id", "activity", "start_time", "end_time",
                 "mouse_clicks", "keystrokes")
@@ -533,7 +498,6 @@ def parse_raw_log(fh, column_map: dict) -> tuple[RawEvents, list[RejectedRow]]:
     need = max(index[c] for c in mapped_cols) + 1
     fmt = column_map.get("timestamp_format")
     read_stamp = _timestamp_reader(fmt)
-    count_of = _Table(_count).__getitem__
     codes: dict[str, int] = {}  # each distinct name text and its code, in code order
 
     def code_of(text: str) -> int:
@@ -554,7 +518,7 @@ def parse_raw_log(fh, column_map: dict) -> tuple[RawEvents, list[RejectedRow]]:
             rejects.append(RejectedRow(row_number, "negative duration"))
             return None
         try:
-            counts = list(map(count_of, count_texts(row)))
+            counts = list(map(_count, count_texts(row)))
         except (ValueError, OverflowError):
             rejects.append(RejectedRow(row_number, "bad interaction count"))
             return None
@@ -571,7 +535,7 @@ def parse_raw_log(fh, column_map: dict) -> tuple[RawEvents, list[RejectedRow]]:
     parts = [[np.empty(0, dtype)] for dtype in _DTYPES]  # each column's blocks, in file order
     row_number = 0  # the data rows before the one being read
     try:
-        for block, error in chain([source.rest()], source.blocks):
+        for block, error, offset in chain([source.rest()], source.blocks):
             if scan and block and _plain(block):
                 # numpy counts bytes about 5x faster than bytes.count; the kernel finds the lines
                 n = (int(np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n")))
@@ -583,7 +547,7 @@ def parse_raw_log(fh, column_map: dict) -> tuple[RawEvents, list[RejectedRow]]:
                     np.r_[0, ends][at].tolist(), ends[at].tolist())]
                 declined = at.tolist()
             else:
-                n = source.start(block, error)
+                n = source.start(block, error, offset)
                 error = source.error  # an undecodable byte comes before any later read error
                 kept, columns = np.zeros(n, bool), [np.empty(n, t) for t in _DTYPES]
                 lines, declined = chain(source.lines, source), range(n)

@@ -25,14 +25,10 @@ from hbtm import (
 from hbtm import ingest, sampler
 from hbtm.core import DEFAULT_EVENT_LABELS, save_json
 from hbtm.ingest import (
-    _CLOCKS,
-    _SECONDS,
     _TIMESTAMP_FORMATS,
     _count,
     _epoch,
-    _midnight,
     _parse_timestamp,
-    _Table,
     _timestamp_reader,
 )
 
@@ -339,11 +335,11 @@ def test_parse_rejects_overflowing_counts(count):
     assert _rows(rejects) == [(1, "bad interaction count"), (2, "bad interaction count")]
 
 
-# --- timestamp fast path ---------------------------------------------------
+# --- timestamps: the compiled reader's day-first form and the full chain ------
 
 
 def _full_chain(raw, fmt):
-    """Reference: the full parser chain, without the fast path or the finite check."""
+    """Reference: the full parser chain, without the finite check."""
     raw = raw.strip()
     if fmt:
         return _epoch(datetime.strptime(raw, fmt))
@@ -374,7 +370,7 @@ def _finite(outcome):
 
 
 # Values that each part of a canonical day-first stamp may be swapped for.
-# Arabic-Indic digits pass strptime's \d but not the ASCII-only fast path.
+# Arabic-Indic digits pass strptime's \d but not the compiled reader's ASCII digits.
 _ODD_PARTS = {
     "day": ["00", "29", "30", "31", "32", "7", " 7", "\u0660\u0667"],
     "month": ["00", "02", "04", "13", "2", "\u0660\u0662"],
@@ -390,16 +386,22 @@ _ODD_PARTS = {
 }
 
 
+# built once: building a strategy anew for each draw costs more than the draw itself
+_ANY_DATETIMES = st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59))
+_ODD_PART_SETS = st.sets(st.sampled_from(sorted(_ODD_PARTS)), max_size=3)
+_ODD_PART_VALUES = {part: st.sampled_from(values) for part, values in _ODD_PARTS.items()}
+
+
 @st.composite
 def day_first_stamps(draw):
     """A canonical ``dd?mm?yyyy HH:MM:SS`` stamp with up to three parts swapped for odd ones."""
-    dt = draw(st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59)))
+    dt = draw(_ANY_DATETIMES)
     sep = draw(st.sampled_from("./"))
     p = dict(day=f"{dt.day:02d}", month=f"{dt.month:02d}", year=f"{dt.year:04d}",
              hour=f"{dt.hour:02d}", minute=f"{dt.minute:02d}", second=f"{dt.second:02d}",
              sep=sep, sep2=sep, middle=" ", left="", right="")
-    for part in draw(st.sets(st.sampled_from(sorted(_ODD_PARTS)), max_size=3)):
-        p[part] = draw(st.sampled_from(_ODD_PARTS[part]))
+    for part in draw(_ODD_PART_SETS):
+        p[part] = draw(_ODD_PART_VALUES[part])
     return (f"{p['left']}{p['day']}{p['sep']}{p['month']}{p['sep2']}{p['year']}{p['middle']}"
             f"{p['hour']}:{p['minute']}:{p['second']}{p['right']}")
 
@@ -417,53 +419,57 @@ timestamp_formats = st.sampled_from([None, "", "%d.%m.%Y %H:%M:%S", "%d/%m/%Y %H
 @example("31.02.2019 09:00:00", None)
 @example("29.02.2019 09:00:00", None)
 @example("29.02.2020 09:00:00", "%d.%m.%Y %H:%M:%S")
+@example("31.04.2020 09:00:00", None)  # a leap year adds a day to February alone
+@example("30.02.2020 09:00:00", None)
 @example("00.10.2019 09:00:00", None)
 @example("02/10/2019 24:00:00", None)
 @example("02.10.2019 09:00:60", None)
 @example("2.10.2019 9:00:17", None)
 @example(" 02.10.2019 09:00:17\t", None)
+@example("  02.10.2019 09:00:17 ", None)
 @example("\u0660\u0662.10.2019 09:00:17", None)
 @example("02.10.2019 09:00:17", "%d/%m/%Y %H:%M:%S")
 def test_timestamp_fast_path_matches_full_chain(raw, fmt):
-    want = _finite(_outcome(_full_chain, raw, fmt))
-    assert _outcome(_timestamp_reader(fmt), raw) == want
+    # the other fields of each row are plain, so the stamps alone decide it; with one line per
+    # block, every plain line goes to the compiled reader's read_stamp
+    column_map = COLUMN_MAP if fmt is None else {**COLUMN_MAP, "timestamp_format": fmt}
+    pairs = [(raw, "31.12.9999 23:59:59"), ("01.01.0001 00:00:00", raw), (raw, raw)]
+    text = HEADER + "".join(f"1,s1,Deeds,{start},{end},1,2,3,4\n" for start, end in pairs)
+    got = _parsed(text, column_map, budget=1)
+    assert got == _parsed(text, column_map, library=False)
+    if any(c in raw for c in ',"\r\n'):
+        return  # the stamp is not one field of one line; the readers agreeing is the test
+    events, rejects = [], []
+    for row_number, (start, end) in enumerate(pairs, start=1):
+        s, e = (_finite(_outcome(_full_chain, stamp, fmt)) for stamp in (start, end))
+        if "error" in (s, e):
+            rejects.append((row_number, "bad timestamp"))
+        elif float(e) < float(s):
+            rejects.append((row_number, "negative duration"))
+        else:
+            events.append(("1", "s1", "Deeds", float(s), float(e), 6, 4))
+    assert (list(got[0]), _rows(got[1])) == (events, rejects)
+
+
+def test_count_reads_a_text_as_int_of_float_does():
+    for text in ["7", " 7", "7.9", "1e400", "nan", "-3", "inf", "n/a", "", "-0", "12 "]:
+        assert _outcome(_count, text) == _outcome(lambda t: int(float(t)), text), text
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(day_first_stamps(), max_size=40), st.randoms(use_true_random=False))
-def test_shared_timestamp_tables_match_full_chain_stamp_by_stamp(stamps, rng):
-    # repeats make later stamps hit table entries that earlier ones stored, odd ones included
-    stamps = stamps + rng.sample(stamps, len(stamps))
-    read = _timestamp_reader(None)
-    got = [_outcome(read, raw) for raw in stamps]
-    assert got == [_finite(_outcome(_full_chain, raw, None)) for raw in stamps]
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.sampled_from(["7", " 7", "7.9", "1e400", "nan", "-3", "inf", "n/a", "",
-                                 "-0", "12 "]), max_size=30))
-def test_shared_count_table_matches_int_of_float_text_by_text(texts):
-    count_of = _Table(_count).__getitem__
-    got = [_outcome(count_of, text) for text in texts]
-    assert got == [_outcome(lambda t: int(float(t)), text) for text in texts]
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59)),
-       st.sampled_from("./"))
+@given(_ANY_DATETIMES, st.sampled_from("./"))
 def test_fast_path_answers_every_canonical_stamp(dt, sep):
-    raw = (f"{dt.day:02d}{sep}{dt.month:02d}{sep}{dt.year:04d} "
-           f"{dt.hour:02d}:{dt.minute:02d}:{dt.second:02d}")
+    raw = _day_first(dt, sep)
     want = _full_chain(raw, None)
-    day, hm, s = _stamp_parts(raw)
-    assert repr(day + (hm + s)) == repr(want)
     assert repr(_timestamp_reader(None)(raw)) == repr(want)
     assert repr(_timestamp_reader(f"%d{sep}%m{sep}%Y %H:%M:%S")(raw)) == repr(want)
-
-
-def _stamp_parts(raw):
-    """The date, clock and seconds values the fast path reads for one stamp."""
-    return _midnight(raw[:10]), _CLOCKS.get(raw[11:16]), _SECONDS.get(raw[17:])
+    library = sampler._library()
+    if library is None:
+        pytest.skip("no compiled library")
+    scan = ingest._row_scanner(library, 9, list(range(9)), 3, lambda text: 0)
+    status, columns, _ = scan(f"1,s1,Deeds,{raw},{raw},1,2,3,4".encode(), 1)
+    assert status.tolist() == [ingest._ROW_OK]
+    assert [repr(column.tolist()[0]) for column in columns[3:5]] == [repr(want)] * 2
 
 
 def test_fast_path_values():
@@ -471,7 +477,12 @@ def test_fast_path_values():
     assert read("02.10.2019 09:00:17") == 1570006817.0
     assert read("02/10/2019 09:00:17") == 1570006817.0
     assert read("29.02.2020 23:59:59") == 1583020799.0
-    assert _stamp_parts("02.10.2019 09:00:17") == (1569974400.0, 32400, 17)
+    text = HEADER + ("1,s1,Deeds,02.10.2019 09:00:17,02/10/2019 09:00:17,1,2,3,4\n"
+                     "1,s1,Deeds,29.02.2020 23:59:59,29.02.2020 23:59:59,1,2,3,4\n")
+    events, rejects = _parsed(text)
+    assert rejects == []
+    assert [(e[3], e[4]) for e in events] == [(1570006817.0, 1570006817.0),
+                                              (1583020799.0, 1583020799.0)]
 
 
 @pytest.mark.parametrize("raw", [
@@ -479,9 +490,42 @@ def test_fast_path_values():
     "02.10.2019T09:00:17",
 ])
 def test_fast_path_declines_other_shapes(raw):
-    # the full chain reads neither shape, so an answer could only come from the fast path
+    # the full chain reads neither shape, so an answer could only come from the compiled reader
     with pytest.raises(ValueError):
         _timestamp_reader(None)(raw)
+    events, rejects = _parsed(HEADER + f"1,s1,Deeds,{raw},{raw},1,2,3,4\n")
+    assert len(events) == 0 and _rows(rejects) == [(1, "bad timestamp")]
+
+
+def test_only_the_rows_the_library_declines_reach_the_python_stamp_parser():
+    if sampler._library() is None:
+        pytest.skip("no compiled library")
+    clean = HEADER + "".join(f"{n % 3 + 1},s{n % 5},Deeds,02.10.2019 09:00:{n % 60:02d},"
+                             f"02/10/2019 10:00:00,1,2,3,{n}\n" for n in range(50))
+    # one row of each reject reason, and a row the compiled reader declines but Python takes;
+    # each holds the stamps Python reads, up to the one that fails
+    declined = [
+        ("1,s1,Deeds,02.10.2019 09:00:17", []),
+        ("1,s1,Deeds,31.02.2019 09:00:17,02.10.2019 09:00:27,1,2,3,4", ["31.02.2019 09:00:17"]),
+        ("1,s1,Deeds,02.10.2019 09:00:17,02.10.2019 09:00:07,1,2,3,4",
+         ["02.10.2019 09:00:17", "02.10.2019 09:00:07"]),
+        ("1,s1,Deeds,02.10.2019 09:00:17,02.10.2019 09:00:27,1,2,3,n/a",
+         ["02.10.2019 09:00:17", "02.10.2019 09:00:27"]),
+        ("1,s1,Deeds,02.10.2019 09:00:17,02.10.2019 09:00:27,1,-2,3,4",
+         ["02.10.2019 09:00:17", "02.10.2019 09:00:27"]),
+        ("2,s2,Aulaweb,02/10/2019 09:00:18,02/10/2019 09:00:28,007,1_0,0,1",
+         ["02/10/2019 09:00:18", "02/10/2019 09:00:28"]),
+    ]
+    mixed = clean + "".join(row + "\n" + clean.split("\n")[n + 1] + "\n"
+                            for n, (row, _) in enumerate(declined))
+    for text, want in [(clean, []), (mixed, [s for _, stamps in declined for s in stamps])]:
+        with mock.patch.object(ingest, "_parse_timestamp", wraps=_parse_timestamp) as parse:
+            got = _parsed(text)
+        assert [call.args[0] for call in parse.call_args_list] == want
+        assert got == _parsed(text, library=False)
+    assert _rows(got[1]) == [(51, "short row"), (53, "bad timestamp"),
+                             (55, "negative duration"), (57, "bad interaction count"),
+                             (59, "negative interaction count")]
 
 
 # Texts without a colon, which skip the strptime patterns: plain numbers, and the
@@ -890,8 +934,8 @@ def _parsed(data, column_map=COLUMN_MAP, library=True, budget=None, fail_at=None
             mock.patch.object(sampler, "_library", sampler._library if library else lambda: None):
         try:
             return parse_raw_log(fh, column_map)
-        except UnicodeDecodeError as exc:  # its position counts from the start of its block
-            return "UnicodeDecodeError", exc.reason, exc.object[exc.start:exc.end]
+        except UnicodeDecodeError as exc:  # its position is the byte's offset in the file
+            return "UnicodeDecodeError", exc.reason, exc.start, exc.object[exc.start:exc.end]
         except OSError as exc:
             return "OSError", str(exc)
         except ValueError as exc:
@@ -918,32 +962,45 @@ _HEADERS = [HEADER, HEADER.rstrip("\n") + ",keys,activity\n", HEADER.rstrip("\n"
             HEADER.replace("\n", "\r\n")]
 
 
+# raw_log_texts' strategies, built once as day_first_stamps' are
+_KINDS = st.sampled_from(["plain"] * 4 + ["odd"] * 3 + ["blank", "short", "long"])
+_BLANK_LINES = st.sampled_from(["", "", " "])
+_STARTS = (st.datetimes(datetime(2019, 1, 1), datetime(2020, 12, 31))
+           | st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59)))
+_STEPS = st.sampled_from([0, 1, 9, 600, 20000, -1])
+_SEP_PAIRS = st.sampled_from(["..", "//", "./"])
+_NAME_FIELDS, _PLAIN_COUNTS = st.sampled_from(_NAMES), st.sampled_from(_COUNTS[:3])
+_FIELD_INDICES = st.integers(0, 8)  # a row has nine fields before it is cut or lengthened
+_ODD_FIELDS = ([_NAME_FIELDS] * 3 + [st.sampled_from(_ODD_STAMPS)] * 2
+               + [st.sampled_from(_COUNTS)] * 4)  # by field index
+_PAD_TEXTS = st.sampled_from(_PADS)
+_EXTRA_FIELDS = st.lists(st.sampled_from(["", "x", "9"]), min_size=1, max_size=4)
+
+
 @st.composite
 def raw_log_texts(draw):
     """A raw log over ``HEADER``'s columns: mostly plain rows, some odd, perhaps a few oddities."""
     lines = []
     for _ in range(draw(st.integers(0, 25))):
-        kind = draw(st.sampled_from(["plain"] * 4 + ["odd"] * 3 + ["blank", "short", "long"]))
+        kind = draw(_KINDS)
         if kind == "blank":
-            lines.append(draw(st.sampled_from(["", "", " "])))
+            lines.append(draw(_BLANK_LINES))
             continue
-        start = draw(st.datetimes(datetime(2019, 1, 1), datetime(2020, 12, 31))
-                     | st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59)))
-        end = start + draw(st.sampled_from([0, 1, 9, 600, 20000, -1])) * timedelta(seconds=1) \
+        start = draw(_STARTS)
+        end = start + draw(_STEPS) * timedelta(seconds=1) \
             if datetime(1, 1, 2) < start < datetime(9999, 12, 30) else start
-        seps = draw(st.sampled_from(["..", "//", "./"]))
-        fields = [draw(st.sampled_from(_NAMES)) for _ in range(3)]
+        seps = draw(_SEP_PAIRS)
+        fields = [draw(_NAME_FIELDS) for _ in range(3)]
         fields += [_day_first(start, seps[0]), _day_first(end, seps[1])]
-        fields += [draw(st.sampled_from(_COUNTS[:3])) for _ in range(4)]
+        fields += [draw(_PLAIN_COUNTS) for _ in range(4)]
         if kind == "odd":
-            at = draw(st.integers(0, len(fields) - 1))
-            fields[at] = draw(st.sampled_from(_ODD_STAMPS if at in (3, 4) else
-                                              _NAMES if at < 3 else _COUNTS))
-        fields = [draw(st.sampled_from(_PADS)) + f + draw(st.sampled_from(_PADS)) for f in fields]
+            at = draw(_FIELD_INDICES)
+            fields[at] = draw(_ODD_FIELDS[at])
+        fields = [draw(_PAD_TEXTS) + f + draw(_PAD_TEXTS) for f in fields]
         if kind == "short":
-            fields = fields[:draw(st.integers(0, len(fields) - 1))]
+            fields = fields[:draw(_FIELD_INDICES)]
         elif kind == "long":
-            fields += draw(st.lists(st.sampled_from(["", "x", "9"]), min_size=1, max_size=4))
+            fields += draw(_EXTRA_FIELDS)
         lines.append(",".join(fields))
     for _ in range(draw(st.integers(0, 3)) if lines else 0):
         at = draw(st.integers(0, len(lines) - 1))
@@ -1130,7 +1187,7 @@ def test_read_errors_and_runaway_quotes_raise_at_the_earliest_offending_line(
         if i == failing:
             want = ("OSError", "[Errno 5] Input/output error")
         elif row == _UNDECODABLE:
-            want = ("UnicodeDecodeError", "invalid start byte", b"\xff")
+            want = ("UnicodeDecodeError", "invalid start byte", raw.index(b"\xff"), b"\xff")
         elif row == _RUNAWAY and starts[i + 1] < len(raw):
             want = f"data row {data_rows + 1}: "
         if want:
@@ -1158,3 +1215,19 @@ def test_a_read_error_after_an_earlier_error_in_its_block_comes_second(tmp_path,
         raw.write_bytes(raw.read_bytes().replace(b'"', b""))
         with open(raw, "rb") as fh, pytest.raises(UnicodeDecodeError):
             parse_raw_log(fh, COLUMN_MAP)
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+def test_an_undecodable_byte_is_named_by_its_offset_in_the_file(budget):
+    # in the body's first block, or with one line per block in its third
+    rows = HEADER.encode() + b"1,s1,Deeds,0,10,0,0,0,0\n1,s\xff,Deeds,0,10,0,0,0,0\n"
+    for data in (rows, b"\xef\xbb\xbf" + rows):
+        at = data.index(b"\xff")
+        for library in (True, False):
+            with mock.patch.object(ingest, "_BLOCK_BYTES", budget or ingest._BLOCK_BYTES), \
+                    mock.patch.object(sampler, "_library",
+                                      sampler._library if library else lambda: None), \
+                    pytest.raises(UnicodeDecodeError) as raised:
+                parse_raw_log(io.BytesIO(data), COLUMN_MAP)
+            assert str(raised.value) == (
+                f"'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte")
