@@ -1,6 +1,18 @@
-/* The nine compiled helpers of hbtm: hbtm_sweep, hbtm_scan, hbtm_lloyd,
- * hbtm_rows, hbtm_format, hbtm_gammaln, hbtm_corpus, hbtm_fsum and
- * hbtm_tokens.
+/* The eight compiled helpers of hbtm, each with the layer it serves and the
+ * Python code whose results it gives bit for bit:
+ *
+ *   hbtm_sweep    fit: one collapsed-Gibbs sweep (sampler.reference_sweep)
+ *   hbtm_gammaln  fit: the log joint's log-gamma terms (scipy.special.gammaln)
+ *   hbtm_corpus   fit: reads a corpus file (core.load_corpus's json reader)
+ *   hbtm_format   fit: writes a model file's float arrays (json.dumps of tolist())
+ *   hbtm_scan     analyze, export-trait: reads a model file's posterior (json.loads)
+ *   hbtm_lloyd    analyze: k-means' Lloyd iterations (analysis._reference_lloyd)
+ *   hbtm_rows     ingest: reads a raw log's plain lines (ingest's Python reader)
+ *   hbtm_tokens   ingest: writes a corpus file's token lists (save_corpus's writer)
+ *
+ * Every kernel but hbtm_sweep and hbtm_lloyd may decline its input, which
+ * that Python code then answers; the kernel's own comment says what it
+ * declines. The README's kernel ledger records why each kernel stays.
  *
  * Each kernel returns int64_t and is declared once on the Python side, as a
  * row of sampler._KERNELS giving its parameter types. Adding a kernel takes
@@ -21,43 +33,6 @@
  * old trait so the tables stay consistent; or -(j + 1) when z[j] is not a
  * trait index, before anything is written for token j. Its sanitizer run is
  * test_sweep_kernel_stays_inside_its_buffers_under_address_and_undefined_sanitizers.
- *
- * hbtm_scan reads the nested JSON array of numbers at the start of a span into
- * doubles, with the same value for every number as Python's float(), and
- * reports where the array ends; see its own comment.
- *
- * hbtm_lloyd runs analysis.kmeans' Lloyd iterations with the same floats as
- * analysis._reference_lloyd's numpy loop; see its own comment.
- *
- * hbtm_rows reads the plain body lines of a raw log, as the file's bytes,
- * into stamps, count sums, the ids of distinct name texts and each line's
- * end offset. It answers a row only with the values ingest's Python reader
- * gives it, and declines every other row for Python to read; see its own
- * comment.
- *
- * hbtm_format writes a float64 array as json.dumps lays out its tolist(),
- * each number spelled exactly as float.__repr__ spells it, or declines the
- * whole array for core.save_json to write from repr; see its own comment.
- *
- * hbtm_gammaln evaluates the log-gamma function of positive finite doubles
- * with the same value for every one as scipy.special.gammaln, for
- * sampler.collapsed_log_joint; see its own comment.
- *
- * hbtm_corpus reads a corpus file whose every line is in core.save_corpus's
- * exact form into per-line token counts, id offsets and token codes, or
- * declines the whole file for core.load_corpus's Python reader; see its own
- * comment.
- *
- * hbtm_fsum adds an array of doubles exactly, with the same result bit for bit
- * as math.fsum (it is CPython 3.11's math_fsum in C), for the Pearson
- * correlations of analysis.run_analysis. It keeps its partial sums in a
- * stack buffer of 32 and declines, for math.fsum to answer, an array whose
- * partials turn inf or nan or outgrow that buffer; see its own comment.
- *
- * hbtm_tokens writes the token lists of a corpus of int64 columns as
- * core.save_corpus spells them, and reports where each trace's text ends,
- * or declines the corpus for save_corpus's Python writer; see its own
- * comment.
  */
 #include <float.h>
 #include <math.h>
@@ -904,78 +879,6 @@ int64_t hbtm_gammaln(const double *x, int64_t n, double *out)
         out[j] = lgam(x[j]);
     }
     return 0;
-}
-
-/* The partials hbtm_fsum holds: CPython's NUM_PARTIALS, the size of the stack
- * buffer math.fsum starts with before it grows one on the heap. */
-#define FSUM_PARTIALS 32
-
-/* *out = math.fsum(x[0..n)) bit for bit: a line-for-line port of CPython
- * 3.11's math_fsum (Modules/mathmodule.c), Shewchuk's exact summation
- * (Discrete & Computational Geometry 18, 1997). Each value is added into a
- * list of nonoverlapping partials, smallest first, by two-sum steps that drop
- * zero remainders; the result is the top partial plus the ones below it,
- * added from the top while the sum stays exact, then one half-even step
- * across the partials where the first inexact remainder and the partial
- * under it share a sign. Build with -ffp-contract=off so no two-sum is fused.
- *
- * Returns 1 with the sum in *out; or 0 to decline, writing nothing, when a
- * partial is not finite (an inf or nan among the values, or an intermediate
- * overflow such as 1e308 + 1e308, each of which math.fsum answers or raises
- * on its own) or when the partials would outgrow the FSUM_PARTIALS buffer,
- * which math.fsum grows instead. Nonoverlapping partials of doubles that
- * span a wide range of exponents can outnumber it (values from 1e-300 to
- * 1e300 reach dozens), so a decline is a normal outcome for the caller to
- * answer with math.fsum. */
-int64_t hbtm_fsum(int64_t n, const double *values, double *out)
-{
-    double p[FSUM_PARTIALS], x, y, t, hi, yr, lo = 0.0;
-    int64_t i, j, used = 0;
-    for (int64_t v = 0; v < n; v++) {
-        x = values[v];
-        for (i = j = 0; j < used; j++) {
-            y = p[j];
-            if (fabs(x) < fabs(y)) {
-                t = x;
-                x = y;
-                y = t;
-            }
-            hi = x + y;
-            yr = hi - x;
-            lo = y - yr;
-            if (lo != 0.0)
-                p[i++] = lo;
-            x = hi;
-        }
-        used = i;
-        if (x != 0.0) {
-            if (!isfinite(x) || used == FSUM_PARTIALS)
-                return 0;
-            p[used++] = x;
-        }
-    }
-    hi = 0.0;
-    if (used > 0) {
-        hi = p[--used];
-        while (used > 0) {
-            x = hi;
-            y = p[--used];
-            hi = x + y;
-            yr = hi - x;
-            lo = y - yr;
-            if (lo != 0.0)
-                break;
-        }
-        if (used > 0 && ((lo < 0.0 && p[used - 1] < 0.0) || (lo > 0.0 && p[used - 1] > 0.0))) {
-            y = lo * 2.0;
-            x = hi + y;
-            yr = x - hi;
-            if (y == yr)
-                hi = x;
-        }
-    }
-    *out = hi;
-    return 1;
 }
 
 /* The byte after the literal lit at p, or NULL if [p, end) does not start with it. */

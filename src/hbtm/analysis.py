@@ -10,7 +10,6 @@ Reports use 1-based trait and event numbering; everything internal stays
 from __future__ import annotations
 
 import csv
-import ctypes
 import io
 import math
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from . import sampler
 from .core import Posterior, skip_bom
 
 GRADE_TYPES = ("SA", "SFE", "FE")
-GRADE_RANGES = {"SA": (0.0, 5.0), "FE": (0.0, 100.0)}
+GRADE_RANGES = {"SA": (0.0, 5.0), "SFE": (0.0, 100.0), "FE": (0.0, 100.0)}
 
 
 class TTestResult(NamedTuple):
@@ -102,13 +101,13 @@ def pearson(x, y) -> PearsonResult:
         raise ValueError("x and y must have equal lengths")
     if n < 3:
         raise ValueError("need at least 3 pairs")
-    dx = x - _fsum(x) / n
-    dy = y - _fsum(y) / n
-    vx = _fsum(dx * dx)
-    vy = _fsum(dy * dy)
+    dx = x - math.fsum(x.tolist()) / n
+    dy = y - math.fsum(y.tolist()) / n
+    vx = math.fsum((dx * dx).tolist())
+    vy = math.fsum((dy * dy).tolist())
     if vx == 0.0 or vy == 0.0:
         raise ValueError("correlation undefined for a constant input")
-    r = _fsum(dx * dy) / math.sqrt(vx * vy)
+    r = math.fsum((dx * dy).tolist()) / math.sqrt(vx * vy)
     r = max(-1.0, min(1.0, r))
     if abs(r) == 1.0:
         return PearsonResult(r, 0.0, n)
@@ -127,22 +126,6 @@ def _floats(values) -> np.ndarray:
     if isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 1:
         return values
     return np.array([float(v) for v in values], dtype=float)
-
-
-def _fsum(values: np.ndarray) -> float:
-    """``math.fsum`` of a 1-d float64 array, bit for bit.
-
-    The compiled library's ``hbtm_fsum`` answers when every partial stays
-    finite and fits its buffer; ``math.fsum`` answers every other array, with
-    its own inf, nan or error, and every array when the library is missing.
-    """
-    library = sampler._library()
-    if library is not None:
-        values = np.ascontiguousarray(values)
-        out = ctypes.c_double()
-        if library.hbtm_fsum(values.size, values.ctypes.data, ctypes.byref(out)):
-            return out.value
-    return math.fsum(values.tolist())
 
 
 def _assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -256,8 +239,8 @@ class GradeTable:
                     raise ValueError(
                         f"{grade_type} for '{trace_id}' is {value}, not a finite number"
                     )
-                bounds = GRADE_RANGES.get(grade_type)
-                if bounds and not bounds[0] <= value <= bounds[1]:
+                bounds = GRADE_RANGES[grade_type]
+                if not bounds[0] <= value <= bounds[1]:
                     raise ValueError(
                         f"{grade_type} for '{trace_id}' is {value}, outside {bounds}"
                     )

@@ -22,20 +22,18 @@ numpy arrays. The per-token update loop dominates the cost of a fit, so
 system C compiler on first use and cached under ``$XDG_CACHE_HOME/hbtm``
 (default ``~/.cache/hbtm``). ``reference_sweep`` is the same loop in plain
 Python: it is the oracle the kernel must match bit for bit, and the fallback
-when no compiler or cache directory is usable. The same library holds eight
-more kernels, nine in all: it runs ``analysis.kmeans``' Lloyd iterations,
+when no compiler or cache directory is usable. The same library holds seven
+more kernels, eight in all: it runs ``analysis.kmeans``' Lloyd iterations,
 reads the plain rows of ``ingest.parse_raw_log``, writes the float arrays of
 ``core.save_json``, reads ``load_fit_result``'s posterior (below), reads the
 corpus files of ``core.load_corpus`` that are in ``core.save_corpus``'s exact
 form straight into int64 columns, writes the token lists of
-``core.save_corpus`` from a corpus's int64 columns, evaluates the log-gamma
-terms of ``collapsed_log_joint`` (``hbtm_gammaln``, equal to
+``core.save_corpus`` from a corpus's int64 columns, and evaluates the
+log-gamma terms of ``collapsed_log_joint`` (``hbtm_gammaln``, equal to
 ``scipy.special.gammaln``, which stays its fallback, so a fit with the
-library imports no scipy), and adds the exact sums of ``analysis``'
-correlations (``hbtm_fsum``, equal to ``math.fsum``, which stays its
-fallback). A process that falls back says so once, in one line on stderr. A
-new kernel takes a prototype in ``_sweep.c``, one row in ``_KERNELS`` and one
-driver in ``tests/test_tooling.py``'s sanitizer harness.
+library imports no scipy). A process that falls back says so once, in one
+line on stderr. A new kernel takes a prototype in ``_sweep.c``, one row in
+``_KERNELS`` and one driver in ``tests/test_tooling.py``'s sanitizer harness.
 
 ``load_fit_result`` reads the posterior of a model file in ``core.save_json``'s
 layout through the same library's number scanner, and every other file, or
@@ -456,7 +454,6 @@ _KERNELS = (  # each kernel's parameters in _sweep.c's order; every kernel retur
     ("hbtm_format", [_PTR, _I64, _PTR, _I64, _PTR, _I64]),
     ("hbtm_gammaln", [_PTR, _I64, _PTR]),
     ("hbtm_corpus", [_PTR, _I64, _I64, _I64, _PTR, _PTR, _PTR]),
-    ("hbtm_fsum", [_I64, _PTR, _PTR]),
     ("hbtm_tokens", [_I64, _PTR, _PTR, _PTR, _I64, _PTR]),
 )
 

@@ -1,6 +1,5 @@
 import csv
 import math
-import struct
 from types import SimpleNamespace
 from unittest import mock
 
@@ -135,95 +134,6 @@ def test_welch_squares_deviations_with_pow_not_a_multiply():
     assert result != _welch_with(lambda d: d * d, a, b)
 
 
-# --- exact sums ------------------------------------------------------------
-
-
-def _outcome(fsum, values):
-    """``fsum(values)`` as its float's bytes, or as the type and text of what it raised."""
-    try:
-        return struct.pack("<d", fsum(values))
-    except (ValueError, OverflowError) as exc:
-        return type(exc), str(exc)
-
-
-def assert_fsum_exact(values):
-    """``analysis._fsum`` gives ``math.fsum``'s bytes or error, with and without the library."""
-    values = np.asarray(values, dtype=float)
-    want = _outcome(math.fsum, values.tolist())
-    assert _outcome(analysis._fsum, values) == want, values
-    with mock.patch.object(sampler, "_library", lambda: None):
-        assert _outcome(analysis._fsum, values) == want, values
-
-
-@st.composite
-def fsum_arrays(draw):
-    """Seeded float64 arrays of the shapes an exact sum meets, and the hard ones."""
-    kind = draw(st.sampled_from(["uniform", "normal", "squared deviations", "cancellation",
-                                 "subnormal", "wide"]))
-    n = draw(st.integers(0, 400))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    if kind == "uniform":
-        return rng.uniform(0.0, 1.0, n)
-    if kind == "normal":
-        return rng.normal(0.0, 10.0 ** rng.integers(-5, 6), n)
-    if kind == "squared deviations":
-        x = rng.dirichlet(np.ones(20), size=n)[:, 0]
-        d = x - math.fsum(x.tolist()) / max(n, 1)
-        return d * d
-    if kind == "cancellation":  # large terms that cancel, leaving small ones
-        big = rng.normal(0.0, 1e16, n // 2)
-        values = np.concatenate([big, -big, rng.normal(0.0, 1.0, n - 2 * (n // 2))])
-        return rng.permutation(values)
-    if kind == "subnormal":
-        return rng.integers(-2 ** 52, 2 ** 52, n) * 5e-324
-    return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-308.0, 308.0, n)  # wide
-
-
-@settings(max_examples=500, deadline=None)
-@given(st.one_of(fsum_arrays(),
-                 st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=60)))
-def test_exact_sum_is_math_fsum_bit_for_bit(values):
-    assert_fsum_exact(values)
-
-
-@pytest.mark.parametrize("values, expected", [
-    ([], 0.0),
-    ([-0.0], 0.0),  # +0.0: the bytes tell it from -0.0
-    ([1e-16, 1.0, 1e16], 1.0000000000000002e16),  # the half-even step across partials
-    ([1e16, 1.0, -1e16], 1.0),
-])
-def test_exact_sum_pinned_examples(values, expected):
-    assert struct.pack("<d", analysis._fsum(np.array(values, dtype=float))) == \
-        struct.pack("<d", expected)
-    assert_fsum_exact(values)
-
-
-@pytest.mark.parametrize("values", [
-    [math.inf, -math.inf],  # ValueError
-    [1e308, 1e308],  # OverflowError
-    [math.nan, 1.0],  # nan
-    [math.inf, 1.0],  # inf
-    [2.0 ** e for e in range(-1020, 1020, 60)],  # 34 partials, more than the kernel holds
-])
-def test_exact_sum_answers_what_the_kernel_declines_as_math_fsum_does(values):
-    assert_fsum_exact(values)
-    library = sampler._library()
-    if library is not None:
-        values = np.array(values, dtype=float)
-        out = np.full(1, 7.0)
-        assert library.hbtm_fsum(values.size, values.ctypes.data, out.ctypes.data) == 0
-        assert out[0] == 7.0
-
-
-def test_the_kernel_answers_the_sums_of_an_analysis(rng):
-    library = sampler._library()
-    if library is None:
-        pytest.skip("no compiled library")
-    values, out = rng.dirichlet(np.ones(20), size=4000)[:, 3].copy(), np.empty(1)
-    assert library.hbtm_fsum(values.size, values.ctypes.data, out.ctypes.data) == 1
-    assert out[0] == math.fsum(values.tolist())
-
-
 # --- Pearson ---------------------------------------------------------------
 
 
@@ -275,6 +185,23 @@ def test_pearson_input_validation():
         pearson([1, 1, 1], [1, 2, 3])
     with pytest.raises(ValueError):
         pearson([1, 2, 3], [1, 2])
+
+
+def _pearson_r_with(total, x, y):
+    """``pearson``'s r with each sum taken as ``total(array)``."""
+    n = len(x)
+    dx, dy = x - total(x) / n, y - total(y) / n
+    r = float(total(dx * dy)) / math.sqrt(total(dx * dx) * total(dy * dy))
+    return max(-1.0, min(1.0, r))
+
+
+def test_pearson_sums_exactly_not_with_a_float_accumulator():
+    # math.fsum's exact sums, not np.sum's pairwise ones: the two give
+    # different r for most draws of 50 pairs, so a rewrite would change reports
+    x, y = np.random.default_rng(0).normal(size=(2, 50))
+    exact = _pearson_r_with(lambda a: math.fsum(a.tolist()), x, y)
+    assert pearson(x, y).r == exact
+    assert exact != _pearson_r_with(np.sum, x, y)
 
 
 # --- k-means ---------------------------------------------------------------
@@ -436,6 +363,13 @@ def test_grade_table_range_validation(tmp_path):
     path.write_text("trace_id,SA,SFE,FE\ns1,9,1,50\n")
     with pytest.raises(ValueError, match="SA"):
         GradeTable.from_csv(path)
+
+
+def test_grade_table_accepts_each_grade_at_its_bounds(tmp_path):
+    path = tmp_path / "grades.csv"
+    path.write_text("trace_id,SA,SFE,FE\ns1,5,100,100\ns2,0,0,0\n")
+    table = GradeTable.from_csv(path)
+    assert [table.get(t, "SFE") for t in ("s1", "s2")] == [100.0, 0.0]
 
 
 def test_grade_table_duplicate_ids(tmp_path):

@@ -827,6 +827,7 @@ def test_a_fresh_process_loads_only_the_modules_its_subcommands_run(tmp_path, ge
 
 @pytest.mark.parametrize("grade, cell", [
     ("SFE", "nan"), ("SFE", "1e400"), ("SFE", "-inf"), ("SA", "nan"), ("FE", "inf"),
+    ("SFE", "1e200"), ("SFE", "100.5"), ("SFE", "-0.5"),
 ])
 def test_a_non_finite_grade_is_a_json_error_and_writes_no_report(tmp_path, generated, capsys,
                                                                  grade, cell):

@@ -798,6 +798,30 @@ _INT64_COUNTS = ["0", "1", "2", "3", "6", "15", "16", "1023", "1024", "4778", "4
 _BIG_COUNTS = ["99999999999999999999", "9223372036854775807", "1e19"]
 
 
+def _duration_pools(schema, filt):
+    """Whole-second durations for day-first rows, and durations on and beside each mark."""
+    marks = [*schema.time_bin_edges, filt.min_duration_s, filt.max_duration_s]
+    whole = sorted({int(m) for m in marks if m == int(m) and 0 <= m < 40000} | {0, 1, 2})
+    near = [x for m in marks for x in (m, math.nextafter(m, -math.inf), math.nextafter(m, math.inf))
+            if x >= 0]
+    return st.sampled_from(whole), st.sampled_from(near) | st.floats(0, 3e4)
+
+
+# binning_logs' strategies, built once as raw_log_texts' are
+_BIN_SCHEMAS, _BIN_FILTERS = st.sampled_from(_SCHEMAS), st.sampled_from(_FILTERS)
+_DURATION_POOLS = {(schema, filt): _duration_pools(schema, filt)
+                   for schema in _SCHEMAS for filt in _FILTERS}
+# the int64 counts alone can still overflow int64 when summed
+_COUNT_POOLS = st.sampled_from([st.sampled_from(_INT64_COUNTS),
+                                st.sampled_from(_INT64_COUNTS + _BIG_COUNTS)])
+_BIN_ROWS, _DAY_FIRST = st.integers(0, 30), st.booleans()
+_BIN_SESSIONS = st.sampled_from(["1", "2", "1_2"])
+_BIN_STUDENTS = st.sampled_from(["s1", "a", "a_1", "s2"])
+_BIN_LABELS = st.sampled_from(_LABELS)
+_BIN_STARTS = st.datetimes(datetime(2019, 1, 1), datetime(2020, 12, 31))
+_EPOCH_STARTS = st.sampled_from([0.0, 0.0, 1570006817.0, 0.1])
+
+
 @st.composite
 def binning_logs(draw):
     """A raw log with durations on and beside every bin edge and filter bound, and huge counts.
@@ -806,26 +830,20 @@ def binning_logs(draw):
     compiled reader's path, epoch seconds the Python reader's; an epoch row
     starting at 0 has exactly its drawn duration.
     """
-    schema, filt = draw(st.sampled_from(_SCHEMAS)), draw(st.sampled_from(_FILTERS))
-    marks = [*schema.time_bin_edges, filt.min_duration_s, filt.max_duration_s]
-    whole = sorted({int(m) for m in marks if m == int(m) and 0 <= m < 40000} | {0, 1, 2})
-    near = [x for m in marks for x in (m, math.nextafter(m, -math.inf), math.nextafter(m, math.inf))
-            if x >= 0]
-    # the int64 counts alone can still overflow int64 when summed
-    pool = draw(st.sampled_from([_INT64_COUNTS, _INT64_COUNTS + _BIG_COUNTS]))
+    schema, filt = draw(_BIN_SCHEMAS), draw(_BIN_FILTERS)
+    whole, near = _DURATION_POOLS[schema, filt]
+    counts = draw(_COUNT_POOLS)
     lines = []
-    for _ in range(draw(st.integers(0, 30))):
-        names = [draw(st.sampled_from(["1", "2", "1_2"])),
-                 draw(st.sampled_from(["s1", "a", "a_1", "s2"])), draw(st.sampled_from(_LABELS))]
-        if draw(st.booleans()):
-            start = draw(st.datetimes(datetime(2019, 1, 1), datetime(2020, 12, 31)))
-            end = start + timedelta(seconds=draw(st.sampled_from(whole)))
+    for _ in range(draw(_BIN_ROWS)):
+        names = [draw(_BIN_SESSIONS), draw(_BIN_STUDENTS), draw(_BIN_LABELS)]
+        if draw(_DAY_FIRST):
+            start = draw(_BIN_STARTS)
+            end = start + timedelta(seconds=draw(whole))
             stamps = [_day_first(start, "."), _day_first(end, "/")]
         else:
-            start = draw(st.sampled_from([0.0, 0.0, 1570006817.0, 0.1]))
-            stamps = [repr(start), repr(start + draw(st.sampled_from(near) | st.floats(0, 3e4)))]
-        counts = [draw(st.sampled_from(pool)) for _ in range(4)]
-        lines.append(",".join(names + stamps + counts) + "\n")
+            start = draw(_EPOCH_STARTS)
+            stamps = [repr(start), repr(start + draw(near))]
+        lines.append(",".join(names + stamps + [draw(counts) for _ in range(4)]) + "\n")
     return HEADER + "".join(lines), schema, filt
 
 

@@ -473,69 +473,6 @@ def test_gammaln_kernel_stays_inside_its_buffers_under_address_and_undefined_san
     assert answered >= 100 and declined >= 100
 
 
-# Each array is checked against a Python run of the same partials: the kernel
-# must give math.fsum's bytes, or decline, leaving out untouched, exactly when
-# a partial turns inf or nan or a 33rd partial would be stored.
-SANITIZED_FSUM = r"""
-import math, random, struct
-rng = random.Random(27)
-def expected(values):
-    partials = []
-    for x in values:
-        i = 0
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                partials[i] = lo
-                i += 1
-            x = hi
-        del partials[i:]
-        if x:
-            if not math.isfinite(x):
-                return "not finite"
-            if len(partials) == 32:
-                return "full"
-            partials.append(x)
-    return math.fsum(values)
-def draw(kind):
-    if kind == "normal":
-        return rng.gauss(0.0, 1.0)
-    if kind == "bits":  # any finite or special double
-        return struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0]
-    return rng.choice([math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, 0.0, -0.0])
-cases = [[], [math.inf], [math.nan, 1.0], [1e308, 1e308], [2.0 ** e for e in range(-1020, 1020, 60)]]
-for _ in range(3000):
-    kinds = rng.choice([["normal"], ["bits"], ["normal", "special"], ["normal", "bits"]])
-    cases.append([draw(rng.choice(kinds)) for _ in range(rng.randrange(80))])
-counts = {"answered": 0, "not finite": 0, "full": 0}
-for values in cases:
-    n = len(values)
-    x, out = libc.malloc(n * 8 or 1), libc.malloc(8)
-    ctypes.memmove(x, struct.pack(f"<{n}d", *values), n * 8)
-    ctypes.memmove(out, struct.pack("<d", 7.0), 8)
-    answered = lib.hbtm_fsum(n, x, out)
-    written = ctypes.string_at(out, 8)
-    want = expected(values)
-    if isinstance(want, str):
-        assert (answered, written) == (0, struct.pack("<d", 7.0)), (values, want)
-        counts[want] += 1
-    else:
-        assert (answered, written) == (1, struct.pack("<d", want)), (values, want)
-        counts["answered"] += 1
-    libc.free(x)
-    libc.free(out)
-print(counts["answered"], counts["not finite"], counts["full"])
-"""
-
-
-def test_fsum_kernel_stays_inside_its_buffers_under_address_and_undefined_sanitizers(sanitized):
-    answered, not_finite, full = map(int, sanitized(SANITIZED_FSUM).split())
-    assert answered >= 500 and not_finite >= 100 and full >= 50
-
-
 # Each case plants its return code: 0; j + 1 when token j's event is its own, so
 # a denominator underflows to 0 (K=1, concentrations 1e-200); or -(j + 1) for a
 # trait outside [0, K). The tables must then match a recount, token j unmoved.
@@ -756,3 +693,12 @@ print(answered, declined)
 def test_tokens_kernel_stays_inside_its_buffers_under_address_and_undefined_sanitizers(sanitized):
     answered, declined = map(int, sanitized(SANITIZED_TOKENS).split())
     assert answered == 3000 and declined >= 2000
+
+
+def test_each_kernel_has_one_sanitizer_driver():
+    # the rule for adding or removing a kernel: its _KERNELS row and its driver go together
+    drivers = [text for name, text in globals().items() if name.startswith("SANITIZED_")]
+    called = [set(re.findall(r"\blib\.(hbtm_\w+)", text)) for text in drivers]
+    assert all(len(names) == 1 for names in called), called
+    assert sorted(name for names in called for name in names) == \
+        sorted(name for name, _ in sampler._KERNELS)
