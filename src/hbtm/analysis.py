@@ -93,21 +93,24 @@ def pearson(x, y) -> PearsonResult:
     """Sample correlation with a two-sided p from the exact t transform.
 
     Needs n >= 3 paired values and non-constant inputs; |r| = 1 gives p = 0.
-    The sums are exact (``math.fsum``'s), taken over float64 arrays.
+    The sums are exact (``math.fsum``'s), taken over float64 arrays. A
+    side's sum and its sum of squared deviations depend on that side alone,
+    so either side may be passed as ``_centered`` of its values instead:
+    ``run_analysis`` centers each grade column once and each trait column
+    once per set of scored traces, and each of its pairs then takes one
+    exact sum, of the cross products.
     """
-    x, y = _floats(x), _floats(y)
+    x, y = (v if isinstance(v, _Centered) else _floats(v) for v in (x, y))
     n = len(x)
     if len(y) != n:
         raise ValueError("x and y must have equal lengths")
     if n < 3:
         raise ValueError("need at least 3 pairs")
-    dx = x - math.fsum(x.tolist()) / n
-    dy = y - math.fsum(y.tolist()) / n
-    vx = math.fsum((dx * dx).tolist())
-    vy = math.fsum((dy * dy).tolist())
-    if vx == 0.0 or vy == 0.0:
+    x, y = (v if isinstance(v, _Centered) else _centered(v) for v in (x, y))
+    if x.sum_of_squares == 0.0 or y.sum_of_squares == 0.0:
         raise ValueError("correlation undefined for a constant input")
-    r = math.fsum((dx * dy).tolist()) / math.sqrt(vx * vy)
+    r = (math.fsum((x.deviations * y.deviations).tolist())
+         / math.sqrt(x.sum_of_squares * y.sum_of_squares))
     r = max(-1.0, min(1.0, r))
     if abs(r) == 1.0:
         return PearsonResult(r, 0.0, n)
@@ -116,12 +119,28 @@ def pearson(x, y) -> PearsonResult:
     return PearsonResult(r, student_t_two_sided_p(t, df), n)
 
 
+@dataclass(frozen=True)
+class _Centered:
+    """A column's deviations from its exact mean, and their exact sum of squares."""
+
+    deviations: np.ndarray
+    sum_of_squares: float
+
+    def __len__(self) -> int:
+        return len(self.deviations)
+
+
+def _centered(values: np.ndarray) -> _Centered:
+    d = values - math.fsum(values.tolist()) / len(values)
+    return _Centered(d, math.fsum((d * d).tolist()))
+
+
 def _floats(values) -> np.ndarray:
     """``float()`` of each of ``values``, as a float64 array.
 
     A 1-d float64 array already holds those floats and is taken as it is:
-    ``run_analysis`` passes its columns so, and converting 4,000 numpy
-    scalars one by one would cost more than the correlation.
+    converting 4,000 numpy scalars one by one would cost more than the
+    correlation.
     """
     if isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 1:
         return values
@@ -251,20 +270,33 @@ class GradeTable:
 
     @classmethod
     def from_csv(cls, path) -> "GradeTable":
-        """Load ``trace_id,SA,SFE,FE`` rows; blank cells mean missing."""
+        """Load ``trace_id,SA,SFE,FE`` rows; blank cells mean missing.
+
+        Reads as ``csv.DictReader`` would: blank lines are skipped, a
+        repeated column name reads its last column, a short row's missing
+        cells are missing grades, and extra cells are ignored.
+        """
         scores: dict[str, dict[str, float | None]] = {}
         with open(path, newline="") as fh:
-            reader = csv.DictReader(skip_bom(fh))
+            reader = csv.reader(skip_bom(fh))
+            header = next(reader, None)
             needed = {"trace_id", *GRADE_TYPES}
-            if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
+            if header is None or not needed.issubset(header):
                 raise ValueError(f"grades CSV must have columns {sorted(needed)}")
+            at = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
+            id_at, width = at["trace_id"], len(header)
+            columns = [(g, at[g]) for g in GRADE_TYPES]
             for row in reader:
-                trace_id = row["trace_id"].strip()
+                if not row:
+                    continue
+                if len(row) < width:
+                    row += [None] * (width - len(row))  # as DictReader's restval
+                trace_id = row[id_at].strip()
                 if trace_id in scores:
                     raise ValueError(f"duplicate trace_id '{trace_id}' in grades CSV")
                 scores[trace_id] = {
-                    g: (float(row[g]) if row[g] is not None and row[g].strip() else None)
-                    for g in GRADE_TYPES
+                    g: (float(row[i]) if row[i] is not None and row[i].strip() else None)
+                    for g, i in columns
                 }
         return cls(scores)
 
@@ -365,18 +397,23 @@ def run_analysis(fit, grades: GradeTable, threshold: float = 0.05, seed: int = 0
     correlations: list[dict] = []
     rows = {grade_type: np.array([m for m, _ in pairs], dtype=np.intp)
             for grade_type, pairs in scored.items()}
-    # each grade's scores as one array, not converted again for every trait
-    scores = {grade_type: _floats([value for _, value in pairs])
-              for grade_type, pairs in scored.items()}
+    # each grade's scores centered once, not again for every trait; a grade with
+    # fewer than 3 is never correlated, and an empty column has no mean
+    grade_columns = {grade_type: _centered(_floats([value for _, value in pairs]))
+                     for grade_type, pairs in scored.items() if len(pairs) >= 3}
+    row_keys = {grade_type: rows[grade_type].tobytes() for grade_type in grade_columns}
     for k in range(theta.shape[1]):
+        trait_columns = {}  # trait k centered once per distinct set of scored rows
         for grade_type in GRADE_TYPES:
-            xs = theta[rows[grade_type], k]
-            entry = {"trait": k + 1, "grade": grade_type, "n": len(xs)}
-            if len(xs) < 3:
+            entry = {"trait": k + 1, "grade": grade_type, "n": len(rows[grade_type])}
+            if grade_type not in grade_columns:
                 entry["skipped"] = "fewer than 3 scored traces"
             else:
+                key = row_keys[grade_type]
+                if key not in trait_columns:
+                    trait_columns[key] = _centered(theta[rows[grade_type], k])
                 try:
-                    result = pearson(xs, scores[grade_type])
+                    result = pearson(trait_columns[key], grade_columns[grade_type])
                 except ValueError as exc:
                     entry["skipped"] = str(exc)
                 else:
@@ -415,15 +452,33 @@ def export_trait(posterior: Posterior, k: int, event_labels=None,
     event_labels = tuple(event_labels)
     if len(event_labels) != num_events:
         raise ValueError("event_labels length must match the event count")
-    buf = io.StringIO()
-    if header_comment:
-        buf.write(f"# {header_comment}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["kind", "event_label", "bin_index", "probability"])
-    writer.writerows(["event", label, e + 1, repr(p)]
-                     for e, (label, p) in enumerate(zip(event_labels, posterior.phi[k].tolist())))
+    cells = _label_cells(event_labels)
+    parts = [f"# {header_comment}\n"] if header_comment else []
+    parts.append("kind,event_label,bin_index,probability\n")
+    parts.extend(f"event,{cell},{e + 1},{p!r}\n"
+                 for e, (cell, p) in enumerate(zip(cells, posterior.phi[k].tolist())))
     for kind, table in (("time", posterior.psi[k]), ("interaction", posterior.tau[k])):
-        writer.writerows([kind, label, b + 1, repr(p)]
-                         for label, row in zip(event_labels, table.tolist())
-                         for b, p in enumerate(row))
-    return buf.getvalue()
+        parts.extend(f"{kind},{cell},{b + 1},{p!r}\n"
+                     for cell, row in zip(cells, table.tolist())
+                     for b, p in enumerate(row))
+    return "".join(parts)
+
+
+def _label_cells(labels) -> list[str]:
+    """Each label as ``csv.writer`` spells it in a middle field of a row.
+
+    A label alone in its row would be spelled differently (an empty one as
+    ``""``), so each goes after an empty first field and is cut out of that
+    row. The other cells of ``export_trait``'s rows never need quoting: kinds
+    and bin indices are plain words and digits, and the probabilities are
+    finite floats in [0, 1].
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    cells = []
+    for label in labels:
+        writer.writerow(["", label])
+        cells.append(buf.getvalue()[1:-1])
+        buf.seek(0)
+        buf.truncate()
+    return cells

@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 from types import SimpleNamespace
 from unittest import mock
@@ -379,6 +380,100 @@ def test_grade_table_duplicate_ids(tmp_path):
         GradeTable.from_csv(path)
 
 
+def _grade_table_with_dict_reader(path):
+    """``GradeTable.from_csv`` as first written, over ``csv.DictReader``: the oracle."""
+    scores = {}
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(core.skip_bom(fh))
+        needed = {"trace_id", *analysis.GRADE_TYPES}
+        if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
+            raise ValueError(f"grades CSV must have columns {sorted(needed)}")
+        for row in reader:
+            trace_id = row["trace_id"].strip()
+            if trace_id in scores:
+                raise ValueError(f"duplicate trace_id '{trace_id}' in grades CSV")
+            scores[trace_id] = {
+                g: (float(row[g]) if row[g] is not None and row[g].strip() else None)
+                for g in analysis.GRADE_TYPES
+            }
+    return GradeTable(scores)
+
+
+def _grade_outcome(read, path):
+    """The scores ``read(path)`` returns, or the type and message of what it raises."""
+    try:
+        return read(path).scores
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _grades(sa, sfe, fe):
+    return {"SA": sa, "SFE": sfe, "FE": fe}
+
+
+@pytest.mark.parametrize("text, want", [
+    pytest.param("trace_id,SA,SFE,FE\n\ns1,1,2,3\n\n\r\ns2,,50,\n",
+                 {"s1": _grades(1.0, 2.0, 3.0), "s2": _grades(None, 50.0, None)},
+                 id="blank lines are skipped"),
+    pytest.param("\ufefftrace_id,SA,SFE,FE\ns1,1,2,3\n", {"s1": _grades(1.0, 2.0, 3.0)},
+                 id="a byte-order mark is dropped"),
+    pytest.param("trace_id,SA,SFE,FE,SA\ns1,1,2,3,4\ns2,1,2,3\n",
+                 {"s1": _grades(4.0, 2.0, 3.0), "s2": _grades(None, 2.0, 3.0)},
+                 id="a repeated name reads its last column"),
+    pytest.param("trace_id,SA,SFE,FE\ns1,1\ns2\n",
+                 {"s1": _grades(1.0, None, None), "s2": _grades(None, None, None)},
+                 id="a short row's missing cells are missing grades"),
+    pytest.param("trace_id,SA,SFE,FE\ns1,1,2,3,junk,\"x,y\"\n", {"s1": _grades(1.0, 2.0, 3.0)},
+                 id="extra cells are ignored"),
+    pytest.param("FE,note,trace_id,SFE,SA\r\n3,a,s1,2,1\r\n", {"s1": _grades(1.0, 2.0, 3.0)},
+                 id="columns in any order"),
+])
+def test_grade_table_reads_as_dict_reader_does(tmp_path, text, want):
+    path = tmp_path / "grades.csv"
+    path.write_bytes(text.encode())
+    assert GradeTable.from_csv(path).scores == want
+    assert _grade_outcome(_grade_table_with_dict_reader, path) == want
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("", id="empty file"),
+    pytest.param("\ntrace_id,SA,SFE,FE\ns1,1,2,3\n", id="blank header line"),
+    pytest.param("trace_id,SA,SFE\ns1,1,2\n", id="missing column"),
+    pytest.param("trace_id,SA,SFE,FE\ns1,1,2,3\n s1 ,,,\n", id="duplicate id"),
+    pytest.param("trace_id,SA,SFE,FE\ns1,4,x,3\n", id="not a number"),
+    pytest.param("trace_id,SA,SFE,FE\ns1,4,2,nan\n", id="not finite"),
+    pytest.param("trace_id,SA,SFE,FE\ns1,6,2,3\n", id="out of range"),
+    pytest.param("SA,SFE,FE,trace_id\n1,2\n", id="short row without its trace id"),
+    pytest.param("trace_id,SA,SFE,FE\ns1,1,2,3\ns2,\x00,2,3\n", id="NUL byte"),
+    pytest.param('trace_id,SA,SFE,FE\ns1,"1,2,3\n', id="unclosed quote"),
+])
+def test_grade_table_raises_what_dict_reader_raised(tmp_path, text):
+    path = tmp_path / "grades.csv"
+    path.write_bytes(text.encode())
+    outcome = _grade_outcome(GradeTable.from_csv, path)
+    assert isinstance(outcome, tuple)
+    assert outcome == _grade_outcome(_grade_table_with_dict_reader, path)
+
+
+_GRADE_CELLS = st.sampled_from(["trace_id", "SA", "SFE", "FE", "s1", "s2", " s1", "1", "2.5",
+                                "99", "-1", "x", "", " ", '"4"', '"a,b"', '"a\nb"'])
+
+
+@settings(max_examples=200, deadline=None)
+@given(header=st.lists(_GRADE_CELLS, max_size=7),
+       rows=st.lists(st.lists(_GRADE_CELLS, max_size=7), max_size=6),
+       bom=st.booleans(), newline=st.sampled_from(["\n", "\r\n"]))
+@example(header=["trace_id", "SA", "SFE", "FE"], rows=[["s1", "1", "2.5", "99"], [], ["s2"]],
+         bom=True, newline="\r\n")
+def test_grade_table_reads_any_text_as_dict_reader_does(tmp_path_factory, header, rows, bom,
+                                                        newline):
+    lines = [",".join(header), *(",".join(row) for row in rows)]
+    path = tmp_path_factory.mktemp("grades") / "grades.csv"
+    path.write_bytes((("\ufeff" if bom else "") + newline.join(lines) + newline).encode())
+    assert (_grade_outcome(GradeTable.from_csv, path)
+            == _grade_outcome(_grade_table_with_dict_reader, path))
+
+
 # --- full analysis ---------------------------------------------------------
 
 
@@ -477,6 +572,68 @@ def test_run_analysis_tests_each_grade_over_its_scored_traces(rng):
                 groups[report.cluster_labels[tid]].append(v)
         assert report.ttests[grade_type]["group_sizes"] == [len(groups[0]), len(groups[1])]
         assert report.ttests[grade_type]["t"] == welch_t_test(*groups).t
+
+
+@st.composite
+def correlation_cases(draw):
+    """The arguments of ``_correlation_case``: any count of scored traces per grade."""
+    traces = draw(st.integers(4, 40))
+    return dict(seed=draw(st.integers(0, 2**32 - 1)), traces=traces,
+                traits=draw(st.integers(1, 5)),
+                counts={g: draw(st.integers(0, traces - 1)) for g in analysis.GRADE_TYPES},
+                constant_trait=draw(st.booleans()),
+                constant_grade=draw(st.sampled_from([None, *analysis.GRADE_TYPES])))
+
+
+def _correlation_case(seed, traces, traits, counts, constant_trait, constant_grade):
+    """A fit and grades: grade g scored on ``counts[g]`` traces of its own, the last ungraded.
+
+    With ``constant_trait``, trait 1 is 0.25 in every trace (with one trait,
+    it is 1 anyway); ``constant_grade`` gives one score to all its traces.
+    """
+    data = np.random.default_rng(seed)
+    theta = data.dirichlet(np.ones(traits), size=traces)
+    if constant_trait and traits > 1:
+        theta[:, 0] = 0.25
+        theta[:, 1:] *= 0.75 / theta[:, 1:].sum(axis=1, keepdims=True)
+    fit = fake_fit(theta)
+    scores = {tid: dict.fromkeys(analysis.GRADE_TYPES) for tid in fit.trace_ids[:-1]}
+    for g, count in counts.items():
+        low, high = analysis.GRADE_RANGES[g]
+        values = data.uniform(low, high, size=count)
+        if g == constant_grade:
+            values[:] = high / 2
+        for m, value in zip(data.permutation(traces - 1)[:count], values.tolist()):
+            scores[fit.trace_ids[m]][g] = value
+    return fit, GradeTable(scores)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=correlation_cases())
+@example(case=dict(seed=0, traces=12, traits=3, counts={"SA": 0, "SFE": 1, "FE": 2},
+                   constant_trait=True, constant_grade=None))  # too few scores for each grade
+@example(case=dict(seed=1, traces=12, traits=3, counts={"SA": 3, "SFE": 11, "FE": 7},
+                   constant_trait=True, constant_grade="FE"))  # a constant trait and grade
+@example(case=dict(seed=2, traces=10, traits=4, counts={"SA": 9, "SFE": 9, "FE": 9},
+                   constant_trait=False, constant_grade=None))  # one row set for every grade
+def test_run_analysis_correlates_each_pair_as_pearson_does(case):
+    fit, grades = _correlation_case(**case)
+    theta, ids = fit.posterior.theta, fit.trace_ids
+    report = run_analysis(fit, grades, threshold=0.3)
+    want = []
+    for k in range(theta.shape[1]):
+        for g in analysis.GRADE_TYPES:
+            rows = [m for m, tid in enumerate(ids) if grades.get(tid, g) is not None]
+            entry = {"trait": k + 1, "grade": g, "n": len(rows)}
+            try:
+                result = pearson(theta[rows, k], [grades.get(ids[m], g) for m in rows])
+            except ValueError as exc:
+                entry["skipped"] = "fewer than 3 scored traces" if len(rows) < 3 else str(exc)
+            else:
+                entry.update(r=result.r, p=result.p, significant=result.p < 0.3,
+                             sign="+" if result.r > 0 else "-")
+            want.append(entry)
+    assert report.correlations == want
 
 
 @pytest.fixture(scope="module")
@@ -599,3 +756,49 @@ def test_trait_profile_csv_is_one_based():
     time_rows = [ln for ln in lines if ln.startswith("time,")]
     assert time_rows[0].split(",")[2] == "1"
     assert time_rows[-1].split(",")[2] == "3"
+
+
+def _export_trait_with_csv_writer(posterior, k, event_labels=None, header_comment=None):
+    """``export_trait`` as first written, one ``csv.writer`` row per line: the oracle."""
+    if event_labels is None:
+        event_labels = tuple(f"event {e + 1}" for e in range(posterior.phi.shape[1]))
+    buf = io.StringIO()
+    if header_comment:
+        buf.write(f"# {header_comment}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["kind", "event_label", "bin_index", "probability"])
+    writer.writerows(["event", label, e + 1, repr(p)]
+                     for e, (label, p) in enumerate(zip(event_labels, posterior.phi[k].tolist())))
+    for kind, table in (("time", posterior.psi[k]), ("interaction", posterior.tau[k])):
+        writer.writerows([kind, label, b + 1, repr(p)]
+                         for label, row in zip(event_labels, table.tolist())
+                         for b, p in enumerate(row))
+    return buf.getvalue()
+
+
+def _random_posterior(seed, events, traits=2):
+    data = np.random.default_rng(seed)
+    return Posterior(data.dirichlet(np.ones(traits), size=3),
+                     data.dirichlet(np.ones(events), size=traits),
+                     data.dirichlet(np.ones(4), size=(traits, events)),
+                     data.dirichlet(np.ones(3), size=(traits, events)))
+
+
+AWKWARD_LABELS = ("", ",", '"', "a\nb", "a\rb", " padded ", "Übung 練習")
+
+
+@pytest.mark.parametrize("header_comment", [None, "", "model_k20.json, seed 1"])
+@pytest.mark.parametrize("labels", [AWKWARD_LABELS, None], ids=["awkward labels", "default labels"])
+def test_export_trait_writes_what_csv_writer_wrote(header_comment, labels):
+    posterior = _random_posterior(35, len(AWKWARD_LABELS))
+    for k in range(posterior.num_traits):
+        want = _export_trait_with_csv_writer(posterior, k, labels, header_comment)
+        assert export_trait(posterior, k, labels, header_comment) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(labels=st.lists(st.text(max_size=6), min_size=1, max_size=5),
+       seed=st.integers(0, 2**32 - 1))
+def test_export_trait_spells_any_label_as_csv_writer_does(labels, seed):
+    posterior = _random_posterior(seed, len(labels), traits=1)
+    assert export_trait(posterior, 0, labels) == _export_trait_with_csv_writer(posterior, 0, labels)
