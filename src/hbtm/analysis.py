@@ -274,7 +274,8 @@ class GradeTable:
 
         Reads as ``csv.DictReader`` would: blank lines are skipped, a
         repeated column name reads its last column, a short row's missing
-        cells are missing grades, and extra cells are ignored.
+        cells are missing grades, and extra cells are ignored. A row that ends
+        before its ``trace_id`` column is a ``ValueError`` naming its line.
         """
         scores: dict[str, dict[str, float | None]] = {}
         with open(path, newline="") as fh:
@@ -290,6 +291,10 @@ class GradeTable:
                 if not row:
                     continue
                 if len(row) < width:
+                    if len(row) <= id_at:
+                        raise ValueError(
+                            f"grades CSV line {reader.line_num} ends before its trace_id column"
+                        )
                     row += [None] * (width - len(row))  # as DictReader's restval
                 trace_id = row[id_at].strip()
                 if trace_id in scores:

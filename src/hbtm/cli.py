@@ -5,11 +5,17 @@ the flag names (dashes as underscores); explicit flags override file values.
 Outputs embed the fully resolved configuration and seed. Errors exit nonzero
 with a one-line JSON object on stderr; the only other stderr line is the
 notice of a process whose compiled library is unavailable, which comes first.
+
+A command line that is a subcommand followed only by exact ``--flag value``
+pairs, each value converting to its option's type and none starting with
+``-``, is read straight from the subcommand's option table. Any other line
+(help, an unknown or abbreviated flag, ``--flag=value``, a value that starts
+with ``-``) goes to argparse, which is imported only then. Both routes give
+the same configuration for every line that both read.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -24,27 +30,24 @@ def _error_json(kind: str, detail: str) -> str:
     return json.dumps({"error": kind, "detail": detail}, sort_keys=True)
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        print(_error_json("argument error", message), file=sys.stderr)
-        raise SystemExit(2)
-
-
-def _resolve(args: argparse.Namespace, options) -> dict:
+def _resolve(flags: dict, options) -> dict:
     """Merge the option table's defaults, the optional --config file, then explicit flags.
 
-    Values are kept as given (a config file's ``1`` stays ``1``); each command
-    converts them where it uses them. A file value must have its option's type,
-    where an int also serves a float option and a bool serves neither.
+    ``flags`` maps option keys to the values given on the command line; a key
+    that is absent or None was not given. Values are kept as given (a config
+    file's ``1`` stays ``1``); each command converts them where it uses them. A
+    file value must have its option's type, where an int also serves a float
+    option and a bool serves neither.
     """
     resolved = {key: default for key, _type, default, _help in options}
-    if args.config:
+    config = flags.get("config")
+    if config:
         try:
-            file_values = json.loads(Path(args.config).read_text())
+            file_values = json.loads(Path(config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
-            raise ValueError(f"cannot read config file {args.config}: {exc}") from exc
+            raise ValueError(f"cannot read config file {config}: {exc}") from exc
         if not isinstance(file_values, dict):
-            raise TypeError(f"config file {args.config} must hold a JSON object")
+            raise TypeError(f"config file {config} must hold a JSON object")
         unknown = set(file_values) - set(resolved)
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -55,7 +58,7 @@ def _resolve(args: argparse.Namespace, options) -> dict:
                 raise TypeError(f"config key {key} must be {kind.__name__}, got {value!r}")
         resolved.update(file_values)
     for key in resolved:
-        value = getattr(args, key)
+        value = flags.get(key)
         if value is not None:
             resolved[key] = value
     missing = [k for k, v in resolved.items() if v is None]
@@ -275,30 +278,68 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> _Parser:
-    """The parser for every subcommand, or for ``command`` alone when it names one.
+def _read_flags(argv: list) -> tuple[str, dict] | None:
+    """The subcommand and its flag values, or None for a line argparse must read.
+
+    Answers only a subcommand followed by exact ``--flag value`` pairs whose
+    values do not start with ``-`` and convert by their option's type; a
+    repeated flag keeps its last value, as under argparse.
+    """
+    if not argv or not all(isinstance(arg, str) for arg in argv) or argv[0] not in _COMMANDS:
+        return None
+    options = _COMMANDS[argv[0]][2]
+    kinds = {"--config": ("config", str)}
+    kinds.update(("--" + key.replace("_", "-"), (key, kind)) for key, kind, _d, _h in options)
+    pairs = argv[1:]
+    if len(pairs) % 2:
+        return None
+    flags = {}
+    for flag, value in zip(pairs[::2], pairs[1::2]):
+        if flag not in kinds or value.startswith("-"):
+            return None
+        key, kind = kinds[flag]
+        try:
+            flags[key] = kind(value)
+        except ValueError:
+            return None
+    return argv[0], flags
+
+
+def build_parser(command: str | None = None):
+    """The argparse parser for every subcommand, or for ``command`` alone when it names one.
 
     A subcommand's parser reads its arguments the same with or without the
     others beside it; the full tree is needed only for top-level help and errors.
     """
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            print(_error_json("argument error", message), file=sys.stderr)
+            raise SystemExit(2)
+
     parser = _Parser(prog="hbtm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, help_text, options) in _COMMANDS.items():
+    for name, (_handler, help_text, options) in _COMMANDS.items():
         if command in _COMMANDS and name != command:
             continue
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON file with option defaults")
         for key, kind, _default, option_help in options:
             p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, help=option_help)
-        p.set_defaults(func=handler, options=options)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    read = _read_flags(argv)
+    if read is None:
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        read = args.command, vars(args)
+    command, flags = read
+    handler, _help, options = _COMMANDS[command]
     try:
-        return args.func(_resolve(args, args.options))
+        return handler(_resolve(flags, options))
     except Exception as exc:  # every failure, whatever its type, gets the one-line error
         print(_error_json(type(exc).__name__, str(exc)), file=sys.stderr)
         return 1

@@ -389,6 +389,9 @@ def _grade_table_with_dict_reader(path):
         if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
             raise ValueError(f"grades CSV must have columns {sorted(needed)}")
         for row in reader:
+            if row["trace_id"] is None:  # where DictReader's own code met an AttributeError
+                raise ValueError(
+                    f"grades CSV line {reader.line_num} ends before its trace_id column")
             trace_id = row["trace_id"].strip()
             if trace_id in scores:
                 raise ValueError(f"duplicate trace_id '{trace_id}' in grades CSV")
@@ -453,6 +456,20 @@ def test_grade_table_raises_what_dict_reader_raised(tmp_path, text):
     outcome = _grade_outcome(GradeTable.from_csv, path)
     assert isinstance(outcome, tuple)
     assert outcome == _grade_outcome(_grade_table_with_dict_reader, path)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("SA,SFE,FE,trace_id\n1,2\n", 2),
+    ("trace_id,SA,SFE,FE,trace_id\ns1,1,2,3,s1\n\ns2,1,2,3\n", 4),
+    ('SA,SFE,FE,trace_id\n1,2,3,s1\n"4\n5",6\n', 4),
+])
+def test_a_row_that_ends_before_its_trace_id_is_a_value_error_naming_its_line(tmp_path, text,
+                                                                                line):
+    path = tmp_path / "grades.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as excinfo:
+        GradeTable.from_csv(path)
+    assert str(excinfo.value) == f"grades CSV line {line} ends before its trace_id column"
 
 
 _GRADE_CELLS = st.sampled_from(["trace_id", "SA", "SFE", "FE", "s1", "s2", " s1", "1", "2.5",

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import hbtm
-from hbtm.cli import _COMMANDS, build_parser, main
+from hbtm.cli import _COMMANDS, _read_flags, _resolve, build_parser, main
 
 RAW_HEADER = "session,student,activity,start,end,wheel,click,keys\n"
 
@@ -469,6 +470,80 @@ def test_help_and_argument_errors_match_the_full_parser(argv, capsys):
     assert _parse_outcome(main, argv, capsys) == full
     assert full[1] or full[2]
 
+
+def _own_flags(command):
+    options = _COMMANDS[command][2] if command in _COMMANDS else ()
+    return ["--config", *("--" + key.replace("_", "-") for key, *_rest in options)]
+
+
+_FLAGS = sorted({flag for command in _COMMANDS for flag in _own_flags(command)})
+_VALUES = ["1", "-1", "0", "x", "", " 2", "1_0", "1e3", "nan", "-", "--x", "-1e5", "-x"]
+_OTHER_TOKENS = ["--mod", "--tr", "--model=x", "-h", "--help", "--"]
+
+
+def _resolve_outcome(flags, options):
+    """What ``_resolve`` gives, with each value's type, or the type and message it raises."""
+    try:
+        return [(key, type(value), repr(value)) for key, value in _resolve(flags, options).items()]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _argvs(draw):
+    """A command, then flag-value pairs, mostly of its own flags, with stray tokens anywhere."""
+    command = draw(st.sampled_from([*_COMMANDS, "fitt"]))
+    own = st.sampled_from(_own_flags(command))
+    flags = st.one_of(own, own, own, st.sampled_from(_FLAGS))
+    values = st.one_of(st.just("1"), st.just("1"), st.sampled_from(_VALUES))
+    argv = [command]
+    for flag, value in draw(st.lists(st.tuples(flags, values), max_size=5)):
+        argv += [flag, value]
+    strays = st.sampled_from([*_COMMANDS, *_FLAGS, *_VALUES, *_OTHER_TOKENS])
+    for token in draw(st.lists(strays, max_size=draw(st.sampled_from([0, 0, 2])))):
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=_argvs())
+@example(argv=["fit", "--traits", "1", "--traits", "2"])
+@example(argv=["analyze", "--model", " 2", "--threshold", "1_0", "--seed", "1e3"])
+@example(argv=["export-trait", "--trait", "-1", "--model", "m"])
+def test_the_table_reader_answers_only_what_argparse_reads_alike(argv):
+    # argparse is the oracle: wherever the table reader answers, the full
+    # parser accepts the line and resolves it to the same configuration
+    read = _read_flags(argv)
+    event("read" if read else "declined")
+    if read is None:
+        return
+    args = build_parser().parse_args(argv)
+    options = _COMMANDS[args.command][2]
+    assert read[0] == args.command
+    assert _resolve_outcome(read[1], options) == _resolve_outcome(vars(args), options)
+
+
+def _readme_commands():
+    """Every ``hbtm ...`` command in the README's code blocks, as an argv."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```\n(.*?)^```", text, re.S | re.M)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("hbtm ")]
+
+
+def test_the_table_reader_answers_every_perfbench_step_and_readme_command(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    expected = {"fit_session": "1", "sessions": ["1", "2"]}
+    argvs = [step["argv"] for w in workloads.WORKLOADS.values()
+             for step in workloads.plan(w, expected)["steps"]]
+    readme = _readme_commands()
+    assert {argv[0] for argv in readme} == set(_COMMANDS)
+    for argv in argvs + readme:
+        assert _read_flags(argv) is not None, argv
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "gen.json"
     cfg.write_text(json.dumps({
@@ -823,6 +898,52 @@ def test_a_fresh_process_loads_only_the_modules_its_subcommands_run(tmp_path, ge
     for command, loaded in zip(commands, after_steps):
         assert not loaded & unneeded, command
     assert needed <= loaded
+
+
+NO_ARGPARSE = r"""
+import json
+import sys
+import hbtm.cli
+seen = [sorted({"argparse", "scipy"} & set(sys.modules))]
+for argv in json.loads(sys.argv[1]):
+    assert hbtm.cli.main(argv) == 0
+    seen.append(sorted({"argparse", "scipy"} & set(sys.modules)))
+print(json.dumps(seen))
+"""
+
+
+def test_exact_flag_commands_never_import_argparse_and_help_still_does(tmp_path, generated):
+    # argparse is built only for help and errors; scipy, which analyze
+    # imports for betainc and fit without the compiled library for gammaln,
+    # imports argparse itself
+    model, grades = graded_model(tmp_path, generated)
+    raw, cmap = tmp_path / "raw.csv", tmp_path / "cols.json"
+    write_raw_csv(raw, ["1,s1,Deeds_Es_1_1,0,30,1,1,5", "1,s1,TextEditor,40,41.5,0,1,3"])
+    write_column_map(cmap)
+    steps = [
+        ["ingest", "--raw", raw, "--column-map", cmap, "--out-dir", tmp_path / "out"],
+        ["fit", "--corpus", generated.with_suffix(".jsonl"), "--schema",
+         str(generated) + ".schema.json", "--traits", 2, "--sweeps", 3, "--burn-in", 1,
+         "--stride", 1, "--out", tmp_path / "fresh.json"],
+        ["export-trait", "--model", model, "--trait", 1, "--out", tmp_path / "trait.csv"],
+        ["analyze", "--model", model, "--grades", grades, "--out", tmp_path / "report.json"],
+    ]
+    src = str(Path(hbtm.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    done = subprocess.run(
+        [sys.executable, "-c", NO_ARGPARSE, json.dumps([[str(a) for a in s] for s in steps])],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout)
+    assert seen[:2] == [[], []]  # on import and after ingest
+    assert all("argparse" not in loaded or "scipy" in loaded for loaded in seen), seen
+    if shutil.which("cc") is not None:
+        assert seen[2:4] == [[], []]  # after fit and export-trait
+    done = subprocess.run([sys.executable, "-m", "hbtm.cli", "fit", "--help"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: hbtm fit ") and "--traits TRAITS" in done.stdout
 
 
 @pytest.mark.parametrize("grade, cell", [
